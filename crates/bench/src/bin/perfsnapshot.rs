@@ -10,14 +10,14 @@
 //! (`BENCH_shard.json`) — the serving daemon: single-record p50/p99
 //! latency, batched throughput, and the amortization win over one-shot
 //! load-per-score (`BENCH_serve.json`) — the SIMD kernel tier — per-kernel
-//! throughput, scalar-blocked vs vectorized fit wall, and f32-mode NS
-//! drift (`BENCH_simd.json`) — and the Gram-matrix dual strategy against
-//! the primal fast path, with a d/n sweep locating the measured crossover
-//! (`BENCH_gram.json`) — and the out-of-core FCB path: chunked pack time
-//! and peak encode buffer on a synthetic tall dataset, mmap-open vs
-//! TSV-parse wall clock, peak-RSS checkpoints around each load path, and
-//! an NS bit-identity check between FCB-trained and TSV-trained models
-//! (`BENCH_oocore.json`).
+//! throughput, and the expression fit wall and NS drift under the portable
+//! unrolled tier vs the dispatched tier (`BENCH_simd.json`) — and the
+//! Gram-matrix dual strategy against the primal fast path, with a d/n
+//! sweep locating the measured crossover (`BENCH_gram.json`) — and the
+//! out-of-core FCB path: chunked pack time and peak encode buffer on a
+//! synthetic tall dataset, mmap-open vs TSV-parse wall clock, peak-RSS
+//! checkpoints around each load path, and an NS bit-identity check between
+//! FCB-trained and TSV-trained models (`BENCH_oocore.json`).
 //!
 //! ```text
 //! cargo run -p frac-bench --release --bin perfsnapshot [-- --family NAME]...
@@ -685,12 +685,12 @@ fn serve_family_json(train: &Dataset, test: &Dataset, config: &FracConfig, reps:
 }
 
 /// Per-kernel throughput for one tier, in GFLOP/s on a cache-resident
-/// slice (each element of dot/axpy/sq_norm/dot_f32 is one multiply + one
-/// add). Long enough to amortize the dispatch load, short enough to stay
-/// in L1. Each kernel's window is only tens of milliseconds, so on a
+/// slice (each element of dot/axpy/sq_norm is one multiply + one add).
+/// Long enough to amortize the dispatch load, short enough to stay in L1.
+/// Each kernel's window is only tens of milliseconds, so on a
 /// shared single-vCPU host a single steal burst can halve one reading —
 /// take the best of three interleaved rounds per kernel.
-fn kernel_gflops(tier: KernelTier) -> [f64; 4] {
+fn kernel_gflops(tier: KernelTier) -> [f64; 3] {
     use std::hint::black_box;
     const LEN: usize = 1024;
     const ITERS: usize = 100_000;
@@ -699,7 +699,7 @@ fn kernel_gflops(tier: KernelTier) -> [f64; 4] {
     let x: Vec<f64> = (0..LEN).map(|i| (i as f64 * 0.37).sin()).collect();
     let w: Vec<f64> = (0..LEN).map(|i| (i as f64 * 0.11).cos()).collect();
 
-    let mut best = [0.0f64; 4];
+    let mut best = [0.0f64; 3];
     let mut wbuf = w.clone();
     for _ in 0..ROUNDS {
         let mut acc = 0.0f64;
@@ -726,20 +726,12 @@ fn kernel_gflops(tier: KernelTier) -> [f64; 4] {
         }
         best[2] = best[2].max(flops / t0.elapsed().as_secs_f64());
         black_box(acc);
-
-        let mut acc = 0.0f64;
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            acc += kernels::dot_f32_for_tier(tier, black_box(&x), black_box(&w), 0.0);
-        }
-        best[3] = best[3].max(flops / t0.elapsed().as_secs_f64());
-        black_box(acc);
     }
     best
 }
 
 /// One timed pooled fit + NS score bits under the currently forced kernel
-/// tier / splitter generation.
+/// tier.
 fn simd_timed(train: &Dataset, test: &Dataset, config: &FracConfig) -> (f64, Vec<f64>) {
     let plan = TrainingPlan::full(train.n_features());
     let t0 = Instant::now();
@@ -766,40 +758,38 @@ fn simd_best_of(
     best.expect("at least one rep")
 }
 
-/// A/B one family: scalar-blocked baseline (portable unrolled tier +
-/// legacy per-row splitter) vs the vectorized path (best dispatched tier +
-/// gathered splitter). Returns `(json, baseline_ns, vectorized_ns)`.
+/// Time one family's fit under the portable unrolled tier and under the
+/// dispatched tier (the best one this CPU supports). Both sides run the
+/// same fast solver, so the NS drift between them is the kernels' lane
+/// regrouping alone. Returns the rendered JSON object.
 fn simd_family_json(
     name: &str,
     train: &Dataset,
     test: &Dataset,
     config: &FracConfig,
     reps: usize,
-) -> (String, Vec<f64>, Vec<f64>) {
+) -> String {
     kernels::force_tier(Some(KernelTier::Unrolled));
-    frac_learn::tree::force_legacy_splitter(true);
-    frac_learn::solver::force_unpacked_solver(true);
-    let (base_s, base_ns) = simd_best_of(reps, train, test, config);
-    let vec_tier = kernels::force_tier(None);
-    frac_learn::tree::force_legacy_splitter(false);
-    frac_learn::solver::force_unpacked_solver(false);
-    let (vec_s, vec_ns) = simd_best_of(reps, train, test, config);
-    let speedup = base_s / vec_s;
+    let (unrolled_s, unrolled_ns) = simd_best_of(reps, train, test, config);
+    let tier = kernels::force_tier(None);
+    let (tier_s, tier_ns) = simd_best_of(reps, train, test, config);
+    let speedup = unrolled_s / tier_s;
+    let drift = max_rel_drift(&unrolled_ns, &tier_ns);
     eprintln!(
-        "{name}: fit scalar-blocked {base_s:.3}s vs vectorized[{vec_tier}] {vec_s:.3}s \
-         ({speedup:.2}x)"
+        "{name}: fit unrolled {unrolled_s:.3}s vs {tier} {tier_s:.3}s ({speedup:.2}x); \
+         NS drift across tiers {drift:.2e}"
     );
-    let json = format!(
+    format!(
         "  \"{name}\": {{\n    \
          \"surrogate\": {{\"n_features\": {}, \"train_rows\": {}, \"test_rows\": {}}},\n    \
-         \"scalar_blocked\": {{\"fit_wall_s\": {base_s:.6}}},\n    \
-         \"vectorized\": {{\"fit_wall_s\": {vec_s:.6}, \"tier\": \"{vec_tier}\"}},\n    \
-         \"fit_speedup\": {speedup:.3}\n  }}",
+         \"unrolled\": {{\"fit_wall_s\": {unrolled_s:.6}}},\n    \
+         \"dispatched\": {{\"fit_wall_s\": {tier_s:.6}, \"tier\": \"{tier}\"}},\n    \
+         \"fit_speedup\": {speedup:.3},\n    \
+         \"cross_tier_ns_drift\": {drift:.3e}\n  }}",
         train.n_features(),
         train.n_rows(),
         test.n_rows(),
-    );
-    (json, base_ns, vec_ns)
+    )
 }
 
 /// Fraction of positions where the two NS rankings agree exactly.
@@ -1302,105 +1292,77 @@ fn main() {
     }
 
     if run("simd") {
-    // SIMD kernel tier: per-kernel throughput for every supported tier,
-    // then the whole-fit A/B — scalar-blocked baseline (portable unrolled
-    // kernels + legacy per-row splitter) vs the vectorized path (best
-    // dispatched tier + gathered splitter) — on the tree_grow-bound SNP
-    // family and the solve-bound expression family. Runs after the timing
-    // families above because the A/B forces process-global knobs.
-    let avx2_ok = KernelTier::Avx2Fma.supported();
-    eprintln!(
-        "simd bench: dispatched tier {}, avx2+fma supported: {avx2_ok}",
-        kernels::active_tier()
-    );
-    let kernel_names = ["dot", "axpy", "sq_norm", "dot_f32"];
-    let unrolled = kernel_gflops(KernelTier::Unrolled);
-    let vector = if avx2_ok { Some(kernel_gflops(KernelTier::Avx2Fma)) } else { None };
-    let kernel_rows: Vec<String> = kernel_names
-        .iter()
-        .enumerate()
-        .map(|(k, name)| {
-            let base = unrolled[k];
-            match vector {
-                Some(v) => {
-                    eprintln!(
-                        "kernel {name}: unrolled {base:.2} GFLOP/s, avx2+fma {:.2} GFLOP/s \
-                         ({:.2}x)",
-                        v[k],
-                        v[k] / base
-                    );
-                    format!(
-                        "\"{name}\": {{\"unrolled_gflops\": {base:.3}, \
-                         \"avx2_fma_gflops\": {:.3}, \"speedup\": {:.3}}}",
-                        v[k],
-                        v[k] / base
-                    )
+        // SIMD kernel tier: per-kernel throughput for every supported tier,
+        // then the solve-bound expression fit under the portable unrolled
+        // tier vs the dispatched tier. Runs after the timing families above
+        // because it swaps the process-wide kernel table.
+        let avx2_ok = KernelTier::Avx2Fma.supported();
+        eprintln!(
+            "simd bench: dispatched tier {}, avx2+fma supported: {avx2_ok}",
+            kernels::active_tier()
+        );
+        let kernel_names = ["dot", "axpy", "sq_norm"];
+        let unrolled = kernel_gflops(KernelTier::Unrolled);
+        let vector = if avx2_ok { Some(kernel_gflops(KernelTier::Avx2Fma)) } else { None };
+        let kernel_rows: Vec<String> = kernel_names
+            .iter()
+            .enumerate()
+            .map(|(k, name)| {
+                let base = unrolled[k];
+                match vector {
+                    Some(v) => {
+                        eprintln!(
+                            "kernel {name}: unrolled {base:.2} GFLOP/s, avx2+fma {:.2} GFLOP/s \
+                             ({:.2}x)",
+                            v[k],
+                            v[k] / base
+                        );
+                        format!(
+                            "\"{name}\": {{\"unrolled_gflops\": {base:.3}, \
+                             \"avx2_fma_gflops\": {:.3}, \"speedup\": {:.3}}}",
+                            v[k],
+                            v[k] / base
+                        )
+                    }
+                    None => format!("\"{name}\": {{\"unrolled_gflops\": {base:.3}}}"),
                 }
-                None => format!("\"{name}\": {{\"unrolled_gflops\": {base:.3}}}"),
-            }
+            })
+            .collect();
+
+        // The solver families above stay small so the strict reference
+        // remains tractable, but this A/B never runs strict — both sides
+        // take the fast path — so it can afford a wider expression
+        // surrogate whose dot segments actually amortize the vector kernels.
+        let n_simd = env_usize("FRAC_PERF_SIMD_FEATURES", 320);
+        eprintln!("simd expression surrogate: {n_simd} features x {n_rows} train rows");
+        let (wexpr, _) = ExpressionGenerator::new(ExpressionConfig {
+            n_features: n_simd,
+            n_modules: 8,
+            relevant_fraction: 0.8,
+            anomaly_modules: 2,
+            anomaly_shift: 2.5,
+            noise_sd: 0.6,
+            structure_seed: 43,
+            ..ExpressionConfig::default()
         })
-        .collect();
+        .generate(n_rows, n_rows, 10);
+        let wexpr_train = wexpr.select_rows(&(0..n_rows).collect::<Vec<_>>());
+        let wexpr_test = wexpr.select_rows(&(n_rows..2 * n_rows).collect::<Vec<_>>());
 
-    let (snp_simd, snp_base_ns, snp_vec_ns) =
-        simd_family_json("snp", &snp_train, &snp_test, &FracConfig::snp(), reps);
-    // Tree fits never touch the reduction kernels and the gathered splitter
-    // is result-identical, so the SNP A/B must not move a single NS bit.
-    assert_eq!(
-        snp_base_ns.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        snp_vec_ns.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "SNP scores must be bit-identical across splitter generations"
-    );
-    // The solver families above stay small so the strict reference remains
-    // tractable, but the SIMD A/B never runs strict — both sides take the
-    // fast path — so it can afford a wider expression surrogate whose dot
-    // segments actually amortize the vector kernels.
-    let n_simd = env_usize("FRAC_PERF_SIMD_FEATURES", 320);
-    eprintln!("simd expression surrogate: {n_simd} features x {n_rows} train rows");
-    let (wexpr, _) = ExpressionGenerator::new(ExpressionConfig {
-        n_features: n_simd,
-        n_modules: 8,
-        relevant_fraction: 0.8,
-        anomaly_modules: 2,
-        anomaly_shift: 2.5,
-        noise_sd: 0.6,
-        structure_seed: 43,
-        ..ExpressionConfig::default()
-    })
-    .generate(n_rows, n_rows, 10);
-    let wexpr_train = wexpr.select_rows(&(0..n_rows).collect::<Vec<_>>());
-    let wexpr_test = wexpr.select_rows(&(n_rows..2 * n_rows).collect::<Vec<_>>());
+        // Expression fits are under a second a side — small enough for
+        // steal-time bursts to swing a best-of-2, so this family always
+        // takes at least three reps.
+        let expr_simd =
+            simd_family_json("expression_svr", &wexpr_train, &wexpr_test, &svr_cfg, reps.max(3));
 
-    // Expression fits are ~1s a side — small enough for steal-time bursts
-    // to swing a best-of-2, so this family always takes at least three reps.
-    let (expr_simd, expr_base_ns, expr_vec_ns) =
-        simd_family_json("expression_svr", &wexpr_train, &wexpr_test, &svr_cfg, reps.max(3));
-    let expr_tier_drift = max_rel_drift(&expr_base_ns, &expr_vec_ns);
-    eprintln!("expression_svr: NS drift across tiers {expr_tier_drift:.2e}");
-
-    // f32-compute mode on the solve-bound family: gradient dots in f32
-    // with f64 accumulation, under the vectorized tier. Reported as NS
-    // drift + rank agreement against the full-precision fast path.
-    let (f64_s, f64_ns) = simd_best_of(reps.max(3), &wexpr_train, &wexpr_test, &svr_cfg);
-    let (f32_s, f32_ns) =
-        simd_best_of(reps.max(3), &wexpr_train, &wexpr_test, &svr_cfg.with_fast_f32(true));
-    let f32_drift = max_rel_drift(&f64_ns, &f32_ns);
-    let f32_ranks = rank_agreement(&f64_ns, &f32_ns);
-    eprintln!(
-        "f32 mode: fit f64 {f64_s:.3}s vs f32 {f32_s:.3}s; NS drift {f32_drift:.2e}; \
-         rank agreement {f32_ranks:.3}"
-    );
-
-    let simd_json = format!(
-        "{{\n  \"dispatch\": {{\"selected_tier\": \"{}\", \"avx2_fma_supported\": {avx2_ok}}},\n  \
-         \"kernels\": {{{}}},\n{snp_simd},\n{expr_simd},\n  \
-         \"f32_mode\": {{\"fit_wall_s_f64\": {f64_s:.6}, \"fit_wall_s_f32\": {f32_s:.6}, \
-         \"max_rel_ns_drift\": {f32_drift:.3e}, \"rank_agreement\": {f32_ranks:.4}, \
-         \"cross_tier_ns_drift\": {expr_tier_drift:.3e}}}\n}}\n",
-        kernels::active_tier(),
-        kernel_rows.join(", "),
-    );
-    std::fs::write("BENCH_simd.json", &simd_json).expect("write BENCH_simd.json");
-    println!("{simd_json}");
+        let simd_json = format!(
+            "{{\n  \"dispatch\": {{\"selected_tier\": \"{}\", \"avx2_fma_supported\": {avx2_ok}}},\n  \
+             \"kernels\": {{{}}},\n{expr_simd}\n}}\n",
+            kernels::active_tier(),
+            kernel_rows.join(", "),
+        );
+        std::fs::write("BENCH_simd.json", &simd_json).expect("write BENCH_simd.json");
+        println!("{simd_json}");
     }
 
     if run("gram") {

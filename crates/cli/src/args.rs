@@ -37,9 +37,6 @@ USAGE:
                            each target's time went) and write it here:
                            self-describing TSV, or JSON if FILE ends in
                            .json; inspect with `frac inspect-telemetry`
-        --kernel-tier T    force the blocked-kernel tier for A/B runs:
-                           unrolled (portable fallback) or avx2 (requires
-                           AVX2+FMA); default: best supported tier
         --solver-strategy S
                            fast-SVM execution strategy: auto (cost-model
                            selection per solve, default), gram (Gram-matrix
@@ -221,8 +218,6 @@ pub struct TrainArgs {
     pub shard_backoff: Option<Duration>,
     /// Telemetry trace output path (TSV, or JSON for a `.json` extension).
     pub telemetry: Option<PathBuf>,
-    /// Forced blocked-kernel tier name (`unrolled` | `avx2`), if any.
-    pub kernel_tier: Option<String>,
     /// Fast-SVM execution strategy (`auto` | `gram` | `primal`), if any.
     pub solver_strategy: Option<String>,
 }
@@ -245,7 +240,6 @@ impl Default for TrainArgs {
             shard_heartbeat: None,
             shard_backoff: None,
             telemetry: None,
-            kernel_tier: None,
             solver_strategy: None,
         }
     }
@@ -430,9 +424,6 @@ fn parse_train_args(argv: &[String], sub: &str) -> Result<TrainArgs, String> {
             }
             "--telemetry" => {
                 a.telemetry = Some(take_value(argv, &mut i, "--telemetry")?.into())
-            }
-            "--kernel-tier" => {
-                a.kernel_tier = Some(take_value(argv, &mut i, "--kernel-tier")?.to_string())
             }
             "--solver-strategy" => {
                 a.solver_strategy =
@@ -945,23 +936,6 @@ mod tests {
                 assert_eq!(a.telemetry, Some(PathBuf::from("t.tsv")));
                 assert_eq!(a.deadline, Some(Duration::from_secs(2)));
             }
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn parses_train_kernel_tier_flag() {
-        let cmd = parse(&argv(
-            "train --train a.tsv --out m.frac --kernel-tier unrolled",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Train(a) => assert_eq!(a.kernel_tier.as_deref(), Some("unrolled")),
-            _ => panic!(),
-        }
-        // No flag: no override.
-        match parse(&argv("train --train a.tsv --out m.frac")).unwrap() {
-            Command::Train(a) => assert_eq!(a.kernel_tier, None),
             _ => panic!(),
         }
     }

@@ -245,15 +245,6 @@ fn variant_from(args: &ScoreArgs) -> Result<Variant, Error> {
 }
 
 fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
-    if let Some(name) = &args.kernel_tier {
-        let requested = frac_dataset::kernels::KernelTier::parse(name)
-            .ok_or_else(|| format!("unknown kernel tier `{name}` (unrolled | avx2)"))?;
-        if !requested.supported() {
-            return Err(format!("kernel tier `{requested}` is not supported on this CPU").into());
-        }
-        let active = frac_dataset::kernels::force_tier(Some(requested));
-        eprintln!("kernel tier forced: {active}");
-    }
     let train = read_data_at(&args.train)?;
     let mut config = if args.snp {
         FracConfig::snp().with_seed(args.seed)
@@ -348,9 +339,6 @@ fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
                 .arg(format!("{k}/{n_shards}"));
             if args.snp {
                 cmd.arg("--snp");
-            }
-            if let Some(t) = &args.kernel_tier {
-                cmd.args(["--kernel-tier", t]);
             }
             if let Some(s) = &args.solver_strategy {
                 cmd.args(["--solver-strategy", s]);

@@ -118,20 +118,6 @@ impl FracConfig {
         }
         self
     }
-
-    /// Enable f32-compute/f64-accumulate gradient dot products in the SVM
-    /// duals (builder style). Honoured only on the [`SolverMode::Fast`]
-    /// path — strict solves stay exact f64 regardless. A no-op for
-    /// tree/baseline model families.
-    pub fn with_fast_f32(mut self, enabled: bool) -> Self {
-        if let RealModel::Svr(cfg) = &mut self.real_model {
-            cfg.f32_compute = enabled;
-        }
-        if let CatModel::Svc(cfg) = &mut self.cat_model {
-            cfg.f32_compute = enabled;
-        }
-        self
-    }
 }
 
 #[cfg(test)]

@@ -551,18 +551,6 @@ impl DesignView for PoolView<'_> {
         }
     }
 
-    fn row_dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64 {
-        let base = r * self.stride;
-        let mut acc = init;
-        let mut wo = 0usize;
-        for &(start, width) in &self.segments {
-            let seg = &self.values[base + start..base + start + width];
-            acc = crate::kernels::dot_f32_blocked(seg, &w[wo..wo + width], acc);
-            wo += width;
-        }
-        acc
-    }
-
     fn col(&self, c: usize) -> ColRef<'_> {
         ColRef {
             values: self.values,
@@ -702,15 +690,6 @@ pub trait DesignView: Sync {
         self.axpy_row(r, alpha, w);
     }
 
-    /// Mixed-precision variant of [`Self::row_dot_blocked`] for the fast
-    /// solver path's optional f32 mode: products computed in f32,
-    /// accumulated in f64 ([`crate::kernels::dot_f32_blocked`]). The
-    /// default falls back to the full-precision blocked kernel, which is
-    /// always within the f32 mode's documented tolerance.
-    fn row_dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64 {
-        self.row_dot_blocked(r, w, init)
-    }
-
     /// Bytes this view holds beyond the storage it borrows (row-index
     /// vectors, column maps) — the working-set cost of serving it.
     fn view_overhead_bytes(&self) -> usize {
@@ -777,10 +756,6 @@ impl<D: DesignView + ?Sized> DesignView for RowSubset<'_, D> {
         self.inner.axpy_row_blocked(self.rows[r], alpha, w);
     }
 
-    fn row_dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64 {
-        self.inner.row_dot_f32(self.rows[r], w, init)
-    }
-
     fn col(&self, c: usize) -> ColRef<'_> {
         self.inner.col(c).push_rows(self.rows)
     }
@@ -845,10 +820,6 @@ impl DesignView for DesignMatrix {
         crate::kernels::axpy_blocked(alpha, self.row(r), w);
     }
 
-    fn row_dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64 {
-        crate::kernels::dot_f32_blocked(self.row(r), w, init)
-    }
-
     fn col(&self, c: usize) -> ColRef<'_> {
         assert!(c < self.n_cols, "column {c} out of range");
         ColRef {
@@ -877,11 +848,6 @@ impl DesignView for DesignMatrix {
 #[derive(Debug, Clone)]
 pub struct PackedDesign {
     values: Vec<f64>,
-    /// Optional contiguous f32 mirror of `values`, built on demand for the
-    /// solver's f32-compute mode: the mixed-precision dot then reads
-    /// unit-stride f32 rows ([`crate::kernels::dot_f32_packed`]) instead of
-    /// demoting f64 lanes on every visit.
-    values_f32: Option<Vec<f32>>,
     n_rows: usize,
     n_cols: usize,
 }
@@ -902,30 +868,13 @@ impl PackedDesign {
         for (r, buf) in values.chunks_exact_mut(n_cols.max(1)).enumerate() {
             x.copy_row_into(r, buf);
         }
-        Some(PackedDesign { values, values_f32: None, n_rows, n_cols })
+        Some(PackedDesign { values, n_rows, n_cols })
     }
 
-    /// Build the contiguous f32 mirror (idempotent). Each element is the
-    /// same `as f32` demotion the mixed-precision kernel performs per
-    /// visit, so mirror-path dots are bit-identical to
-    /// [`crate::kernels::dot_f32_blocked`] over the f64 rows — the
-    /// demotion just happens once at pack time instead of every epoch.
-    pub fn ensure_f32(&mut self) {
-        if self.values_f32.is_none() {
-            self.values_f32 = Some(self.values.iter().map(|&v| v as f32).collect());
-        }
-    }
-
-    /// Whether the f32 mirror has been built.
-    pub fn has_f32(&self) -> bool {
-        self.values_f32.is_some()
-    }
-
-    /// Resident bytes of the packed buffer(s) — the solver's pack cache
-    /// caps its footprint with this.
+    /// Resident bytes of the packed buffer — the solver's pack cache caps
+    /// its footprint with this.
     pub fn approx_bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<f64>()
-            + self.values_f32.as_ref().map_or(0, |m| m.len() * std::mem::size_of::<f32>())
     }
 
     /// Number of packed rows.
@@ -957,23 +906,6 @@ impl PackedDesign {
     /// the exact kernel — axpy has no cross-lane reduction).
     pub fn axpy_row_blocked(&self, r: usize, alpha: f64, w: &mut [f64]) {
         crate::kernels::axpy_blocked(alpha, self.row(r), w);
-    }
-
-    /// Mixed-precision dot for the solver's f32 mode (f32 products, f64
-    /// accumulation). Reads the unit-stride f32 mirror when
-    /// [`Self::ensure_f32`] has built it — bit-identical to the demote-
-    /// per-visit path within a kernel tier, just without the per-element
-    /// f64 loads and converts — and falls back to demoting the f64 row
-    /// otherwise.
-    pub fn row_dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64 {
-        match &self.values_f32 {
-            Some(m) => crate::kernels::dot_f32_packed(
-                &m[r * self.n_cols..(r + 1) * self.n_cols],
-                w,
-                init,
-            ),
-            None => crate::kernels::dot_f32_blocked(self.row(r), w, init),
-        }
     }
 }
 

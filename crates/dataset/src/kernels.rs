@@ -28,12 +28,6 @@
 //! may differ, which is why the selected tier is recorded in telemetry and
 //! the perf snapshots.
 //!
-//! [`dot_f32_blocked`] is the optional mixed-precision kernel for the SVR /
-//! SVC duals (`SolverMode::Fast` only): products are computed in f32 and
-//! accumulated in f64, halving multiply precision (~1.2e-7 relative per
-//! product) without ever letting the accumulation itself drift. See
-//! DESIGN.md §12 for the error model.
-//!
 //! The environment variable `FRAC_KERNEL_TIER` (`avx2` / `unrolled`, plus
 //! aliases below) overrides auto-detection at first use; [`force_tier`]
 //! overrides it at any point thereafter (benchmark A/B harnesses swap tiers
@@ -128,8 +122,6 @@ struct KernelTable {
     dot: fn(&[f64], &[f64], f64) -> f64,
     axpy: fn(f64, &[f64], &mut [f64]),
     sq_norm: fn(&[f64], f64) -> f64,
-    dot_f32: fn(&[f64], &[f64], f64) -> f64,
-    dot_f32_packed: fn(&[f32], &[f64], f64) -> f64,
 }
 
 static UNROLLED_TABLE: KernelTable = KernelTable {
@@ -137,8 +129,6 @@ static UNROLLED_TABLE: KernelTable = KernelTable {
     dot: portable::dot,
     axpy: portable::axpy,
     sq_norm: portable::sq_norm,
-    dot_f32: portable::dot_f32,
-    dot_f32_packed: portable::dot_f32_packed,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -147,8 +137,6 @@ static AVX2_TABLE: KernelTable = KernelTable {
     dot: avx2::dot,
     axpy: avx2::axpy,
     sq_norm: avx2::sq_norm,
-    dot_f32: avx2::dot_f32,
-    dot_f32_packed: avx2::dot_f32_packed,
 };
 
 /// The active table; null until first use. Only ever holds a pointer to
@@ -209,7 +197,7 @@ pub fn active_tier() -> KernelTier {
     table().tier
 }
 
-/// Override the dispatch decision (benchmark A/B, CLI `--kernel-tier`).
+/// Override the dispatch decision (benchmark A/B harnesses).
 /// `None` re-runs auto-detection (ignoring the environment override).
 /// Returns the tier actually installed — a request for an unsupported tier
 /// falls back to the portable one.
@@ -253,32 +241,6 @@ pub fn sq_norm_blocked(x: &[f64], acc: f64) -> f64 {
     (table().sq_norm)(x, acc)
 }
 
-/// `init + Σ_i f64(f32(x[i]) · f32(w[i]))` through the active tier: the
-/// mixed-precision f32-compute / f64-accumulate dot for the fast solver
-/// path's optional f32 mode.
-///
-/// # Panics
-/// Panics if `x.len() != w.len()` (see [`dot_blocked`]).
-#[inline]
-pub fn dot_f32_blocked(x: &[f64], w: &[f64], init: f64) -> f64 {
-    assert_eq!(x.len(), w.len());
-    (table().dot_f32)(x, w, init)
-}
-
-/// [`dot_f32_blocked`] over a pre-demoted f32 row: `x` already holds the
-/// `as f32` values, so the kernel reads them with unit-stride f32 loads and
-/// only demotes `w` per lane. Same products and summation grouping as
-/// [`dot_f32_blocked`] within a tier, so the result is bit-identical to
-/// demoting `x` on the fly.
-///
-/// # Panics
-/// Panics if `x.len() != w.len()` (see [`dot_blocked`]).
-#[inline]
-pub fn dot_f32_packed(x: &[f32], w: &[f64], init: f64) -> f64 {
-    assert_eq!(x.len(), w.len());
-    (table().dot_f32_packed)(x, w, init)
-}
-
 /// Run one kernel under an explicit tier without touching the process-wide
 /// table (equivalence tests exercise both tiers in one process).
 ///
@@ -306,26 +268,6 @@ pub fn axpy_for_tier(tier: KernelTier, alpha: f64, x: &[f64], w: &mut [f64]) {
 /// Panics if the tier is not supported on this CPU.
 pub fn sq_norm_for_tier(tier: KernelTier, x: &[f64], acc: f64) -> f64 {
     (table_for(tier).sq_norm)(x, acc)
-}
-
-/// Per-tier variant of [`dot_f32_blocked`]; see [`dot_for_tier`].
-///
-/// # Panics
-/// Panics if the tier is not supported on this CPU, or if
-/// `x.len() != w.len()`.
-pub fn dot_f32_for_tier(tier: KernelTier, x: &[f64], w: &[f64], init: f64) -> f64 {
-    assert_eq!(x.len(), w.len());
-    (table_for(tier).dot_f32)(x, w, init)
-}
-
-/// Per-tier variant of [`dot_f32_packed`]; see [`dot_for_tier`].
-///
-/// # Panics
-/// Panics if the tier is not supported on this CPU, or if
-/// `x.len() != w.len()`.
-pub fn dot_f32_packed_for_tier(tier: KernelTier, x: &[f32], w: &[f64], init: f64) -> f64 {
-    assert_eq!(x.len(), w.len());
-    (table_for(tier).dot_f32_packed)(x, w, init)
 }
 
 fn table_for(tier: KernelTier) -> &'static KernelTable {
@@ -386,42 +328,6 @@ mod portable {
         }
         acc
     }
-
-    pub(super) fn dot_f32(x: &[f64], w: &[f64], init: f64) -> f64 {
-        let mut xc = x.chunks_exact(4);
-        let mut wc = w.chunks_exact(4);
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for (xs, ws) in (&mut xc).zip(&mut wc) {
-            a0 += f64::from(xs[0] as f32 * ws[0] as f32);
-            a1 += f64::from(xs[1] as f32 * ws[1] as f32);
-            a2 += f64::from(xs[2] as f32 * ws[2] as f32);
-            a3 += f64::from(xs[3] as f32 * ws[3] as f32);
-        }
-        let mut acc = init + ((a0 + a2) + (a1 + a3));
-        for (xv, wv) in xc.remainder().iter().zip(wc.remainder()) {
-            acc += f64::from(*xv as f32 * *wv as f32);
-        }
-        acc
-    }
-
-    /// `dot_f32` with `x` pre-demoted: identical products and grouping, so
-    /// the result matches `dot_f32` over the f64 originals bit for bit.
-    pub(super) fn dot_f32_packed(x: &[f32], w: &[f64], init: f64) -> f64 {
-        let mut xc = x.chunks_exact(4);
-        let mut wc = w.chunks_exact(4);
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for (xs, ws) in (&mut xc).zip(&mut wc) {
-            a0 += f64::from(xs[0] * ws[0] as f32);
-            a1 += f64::from(xs[1] * ws[1] as f32);
-            a2 += f64::from(xs[2] * ws[2] as f32);
-            a3 += f64::from(xs[3] * ws[3] as f32);
-        }
-        let mut acc = init + ((a0 + a2) + (a1 + a3));
-        for (xv, wv) in xc.remainder().iter().zip(wc.remainder()) {
-            acc += f64::from(*xv * *wv as f32);
-        }
-        acc
-    }
 }
 
 /// Explicit AVX2/FMA tier. The safe entry points here are sound only when
@@ -431,10 +337,9 @@ mod portable {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_cvtpd_ps, _mm256_cvtps_pd,
-        _mm256_extractf128_pd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_loadu_ps,
-        _mm_mul_ps, _mm_unpackhi_pd,
+        __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
+        _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+        _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_unpackhi_pd,
     };
 
     pub(super) fn dot(x: &[f64], w: &[f64], init: f64) -> f64 {
@@ -451,16 +356,6 @@ mod avx2 {
     pub(super) fn sq_norm(x: &[f64], acc: f64) -> f64 {
         // SAFETY: as for `dot`.
         unsafe { sq_norm_impl(x, acc) }
-    }
-
-    pub(super) fn dot_f32(x: &[f64], w: &[f64], init: f64) -> f64 {
-        // SAFETY: as for `dot`.
-        unsafe { dot_f32_impl(x, w, init) }
-    }
-
-    pub(super) fn dot_f32_packed(x: &[f32], w: &[f64], init: f64) -> f64 {
-        // SAFETY: as for `dot`.
-        unsafe { dot_f32_packed_impl(x, w, init) }
     }
 
     /// Horizontal sum of the four lanes, in a fixed (pairwise) order.
@@ -596,106 +491,6 @@ mod avx2 {
         }
         acc
     }
-
-    /// f32-compute / f64-accumulate: demote each 4-lane f64 block to f32,
-    /// multiply in f32, promote the products back and accumulate in f64.
-    /// 16 lanes per iteration, four independent f64 accumulators.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn dot_f32_impl(x: &[f64], w: &[f64], init: f64) -> f64 {
-        // Shorter-slice bound: see `dot_impl`.
-        let n = x.len().min(w.len());
-        let (xp, wp) = (x.as_ptr(), w.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut acc2 = _mm256_setzero_pd();
-        let mut acc3 = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            // SAFETY: `i + 16 <= n` keeps all eight 4-lane loads in bounds.
-            unsafe {
-                let x0 = _mm256_cvtpd_ps(_mm256_loadu_pd(xp.add(i)));
-                let w0 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i)));
-                let x1 = _mm256_cvtpd_ps(_mm256_loadu_pd(xp.add(i + 4)));
-                let w1 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i + 4)));
-                let x2 = _mm256_cvtpd_ps(_mm256_loadu_pd(xp.add(i + 8)));
-                let w2 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i + 8)));
-                let x3 = _mm256_cvtpd_ps(_mm256_loadu_pd(xp.add(i + 12)));
-                let w3 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i + 12)));
-                acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm_mul_ps(x0, w0)));
-                acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(_mm_mul_ps(x1, w1)));
-                acc2 = _mm256_add_pd(acc2, _mm256_cvtps_pd(_mm_mul_ps(x2, w2)));
-                acc3 = _mm256_add_pd(acc3, _mm256_cvtps_pd(_mm_mul_ps(x3, w3)));
-            }
-            i += 16;
-        }
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` keeps both 4-lane loads in bounds.
-            unsafe {
-                let x0 = _mm256_cvtpd_ps(_mm256_loadu_pd(xp.add(i)));
-                let w0 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i)));
-                acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm_mul_ps(x0, w0)));
-            }
-            i += 4;
-        }
-        let mut acc =
-            init + hsum(_mm256_add_pd(_mm256_add_pd(acc0, acc2), _mm256_add_pd(acc1, acc3)));
-        while i < n {
-            acc += f64::from(x[i] as f32 * w[i] as f32);
-            i += 1;
-        }
-        acc
-    }
-
-    /// [`dot_f32_impl`] with `x` pre-demoted to f32: the row side becomes a
-    /// unit-stride 128-bit f32 load (half the bytes, no convert), only `w`
-    /// pays the demote. Same blocking and accumulator layout, so results
-    /// are bit-identical to `dot_f32_impl` over the f64 originals.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn dot_f32_packed_impl(x: &[f32], w: &[f64], init: f64) -> f64 {
-        // Shorter-slice bound: see `dot_impl`.
-        let n = x.len().min(w.len());
-        let (xp, wp) = (x.as_ptr(), w.as_ptr());
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut acc2 = _mm256_setzero_pd();
-        let mut acc3 = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            // SAFETY: `i + 16 <= n` keeps the four f32 loads and four f64
-            // loads in bounds.
-            unsafe {
-                let x0 = _mm_loadu_ps(xp.add(i));
-                let w0 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i)));
-                let x1 = _mm_loadu_ps(xp.add(i + 4));
-                let w1 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i + 4)));
-                let x2 = _mm_loadu_ps(xp.add(i + 8));
-                let w2 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i + 8)));
-                let x3 = _mm_loadu_ps(xp.add(i + 12));
-                let w3 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i + 12)));
-                acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm_mul_ps(x0, w0)));
-                acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(_mm_mul_ps(x1, w1)));
-                acc2 = _mm256_add_pd(acc2, _mm256_cvtps_pd(_mm_mul_ps(x2, w2)));
-                acc3 = _mm256_add_pd(acc3, _mm256_cvtps_pd(_mm_mul_ps(x3, w3)));
-            }
-            i += 16;
-        }
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` keeps both loads in bounds.
-            unsafe {
-                let x0 = _mm_loadu_ps(xp.add(i));
-                let w0 = _mm256_cvtpd_ps(_mm256_loadu_pd(wp.add(i)));
-                acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm_mul_ps(x0, w0)));
-            }
-            i += 4;
-        }
-        let mut acc =
-            init + hsum(_mm256_add_pd(_mm256_add_pd(acc0, acc2), _mm256_add_pd(acc1, acc3)));
-        while i < n {
-            acc += f64::from(x[i] * w[i] as f32);
-            i += 1;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -763,40 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_f32_matches_f64_within_f32_tolerance() {
-        for tier in tiers() {
-            for n in [0, 1, 5, 8, 33, 200] {
-                let (x, w) = vecs(n);
-                let exact: f64 = x.iter().zip(&w).map(|(a, b)| a * b).sum::<f64>();
-                let mixed = dot_f32_for_tier(tier, &x, &w, 0.0);
-                let budget = 4.0 * f64::from(f32::EPSILON)
-                    * x.iter().zip(&w).map(|(a, b)| (a * b).abs()).sum::<f64>()
-                    + 1e-12;
-                assert!(
-                    (exact - mixed).abs() <= budget,
-                    "{tier} n={n}: {exact} vs {mixed} (budget {budget})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dot_f32_packed_is_bit_identical_to_demote_per_visit() {
-        // The packed-f32 kernel only moves the `as f32` demotion of the row
-        // to pack time; products and summation grouping are unchanged, so
-        // within a tier it must reproduce `dot_f32` bit for bit.
-        for tier in tiers() {
-            for n in [0, 1, 3, 4, 5, 8, 15, 16, 17, 33, 200] {
-                let (x, w) = vecs(n);
-                let xf: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-                let demoted = dot_f32_for_tier(tier, &x, &w, 0.25);
-                let packed = dot_f32_packed_for_tier(tier, &xf, &w, 0.25);
-                assert_eq!(demoted.to_bits(), packed.to_bits(), "{tier} n={n}");
-            }
-        }
-    }
-
-    #[test]
     fn blocked_results_are_deterministic() {
         // Per-tier entry points: the global table may be swapped by the
         // force test running in a sibling thread.
@@ -845,7 +606,6 @@ mod tests {
         let (x, w) = vecs(67);
         let mut wm = w.clone();
         assert!(catch_unwind(AssertUnwindSafe(|| dot_blocked(&x, &w[..33], 0.0))).is_err());
-        assert!(catch_unwind(AssertUnwindSafe(|| dot_f32_blocked(&x[..19], &w, 0.0))).is_err());
         assert!(catch_unwind(AssertUnwindSafe(|| axpy_blocked(1.5, &x[..33], &mut wm))).is_err());
         for tier in tiers() {
             assert!(

@@ -3,18 +3,14 @@
 //!
 //! Every supported tier is exercised through its per-tier entry point on
 //! arbitrary lengths — including the remainder tails 1–7 that the 8-wide
-//! AVX2 loop hands to scalar code — against three contracts:
+//! AVX2 loop hands to scalar code — against two contracts:
 //!
 //! * `dot` / `sq_norm`: reassociated (and on AVX2, FMA-fused) reductions,
 //!   within 1e-10 relative tolerance of the sequential fold;
 //! * `axpy`: bit-identical on every tier (each lane performs the same
-//!   multiply-then-add double rounding as the scalar loop);
-//! * `dot_f32`: products rounded through f32, accumulated in f64, within
-//!   the documented `4·ε_f32·Σ|xᵢwᵢ|` error model.
+//!   multiply-then-add double rounding as the scalar loop).
 
-use frac_dataset::kernels::{
-    axpy_for_tier, dot_f32_for_tier, dot_for_tier, sq_norm_for_tier, KernelTier,
-};
+use frac_dataset::kernels::{axpy_for_tier, dot_for_tier, sq_norm_for_tier, KernelTier};
 use proptest::prelude::*;
 
 const MAX_LEN: usize = 160;
@@ -116,23 +112,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn dot_f32_stays_inside_documented_error_model(
-        len in len_strategy(),
-        xs in prop::collection::vec(-100.0f64..100.0, MAX_LEN),
-        ws in prop::collection::vec(-100.0f64..100.0, MAX_LEN),
-        init in -10.0f64..10.0,
-    ) {
-        let (xs, ws) = (&xs[..len], &ws[..len]);
-        let reference = seq_dot(xs, ws, init);
-        let scale: f64 = xs.iter().zip(ws).map(|(&x, &w)| (x * w).abs()).sum();
-        let bound = 4.0 * f64::from(f32::EPSILON) * scale + 1e-12;
-        for tier in supported_tiers() {
-            let got = dot_f32_for_tier(tier, xs, ws, init);
-            prop_assert!(
-                (got - reference).abs() <= bound,
-                "{tier} dot_f32 len={len}: {got} vs {reference} (bound {bound})"
-            );
-        }
-    }
 }

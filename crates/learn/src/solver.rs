@@ -46,20 +46,10 @@ pub(crate) trait SolverRows {
     fn n_cols(&self) -> usize;
     /// `init + w · row(r)` (blocked kernel).
     fn dot(&self, r: usize, w: &[f64], init: f64) -> f64;
-    /// Mixed-precision `init + w · row(r)` (f32 products, f64 accumulate).
-    fn dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64;
     /// `Σ_j row(r)[j]²` (blocked kernel).
     fn sq_norm(&self, r: usize) -> f64;
     /// `w += alpha · row(r)` (blocked kernel; bit-identical across tiers).
     fn axpy(&self, r: usize, alpha: f64, w: &mut [f64]);
-    /// Whether [`Self::dot_f32`] is served by a unit-stride packed f32
-    /// mirror. When false, the fast solvers' f32 mode falls back to the
-    /// full-precision f64 dot (and records the fallback in the
-    /// `solver_strategy` telemetry mask) instead of paying the
-    /// demote-per-visit kernel, which measures slower than f64.
-    fn has_f32(&self) -> bool {
-        false
-    }
 }
 
 impl SolverRows for PackedDesign {
@@ -75,20 +65,12 @@ impl SolverRows for PackedDesign {
         self.row_dot_blocked(r, w, init)
     }
 
-    fn dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64 {
-        PackedDesign::row_dot_f32(self, r, w, init)
-    }
-
     fn sq_norm(&self, r: usize) -> f64 {
         self.row_sq_norm_blocked(r)
     }
 
     fn axpy(&self, r: usize, alpha: f64, w: &mut [f64]) {
         self.axpy_row_blocked(r, alpha, w);
-    }
-
-    fn has_f32(&self) -> bool {
-        PackedDesign::has_f32(self)
     }
 }
 
@@ -105,10 +87,6 @@ impl SolverRows for dyn DesignView + '_ {
         self.row_dot_blocked(r, w, init)
     }
 
-    fn dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64 {
-        DesignView::row_dot_f32(self, r, w, init)
-    }
-
     fn sq_norm(&self, r: usize) -> f64 {
         self.row_sq_norm_blocked(r)
     }
@@ -118,41 +96,19 @@ impl SolverRows for dyn DesignView + '_ {
     }
 }
 
-/// When set, the fast solvers skip the per-solve [`PackedDesign`] gather
-/// and run their epoch loops through the zero-copy view path, as the
-/// pre-SIMD-tier fast path did. Bench-only (the `perfsnapshot` A/B pins
-/// its scalar-blocked baseline with this); packing changes results only
-/// within the fast path's tolerance contract.
-static FORCE_UNPACKED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Force (or restore) the zero-copy view-path solver, skipping the
-/// per-solve design packing. Bench-only: `perfsnapshot` pins its
-/// scalar-blocked A/B baseline with this.
-pub fn force_unpacked_solver(on: bool) {
-    FORCE_UNPACKED.store(on, Ordering::Release);
-}
-
-/// Gather `x` for the fast epoch loops unless disabled or over-budget.
+/// Gather `x` for the fast epoch loops, or `None` when it exceeds
+/// [`PackedDesign::MAX_ELEMS`] (the caller keeps the zero-copy view path).
 ///
 /// When a solve context is active (see [`pack_cache`]) and a cached gather
 /// matches it exactly, the cached [`PackedDesign`] is reused instead of
 /// re-gathered — ensemble members and one-vs-rest classes of the same
-/// (target, fold) problem then share one gather. `want_f32` additionally
-/// builds (or requires, on a cache hit) the contiguous f32 mirror for the
-/// mixed-precision dot kernel.
-pub(crate) fn pack_for_solve(x: &dyn DesignView, want_f32: bool) -> Option<Rc<PackedDesign>> {
-    if FORCE_UNPACKED.load(Ordering::Acquire) {
-        return None;
-    }
-    if let Some(hit) = pack_cache::lookup(x.n_rows(), x.n_cols(), want_f32) {
+/// (target, fold) problem then share one gather.
+pub(crate) fn pack_for_solve(x: &dyn DesignView) -> Option<Rc<PackedDesign>> {
+    if let Some(hit) = pack_cache::lookup(x.n_rows(), x.n_cols()) {
         stats::record_pack_reuse();
         return Some(hit);
     }
-    let mut packed = PackedDesign::from_view(x)?;
-    if want_f32 {
-        packed.ensure_f32();
-    }
-    let rc = Rc::new(packed);
+    let rc = Rc::new(PackedDesign::from_view(x)?);
     pack_cache::store(&rc);
     Some(rc)
 }
@@ -234,26 +190,16 @@ impl std::fmt::Display for SolverStrategy {
 pub const STRATEGY_PRIMAL_CODE: u64 = 1;
 /// `solver_strategy` telemetry bit: a fast solve ran the Gram dual loop.
 pub const STRATEGY_GRAM_CODE: u64 = 2;
-/// `solver_strategy` telemetry bit: f32 mode served by the packed mirror.
-pub const STRATEGY_F32_PACKED_CODE: u64 = 4;
-/// `solver_strategy` telemetry bit: f32 mode requested but served as f64
-/// (no packed mirror available on this solve's path).
-pub const STRATEGY_F32_FALLBACK_CODE: u64 = 8;
+// Bits 4 and 8 flagged the deleted f32-compute mode. They stay retired so
+// old traces never decode to a wrong name (FORMATS.md §5).
 
 /// Human name(s) for a `solver_strategy` telemetry mask (the OR of the
 /// `STRATEGY_*_CODE` bits), comma-joined in flag order. `None` for an
 /// empty mask or one with unknown bits.
 pub fn describe_strategy_mask(mask: u64) -> Option<String> {
-    const FLAGS: [(u64, &str); 4] = [
-        (STRATEGY_PRIMAL_CODE, "primal"),
-        (STRATEGY_GRAM_CODE, "gram"),
-        (STRATEGY_F32_PACKED_CODE, "f32-packed"),
-        (STRATEGY_F32_FALLBACK_CODE, "f32-as-f64"),
-    ];
-    const KNOWN: u64 = STRATEGY_PRIMAL_CODE
-        | STRATEGY_GRAM_CODE
-        | STRATEGY_F32_PACKED_CODE
-        | STRATEGY_F32_FALLBACK_CODE;
+    const FLAGS: [(u64, &str); 2] =
+        [(STRATEGY_PRIMAL_CODE, "primal"), (STRATEGY_GRAM_CODE, "gram")];
+    const KNOWN: u64 = STRATEGY_PRIMAL_CODE | STRATEGY_GRAM_CODE;
     if mask == 0 || mask & !KNOWN != 0 {
         return None;
     }
@@ -296,23 +242,10 @@ impl GramPolicy {
     }
 }
 
-/// Process-wide [`GramPolicy`] for [`SolverStrategy::Auto`], as two atomics
-/// so the hot path's read is two relaxed loads. Bits of 0.25 = 0x3FD0….
-static GRAM_BUDGET_BYTES: AtomicU64 = AtomicU64::new(1 << 20);
-static GRAM_RATIO_BITS: AtomicU64 = AtomicU64::new(0x3FD0_0000_0000_0000);
-
-/// The process-wide auto-selection policy.
+/// The auto-selection policy [`SolverStrategy::Auto`] applies: always
+/// [`GramPolicy::default`].
 pub fn gram_policy() -> GramPolicy {
-    GramPolicy {
-        cache_budget_bytes: GRAM_BUDGET_BYTES.load(Ordering::Relaxed) as usize,
-        crossover_ratio: f64::from_bits(GRAM_RATIO_BITS.load(Ordering::Relaxed)),
-    }
-}
-
-/// Override the process-wide auto-selection policy (bench sweeps, tuning).
-pub fn set_gram_policy(policy: GramPolicy) {
-    GRAM_BUDGET_BYTES.store(policy.cache_budget_bytes as u64, Ordering::Relaxed);
-    GRAM_RATIO_BITS.store(policy.crossover_ratio.to_bits(), Ordering::Relaxed);
+    GramPolicy::default()
 }
 
 /// A solve's Gram matrix `Q = XXᵀ + bias·𝟙` — n² doubles, symmetric, with
@@ -467,11 +400,7 @@ pub mod pack_cache {
         STATE.with(|s| s.borrow_mut().active = None);
     }
 
-    pub(crate) fn lookup(
-        n_rows: usize,
-        n_cols: usize,
-        want_f32: bool,
-    ) -> Option<Rc<PackedDesign>> {
+    pub(crate) fn lookup(n_rows: usize, n_cols: usize) -> Option<Rc<PackedDesign>> {
         STATE.with(|s| {
             let s = s.borrow();
             let (slot, rows) = s.active.as_ref()?;
@@ -485,7 +414,6 @@ pub mod pack_cache {
                         && e.rows == *rows
                         && e.packed.n_rows() == n_rows
                         && e.packed.n_cols() == n_cols
-                        && (!want_f32 || e.packed.has_f32())
                 })
                 .map(|e| Rc::clone(&e.packed))
         })
@@ -695,14 +623,9 @@ mod tests {
             describe_strategy_mask(STRATEGY_PRIMAL_CODE | STRATEGY_GRAM_CODE).as_deref(),
             Some("primal,gram")
         );
-        assert_eq!(
-            describe_strategy_mask(STRATEGY_GRAM_CODE | STRATEGY_F32_PACKED_CODE).as_deref(),
-            Some("gram,f32-packed")
-        );
-        assert_eq!(
-            describe_strategy_mask(STRATEGY_F32_FALLBACK_CODE).as_deref(),
-            Some("f32-as-f64")
-        );
+        // Retired f32-mode bits decode as unknown.
+        assert_eq!(describe_strategy_mask(4), None);
+        assert_eq!(describe_strategy_mask(STRATEGY_GRAM_CODE | 8), None);
         assert_eq!(describe_strategy_mask(0), None);
         assert_eq!(describe_strategy_mask(16), None);
         assert_eq!(describe_strategy_mask(1 | 16), None);
@@ -739,16 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_policy_process_override_round_trips() {
-        let prev = gram_policy();
-        let custom = GramPolicy { cache_budget_bytes: 123 * 8, crossover_ratio: 3.5 };
-        set_gram_policy(custom);
-        assert_eq!(gram_policy(), custom);
-        set_gram_policy(prev);
-        assert_eq!(gram_policy(), prev);
-    }
-
-    #[test]
     fn gram_matrix_is_symmetric_with_bias_folded() {
         use frac_dataset::DesignMatrix;
         let x = DesignMatrix::from_raw(3, 2, vec![1.0, 2.0, -0.5, 0.25, 3.0, -1.0]);
@@ -771,27 +684,22 @@ mod tests {
         let x = DesignMatrix::from_raw(4, 2, vec![0.0; 8]);
         pack_cache::begin_scope(0xDEAD);
         pack_cache::set_rows(7, &[0, 1, 2, 3]);
-        let a = pack_for_solve(&x, false).unwrap();
-        let b = pack_for_solve(&x, false).unwrap();
+        let a = pack_for_solve(&x).unwrap();
+        let b = pack_for_solve(&x).unwrap();
         assert!(Rc::ptr_eq(&a, &b), "same scope+slot+rows must reuse the gather");
         // Same slot, different rows: exact row comparison rejects reuse.
         pack_cache::set_rows(7, &[0, 1, 3, 2]);
-        let c = pack_for_solve(&x, false).unwrap();
+        let c = pack_for_solve(&x).unwrap();
         assert!(!Rc::ptr_eq(&a, &c));
-        // f32 mirror demanded later: the plain cached pack is not reused.
-        let d = pack_for_solve(&x, true).unwrap();
-        assert!(!Rc::ptr_eq(&c, &d) && d.has_f32());
-        let e = pack_for_solve(&x, false).unwrap();
-        assert!(Rc::ptr_eq(&d, &e), "a mirrored pack serves plain lookups too");
         // Scope change drops everything.
         pack_cache::begin_scope(0xBEEF);
         pack_cache::set_rows(7, &[0, 1, 3, 2]);
-        let f = pack_for_solve(&x, false).unwrap();
-        assert!(!Rc::ptr_eq(&d, &f));
+        let d = pack_for_solve(&x).unwrap();
+        assert!(!Rc::ptr_eq(&c, &d));
         // No active context: packs are fresh every time.
         pack_cache::clear_rows();
-        let g = pack_for_solve(&x, false).unwrap();
-        let h = pack_for_solve(&x, false).unwrap();
+        let g = pack_for_solve(&x).unwrap();
+        let h = pack_for_solve(&x).unwrap();
         assert!(!Rc::ptr_eq(&g, &h));
         pack_cache::begin_scope(0);
     }
@@ -802,7 +710,7 @@ mod tests {
         let x = DesignMatrix::from_raw(3, 4, (0..12).map(|v| v as f64).collect());
         pack_cache::begin_scope(0xCAFE);
         pack_cache::set_rows(1, &[0, 1, 2]);
-        let packed = pack_for_solve(&x, false).unwrap();
+        let packed = pack_for_solve(&x).unwrap();
         let unlimited = TargetBudget::unlimited();
         let (q1, built1) = gram_for_solve(&packed, 1.0, &unlimited).unwrap();
         let (q2, built2) = gram_for_solve(&packed, 1.0, &unlimited).unwrap();

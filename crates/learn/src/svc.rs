@@ -40,10 +40,6 @@ pub struct SvcConfig {
     pub seed: u64,
     /// Solver path: fast (shrinking + warm starts, default) or strict.
     pub mode: SolverMode,
-    /// Compute gradient dot products in f32 with f64 accumulation
-    /// ([`frac_dataset::DesignView::row_dot_f32`]). Honoured only on the
-    /// fast path — strict always runs the exact sequential f64 kernels.
-    pub f32_compute: bool,
     /// Fast-path execution strategy: Gram-matrix dual maintenance, primal
     /// maintenance, or cost-model auto-selection (default). Strict mode
     /// ignores this and always runs the primal reference sweep. Under the
@@ -64,7 +60,6 @@ impl Default for SvcConfig {
             bias: true,
             seed: 0x0c1a_55e5,
             mode: SolverMode::Fast,
-            f32_compute: false,
             strategy: SolverStrategy::Auto,
         }
     }
@@ -223,7 +218,7 @@ impl SvcTrainer {
     /// a maintained dual image `qs[i] = Σ_j Q_ij α_j y_j` (= w·x_i +
     /// w_bias·bias, since Q folds the bias in) instead of an O(d) primal
     /// dot. Q is label-independent, so every one-vs-rest class reuses the
-    /// same matrix. Always full f64.
+    /// same matrix.
     fn solve_binary_fast_gram(
         &self,
         x: &PackedDesign,
@@ -379,10 +374,6 @@ impl SvcTrainer {
         let mut shrink_thr = f64::INFINITY;
         let mut epochs = 0u64;
         let mut visits = 0u64;
-        // f32 mode needs the packed f32 mirror; without it the
-        // demote-per-visit kernel is slower than f64, so fall back and
-        // record which happened (see svr.rs).
-        let f32_dot = cfg.f32_compute && x.has_f32();
 
         while epochs < cfg.max_epochs as u64 {
             budget.check()?;
@@ -394,12 +385,7 @@ impl SvcTrainer {
             while idx < active.len() {
                 let i = active[idx];
                 let yi = labels[i];
-                let mut g = if f32_dot {
-                    x.dot_f32(i, &w, w_bias * bias_sq)
-                } else {
-                    x.dot(i, &w, w_bias * bias_sq)
-                };
-                g = yi * g - 1.0;
+                let g = yi * x.dot(i, &w, w_bias * bias_sq) - 1.0;
                 visits += 1;
 
                 let a = alpha[i];
@@ -451,16 +437,16 @@ impl SvcTrainer {
             }
         }
 
-        let path_bits = crate::solver::STRATEGY_PRIMAL_CODE
-            | if f32_dot {
-                crate::solver::STRATEGY_F32_PACKED_CODE
-            } else if cfg.f32_compute {
-                crate::solver::STRATEGY_F32_FALLBACK_CODE
-            } else {
-                0
-            };
         let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvcSolve { w, w_bias, alpha, epochs, visits, path_bits, flops })
+        Ok(SvcSolve {
+            w,
+            w_bias,
+            alpha,
+            epochs,
+            visits,
+            path_bits: crate::solver::STRATEGY_PRIMAL_CODE,
+            flops,
+        })
     }
 
     /// Dispatch one binary problem on the configured [`SolverMode`] and
@@ -526,7 +512,7 @@ impl SvcTrainer {
         // design (labels enter the maintained gradient, not the matrix), so
         // every one-vs-rest class shares one build.
         let packed = if cfg.mode == SolverMode::Fast && n > 0 {
-            crate::solver::pack_for_solve(x, cfg.f32_compute)
+            crate::solver::pack_for_solve(x)
         } else {
             None
         };
@@ -816,5 +802,53 @@ mod tests {
         let x = matrix(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let t = SvcTrainer::default().train(&x, &[0, 1], 4);
         assert_eq!(t.model.approx_bytes(), 4 * 3 * 8);
+    }
+
+    /// Bits of one binary solve's weights, bias, and duals.
+    fn solve_bits(s: &SvcSolve) -> (Vec<u64>, u64, Vec<u64>) {
+        (
+            s.w.iter().map(|v| v.to_bits()).collect(),
+            s.w_bias.to_bits(),
+            s.alpha.iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn view_fallback_matches_packed_rows_bit_for_bit() {
+        // The zero-copy view loop (designs beyond `PackedDesign::MAX_ELEMS`)
+        // and the packed loop feed the blocked kernels the same contiguous
+        // rows of an owned matrix, so they must agree to the bit — cold and
+        // warm-started. See the SVR twin of this test.
+        let (n, d) = (24usize, 37usize);
+        let values: Vec<f64> =
+            (0..n * d).map(|k| ((k * 7919 % 23) as f64 / 11.0 - 1.0) * 0.5).collect();
+        let x = DesignMatrix::from_raw(n, d, values);
+        let labels: Vec<f64> = (0..n).map(|i| if i * 13 % 7 < 3 { 1.0 } else { -1.0 }).collect();
+        let packed = PackedDesign::from_view(&x).unwrap();
+        let view: &dyn DesignView = &x;
+        let t = SvcTrainer::default();
+        let seed = t.config.seed;
+        let unlimited = TargetBudget::unlimited();
+
+        let cold = t.solve_binary_fast_rows(view, &labels, seed, None, &unlimited).unwrap();
+        assert!(cold.alpha.iter().any(|&a| a != 0.0), "solve must move the duals");
+        let cold_packed =
+            t.solve_binary_fast_rows(&packed, &labels, seed, None, &unlimited).unwrap();
+        assert_eq!(solve_bits(&cold), solve_bits(&cold_packed), "cold");
+        assert_eq!((cold.epochs, cold.visits), (cold_packed.epochs, cold_packed.visits));
+
+        // Warm start from scaled cold duals, some pushed outside the box so
+        // the clamp runs too.
+        let warm: Vec<f64> = cold
+            .alpha
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| if i % 5 == 0 { 3.0 } else { 0.5 * a })
+            .collect();
+        let hot = t.solve_binary_fast_rows(view, &labels, seed, Some(&warm), &unlimited).unwrap();
+        let hot_packed =
+            t.solve_binary_fast_rows(&packed, &labels, seed, Some(&warm), &unlimited).unwrap();
+        assert_eq!(solve_bits(&hot), solve_bits(&hot_packed), "warm");
+        assert_eq!((hot.epochs, hot.visits), (hot_packed.epochs, hot_packed.visits));
     }
 }

@@ -52,13 +52,6 @@ pub struct SvrConfig {
     pub seed: u64,
     /// Solver path: fast (shrinking + warm starts, default) or strict.
     pub mode: SolverMode,
-    /// Compute gradient dot products in f32 with f64 accumulation
-    /// ([`frac_dataset::DesignView::row_dot_f32`]). Honoured only on the
-    /// fast path — strict always runs the exact sequential f64 kernels.
-    /// The weight updates (axpy) stay full f64, so the error is bounded by
-    /// the ~1.2e-7 relative rounding of each product, well inside the
-    /// solver tolerance it is meant to be paired with.
-    pub f32_compute: bool,
     /// Fast-path execution strategy: Gram-matrix dual maintenance, primal
     /// maintenance, or cost-model auto-selection (default). Strict mode
     /// ignores this and always runs the primal reference sweep.
@@ -82,7 +75,6 @@ impl Default for SvrConfig {
             bias: true,
             seed: 0x5f3c_9e1d,
             mode: SolverMode::Fast,
-            f32_compute: false,
             strategy: SolverStrategy::Auto,
         }
     }
@@ -273,7 +265,7 @@ impl SvrTrainer {
         // additionally requires a packed design (Q is built from its rows),
         // so an unpackable view always takes the primal path.
         let cfg = &self.config;
-        match crate::solver::pack_for_solve(x, cfg.f32_compute) {
+        match crate::solver::pack_for_solve(x) {
             Some(packed) => {
                 let n = packed.n_rows();
                 let d = packed.n_cols();
@@ -298,9 +290,7 @@ impl SvrTrainer {
     /// stopping logic to [`SvrTrainer::solve_fast_rows`], but the gradient
     /// comes from a maintained dual image `qb[i] = Σ_j Q_ij β_j` (an O(1)
     /// read + O(n) row-of-Q update per step) instead of an O(d) primal dot;
-    /// `w` is reconstructed once at convergence. Always full f64 — the Q
-    /// build and row updates dominate, and mixing precision here would buy
-    /// nothing.
+    /// `w` is reconstructed once at convergence.
     fn solve_fast_gram(
         &self,
         x: &frac_dataset::PackedDesign,
@@ -468,10 +458,6 @@ impl SvrTrainer {
         let mut shrink_thr = f64::INFINITY;
         let mut epochs = 0u64;
         let mut visits = 0u64;
-        // f32 mode runs only over a packed f32 mirror (unit-stride loads);
-        // without one the demote-per-visit kernel measures slower than f64,
-        // so fall back to the exact dot and record which happened.
-        let f32_dot = cfg.f32_compute && x.has_f32();
 
         while epochs < cfg.max_epochs as u64 {
             budget.check()?;
@@ -483,12 +469,7 @@ impl SvrTrainer {
             while idx < active.len() {
                 let i = active[idx];
                 let h = q_diag[i];
-                let init = -y[i] + w_bias * bias_sq;
-                let g = if f32_dot {
-                    x.dot_f32(i, &w, init)
-                } else {
-                    x.dot(i, &w, init)
-                };
+                let g = x.dot(i, &w, -y[i] + w_bias * bias_sq);
                 visits += 1;
                 let gp = g + cfg.epsilon;
                 let gn = g - cfg.epsilon;
@@ -552,16 +533,16 @@ impl SvrTrainer {
             }
         }
 
-        let path_bits = crate::solver::STRATEGY_PRIMAL_CODE
-            | if f32_dot {
-                crate::solver::STRATEGY_F32_PACKED_CODE
-            } else if cfg.f32_compute {
-                crate::solver::STRATEGY_F32_FALLBACK_CODE
-            } else {
-                0
-            };
         let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvrSolve { w, w_bias, beta, epochs, visits, path_bits, flops })
+        Ok(SvrSolve {
+            w,
+            w_bias,
+            beta,
+            epochs,
+            visits,
+            path_bits: crate::solver::STRATEGY_PRIMAL_CODE,
+            flops,
+        })
     }
 
     /// Dispatch on the configured [`SolverMode`], record solver stats, and
@@ -880,5 +861,51 @@ mod tests {
         let t = SvrTrainer::new(SvrConfig { bias: false, ..SvrConfig::default() })
             .train(&x, &y);
         assert_eq!(t.model.bias(), 0.0);
+    }
+
+    /// Bits of one solve's weights, bias, and duals.
+    fn solve_bits(s: &SvrSolve) -> (Vec<u64>, u64, Vec<u64>) {
+        (
+            s.w.iter().map(|v| v.to_bits()).collect(),
+            s.w_bias.to_bits(),
+            s.beta.iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn view_fallback_matches_packed_rows_bit_for_bit() {
+        // Designs beyond `PackedDesign::MAX_ELEMS` run the primal fast loop
+        // over the zero-copy `dyn DesignView`. An owned matrix hands each
+        // row to the blocked kernels as one contiguous slice, exactly as the
+        // packed gather does, so both loops must agree to the bit — cold and
+        // warm-started. 37 columns exercise the 16-lane body and the tails.
+        let (n, d) = (24usize, 37usize);
+        let values: Vec<f64> =
+            (0..n * d).map(|k| ((k * 7919 % 23) as f64 / 11.0 - 1.0) * 0.5).collect();
+        let x = DesignMatrix::from_raw(n, d, values);
+        let y: Vec<f64> = (0..n).map(|i| ((i * 13 % 9) as f64 - 4.0) * 0.3).collect();
+        let packed = frac_dataset::PackedDesign::from_view(&x).unwrap();
+        let view: &dyn DesignView = &x;
+        let t = SvrTrainer::default();
+        let unlimited = TargetBudget::unlimited();
+
+        let cold = t.solve_fast_rows(view, &y, None, &unlimited).unwrap();
+        assert!(cold.beta.iter().any(|&b| b != 0.0), "solve must move the duals");
+        let cold_packed = t.solve_fast_rows(&packed, &y, None, &unlimited).unwrap();
+        assert_eq!(solve_bits(&cold), solve_bits(&cold_packed), "cold");
+        assert_eq!((cold.epochs, cold.visits), (cold_packed.epochs, cold_packed.visits));
+
+        // Warm start from scaled cold duals, some pushed outside the box so
+        // the clamp runs too.
+        let warm: Vec<f64> = cold
+            .beta
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| if i % 5 == 0 { 3.0 } else { 0.5 * b })
+            .collect();
+        let hot = t.solve_fast_rows(view, &y, Some(&warm), &unlimited).unwrap();
+        let hot_packed = t.solve_fast_rows(&packed, &y, Some(&warm), &unlimited).unwrap();
+        assert_eq!(solve_bits(&hot), solve_bits(&hot_packed), "warm");
+        assert_eq!((hot.epochs, hot.visits), (hot_packed.epochs, hot_packed.visits));
     }
 }

@@ -154,8 +154,8 @@ pub enum Counter {
     KernelTier,
     /// Bitmask of fast-solver execution strategies the session's solves
     /// used ([`crate::solver::describe_strategy_mask`] names the bits:
-    /// primal, gram, and the f32 packed/fallback flags). A label counter
-    /// like [`Counter::KernelTier`]: merges by bitwise OR.
+    /// primal and gram). A label counter like [`Counter::KernelTier`]:
+    /// merges by bitwise OR.
     SolverStrategy,
     /// Records admitted by the scoring daemon (parsed and queued; the
     /// denominator for the shed/quarantine/timeout rates below).

@@ -20,7 +20,6 @@ mod splitter;
 
 pub use classification::{ClassificationTree, ClassificationTreeTrainer};
 pub use regression::{RegressionTree, RegressionTreeTrainer};
-pub use splitter::force_legacy_splitter;
 
 /// How many node expansions a tree grower performs between cooperative
 /// budget checks. Each expansion is a full split search (O(d·m·log m)), so

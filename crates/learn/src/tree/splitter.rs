@@ -41,11 +41,8 @@
 //! (or a very wide node) cannot blow past a deadline between the growers'
 //! per-expansion checks.
 //!
-//! The previous per-row probing implementation is retained behind
-//! [`force_legacy_splitter`] as a measurement baseline for
-//! `BENCH_simd.json` and as an oracle for equivalence tests.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! The previous per-row probing implementation is compiled for tests only,
+//! as the oracle the scans above are checked against.
 
 use crate::budget::TargetBudget;
 use crate::fault::TrainError;
@@ -55,20 +52,6 @@ use frac_dataset::DesignView;
 /// scan. Small enough that one interval is microseconds of work, large
 /// enough that the `Instant::now()` in a limited budget stays invisible.
 const SCAN_CHECK_ELEMS: usize = 4096;
-
-static FORCE_LEGACY: AtomicBool = AtomicBool::new(false);
-
-/// Force the pre-SIMD-tier split search (per-row probing, stable sort,
-/// per-threshold allocation). A process-global measurement knob for the
-/// `perfsnapshot` A/B harness and the legacy-vs-new equivalence tests —
-/// not a tuning parameter; the legacy path skips in-scan budget polling.
-pub fn force_legacy_splitter(on: bool) {
-    FORCE_LEGACY.store(on, Ordering::Release);
-}
-
-fn legacy_forced() -> bool {
-    FORCE_LEGACY.load(Ordering::Acquire)
-}
 
 /// A chosen split: feature, threshold, and the impurity decrease it buys.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,8 +117,6 @@ pub(crate) struct SplitScratch {
     pub cpairs: Vec<(f64, u32)>,
     /// (feature value, regression target) pairs for the regression scan.
     pub rpairs: Vec<(f64, f64)>,
-    /// (feature value, sample slot) pairs for the legacy search.
-    pub pairs: Vec<(f64, usize)>,
     /// Per-class left-side counts (classification only).
     pub left_counts: Vec<usize>,
     /// Per-class node counts (classification only).
@@ -151,7 +132,6 @@ impl SplitScratch {
         SplitScratch {
             cpairs: Vec::new(),
             rpairs: Vec::new(),
-            pairs: Vec::new(),
             left_counts: vec![0; arity],
             node_counts: vec![0; arity],
             labels: Vec::new(),
@@ -188,11 +168,6 @@ pub(crate) fn best_classification_split(
     scratch: &mut SplitScratch,
     budget: &TargetBudget,
 ) -> Result<Option<SplitChoice>, TrainError> {
-    if legacy_forced() {
-        return Ok(legacy_classification_split(
-            samples, x, label, arity, min_leaf, min_gain, scratch,
-        ));
-    }
     let n = samples.len();
     if n < 2 * min_leaf {
         return Ok(None);
@@ -304,11 +279,6 @@ pub(crate) fn best_regression_split(
     scratch: &mut SplitScratch,
     budget: &TargetBudget,
 ) -> Result<Option<SplitChoice>, TrainError> {
-    if legacy_forced() {
-        return Ok(legacy_regression_split(
-            samples, x, target, min_leaf, min_gain, scratch,
-        ));
-    }
     let n = samples.len();
     if n < 2 * min_leaf {
         return Ok(None);
@@ -406,8 +376,9 @@ pub(crate) fn best_regression_split(
 }
 
 /// Pre-SIMD-tier classification search: per-row probing with a stable sort
-/// and a per-threshold complement-count allocation. Kept verbatim as the
-/// `BENCH_simd.json` baseline and the equivalence oracle.
+/// and a per-threshold complement-count allocation. Test-only: the oracle
+/// the gathered and two-valued scans are checked against.
+#[cfg(test)]
 fn legacy_classification_split(
     samples: &[usize],
     x: &dyn DesignView,
@@ -433,21 +404,16 @@ fn legacy_classification_split(
     let mut best: Option<SplitChoice> = None;
     for f in 0..x.n_cols() {
         let col = x.col(f);
-        scratch.pairs.clear();
-        scratch
-            .pairs
-            .extend(samples.iter().map(|&s| (col.get(s), s)));
-        scratch
-            .pairs
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let mut pairs: Vec<(f64, usize)> = samples.iter().map(|&s| (col.get(s), s)).collect();
+        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
         scratch.left_counts.iter_mut().for_each(|c| *c = 0);
         let mut n_left = 0usize;
         for i in 0..n - 1 {
-            let (v, s) = scratch.pairs[i];
+            let (v, s) = pairs[i];
             scratch.left_counts[label(s) as usize] += 1;
             n_left += 1;
-            let v_next = scratch.pairs[i + 1].0;
+            let v_next = pairs[i + 1].0;
             if v_next <= v {
                 continue; // not a distinct threshold
             }
@@ -476,13 +442,13 @@ fn legacy_classification_split(
 }
 
 /// Pre-SIMD-tier regression search; see [`legacy_classification_split`].
+#[cfg(test)]
 fn legacy_regression_split(
     samples: &[usize],
     x: &dyn DesignView,
     target: &dyn Fn(usize) -> f64,
     min_leaf: usize,
     min_gain: f64,
-    scratch: &mut SplitScratch,
 ) -> Option<SplitChoice> {
     let n = samples.len();
     if n < 2 * min_leaf {
@@ -502,23 +468,18 @@ fn legacy_regression_split(
     let mut best: Option<SplitChoice> = None;
     for f in 0..x.n_cols() {
         let col = x.col(f);
-        scratch.pairs.clear();
-        scratch
-            .pairs
-            .extend(samples.iter().map(|&s| (col.get(s), s)));
-        scratch
-            .pairs
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let mut pairs: Vec<(f64, usize)> = samples.iter().map(|&s| (col.get(s), s)).collect();
+        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
 
         let (mut left_sum, mut left_sq) = (0.0f64, 0.0f64);
         let mut n_left = 0usize;
         for i in 0..n - 1 {
-            let (v, s) = scratch.pairs[i];
+            let (v, s) = pairs[i];
             let y = target(s);
             left_sum += y;
             left_sq += y * y;
             n_left += 1;
-            let v_next = scratch.pairs[i + 1].0;
+            let v_next = pairs[i + 1].0;
             if v_next <= v {
                 continue;
             }
@@ -736,8 +697,7 @@ mod tests {
                 &TargetBudget::unlimited(),
             )
             .unwrap();
-            let old_r =
-                legacy_regression_split(&samples, &x, &|s| ts[s], min_leaf, 1e-12, &mut s);
+            let old_r = legacy_regression_split(&samples, &x, &|s| ts[s], min_leaf, 1e-12);
             if let (Some(a), Some(b)) = (new_c, old_c) {
                 assert_eq!(a.gain.to_bits(), b.gain.to_bits());
             }
@@ -816,8 +776,7 @@ mod tests {
                 &TargetBudget::unlimited(),
             )
             .unwrap();
-            let old_r =
-                legacy_regression_split(&samples, &x, &|s| ts[s], min_leaf, 1e-12, &mut s);
+            let old_r = legacy_regression_split(&samples, &x, &|s| ts[s], min_leaf, 1e-12);
             assert_eq!(new_r, old_r, "regression, min_leaf={min_leaf}");
             if let (Some(a), Some(b)) = (new_c, old_c) {
                 assert_eq!(a.gain.to_bits(), b.gain.to_bits());

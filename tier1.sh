@@ -7,7 +7,31 @@ cd "$(dirname "$0")"
 # The bare root build only covers the facade lib; the smoke below runs
 # the release binary, so build frac-cli explicitly too.
 cargo build --release -p frac -p frac-cli
-cargo test -q
+# Every package's unit, integration and doc tests. Among them, the suites
+# below carry the guarantees the rest of this gate builds on:
+# - fault isolation (frac-core fault_injection): fit + score survive
+#   injected faults;
+# - crash safety (frac-core crash_resume): resume after a kill at any
+#   journal byte is bitwise identical to an uninterrupted run;
+# - shard supervision (frac-core shard_supervision): crash-looping and
+#   mid-run-killed workers neither lose nor double-count a target, and the
+#   merged model is bitwise identical to a single-process run
+#   (DESIGN.md §14);
+# - telemetry (frac-core telemetry): well-nested span trees under injected
+#   faults, and traced runs bit-identical to untraced ones;
+# - Gram strategy (frac-learn gram_equivalence): the Gram dual loop matches
+#   the primal fast path (objective ≤ 1e-8 relative; DESIGN.md §13);
+# - serving (frac-core serve, serve_fuzz): daemon replies bit-identical to
+#   `frac score`, malformed lines quarantined per-record, overload shed
+#   with `busy`, hot reload validated off-path with rollback, drain on
+#   shutdown — plus wire-protocol fuzzing (byte soup, oversized lines,
+#   disconnects);
+# - out of core (frac-dataset fcb_corruption, frac-core fcb_equivalence):
+#   FCB round trips are bit-exact and any corruption (truncation, bit
+#   flips, foreign bytes) is rejected without a panic (FORMATS.md §2);
+#   models fitted from a memory-mapped FCB file score bit-identically to
+#   TSV-fitted ones at any thread count.
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 # frac-core and frac-learn deny unwrap/expect in non-test code via
 # crate-root cfg_attr (flags passed here would leak into dependency
@@ -26,41 +50,14 @@ cargo clippy -p frac-cli -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p frac -p frac-dataset -p frac-learn -p frac-projection -p frac-synth \
   -p frac-core -p frac-baselines -p frac-eval
-# Fault-isolation guarantee: fit + score must survive injected faults.
-cargo test -q -p frac-core --test fault_injection
-# Crash-safety guarantee: resume after a kill at any journal byte must be
-# bitwise identical to an uninterrupted run.
-cargo test -q -p frac-core --test crash_resume
-# Shard-supervision guarantee: crash-looping and mid-run-killed workers
-# must not lose or double-count a target, and the merged model must be
-# bitwise identical to a single-process run (DESIGN.md §14).
-cargo test -q -p frac-core --test shard_supervision
-# Telemetry guarantee: well-nested span trees under injected faults, and
-# traced runs bit-identical to untraced ones.
-cargo test -q -p frac-core --test telemetry
-# SIMD-tier guarantee: the fast/strict equivalence suites must also pass
-# with vectorization force-disabled — the portable unrolled tier is a
-# first-class execution path, not just a fallback (DESIGN.md §12).
+# SIMD-tier guarantee: the fast/strict and Gram/primal equivalence suites
+# must also pass with vectorization force-disabled — the portable unrolled
+# tier is a first-class execution path, not just a fallback (DESIGN.md
+# §12–13).
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-dataset --test kernel_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test solver_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-core --test pool_equivalence
-# Gram-strategy guarantee: the Gram dual loop must match the primal fast
-# path (objective ≤ 1e-8 relative) under the default tier and with
-# vectorization force-disabled (DESIGN.md §13).
-cargo test -q -p frac-learn --test gram_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test gram_equivalence
-# Serving guarantee: daemon replies bit-identical to `frac score`,
-# malformed lines quarantined per-record, overload shed with `busy`,
-# hot reload validated off-path with rollback, drain on shutdown — plus
-# wire-protocol fuzzing (byte soup, oversized lines, disconnects).
-cargo test -q -p frac-core --test serve
-cargo test -q -p frac-core --test serve_fuzz
-# Out-of-core guarantee: FCB round trips are bit-exact and any corruption
-# (truncation, bit flips, foreign bytes) is rejected without a panic
-# (FORMATS.md §2); models fitted from a memory-mapped FCB file score
-# bit-identically to TSV-fitted ones at any thread count.
-cargo test -q -p frac-dataset --test fcb_corruption
-cargo test -q -p frac-core --test fcb_equivalence
 
 # Deadline smoke: a 2s wall-clock budget on the SNP surrogate must exit 0
 # within the budget plus slack, save a scored model, print a health
