@@ -7,9 +7,7 @@
 //! overhead (`BENCH_journal.json`), telemetry overhead
 //! (`BENCH_telemetry.json`), sharded-run scaling — per-shard journals
 //! fitted concurrently then merged, at 1/2/4 shards
-//! (`BENCH_shard.json`) — the serving daemon: single-record p50/p99
-//! latency, batched throughput, and the amortization win over one-shot
-//! load-per-score (`BENCH_serve.json`) — the SIMD kernel tier — per-kernel
+//! (`BENCH_shard.json`) — the SIMD kernel tier — per-kernel
 //! throughput, and the expression fit wall and NS drift under the portable
 //! unrolled tier vs the dispatched tier (`BENCH_simd.json`) — and the
 //! Gram-matrix dual strategy against the primal fast path, with a d/n
@@ -24,8 +22,10 @@
 //! ```
 //!
 //! With no `--family` flag every family runs; `--family` (repeatable:
-//! `fit | solver | journal | shard | telemetry | serve | simd | gram |
-//! oocore`) restricts the run to the named families.
+//! `fit | solver | journal | shard | telemetry | simd | gram | oocore`)
+//! restricts the run to the named families. The serving path (cold start,
+//! single-record latency, saturated throughput) is measured end to end by
+//! the `ledger` benchmark instead.
 //!
 //! Environment knobs: `FRAC_PERF_FEATURES` (default 400),
 //! `FRAC_PERF_ROWS` (default 80), `FRAC_PERF_REPS` (default 2; best of),
@@ -532,158 +532,6 @@ fn telemetry_family_json(
     )
 }
 
-/// The serving daemon against one-shot scoring on the expression
-/// surrogate: single-record p50/p99 latency (daemon-side, arrival→reply),
-/// batched throughput, and the amortization win over paying the model load
-/// (`frac score --model`) per record. Latency windows are tiny, so each
-/// phase takes the best of `reps` rounds against one resident daemon.
-fn serve_family_json(train: &Dataset, test: &Dataset, config: &FracConfig, reps: usize) -> String {
-    use frac_core::serve::{ServeConfig, Server};
-    use std::io::{BufRead, BufReader, Write};
-
-    let plan = TrainingPlan::full(train.n_features());
-    let (model, _) = FracModel::fit(train, &plan, config);
-    let expected: Vec<u64> = model.score(test).iter().map(|v| v.to_bits()).collect();
-    let dir = std::env::temp_dir().join(format!("frac-serve-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("bench temp dir");
-    let model_path = dir.join("model.frac");
-    model.save(&model_path).expect("save bench model");
-
-    // Render each test row once up front so client formatting stays out of
-    // every timing window.
-    let lines: Vec<String> = (0..test.n_rows())
-        .map(|r| {
-            test.row(r)
-                .into_iter()
-                .map(|v| match v {
-                    frac_dataset::Value::Real(x) => format!("{x}"),
-                    frac_dataset::Value::Categorical(c) => format!("{c}"),
-                    frac_dataset::Value::Missing => "?".into(),
-                })
-                .collect::<Vec<_>>()
-                .join("\t")
-        })
-        .collect();
-
-    let server = Server::new(
-        FracModel::load(&model_path).expect("load bench model"),
-        model_path.clone(),
-        train.schema().clone(),
-        ServeConfig::default(),
-    )
-    .expect("bench model serves its own schema");
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let daemon = std::thread::spawn(move || server.serve_listener(listener).expect("serve"));
-
-    let stream = std::net::TcpStream::connect(addr).expect("connect to daemon");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut writer = stream.try_clone().expect("clone stream");
-    let mut reader = BufReader::new(stream);
-    let mut seq = 0u64;
-    let recv = |reader: &mut BufReader<std::net::TcpStream>| -> String {
-        let mut line = String::new();
-        assert!(reader.read_line(&mut line).expect("daemon reply") > 0, "daemon hung up");
-        line.trim_end().to_string()
-    };
-
-    // Phase 1: single records, strictly request/reply — every request is
-    // its own batch, so the daemon-side latency is the floor. `reps`
-    // passes over the test set; p50/p99 come from `cmd stats` (the same
-    // ring the exit telemetry reports).
-    let singles = reps.max(2) * lines.len();
-    for i in 0..singles {
-        writer.write_all(lines[i % lines.len()].as_bytes()).expect("send");
-        writer.write_all(b"\n").expect("send");
-        seq += 1;
-        let reply = recv(&mut reader);
-        let bits = reply
-            .strip_prefix(&format!("ns {seq} "))
-            .and_then(|s| s.parse::<f64>().ok())
-            .unwrap_or_else(|| panic!("bad reply: {reply}"))
-            .to_bits();
-        assert_eq!(bits, expected[i % lines.len()], "serve diverged from frac score");
-    }
-    // Replies past this point are matched by prefix, not seq.
-    writer.write_all(b"cmd stats\n").expect("send stats");
-    let stats = recv(&mut reader);
-    let pick = |key: &str| -> u64 {
-        stats
-            .split_whitespace()
-            .find_map(|tok| tok.strip_prefix(key))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no {key} in stats: {stats}"))
-    };
-    let (p50_us, p99_us) = (pick("p50_us="), pick("p99_us="));
-
-    // Phase 2: the whole test set as one burst per round — the daemon
-    // batches it through one encode pool. Throughput is client-observed
-    // wall (send first byte → last reply read), best of `reps`.
-    let mut burst_wall_s = f64::INFINITY;
-    for _ in 0..reps.max(2) {
-        let t0 = Instant::now();
-        let mut payload = String::new();
-        for line in &lines {
-            payload.push_str(line);
-            payload.push('\n');
-        }
-        writer.write_all(payload.as_bytes()).expect("send burst");
-        for _ in 0..lines.len() {
-            let reply = recv(&mut reader);
-            assert!(reply.starts_with("ns "), "burst reply: {reply}");
-        }
-        burst_wall_s = burst_wall_s.min(t0.elapsed().as_secs_f64());
-    }
-    let batched_rps = lines.len() as f64 / burst_wall_s;
-
-    writer.write_all(b"cmd stop\n").expect("send stop");
-    let summary = daemon.join().expect("daemon thread");
-
-    // One-shot reference: what `frac score --model` pays per record — load
-    // the model (CRC + text parse) and score a single row.
-    let one_row = test.select_rows(&[0]);
-    let mut oneshot_s = f64::INFINITY;
-    for _ in 0..reps.max(2) {
-        let t0 = Instant::now();
-        let m = FracModel::load(&model_path).expect("one-shot load");
-        let ns = m.score(&one_row);
-        oneshot_s = oneshot_s.min(t0.elapsed().as_secs_f64());
-        assert_eq!(ns[0].to_bits(), expected[0], "one-shot path diverged");
-    }
-    let amortization = batched_rps * oneshot_s;
-
-    eprintln!(
-        "serve: single p50 {p50_us}us p99 {p99_us}us over {singles} requests; \
-         batched {batched_rps:.0} records/s ({} records in {burst_wall_s:.4}s); \
-         one-shot load+score {oneshot_s:.4}s/record → amortization {amortization:.1}x",
-        lines.len()
-    );
-    eprintln!("serve: exit {}", summary.render());
-    assert!(
-        summary.counts.quarantined == 0 && summary.counts.shed == 0,
-        "clean benchmark traffic must not shed or quarantine: {}",
-        summary.counts.summary()
-    );
-
-    format!(
-        "  \"serve\": {{\n    \
-         \"surrogate\": {{\"n_features\": {}, \"train_rows\": {}, \"test_rows\": {}}},\n    \
-         \"single\": {{\"requests\": {singles}, \"p50_us\": {p50_us}, \"p99_us\": {p99_us}}},\n    \
-         \"batched\": {{\"records_per_burst\": {}, \"best_wall_s\": {burst_wall_s:.6}, \
-         \"throughput_rps\": {batched_rps:.1}}},\n    \
-         \"oneshot\": {{\"load_plus_score_s\": {oneshot_s:.6}, \"rps\": {:.2}}},\n    \
-         \"amortization_speedup\": {amortization:.1},\n    \
-         \"scores_bit_identical\": true,\n    \
-         \"daemon\": \"{}\"\n  }}",
-        train.n_features(),
-        train.n_rows(),
-        test.n_rows(),
-        lines.len(),
-        1.0 / oneshot_s,
-        summary.counts.summary(),
-    )
-}
-
 /// Per-kernel throughput for one tier, in GFLOP/s on a cache-resident
 /// slice (each element of dot/axpy/sq_norm is one multiply + one add).
 /// Long enough to amortize the dispatch load, short enough to stay in L1.
@@ -1072,8 +920,8 @@ fn main() {
     let reps = env_usize("FRAC_PERF_REPS", 2).max(1);
     let n_test = n_rows;
 
-    const FAMILIES: [&str; 9] =
-        ["fit", "solver", "journal", "shard", "telemetry", "serve", "simd", "gram", "oocore"];
+    const FAMILIES: [&str; 8] =
+        ["fit", "solver", "journal", "shard", "telemetry", "simd", "gram", "oocore"];
     let mut selected: Vec<String> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -1277,18 +1125,6 @@ fn main() {
         let tele_json = format!("{{\n{expr_tele},\n{snp_tele}\n}}\n");
         std::fs::write("BENCH_telemetry.json", &tele_json).expect("write BENCH_telemetry.json");
         println!("{tele_json}");
-    }
-
-    if run("serve") {
-        // The serving daemon vs one-shot scoring: single-record p50/p99
-        // through a resident TCP daemon, batched throughput over the test
-        // set, and the amortization factor over reloading the model per
-        // record. Scores must stay bit-identical to the direct path.
-        let serve_json =
-            serve_family_json(&expr_train, &expr_test, &FracConfig::expression(), reps);
-        let json = format!("{{\n{serve_json}\n}}\n");
-        std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-        println!("{json}");
     }
 
     if run("simd") {

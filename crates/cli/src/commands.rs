@@ -8,7 +8,8 @@ use frac_core::shard::{
 use frac_core::telemetry::{Counter, TelemetryReport, TelemetrySession};
 use frac_core::{
     run_variant, FaultPlan, FeatureSelector, FracConfig, FracModel, JournaledFit, RunBudget,
-    ServeConfig, Server, ShardOptions, ShardStat, SolverStrategy, TrainingPlan, Variant,
+    validate_model, ServeConfig, Server, ShardOptions, ShardStat, SolverStrategy, TrainingPlan,
+    Variant,
 };
 use std::time::Duration;
 use frac_dataset::io::{read_tsv, write_tsv};
@@ -535,6 +536,16 @@ fn score_with_model(args: &ScoreArgs, path: &std::path::Path) -> Result<(), Erro
     let test = read_data_at(&args.test)?;
     // `FracModel::load` errors already name the path.
     let model = FracModel::load(path).map_err(|e| e.to_string())?;
+    // The daemon's compatibility gate: a test file of another schema would
+    // otherwise panic deep in the encoder instead of being refused.
+    validate_model(&model, test.schema()).map_err(|e| {
+        format!(
+            "{} does not match the schema of model {}: {e}",
+            args.test.display(),
+            path.display()
+        )
+    })?;
+    model.scoring_plan().map_err(|e| format!("{}: {e}", path.display()))?;
     eprintln!(
         "loaded model: {}/{} planned targets survived; scoring {} samples…",
         model.n_targets(),
@@ -836,6 +847,46 @@ mod tests {
         // Packing an .fcb again is refused; info on a TSV is a clean error.
         assert!(pack(&fcb_path, &dir.join("x.fcb"), 64).is_err());
         assert!(info(&tsv_path).is_err());
+    }
+
+    #[test]
+    fn score_with_model_rejects_a_mismatched_schema() {
+        let dir = std::env::temp_dir().join("frac-cli-test-model-schema");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        generate("autism", &dir, 5).unwrap();
+        generate("breast.basal", &dir, 5).unwrap();
+        let model = dir.join("autism.frac");
+        train(
+            TrainArgs {
+                train: dir.join("autism.train.tsv"),
+                out: model.clone(),
+                snp: true,
+                variant: "filter".into(),
+                p: 0.04,
+                ..TrainArgs::default()
+            },
+            false,
+        )
+        .unwrap();
+        // An expression test file against a SNP model: refused with the
+        // first mismatch named, not a panic in the encoder.
+        let err = score(ScoreArgs {
+            model: Some(model.clone()),
+            test: dir.join("breast.basal.test.tsv"),
+            ..ScoreArgs::default()
+        })
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("does not match the schema"), "{err}");
+        assert!(err.contains("target "), "{err}");
+        // The model's own test file still scores.
+        score(ScoreArgs {
+            model: Some(model),
+            test: dir.join("autism.test.tsv"),
+            ..ScoreArgs::default()
+        })
+        .unwrap();
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod model;
 pub mod persist;
 pub mod plan;
 pub mod resources;
+pub mod scoring;
 pub mod selector;
 pub mod serve;
 pub mod shard;
@@ -67,6 +68,7 @@ pub use journal::{JournalError, JournalHeader, JournalScan, RunJournal, TargetRe
 pub use model::{ContributionMatrix, DualCache, FracModel, JournaledFit};
 pub use plan::{TargetPlan, TrainingPlan};
 pub use resources::ResourceReport;
+pub use scoring::ScoringPlan;
 pub use selector::FeatureSelector;
 pub use serve::{validate_model, ServeConfig, ServeCounts, ServeHandle, ServeSummary, Server};
 pub use shard::{ShardError, ShardEvent, ShardOptions, ShardRun, ShardStat};

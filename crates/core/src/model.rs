@@ -26,6 +26,7 @@ use crate::health::{FallbackKind, RunHealth, TargetHealth, TargetOutcome};
 use crate::journal::{self, JournalError, JournalHeader, RunJournal, TargetRecord};
 use crate::plan::{TargetPlan, TrainingPlan};
 use crate::resources::ResourceReport;
+use crate::scoring::ScoringPlan;
 use frac_dataset::design::{DesignSpec, PoolSpec};
 use frac_dataset::entropy::column_entropy;
 use frac_dataset::quarantine::{self, QuarantineReason, ScreenReport};
@@ -47,6 +48,7 @@ use frac_learn::{
 };
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Process-wide fit counter: every [`FracModel::fit`]-family call takes a
@@ -171,6 +173,9 @@ pub(crate) struct FeatureModel {
 /// A complete fitted FRaC model.
 pub struct FracModel {
     pub(crate) features: Vec<FeatureModel>,
+    /// The compiled scoring plan, built on first use (the serving daemon
+    /// builds it before a model goes live). Never built by a fit or a save.
+    pub(crate) plan: OnceLock<Result<ScoringPlan, String>>,
     /// Targets the training plan asked for; when some were dropped, NS
     /// scores are renormalized by `planned / survived` so score magnitudes
     /// stay comparable across degraded and healthy runs.
@@ -223,19 +228,25 @@ impl ContributionMatrix {
     /// magnitude). A factor of exactly `1.0` applies no arithmetic, keeping
     /// the healthy path bit-identical.
     pub fn ns_scores(&self) -> Vec<f64> {
-        let mut ns = vec![0.0f64; self.n_rows];
-        for col in &self.values {
-            for (acc, v) in ns.iter_mut().zip(col) {
-                *acc += v;
-            }
-        }
-        if self.renorm != 1.0 {
-            for v in &mut ns {
-                *v *= self.renorm;
-            }
-        }
-        ns
+        ns_from_columns(self.values.iter().map(Vec::as_slice), self.n_rows, self.renorm)
     }
+}
+
+/// Row sums of per-feature contribution columns, in feature order from
+/// `0.0`, then scaled by `renorm` unless it is exactly `1.0`.
+fn ns_from_columns<'a>(cols: impl Iterator<Item = &'a [f64]>, n_rows: usize, renorm: f64) -> Vec<f64> {
+    let mut ns = vec![0.0f64; n_rows];
+    for col in cols {
+        for (acc, v) in ns.iter_mut().zip(col) {
+            *acc += v;
+        }
+    }
+    if renorm != 1.0 {
+        for v in &mut ns {
+            *v *= renorm;
+        }
+    }
+    ns
 }
 
 /// The final-fit dual variables of one SVM predictor, indexed by
@@ -1427,6 +1438,7 @@ impl FracModel {
         (
             FracModel {
                 features,
+                plan: OnceLock::new(),
                 planned_targets: plan.targets.len(),
                 shard_restarts: Vec::new(),
             },
@@ -1476,53 +1488,68 @@ impl FracModel {
         self.features.iter().map(|f| (f.target, f.strength)).collect()
     }
 
+    /// The model compiled for scoring, built on the first call and cached
+    /// (see [`ScoringPlan`]). Errors when the model's parts disagree in a
+    /// way that would otherwise panic mid-score; the serving daemon calls
+    /// this before a model goes live so no request pays for the compile.
+    pub fn scoring_plan(&self) -> Result<&ScoringPlan, String> {
+        self.plan
+            .get_or_init(|| ScoringPlan::compile(&self.features))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
     /// Score a test set, returning per-feature NS contributions.
     ///
     /// `test` must share the training schema. Missing test values contribute
-    /// zero, per the NS definition. The test set is encoded once into a
-    /// shared pool rebuilt from the persisted specs; each predictor reads
-    /// its inputs through a zero-copy view.
+    /// zero, per the NS definition. The test set is encoded once into the
+    /// [`ScoringPlan`]'s pool layout and every predictor reads its pool
+    /// columns directly.
+    ///
+    /// # Panics
+    /// Panics if the model cannot be compiled ([`FracModel::scoring_plan`]).
     pub fn contributions(&self, test: &Dataset) -> ContributionMatrix {
+        let flat = self.contributions_flat(test);
+        let n_rows = test.n_rows();
+        let values = if n_rows == 0 {
+            vec![Vec::new(); self.features.len()]
+        } else {
+            flat.chunks_exact(n_rows).map(<[f64]>::to_vec).collect()
+        };
+        ContributionMatrix {
+            feature_ids: self.features.iter().map(|f| f.target).collect(),
+            values,
+            n_rows,
+            renorm: self.ns_renorm_factor(),
+        }
+    }
+
+    /// Feature-major contributions through the scoring plan.
+    fn contributions_flat(&self, test: &Dataset) -> Vec<f64> {
         // Poisoned (±Inf) test cells become missing — they contribute zero
         // surprisal instead of a non-finite NS; clean data is untouched.
         let sanitized = quarantine::sanitize(test);
         let test = sanitized.as_ref().unwrap_or(test);
-        let specs = self.features.iter().flat_map(|fm| fm.predictors.iter().map(|fp| &fp.spec));
-        let pool = PoolSpec::from_specs(test.n_features(), specs).encode(test);
-        self.contributions_inner(test, Some(&pool))
+        match self.scoring_plan() {
+            Ok(plan) => plan.contributions(&self.features, test),
+            Err(e) => panic!("model cannot be scored: {e}"),
+        }
     }
 
-    /// Legacy scoring path: every predictor re-encodes the test set from its
-    /// own spec. Kept for regression tests against the pooled path.
+    /// Reference scoring path: every predictor encodes the test set from
+    /// its own spec and predicts through its model's `predict`. Kept as the
+    /// oracle the [`ScoringPlan`] is tested against, bit for bit.
     pub fn contributions_unpooled(&self, test: &Dataset) -> ContributionMatrix {
         let sanitized = quarantine::sanitize(test);
         let test = sanitized.as_ref().unwrap_or(test);
-        self.contributions_inner(test, None)
-    }
-
-    fn contributions_inner(&self, test: &Dataset, pool: Option<&EncodedPool>) -> ContributionMatrix {
         let n_rows = test.n_rows();
         let values: Vec<Vec<f64>> = self
             .features
             .par_iter()
             .map(|fm| {
-                let _target_guard = telemetry::target_guard(fm.target);
-                let _score_span = telemetry::span(telemetry::Stage::Score);
                 let mut col = vec![0.0f64; n_rows];
                 for fp in &fm.predictors {
-                    let owned: DesignMatrix;
-                    let pooled: PoolView<'_>;
-                    let x: &dyn DesignView = match pool {
-                        Some(p) => {
-                            pooled = p.view(fp.spec.input_features());
-                            &pooled
-                        }
-                        None => {
-                            owned = fp.spec.encode(test);
-                            &owned
-                        }
-                    };
-                    let mut row_buf = vec![0.0f64; x.n_cols()];
+                    let x = fp.spec.encode(test);
                     match (&fp.model, &fp.error, test.column(fm.target)) {
                         (
                             PredictorModel::Real(model),
@@ -1531,12 +1558,9 @@ impl FracModel {
                         ) => {
                             for r in 0..n_rows {
                                 let t = truth[r];
-                                if t.is_nan() {
-                                    continue;
+                                if !t.is_nan() {
+                                    col[r] += err.surprisal(t, model.predict(x.row(r))) - fm.entropy;
                                 }
-                                x.copy_row_into(r, &mut row_buf);
-                                let pred = model.predict(&row_buf);
-                                col[r] += err.surprisal(t, pred) - fm.entropy;
                             }
                         }
                         (
@@ -1546,12 +1570,9 @@ impl FracModel {
                         ) => {
                             for r in 0..n_rows {
                                 let t = codes[r];
-                                if t == frac_dataset::dataset::MISSING_CODE {
-                                    continue;
+                                if t != frac_dataset::dataset::MISSING_CODE {
+                                    col[r] += err.surprisal(t, model.predict(x.row(r))) - fm.entropy;
                                 }
-                                x.copy_row_into(r, &mut row_buf);
-                                let pred = model.predict(&row_buf);
-                                col[r] += err.surprisal(t, pred) - fm.entropy;
                             }
                         }
                         _ => unreachable!(
@@ -1572,7 +1593,9 @@ impl FracModel {
 
     /// NS anomaly score per test row (sum of all feature contributions).
     pub fn score(&self, test: &Dataset) -> Vec<f64> {
-        self.contributions(test).ns_scores()
+        let flat = self.contributions_flat(test);
+        let n_rows = test.n_rows();
+        ns_from_columns(flat.chunks_exact(n_rows.max(1)), n_rows, self.ns_renorm_factor())
     }
 }
 

@@ -258,7 +258,7 @@ impl FracModel {
         }
         r.expect("end")?;
         let planned_targets = planned.unwrap_or(features.len());
-        Ok(FracModel { features, planned_targets, shard_restarts })
+        Ok(FracModel { features, plan: std::sync::OnceLock::new(), planned_targets, shard_restarts })
     }
 
     /// Save to a file, atomically and durably: the model is written to
@@ -297,7 +297,7 @@ impl FracModel {
     /// verbatim without re-wrapping.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<FracModel, TextError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| {
+        let text = read_text(path).map_err(|e| {
             TextError::from(format!("{}: I/O error: {e}", path.display()))
         })?;
         FracModel::from_text(&text).map_err(|e| TextError {
@@ -305,6 +305,27 @@ impl FracModel {
             ..e
         })
     }
+}
+
+/// Read a model file whole, into a buffer that never lives on the heap.
+///
+/// The text is dropped as soon as the model is parsed. If its buffer came
+/// from the heap, anything allocated while the model is live could settle
+/// in the file-sized hole it leaves, and the next load of the same file —
+/// a daemon's cold start or reload — would no longer fit there: the heap
+/// would grow by a whole file. glibc serves an allocation from its own
+/// mapping, unmapped on free, only above its mmap threshold, which rises
+/// to the size of the largest mapping freed so far, up to 32 MiB. A
+/// capacity above that cap keeps every model buffer a mapping; the unused
+/// tail is never touched, so it costs address space, not memory.
+fn read_text(path: &std::path::Path) -> std::io::Result<String> {
+    use std::io::Read as _;
+    const ALWAYS_MAPPED: usize = (32 << 20) + 1;
+    let mut file = std::fs::File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len()).unwrap_or(0);
+    let mut text = String::with_capacity(len.max(ALWAYS_MAPPED));
+    file.read_to_string(&mut text)?;
+    Ok(text)
 }
 
 #[cfg(test)]

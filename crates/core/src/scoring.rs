@@ -1,0 +1,697 @@
+//! Compiled scoring: a fitted model rewritten once into pool-column space.
+//!
+//! Scoring a record runs every per-feature predictor and sums
+//! `surprisal − entropy` (paper §I-A). The predictors were fitted on
+//! per-target design views; mapping those onto one encoded pool row is
+//! setup that costs far more than the predictors on a single record, so a
+//! [`ScoringPlan`] does it once per model:
+//!
+//! * the pool layout is fixed (one [`PoolSpec`], the union of every
+//!   predictor's design spec);
+//! * linear SVR/SVC predictors become ascending pool-column segments; their
+//!   weights stay in the model and are read against the encoded pool row
+//!   directly;
+//! * trees become flat node arrays whose split columns are already pool
+//!   columns;
+//! * a confusion error model becomes a `k × k` table of
+//!   `surprisal(t | p) − H(f)`.
+//!
+//! **NS bits are unchanged.** Every predictor keeps its own fold order: a
+//! linear dot product is still `Σ w·x` folded left to right over the
+//! predictor's columns from `−0.0` (what `Iterator::sum` starts from), then
+//! `+ bias`; a tree compares the same values against the same thresholds;
+//! per row, predictor contributions are added in predictor order. The only
+//! hoisted values are ones the reference path also computes as a unit:
+//! `−ln P(t | p)` per confusion cell, then `− H(f)`. `contributions_unpooled`
+//! (one owned encode per predictor) is the oracle this is tested against.
+
+use crate::model::{
+    CatPredictor, ErrorModel, FeatureModel, FeaturePredictor, PredictorModel, RealPredictor,
+};
+use frac_dataset::dataset::MISSING_CODE;
+use frac_dataset::design::{DesignMatrix, PoolSpec};
+use frac_dataset::{Column, Dataset};
+use frac_learn::telemetry;
+use frac_learn::tree::Node;
+use frac_learn::{LinearSvc, LinearSvr};
+use rayon::prelude::*;
+use std::ops::Range;
+
+/// Records that share one pass over a linear predictor's weights. Each
+/// record keeps its own accumulator, so its fold order is exactly the
+/// single-record order; the block only lets independent chains overlap.
+const BLOCK: usize = 4;
+
+/// Work units charged per tree level walked, relative to one linear
+/// multiply-add (a level is a dependent, usually cache-missing load).
+const TREE_LEVEL_WORK: u64 = 8;
+
+/// Below this much estimated work (records × [`ScoringPlan::work_per_row`])
+/// a call scores on the calling thread instead of fanning features out
+/// over worker threads. The workspace's rayon spawns scoped OS threads per
+/// parallel call, ~100 µs of overhead. Measured at
+/// `available_parallelism() = 2` on the 400-feature ledger surrogates:
+/// one SNP record (~21 k units) takes 24 µs inline and 115 µs fanned out;
+/// one expression record (~160 k units) takes 203 µs inline and 227 µs
+/// fanned out, two records break even, and 64 records take 3.3 ms on two
+/// threads against 5.7 ms inline. The threshold sits near that break-even,
+/// ~250 µs of inline work.
+pub const PARALLEL_WORK_THRESHOLD: u64 = 250_000;
+
+/// A maximal run of pool columns a linear predictor reads, in the order of
+/// its design columns.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    start: u32,
+    width: u32,
+}
+
+/// Split column marking a leaf in [`FlatNode`].
+const LEAF: u32 = u32::MAX;
+
+/// One tree node in pool-column space. A split sends `row[col] <= value`
+/// to `left`; a leaf (`col == LEAF`) carries a regression value in `value`
+/// or a class code in `left`. Child indices are relative to the tree's
+/// first node.
+#[derive(Debug, Clone, Copy)]
+struct FlatNode {
+    value: f64,
+    col: u32,
+    left: u32,
+    right: u32,
+}
+
+/// How one predictor reads the pool row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// SVR or SVC: the model's weight vector(s) laid over `parts` segments.
+    Linear,
+    /// Regression or classification tree of `parts` nodes.
+    Tree,
+    /// Constant or majority baseline: reads nothing.
+    Constant,
+}
+
+/// One compiled `(predictor, error model)` pair; its segments or nodes and
+/// its confusion table live in the plan's shared arrays.
+#[derive(Debug, Clone, Copy)]
+struct CompiledPredictor {
+    layout: Layout,
+    /// First segment (`Linear`) or node (`Tree`), and how many.
+    first: u32,
+    parts: u32,
+    /// Confusion error models only: `surprisal(t | p) − H(f)` lives at
+    /// `tables[table + p · arity + t]`. Arity 0 for Gaussian error models.
+    table: u32,
+    arity: u32,
+}
+
+/// A fitted model compiled for scoring; see the [module docs](self).
+///
+/// Built once per model by [`crate::FracModel::scoring_plan`] and shared
+/// by `frac score`, the serving daemon, the variants and CSAX. Linear
+/// weights are read from the model at score time, so the plan adds only
+/// segment lists, flat trees and confusion tables — kept in a handful of
+/// shared arrays rather than one allocation per predictor.
+#[derive(Debug)]
+pub struct ScoringPlan {
+    pool: PoolSpec,
+    /// Model feature `i`'s predictors are
+    /// `predictors[feature_start[i]..feature_start[i + 1]]`, in model order.
+    feature_start: Vec<u32>,
+    predictors: Vec<CompiledPredictor>,
+    segments: Vec<Segment>,
+    nodes: Vec<FlatNode>,
+    tables: Vec<f64>,
+    work_per_row: u64,
+}
+
+impl ScoringPlan {
+    /// Compile `features` (a model's fitted targets). Fails on a model
+    /// whose parts disagree — a spec whose widths do not match the pool, a
+    /// weight vector of the wrong length, a tree splitting on a column its
+    /// design lacks or whose children do not point forward, a predicted
+    /// class outside its confusion table — which a parsed, CRC-valid file
+    /// can still carry, and which would otherwise panic, loop or silently
+    /// mis-score mid-request.
+    pub(crate) fn compile(features: &[FeatureModel]) -> Result<ScoringPlan, String> {
+        let specs = || {
+            features
+                .iter()
+                .flat_map(|fm| fm.predictors.iter().map(|fp| &fp.spec))
+        };
+        let n_features = specs()
+            .filter_map(|s| s.input_features().iter().max())
+            .max()
+            .map_or(0, |&j| j + 1);
+        let pool = PoolSpec::from_specs(n_features, specs());
+        let n_predictors: usize = features.iter().map(|fm| fm.predictors.len()).sum();
+        if u32::try_from(pool.n_cols()).is_err() || u32::try_from(n_predictors).is_err() {
+            return Err(format!(
+                "{n_predictors} predictors over a pool of {} columns are too many to compile",
+                pool.n_cols()
+            ));
+        }
+        let mut plan = ScoringPlan {
+            feature_start: Vec::with_capacity(features.len() + 1),
+            predictors: Vec::with_capacity(n_predictors),
+            segments: Vec::new(),
+            nodes: Vec::new(),
+            tables: Vec::new(),
+            work_per_row: 0,
+            pool,
+        };
+        let mut scratch = Scratch {
+            col_map: Vec::with_capacity(plan.pool.n_cols()),
+            depth: Vec::new(),
+        };
+        for fm in features {
+            plan.feature_start.push(plan.predictors.len() as u32);
+            for fp in &fm.predictors {
+                let cp = plan
+                    .compile_predictor(fm, fp, &mut scratch)
+                    .map_err(|e| format!("target {}: {e}", fm.target))?;
+                plan.predictors.push(cp);
+            }
+        }
+        plan.feature_start.push(plan.predictors.len() as u32);
+        let too_big = |n: usize| u32::try_from(n).is_err();
+        if too_big(plan.segments.len()) || too_big(plan.nodes.len()) || too_big(plan.tables.len()) {
+            return Err("model is too large to compile".into());
+        }
+        Ok(plan)
+    }
+
+    /// Estimated cost of scoring one record, in linear multiply-adds (a
+    /// tree level counts as several; see [`PARALLEL_WORK_THRESHOLD`]).
+    pub fn work_per_row(&self) -> u64 {
+        self.work_per_row
+    }
+
+    /// Per-feature contributions of `test` (already sanitized), feature
+    /// major: feature `i`'s value for row `r` is at `i · n_rows + r`.
+    /// `features` must be the slice this plan was compiled from.
+    pub(crate) fn contributions(&self, features: &[FeatureModel], test: &Dataset) -> Vec<f64> {
+        let n_rows = test.n_rows();
+        let n_features = features.len();
+        if n_rows == 0 || n_features == 0 {
+            return Vec::new();
+        }
+        let rows = self.pool.encode_rows(test);
+        let threads = rayon::current_num_threads().min(n_features);
+        let work = self.work_per_row.saturating_mul(n_rows as u64);
+        if threads <= 1 || work < PARALLEL_WORK_THRESHOLD {
+            let mut out = vec![0.0f64; n_features * n_rows];
+            self.score_range(features, 0..n_features, &rows, test, &mut out);
+            return out;
+        }
+        // Contiguous feature groups, one per thread; each fills its own
+        // slab and the slabs concatenate in feature order.
+        let per = n_features.div_ceil(threads);
+        let groups: Vec<Range<usize>> = (0..n_features)
+            .step_by(per)
+            .map(|s| s..(s + per).min(n_features))
+            .collect();
+        let slabs: Vec<Vec<f64>> = groups
+            .par_iter()
+            .map(|g| {
+                let mut slab = vec![0.0f64; g.len() * n_rows];
+                self.score_range(features, g.clone(), &rows, test, &mut slab);
+                slab
+            })
+            .collect();
+        slabs.concat()
+    }
+
+    fn score_range(
+        &self,
+        features: &[FeatureModel],
+        range: Range<usize>,
+        rows: &DesignMatrix,
+        test: &Dataset,
+        out: &mut [f64],
+    ) {
+        let n_rows = rows.n_rows();
+        for (i, col) in range.zip(out.chunks_exact_mut(n_rows)) {
+            let compiled = &self.predictors
+                [self.feature_start[i] as usize..self.feature_start[i + 1] as usize];
+            self.score_feature(&features[i], compiled, rows, test, col);
+        }
+    }
+
+    /// Add one feature's contributions to `col` (one slot per row).
+    fn score_feature(
+        &self,
+        fm: &FeatureModel,
+        compiled: &[CompiledPredictor],
+        rows: &DesignMatrix,
+        test: &Dataset,
+        col: &mut [f64],
+    ) {
+        let _target_guard = telemetry::target_guard(fm.target);
+        let _score_span = telemetry::span(telemetry::Stage::Score);
+        let n_rows = rows.n_rows();
+        for (fp, cp) in fm.predictors.iter().zip(compiled) {
+            let parts = cp.first as usize..(cp.first + cp.parts) as usize;
+            match (&fp.model, &fp.error, test.column(fm.target)) {
+                (PredictorModel::Real(model), ErrorModel::Gaussian(err), Column::Real(truth)) => {
+                    let present = (0..n_rows).filter(|&r| !truth[r].is_nan());
+                    let mut add = |r: usize, pred: f64| {
+                        col[r] += err.surprisal(truth[r], pred) - fm.entropy;
+                    };
+                    match (model, cp.layout) {
+                        (RealPredictor::Svr(m), Layout::Linear) => {
+                            let segs = &self.segments[parts];
+                            for_each_block(present, |rs| {
+                                svr_predictions(m, segs, rows, rs, &mut add)
+                            });
+                        }
+                        (RealPredictor::Tree(_), Layout::Tree) => {
+                            let nodes = &self.nodes[parts];
+                            for r in present {
+                                add(r, walk(nodes, rows.row(r)).value);
+                            }
+                        }
+                        (RealPredictor::Constant(m), Layout::Constant) => {
+                            for r in present {
+                                add(r, m.mean());
+                            }
+                        }
+                        _ => unreachable!("a plan is compiled from the model it scores"),
+                    }
+                }
+                (
+                    PredictorModel::Cat(model),
+                    ErrorModel::Confusion(_),
+                    Column::Categorical { codes, .. },
+                ) => {
+                    let present = (0..n_rows).filter(|&r| codes[r] != MISSING_CODE);
+                    let k = cp.arity as usize;
+                    let table = &self.tables[cp.table as usize..cp.table as usize + k * k];
+                    let mut add = |r: usize, pred: u32| {
+                        let p = pred as usize;
+                        col[r] += table[p * k..(p + 1) * k][codes[r] as usize];
+                    };
+                    match (model, cp.layout) {
+                        (CatPredictor::Svc(m), Layout::Linear) => {
+                            let segs = &self.segments[parts];
+                            for_each_block(present, |rs| {
+                                svc_predictions(m, segs, rows, rs, &mut add)
+                            });
+                        }
+                        (CatPredictor::Tree(_), Layout::Tree) => {
+                            let nodes = &self.nodes[parts];
+                            for r in present {
+                                add(r, walk(nodes, rows.row(r)).left);
+                            }
+                        }
+                        (CatPredictor::Majority(m), Layout::Constant) => {
+                            for r in present {
+                                add(r, m.class());
+                            }
+                        }
+                        _ => unreachable!("a plan is compiled from the model it scores"),
+                    }
+                }
+                _ => unreachable!("model/error/column kinds are constructed consistently"),
+            }
+        }
+    }
+
+    /// Compile one predictor into the plan's shared arrays, adding its
+    /// per-row work to the estimate.
+    fn compile_predictor(
+        &mut self,
+        fm: &FeatureModel,
+        fp: &FeaturePredictor,
+        scratch: &mut Scratch,
+    ) -> Result<CompiledPredictor, String> {
+        // Segments go in first; a predictor that turns out not to be
+        // linear truncates them again.
+        let first_seg = self.segments.len();
+        push_segments(&self.pool, fp.spec.input_features(), &mut self.segments);
+        let col_map = &mut scratch.col_map;
+        col_map.clear();
+        for s in &self.segments[first_seg..] {
+            col_map.extend(s.start..s.start + s.width);
+        }
+        let n_cols = col_map.len();
+        if n_cols != fp.spec.n_cols() {
+            return Err(format!(
+                "design spec of {} columns disagrees with the pool layout ({n_cols})",
+                fp.spec.n_cols()
+            ));
+        }
+        let check_len = |what: &str, len: usize| {
+            if len == n_cols {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{what} has {len} weights for a {n_cols}-column design"
+                ))
+            }
+        };
+        let linear = |plan: &Self| (first_seg as u32, (plan.segments.len() - first_seg) as u32);
+        // `max_class`: the highest class code the predictor can emit.
+        let (layout, (first, parts), work, max_class) = match &fp.model {
+            PredictorModel::Real(RealPredictor::Svr(m)) => {
+                check_len("SVR", m.weights().len())?;
+                (Layout::Linear, linear(self), n_cols as u64, None)
+            }
+            PredictorModel::Cat(CatPredictor::Svc(m)) => {
+                for k in 0..m.n_classes() {
+                    check_len("SVC hyperplane", m.hyperplane(k).0.len())?;
+                }
+                let top = m.n_classes().saturating_sub(1) as u32;
+                (
+                    Layout::Linear,
+                    linear(self),
+                    (n_cols * m.n_classes()) as u64,
+                    Some(top),
+                )
+            }
+            other => {
+                self.segments.truncate(first_seg);
+                let first = self.nodes.len();
+                let (layout, depth, max_class) = match other {
+                    PredictorModel::Real(RealPredictor::Tree(t)) => {
+                        let depth = flatten(t.nodes(), scratch, &mut self.nodes, |v| (v, 0))?;
+                        (Layout::Tree, depth, None)
+                    }
+                    PredictorModel::Cat(CatPredictor::Tree(t)) => {
+                        let depth = flatten(t.nodes(), scratch, &mut self.nodes, |c| (0.0, c))?;
+                        let top = self.nodes[first..]
+                            .iter()
+                            .filter(|n| n.col == LEAF)
+                            .map(|n| n.left)
+                            .max();
+                        (Layout::Tree, depth, top)
+                    }
+                    PredictorModel::Cat(CatPredictor::Majority(m)) => {
+                        (Layout::Constant, 0, Some(m.class()))
+                    }
+                    _ => (Layout::Constant, 0, None),
+                };
+                let parts = (first as u32, (self.nodes.len() - first) as u32);
+                let work = if layout == Layout::Tree {
+                    (depth + 1) * TREE_LEVEL_WORK
+                } else {
+                    1
+                };
+                (layout, parts, work, max_class)
+            }
+        };
+        self.work_per_row = self.work_per_row.saturating_add(work);
+        let (table, arity) = match (&fp.model, &fp.error) {
+            (PredictorModel::Real(_), ErrorModel::Gaussian(_)) => (0, 0),
+            (PredictorModel::Cat(_), ErrorModel::Confusion(err)) => {
+                let k = err.arity();
+                if let Some(c) = max_class.filter(|&c| c >= k) {
+                    return Err(format!(
+                        "predictor emits class {c} but its error model has arity {k}"
+                    ));
+                }
+                let table = self.tables.len() as u32;
+                for p in 0..k {
+                    self.tables
+                        .extend((0..k).map(|t| err.surprisal(t, p) - fm.entropy));
+                }
+                (table, k)
+            }
+            _ => return Err("predictor and error model kinds disagree".into()),
+        };
+        Ok(CompiledPredictor {
+            layout,
+            first,
+            parts,
+            table,
+            arity,
+        })
+    }
+}
+
+/// Reusable compile-time buffers, sized once per plan.
+struct Scratch {
+    /// Design column → pool column for the predictor being compiled.
+    col_map: Vec<u32>,
+    /// Depth per node of the tree being flattened.
+    depth: Vec<u64>,
+}
+
+/// Hand `rows` to `f` in full blocks of [`BLOCK`], then the remainder one
+/// row at a time.
+fn for_each_block(rows: impl Iterator<Item = usize>, mut f: impl FnMut(&[usize])) {
+    let mut block = [0usize; BLOCK];
+    let mut n = 0;
+    for r in rows {
+        block[n] = r;
+        n += 1;
+        if n == BLOCK {
+            f(&block);
+            n = 0;
+        }
+    }
+    for r in &block[..n] {
+        f(std::slice::from_ref(r));
+    }
+}
+
+/// `Σ w·x` over `segs` for each row in `rs` (a full block, or one row),
+/// into `out[..rs.len()]`.
+fn linear_dots(
+    w: &[f64],
+    segs: &[Segment],
+    rows: &DesignMatrix,
+    rs: &[usize],
+    out: &mut [f64; BLOCK],
+) {
+    match <[usize; BLOCK]>::try_from(rs) {
+        Ok(block) => *out = dots(w, segs, block.map(|r| rows.row(r))),
+        Err(_) => {
+            for (o, &r) in out.iter_mut().zip(rs) {
+                *o = dots(w, segs, [rows.row(r)])[0];
+            }
+        }
+    }
+}
+
+/// SVR prediction (`dot + bias`) for each row in `rs`.
+fn svr_predictions(
+    m: &LinearSvr,
+    segs: &[Segment],
+    rows: &DesignMatrix,
+    rs: &[usize],
+    mut emit: impl FnMut(usize, f64),
+) {
+    let mut d = [0.0f64; BLOCK];
+    linear_dots(m.weights(), segs, rows, rs, &mut d);
+    for (&r, dot) in rs.iter().zip(d) {
+        emit(r, dot + m.bias());
+    }
+}
+
+/// One-vs-rest SVC prediction for each row in `rs`: the first class with
+/// the strictly greatest decision value (`LinearSvc::predict`'s rule).
+fn svc_predictions(
+    m: &LinearSvc,
+    segs: &[Segment],
+    rows: &DesignMatrix,
+    rs: &[usize],
+    mut emit: impl FnMut(usize, u32),
+) {
+    let mut best = [0u32; BLOCK];
+    let mut best_v = [f64::NEG_INFINITY; BLOCK];
+    let mut d = [0.0f64; BLOCK];
+    for k in 0..m.n_classes() {
+        let (w, b) = m.hyperplane(k);
+        linear_dots(w, segs, rows, rs, &mut d);
+        for i in 0..rs.len() {
+            let v = d[i] + b;
+            if v > best_v[i] {
+                best_v[i] = v;
+                best[i] = k as u32;
+            }
+        }
+    }
+    for (&r, class) in rs.iter().zip(best) {
+        emit(r, class);
+    }
+}
+
+/// `Σ w·x` for `B` rows in one pass over `w`: per row, products are added
+/// left to right over the segments from `−0.0` — `LinearSvr::predict`'s
+/// `.sum::<f64>()` order, bit for bit.
+fn dots<const B: usize>(w: &[f64], segs: &[Segment], rows: [&[f64]; B]) -> [f64; B] {
+    let mut acc = [-0.0f64; B];
+    let mut wo = 0usize;
+    for s in segs {
+        let (start, width) = (s.start as usize, s.width as usize);
+        let xs: [&[f64]; B] = rows.map(|x| &x[start..start + width]);
+        for (j, &wv) in w[wo..wo + width].iter().enumerate() {
+            for b in 0..B {
+                acc[b] += wv * xs[b][j];
+            }
+        }
+        wo += width;
+    }
+    acc
+}
+
+/// Walk a flat tree from its root to the leaf for pool row `x`. Compile
+/// checked that children point forward, so the walk terminates.
+fn walk<'a>(nodes: &'a [FlatNode], x: &[f64]) -> &'a FlatNode {
+    let mut i = 0usize;
+    loop {
+        let n = &nodes[i];
+        if n.col == LEAF {
+            return n;
+        }
+        i = if x[n.col as usize] <= n.value {
+            n.left
+        } else {
+            n.right
+        } as usize;
+    }
+}
+
+/// Append the pool columns `inputs` occupy to `out`, as maximal ascending
+/// runs in input order (adjacent features merge into one segment).
+fn push_segments(pool: &PoolSpec, inputs: &[usize], out: &mut Vec<Segment>) {
+    let first = out.len();
+    for &j in inputs {
+        let cols = pool.col_range(j);
+        // The pool is at most u32::MAX wide (checked by `compile`).
+        let (start, width) = (cols.start as u32, cols.len() as u32);
+        match out[first..].last_mut() {
+            Some(s) if s.start + s.width == start => s.width += width,
+            _ => out.push(Segment { start, width }),
+        }
+    }
+}
+
+/// Append a node arena, remapped through `scratch.col_map`, to `out`;
+/// returns the tree's depth. `leaf` splits a leaf payload into
+/// `(value, class)`.
+fn flatten<L: Copy>(
+    nodes: &[Node<L>],
+    scratch: &mut Scratch,
+    out: &mut Vec<FlatNode>,
+    leaf: impl Fn(L) -> (f64, u32),
+) -> Result<u64, String> {
+    if nodes.is_empty() || u32::try_from(nodes.len()).is_err() {
+        return Err(format!("tree of {} nodes cannot be compiled", nodes.len()));
+    }
+    let col_map = &scratch.col_map;
+    let depth = &mut scratch.depth;
+    depth.clear();
+    depth.resize(nodes.len(), 0);
+    let mut max_depth = 0u64;
+    for (i, node) in nodes.iter().enumerate() {
+        out.push(match node {
+            Node::Leaf(payload) => {
+                let (value, class) = leaf(*payload);
+                FlatNode {
+                    value,
+                    col: LEAF,
+                    left: class,
+                    right: 0,
+                }
+            }
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => {
+                let col = *col_map.get(*feature).ok_or_else(|| {
+                    format!(
+                        "tree splits on column {feature} of a {}-column design",
+                        col_map.len()
+                    )
+                })?;
+                for &child in [left, right] {
+                    if child <= i || child >= nodes.len() {
+                        return Err(format!("tree node {i} has child {child}, not a later node"));
+                    }
+                    depth[child] = depth[i] + 1;
+                    max_depth = max_depth.max(depth[child]);
+                }
+                FlatNode {
+                    value: *threshold,
+                    col,
+                    left: *left as u32,
+                    right: *right as u32,
+                }
+            }
+        });
+    }
+    Ok(max_depth)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{FracConfig, FracModel, TrainingPlan};
+    use frac_dataset::crc::crc32;
+    use frac_dataset::dataset::DatasetBuilder;
+
+    /// `model`'s file text with `edit` applied to its first line starting
+    /// with `tag`, re-sealed with a valid CRC trailer — a well-formed file
+    /// whose parts disagree.
+    fn corrupted(model: &FracModel, tag: &str, edit: impl Fn(&str) -> String) -> FracModel {
+        let text = model.to_text();
+        let body = &text[..text.rfind("\nend\n").unwrap() + "\nend\n".len()];
+        let mut done = false;
+        let body: String = body
+            .lines()
+            .map(|l| {
+                if !done && l.starts_with(tag) {
+                    done = true;
+                    edit(l)
+                } else {
+                    l.to_string()
+                }
+            })
+            .map(|l| l + "\n")
+            .collect();
+        assert!(done, "no `{tag}` line to corrupt");
+        let sealed = format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
+        FracModel::from_text(&sealed).expect("the corrupted file still parses")
+    }
+
+    #[test]
+    fn compile_rejects_a_tree_whose_child_points_back() {
+        // Two copies of one ternary SNP: each tree splits on the other.
+        let codes: Vec<u32> = (0..30).map(|i| (i % 3) as u32).collect();
+        let train = DatasetBuilder::new()
+            .categorical("s1", 3, codes.clone())
+            .categorical("s2", 3, codes)
+            .build();
+        let (model, _) = FracModel::fit(&train, &TrainingPlan::full(2), &FracConfig::snp());
+        assert!(model.scoring_plan().is_ok());
+        // `split feature threshold left right`: send the root's left child
+        // back to the root, which a walk would follow forever.
+        let looped = corrupted(&model, "split ", |l| {
+            let f: Vec<&str> = l.split(' ').collect();
+            format!("split {} {} 0 {}", f[1], f[2], f[4])
+        });
+        let err = looped.scoring_plan().unwrap_err();
+        assert!(err.contains("not a later node"), "{err}");
+    }
+
+    #[test]
+    fn compile_rejects_a_weight_vector_of_the_wrong_length() {
+        let a: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        let b: Vec<f64> = a.iter().map(|x| 2.0 * x + 1.0).collect();
+        let c: Vec<f64> = a.iter().map(|x| x * x).collect();
+        let train = DatasetBuilder::new().real("a", a).real("b", b).real("c", c).build();
+        let (model, _) = FracModel::fit(&train, &TrainingPlan::full(3), &FracConfig::default());
+        assert!(model.scoring_plan().is_ok());
+        // Drop a weight: a dot product zipped over the shorter side would
+        // silently ignore the last input.
+        let short = corrupted(&model, "svr_weights", |l| {
+            l[..l.rfind(' ').unwrap()].to_string()
+        });
+        let err = short.scoring_plan().unwrap_err();
+        assert!(err.contains("1 weights for a 2-column design"), "{err}");
+    }
+}

@@ -20,16 +20,19 @@
 //!    [`ServeHealth`] and the telemetry counter layer.
 //! 3. **Hot reload with rollback.** A reload (triggered by `SIGHUP` or the
 //!    `cmd reload [PATH]` wire command) loads and validates the new file —
-//!    CRC trailer, version, and schema compatibility via [`validate_model`]
-//!    — entirely off the scoring path, then atomically swaps the model
-//!    `Arc`. Any failure keeps the old model serving.
+//!    CRC trailer, version, schema compatibility via [`validate_model`],
+//!    and compiling its [`ScoringPlan`](crate::ScoringPlan) — entirely off
+//!    the scoring path, then atomically swaps the model `Arc`. Any failure
+//!    keeps the old model serving.
 //!
-//! Batches are scored through the same pooled encode + NS-accumulation path
-//! as `frac score` ([`FracModel::score`]); scoring is row-independent, so
-//! serve replies are bit-identical to one-shot scoring. A scoring panic
-//! (e.g. a hostile model file that passed structural validation) is caught
-//! per batch: the batch's requests get error replies and the daemon keeps
-//! serving.
+//! Batches are scored by [`FracModel::score`] through the model's compiled
+//! scoring plan — the one path `frac score`, the variants and CSAX use —
+//! and the plan is built before a model goes live ([`Server::new`], and
+//! every reload before its swap), so no request pays for it. Scoring is
+//! row-independent, so serve replies are bit-identical to one-shot scoring.
+//! A scoring panic (e.g. a hostile model file that passed validation) is
+//! caught per batch: the batch's requests get error replies and the daemon
+//! keeps serving.
 //!
 //! ## Wire protocol
 //!
@@ -347,8 +350,9 @@ impl ReplySink {
 /// Check that `model` can score records of `schema` without panicking in the
 /// encode pool: every target index in range, every predictor's kind matching
 /// the schema's kind at that index, and every design spec's input widths
-/// consistent with the schema. This is the compatibility gate run before a
-/// reloaded model is swapped in.
+/// consistent with the schema. Errors name the first mismatch. This is the
+/// compatibility gate run before a model is served or swapped in, and
+/// before `frac score --model` scores a test file.
 pub fn validate_model(model: &FracModel, schema: &Schema) -> Result<(), String> {
     for fm in &model.features {
         let t = fm.target;
@@ -394,7 +398,8 @@ pub struct Server {
 impl Server {
     /// Build a daemon around an already-loaded model. Fails (without
     /// serving) if the model cannot score records of `schema` — the same
-    /// compatibility gate later applied to hot reloads.
+    /// compatibility gate later applied to hot reloads. The model's scoring
+    /// plan is compiled here, before the first request arrives.
     pub fn new(
         model: FracModel,
         model_path: PathBuf,
@@ -402,6 +407,7 @@ impl Server {
         cfg: ServeConfig,
     ) -> Result<Server, String> {
         validate_model(&model, &schema)?;
+        model.scoring_plan()?;
         let header = schema
             .iter()
             .map(|f| format!("{}:{}", f.name, f.kind))
@@ -554,9 +560,10 @@ fn spawn_reload(shared: &Arc<Shared>) {
     }
 }
 
-/// Load + validate a candidate model, then atomically swap it in. Any error
-/// leaves the serving model untouched (rollback). `path` overrides the
-/// remembered model path and becomes the new reload source on success.
+/// Load + validate + compile a candidate model, then atomically swap it in.
+/// Any error leaves the serving model untouched (rollback). `path`
+/// overrides the remembered model path and becomes the new reload source on
+/// success.
 fn reload_model(shared: &Shared, path: Option<PathBuf>) -> Result<String, String> {
     let path = match path {
         Some(p) => p,
@@ -564,6 +571,7 @@ fn reload_model(shared: &Shared, path: Option<PathBuf>) -> Result<String, String
     };
     let candidate = FracModel::load(&path).map_err(|e| e.to_string())?;
     validate_model(&candidate, &shared.schema)?;
+    candidate.scoring_plan()?;
     let detail = format!(
         "reloaded {} ({} of {} planned targets)",
         path.display(),
@@ -579,6 +587,8 @@ fn reload_model(shared: &Shared, path: Option<PathBuf>) -> Result<String, String
 /// control flags stay live), widen to a batch, score, repeat; on shutdown,
 /// drain what is queued within the drain budget.
 fn scorer_loop(shared: &Shared, rx: &Receiver<Request>) {
+    // One batch data set for the daemon's life, cleared between batches.
+    let mut batch_ds = Dataset::empty(shared.schema.clone());
     loop {
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
@@ -592,7 +602,7 @@ fn scorer_loop(shared: &Shared, rx: &Receiver<Request>) {
                         Err(_) => break,
                     }
                 }
-                score_batch(shared, batch);
+                score_batch(shared, batch, &mut batch_ds);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
@@ -620,14 +630,14 @@ fn scorer_loop(shared: &Shared, rx: &Receiver<Request>) {
             }
             continue;
         }
-        score_batch(shared, batch);
+        score_batch(shared, batch, &mut batch_ds);
     }
 }
 
-/// Score one admitted batch. Requests whose deadline passed while queued are
-/// answered with a timeout error; the rest are scored in one pooled pass. A
-/// panic inside scoring is confined to this batch.
-fn score_batch(shared: &Shared, batch: Vec<Request>) {
+/// Score one admitted batch, assembled in `batch_ds`. Requests whose
+/// deadline passed while queued are answered with a timeout error; the rest
+/// are scored in one pass. A panic inside scoring is confined to this batch.
+fn score_batch(shared: &Shared, batch: Vec<Request>, batch_ds: &mut Dataset) {
     let mut live = Vec::with_capacity(batch.len());
     for r in batch {
         if r.budget.is_expired() {
@@ -645,12 +655,12 @@ fn score_batch(shared: &Shared, batch: Vec<Request>) {
         thread::sleep(delay);
     }
     let model = Arc::clone(&lock(&shared.model));
-    let mut batch_ds = Dataset::empty(shared.schema.clone());
+    batch_ds.clear_rows();
     for r in &live {
         batch_ds.push_row(&r.values);
     }
     let _span = telemetry::span(Stage::ServeBatch);
-    match catch_unwind(AssertUnwindSafe(|| model.score(&batch_ds))) {
+    match catch_unwind(AssertUnwindSafe(|| model.score(batch_ds))) {
         Ok(scores) => {
             for (r, s) in live.iter().zip(&scores) {
                 // `{}` on f64 is the shortest string that re-parses to the

@@ -12,11 +12,19 @@
 //!   agree with the strict reference to solver tolerance: NS scores within
 //!   a small relative tolerance and **identical anomaly rankings**, on both
 //!   surrogates, at 1 and 4 threads.
+//! * The compiled scoring plan must reproduce the reference scoring path
+//!   (`contributions_unpooled`: one owned encode per predictor, each
+//!   model's own `predict`) to the NS bit, for every predictor kind and
+//!   plan shape, on dirty test rows, for single records and batches on
+//!   both sides of the fan-out threshold, at 1 and 4 threads.
 
+use frac_core::scoring::PARALLEL_WORK_THRESHOLD;
 use frac_core::{
-    CatModel, FracConfig, FracModel, RealModel, SolverMode, SolverStrategy, TrainingPlan,
+    CatModel, FaultPlan, FracConfig, FracModel, RealModel, SolverMode, SolverStrategy,
+    TrainingPlan,
 };
-use frac_dataset::Dataset;
+use frac_dataset::{Column, Dataset};
+use frac_learn::tree::TreeConfig;
 use frac_learn::{SvcConfig, SvrConfig};
 use frac_synth::snp::{CohortGroup, SnpConfig, SnpGenerator, SubpopulationMix};
 use frac_synth::{ExpressionConfig, ExpressionGenerator};
@@ -241,4 +249,114 @@ fn gram_strategy_matches_strict_snp() {
     let config = snp_svm_config().with_solver_strategy(SolverStrategy::Gram);
     check_fast_matches_strict(&train, &test, &config, "snp svc gram", 1);
     check_fast_matches_strict(&train, &test, &config, "snp svc gram", 4);
+}
+
+// ---------------------------------------------------------------------------
+// Compiled scoring plan vs the reference scoring path.
+
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
+}
+
+/// `n` rows of `test`, cycling through it.
+fn cycle_rows(test: &Dataset, n: usize) -> Dataset {
+    test.select_rows(&(0..n).map(|i| i % test.n_rows()).collect::<Vec<_>>())
+}
+
+/// Test rows with missing cells, ±Inf reals and missing genotypes.
+fn dirty(test: &Dataset) -> Dataset {
+    FaultPlan::seeded(5).with_poison(0.15).poison(test)
+}
+
+/// Score `test` through the plan and through the reference path, bit for
+/// bit: every contribution, the renormalization, and the NS scores. Batch
+/// sizes cover one record (inline), 64 records, and the smallest batch the
+/// plan fans out over worker threads.
+fn check_plan_matches_oracle(model: &FracModel, test: &Dataset, what: &str) {
+    let work = model.scoring_plan().unwrap().work_per_row();
+    assert!(work > 0 && work < PARALLEL_WORK_THRESHOLD, "{what}: one record scores inline");
+    let fan_out = (PARALLEL_WORK_THRESHOLD / work + 1) as usize;
+    for threads in [1, 4] {
+        pool(threads).install(|| {
+            for n in [1, 64, fan_out] {
+                let batch = cycle_rows(test, n);
+                let at = format!("{what}: {n} rows, {threads} threads");
+                let plan = model.contributions(&batch);
+                let oracle = model.contributions_unpooled(&batch);
+                assert_eq!(plan.feature_ids, oracle.feature_ids, "{at}");
+                assert_eq!(plan.n_rows, n, "{at}");
+                assert_eq!(plan.renorm.to_bits(), oracle.renorm.to_bits(), "{at}");
+                for (c, (a, b)) in plan.values.iter().zip(&oracle.values).enumerate() {
+                    assert_bits_eq(a, b, &format!("{at}, feature column {c}"));
+                }
+                assert_bits_eq(&model.score(&batch), &oracle.ns_scores(), &format!("{at}, NS"));
+            }
+        });
+    }
+}
+
+fn fit_full(train: &Dataset, config: &FracConfig) -> FracModel {
+    FracModel::fit(train, &TrainingPlan::full(train.n_features()), config).0
+}
+
+#[test]
+fn plan_matches_oracle_for_every_real_predictor_kind() {
+    let (train, test) = expression_surrogate();
+    let test = dirty(&test);
+    let tree = RealModel::Tree(TreeConfig::default());
+    for (what, real_model) in [
+        ("svr", RealModel::Svr(SvrConfig::default())),
+        ("regression tree", tree),
+        ("constant", RealModel::Constant),
+    ] {
+        let model = fit_full(&train, &FracConfig { real_model, ..FracConfig::expression() });
+        check_plan_matches_oracle(&model, &test, what);
+    }
+}
+
+#[test]
+fn plan_matches_oracle_for_every_categorical_predictor_kind() {
+    let (train, test) = snp_surrogate();
+    let test = dirty(&test);
+    for (what, cat_model) in [
+        ("classification tree", CatModel::Tree(TreeConfig::default())),
+        ("svc", CatModel::Svc(SvcConfig::default())),
+        ("majority", CatModel::Majority),
+    ] {
+        let model = fit_full(&train, &FracConfig { cat_model, ..FracConfig::snp() });
+        check_plan_matches_oracle(&model, &test, what);
+    }
+}
+
+#[test]
+fn plan_matches_oracle_on_diverse_and_filtered_plans() {
+    // Diverse FRaC: several predictors per feature over random,
+    // non-contiguous input subsets.
+    let (train, test) = expression_surrogate();
+    let n = train.n_features();
+    let plan = TrainingPlan::diverse(n, 0.4, 3, 17);
+    let (model, _) = FracModel::fit(&train, &plan, &FracConfig::expression());
+    check_plan_matches_oracle(&model, &dirty(&test), "diverse");
+
+    // Partial filtering: fewer targets than features, every predictor
+    // reading all other features.
+    let (train, test) = snp_surrogate();
+    let n = train.n_features();
+    let plan = TrainingPlan::partial_filtered(&[1, 4, 9, 16, 25], n);
+    let (model, _) = FracModel::fit(&train, &plan, &FracConfig::snp());
+    assert_eq!(model.n_targets(), 5);
+    check_plan_matches_oracle(&model, &dirty(&test), "partial filter");
+}
+
+#[test]
+fn plan_matches_oracle_with_a_dropped_target() {
+    // An all-missing training column is dropped, so NS is renormalized.
+    let (train, test) = expression_surrogate();
+    let mut cols: Vec<Column> = (0..train.n_features()).map(|j| train.column(j).clone()).collect();
+    cols[3] = Column::Real(vec![f64::NAN; train.n_rows()].into());
+    let train = Dataset::new(train.schema().clone(), cols);
+    let model = fit_full(&train, &FracConfig::expression());
+    assert_eq!(model.n_targets(), train.n_features() - 1);
+    assert_ne!(model.ns_renorm_factor(), 1.0);
+    check_plan_matches_oracle(&model, &dirty(&test), "dropped target");
 }

@@ -108,6 +108,15 @@ impl<T: ColElem> ColStore<T> {
     pub fn extend_from_slice(&mut self, other: &[T]) {
         self.make_owned().extend_from_slice(other);
     }
+
+    /// Remove every element, keeping owned capacity (a mapped store
+    /// becomes an empty owned one).
+    pub fn clear(&mut self) {
+        match &mut self.repr {
+            StoreRepr::Owned(v) => v.clear(),
+            StoreRepr::Mapped { .. } => self.repr = StoreRepr::Owned(Vec::new()),
+        }
+    }
 }
 
 impl<T: ColElem> Deref for ColStore<T> {
@@ -453,6 +462,19 @@ impl Dataset {
         self.n_rows += 1;
     }
 
+    /// Drop every row, keeping the schema and the columns' capacity, so a
+    /// caller assembling small batches row by row (the serving daemon)
+    /// reuses one data set instead of rebuilding it per batch.
+    pub fn clear_rows(&mut self) {
+        for col in &mut self.columns {
+            match col {
+                Column::Real(v) => v.clear(),
+                Column::Categorical { codes, .. } => codes.clear(),
+            }
+        }
+        self.n_rows = 0;
+    }
+
     /// One row as a vector of values.
     pub fn row(&self, row: usize) -> Vec<Value> {
         (0..self.n_features()).map(|j| self.value(row, j)).collect()
@@ -645,6 +667,12 @@ mod tests {
         assert_eq!(d.n_rows(), 2);
         assert_eq!(d.row(0), vec![Value::Real(0.5), Value::Categorical(1)]);
         assert_eq!(d.row(1), vec![Value::Missing, Value::Missing]);
+        // Clearing keeps the schema; the next batch starts at row 0.
+        d.clear_rows();
+        assert_eq!(d.n_rows(), 0);
+        d.push_row(&[Value::Real(2.0), Value::Categorical(0)]);
+        assert_eq!(d.n_rows(), 1);
+        assert_eq!(d.row(0), vec![Value::Real(2.0), Value::Categorical(0)]);
     }
 
     #[test]

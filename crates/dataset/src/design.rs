@@ -324,6 +324,13 @@ impl PoolSpec {
         self.encoders[j].is_some()
     }
 
+    /// The pool columns holding feature `j`'s encoded block (empty when the
+    /// pool does not cover `j`).
+    #[inline]
+    pub fn col_range(&self, j: usize) -> std::ops::Range<usize> {
+        self.col_offsets[j]..self.col_offsets[j + 1]
+    }
+
     /// The per-target [`DesignSpec`] for `inputs`, assembled from pooled
     /// encoders — identical (parameters and persisted form) to fitting a
     /// fresh spec on the same training data.
@@ -347,6 +354,18 @@ impl PoolSpec {
     /// Encode every covered feature of `data` once, producing the shared
     /// backing store all per-target views borrow from.
     pub fn encode(&self, data: &Dataset) -> EncodedPool {
+        let DesignMatrix { n_rows, n_cols, values } = self.encode_rows(data);
+        EncodedPool { spec: self.clone(), n_rows, n_cols, values }
+    }
+
+    /// Encode every covered feature of `data` into a row-major matrix whose
+    /// row `r` is record `r`'s pool row, with feature `j` at
+    /// [`PoolSpec::col_range`]`(j)` — for scoring paths that read pool rows
+    /// directly instead of through per-target views.
+    ///
+    /// # Panics
+    /// Panics if `data`'s schema is incompatible with the pooled encoders.
+    pub fn encode_rows(&self, data: &Dataset) -> DesignMatrix {
         let n_rows = data.n_rows();
         let n_cols = self.n_cols();
         let mut values = vec![0.0f64; n_rows * n_cols];
@@ -355,7 +374,7 @@ impl PoolSpec {
                 enc.encode_into(j, data, &mut values, n_cols, self.col_offsets[j]);
             }
         }
-        EncodedPool { spec: self.clone(), n_rows, n_cols, values }
+        DesignMatrix { n_rows, n_cols, values }
     }
 }
 

@@ -84,6 +84,12 @@ impl LinearSvc {
         self.hyperplanes.len()
     }
 
+    /// Class `k`'s hyperplane as (weights, bias).
+    pub fn hyperplane(&self, k: usize) -> (&[f64], f64) {
+        let (w, b) = &self.hyperplanes[k];
+        (w, *b)
+    }
+
     /// Construct directly from fitted hyperplanes (persistence path).
     pub fn from_parts(hyperplanes: Vec<(Vec<f64>, f64)>) -> Self {
         LinearSvc { hyperplanes }

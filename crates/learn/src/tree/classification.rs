@@ -31,6 +31,11 @@ impl ClassificationTree {
         self.arity
     }
 
+    /// The node arena, root first (read access for compiled scoring).
+    pub fn nodes(&self) -> &[Node<u32>] {
+        &self.nodes
+    }
+
     /// Serialize into a text writer (model persistence).
     pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
         w.line("ctree_arity", [self.arity]);

@@ -55,16 +55,21 @@ impl Default for TreeConfig {
     }
 }
 
-/// A node of a fitted tree, indices into the flat node arena.
+/// A node of a fitted tree, indices into the flat node arena. Children
+/// always sit at higher indices than their parent (growth appends them).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Node<L> {
+pub enum Node<L> {
     /// Terminal node carrying a prediction payload.
     Leaf(L),
     /// Internal axis-aligned split: `x[feature] <= threshold` goes left.
     Split {
+        /// Design-matrix column the split reads.
         feature: usize,
+        /// Split point; values at or below it go left.
         threshold: f64,
+        /// Arena index of the left child.
         left: usize,
+        /// Arena index of the right child.
         right: usize,
     },
 }

@@ -30,6 +30,11 @@ impl RegressionTree {
         self.nodes.iter().filter(|n| matches!(n, Node::Leaf(_))).count()
     }
 
+    /// The node arena, root first (read access for compiled scoring).
+    pub fn nodes(&self) -> &[Node<f64>] {
+        &self.nodes
+    }
+
     /// Serialize into a text writer (model persistence).
     pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
         w.tag("rtree");

@@ -124,6 +124,20 @@ timeout 120 ./target/release/frac train \
   > "$smoke_dir/score-tsv.tsv" 2> /dev/null
 cmp "$smoke_dir/score-fcb.tsv" "$smoke_dir/score-tsv.tsv"
 
+# Schema smoke: scoring a saved SNP model against an expression test file
+# must be refused — exit 1 with the schema error on stderr, never a panic
+# in the encoder.
+./target/release/frac generate --dataset breast.basal --out "$smoke_dir"
+mismatch_status=0
+./target/release/frac score --model "$smoke_dir/autism-tsv.frac" \
+  --test "$smoke_dir/breast.basal.test.tsv" \
+  > /dev/null 2> "$smoke_dir/mismatch.log" || mismatch_status=$?
+test "$mismatch_status" -eq 1
+grep -q "does not match the schema" "$smoke_dir/mismatch.log"
+if grep -q "panicked" "$smoke_dir/mismatch.log"; then
+  echo "schema smoke: frac score panicked on a mismatched schema"; exit 1
+fi
+
 # The telemetry-off build must compile every probe away and still pass
 # the same smoke (its trace degenerates to wall clock + solver delta).
 cargo build --release -p frac-cli --features telemetry-off
