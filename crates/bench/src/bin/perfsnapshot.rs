@@ -1,9 +1,7 @@
-//! Performance snapshot: full-FRaC fit + score on a mid-size surrogate,
-//! comparing the shared-pool path against the legacy per-target encode
-//! path (`BENCH_fit.json`), and the fast solver path (shrinking + warm
-//! starts + blocked kernels) against the strict reference solver on
-//! solver-bound SVM configurations (`BENCH_solver.json`), so the perf
-//! trajectory is tracked across PRs. Further families measure journal
+//! Performance snapshot: the fast solver path (shrinking + warm starts +
+//! blocked kernels) against the strict reference solver on solver-bound
+//! SVM configurations (`BENCH_solver.json`), so the perf trajectory is
+//! tracked across PRs. Further families measure journal
 //! overhead (`BENCH_journal.json`), telemetry overhead
 //! (`BENCH_telemetry.json`), sharded-run scaling — per-shard journals
 //! fitted concurrently then merged, at 1/2/4 shards
@@ -22,9 +20,10 @@
 //! ```
 //!
 //! With no `--family` flag every family runs; `--family` (repeatable:
-//! `fit | solver | journal | shard | telemetry | simd | gram | oocore`)
-//! restricts the run to the named families. The serving path (cold start,
-//! single-record latency, saturated throughput) is measured end to end by
+//! `solver | journal | shard | telemetry | simd | gram | oocore`)
+//! restricts the run to the named families. The whole fit (wall clock,
+//! encoded cells, peak bytes) and the serving path (cold start,
+//! single-record latency, saturated throughput) are measured end to end by
 //! the `ledger` benchmark instead.
 //!
 //! Environment knobs: `FRAC_PERF_FEATURES` (default 400),
@@ -34,7 +33,7 @@
 //! `FRAC_PERF_OOCORE_CHUNK` (defaults 150000 / 24 / 4096; oocore only).
 
 use frac_core::config::{CatModel, RealModel};
-use frac_core::{FracConfig, FracModel, ResourceReport, SolverMode, SolverStrategy, TrainingPlan};
+use frac_core::{FracConfig, FracModel, SolverMode, SolverStrategy, TrainingPlan};
 use frac_dataset::kernels::{self, KernelTier};
 use frac_dataset::{Dataset, DesignMatrix};
 use frac_learn::solver::stats::{self, SolverStats};
@@ -54,7 +53,6 @@ fn env_usize(key: &str, default: usize) -> usize {
 struct Snapshot {
     fit_s: f64,
     score_s: f64,
-    report: ResourceReport,
 }
 
 fn best_of<F: Fn() -> Snapshot>(reps: usize, run: F) -> Snapshot {
@@ -68,90 +66,15 @@ fn best_of<F: Fn() -> Snapshot>(reps: usize, run: F) -> Snapshot {
     best.expect("at least one rep")
 }
 
-fn timed(
-    train: &Dataset,
-    test: &Dataset,
-    plan: &TrainingPlan,
-    config: &FracConfig,
-    pooled: bool,
-) -> Snapshot {
+fn timed(train: &Dataset, test: &Dataset, plan: &TrainingPlan, config: &FracConfig) -> Snapshot {
     let t0 = Instant::now();
-    let (model, report) = if pooled {
-        FracModel::fit(train, plan, config)
-    } else {
-        FracModel::fit_unpooled(train, plan, config)
-    };
+    let (model, _) = FracModel::fit(train, plan, config);
     let fit_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let ns = if pooled {
-        model.score(test)
-    } else {
-        model.contributions_unpooled(test).ns_scores()
-    };
+    let ns = model.score(test);
     let score_s = t1.elapsed().as_secs_f64();
     assert!(ns.iter().all(|s| s.is_finite()));
-    Snapshot { fit_s, score_s, report }
-}
-
-/// Time one family (surrogate + config) through both paths and render its
-/// JSON object.
-fn family_json(
-    name: &str,
-    train: &Dataset,
-    test: &Dataset,
-    config: &FracConfig,
-    reps: usize,
-) -> String {
-    let plan = TrainingPlan::full(train.n_features());
-    let pooled = best_of(reps, || timed(train, test, &plan, config, true));
-    let legacy = best_of(reps, || timed(train, test, &plan, config, false));
-    let fit_speedup = legacy.fit_s / pooled.fit_s;
-    let score_speedup = legacy.score_s / pooled.score_s;
-    // Design-matrix bytes allocated during fit: the legacy path encodes one
-    // matrix per target (O(f² · n) cells over the run); the pool is O(f · n).
-    let f = train.n_features() as u64;
-    let width = train.schema().one_hot_width() as u64;
-    let cell = std::mem::size_of::<f64>() as u64;
-    let encode_bytes_legacy = f * train.n_rows() as u64 * (width - width / f) * cell;
-    let encode_bytes_pooled = pooled.report.pool_bytes;
-    eprintln!(
-        "{name}: fit pooled {:.3}s vs legacy {:.3}s ({fit_speedup:.2}x); \
-         score pooled {:.4}s vs legacy {:.4}s ({score_speedup:.2}x); \
-         encode alloc {} -> {} bytes",
-        pooled.fit_s, legacy.fit_s, pooled.score_s, legacy.score_s,
-        encode_bytes_legacy, encode_bytes_pooled
-    );
-    eprintln!("{name}: health {}", pooled.report.health.summary());
-    format!(
-        "  \"{name}\": {{\n    \
-         \"surrogate\": {{\"n_features\": {}, \"train_rows\": {}, \"test_rows\": {}}},\n    \
-         \"pooled\": {{\"fit_wall_s\": {:.6}, \"score_wall_s\": {:.6}, \"flops\": {}, \
-         \"peak_bytes\": {}, \"pool_bytes\": {}, \"transient_bytes\": {}}},\n    \
-         \"legacy\": {{\"fit_wall_s\": {:.6}, \"score_wall_s\": {:.6}, \"flops\": {}, \
-         \"peak_bytes\": {}, \"pool_bytes\": {}, \"transient_bytes\": {}}},\n    \
-         \"encode_bytes_legacy\": {encode_bytes_legacy},\n    \
-         \"encode_bytes_pooled\": {encode_bytes_pooled},\n    \
-         \"health\": \"{}\",\n    \
-         \"fit_speedup\": {:.3},\n    \"score_speedup\": {:.3}\n  }}",
-        train.n_features(),
-        train.n_rows(),
-        test.n_rows(),
-        pooled.fit_s,
-        pooled.score_s,
-        pooled.report.flops,
-        pooled.report.peak_bytes(),
-        pooled.report.pool_bytes,
-        pooled.report.transient_bytes,
-        legacy.fit_s,
-        legacy.score_s,
-        legacy.report.flops,
-        legacy.report.peak_bytes(),
-        legacy.report.pool_bytes,
-        legacy.report.transient_bytes,
-        pooled.report.health.summary(),
-        fit_speedup,
-        score_speedup,
-    )
+    Snapshot { fit_s, score_s }
 }
 
 /// One timed fit+score run with the process-wide solver counters it drove.
@@ -269,7 +192,7 @@ fn journal_family_json(
     reps: usize,
 ) -> String {
     let plan = TrainingPlan::full(train.n_features());
-    let plain = best_of(reps, || timed(train, test, &plan, config, true));
+    let plain = best_of(reps, || timed(train, test, &plan, config));
     let journal_path =
         std::env::temp_dir().join(format!("frac-perf-journal-{name}.frj"));
     let journaled = best_of(reps, || {
@@ -290,7 +213,7 @@ fn journal_family_json(
         let ns = fit.model.score(test);
         let score_s = t1.elapsed().as_secs_f64();
         assert!(ns.iter().all(|s| s.is_finite()));
-        Snapshot { fit_s, score_s, report: fit.report }
+        Snapshot { fit_s, score_s }
     });
     let journal_bytes = std::fs::metadata(&journal_path).map(|m| m.len()).unwrap_or(0);
     let _ = std::fs::remove_file(&journal_path);
@@ -920,8 +843,8 @@ fn main() {
     let reps = env_usize("FRAC_PERF_REPS", 2).max(1);
     let n_test = n_rows;
 
-    const FAMILIES: [&str; 8] =
-        ["fit", "solver", "journal", "shard", "telemetry", "simd", "gram", "oocore"];
+    const FAMILIES: [&str; 7] =
+        ["solver", "journal", "shard", "telemetry", "simd", "gram", "oocore"];
     let mut selected: Vec<String> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -984,25 +907,6 @@ fn main() {
     );
     let snp_train = snp.select_rows(&(0..n_rows).collect::<Vec<_>>());
     let snp_test = snp.select_rows(&(n_rows..n_rows + n_test).collect::<Vec<_>>());
-
-    if run("fit") {
-        let expr_json =
-            family_json("expression", &expr_train, &expr_test, &FracConfig::expression(), reps);
-        let snp_json = family_json("snp", &snp_train, &snp_test, &FracConfig::snp(), reps);
-        // Encode-bound family: constant predictors make training trivial, so
-        // the fit wall is dominated by design-matrix construction — the
-        // component the pool replaces. This isolates the O(f² · n) → O(f · n)
-        // change from solver time, which dominates the two paper families at
-        // this scale.
-        let encode_cfg =
-            FracConfig { real_model: RealModel::Constant, ..FracConfig::default() };
-        let encode_json =
-            family_json("encode_bound", &expr_train, &expr_test, &encode_cfg, reps);
-
-        let json = format!("{{\n{expr_json},\n{snp_json},\n{encode_json}\n}}\n");
-        std::fs::write("BENCH_fit.json", &json).expect("write BENCH_fit.json");
-        println!("{json}");
-    }
 
     // Solver-bound families: tight stopping tolerance with a high epoch cap
     // makes the dual coordinate-descent solves dominate the fit wall, which

@@ -82,6 +82,18 @@ pub(crate) fn arm_abort_after_records(remaining: usize) {
     ABORT_ARMED.store(true, Ordering::SeqCst);
 }
 
+/// How many more records the journal may write before the armed
+/// abort-after fault fires; `usize::MAX` when none is armed. The journal
+/// cuts a batch at this count, so the worker dies at exactly its record
+/// budget instead of after a whole batch.
+pub(crate) fn journal_records_allowed() -> usize {
+    use std::sync::atomic::Ordering;
+    if !ABORT_ARMED.load(Ordering::Relaxed) {
+        return usize::MAX;
+    }
+    ABORT_REMAINING.load(Ordering::SeqCst)
+}
+
 /// Journal hook for the armed abort-after fault: `n` records were just
 /// written. Aborts once the armed budget is consumed; a no-op (one relaxed
 /// load) in every process that never armed a fault.

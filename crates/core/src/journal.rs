@@ -315,11 +315,13 @@ impl RunJournal {
     /// written with a single `write_all` — one syscall per flush window
     /// instead of one per record, which is most of the journal overhead on
     /// fast many-target workloads. Marks the journal broken on failure.
+    /// While an abort-after fault is armed, only the records it still
+    /// allows are written; the process then aborts on that boundary.
     fn write_bodies(&self, bodies: impl Iterator<Item = String>) -> Result<(), JournalError> {
         use std::fmt::Write as _;
         let mut buf = String::new();
         let mut n_records = 0usize;
-        for body in bodies {
+        for body in bodies.take(crate::fault::journal_records_allowed()) {
             let _ = writeln!(buf, "rec {} {:08x}", body.len(), crc32(body.as_bytes()));
             buf.push_str(&body);
             n_records += 1;

@@ -1274,9 +1274,11 @@ impl FracModel {
     }
 
     /// Legacy fit path: every predictor fits and encodes its own design
-    /// matrix (`O(f² · n)` encode work on a full plan). Kept for regression
-    /// tests and benchmarks against the pooled path; produces bit-identical
-    /// models because both paths share one encoder implementation.
+    /// matrix (`O(f² · n)` encode work on a full plan). Kept as an oracle:
+    /// its owned matrices expose no categorical blocks, so its trees take
+    /// the gather scan where the pooled fit uses per-code count tables.
+    /// Produces bit-identical models because both paths share one encoder
+    /// implementation and both split searches choose identical splits.
     pub fn fit_unpooled(
         train: &Dataset,
         plan: &TrainingPlan,

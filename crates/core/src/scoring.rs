@@ -521,15 +521,33 @@ fn svc_predictions(
 /// `Σ w·x` for `B` rows in one pass over `w`: per row, products are added
 /// left to right over the segments from `−0.0` — `LinearSvr::predict`'s
 /// `.sum::<f64>()` order, bit for bit.
+///
+/// The loop takes four weights per step (each row still folds them in
+/// order). With one row the sum is a single chain of dependent adds, and a
+/// one-weight loop body is small enough that its address decides its
+/// speed: the same machine code ran 26% slower when it straddled a cache
+/// line. Four adds per step keep it add-latency-bound wherever it lands.
 fn dots<const B: usize>(w: &[f64], segs: &[Segment], rows: [&[f64]; B]) -> [f64; B] {
     let mut acc = [-0.0f64; B];
     let mut wo = 0usize;
     for s in segs {
         let (start, width) = (s.start as usize, s.width as usize);
+        let ws = &w[wo..wo + width];
         let xs: [&[f64]; B] = rows.map(|x| &x[start..start + width]);
-        for (j, &wv) in w[wo..wo + width].iter().enumerate() {
+        let quads = width - width % 4;
+        for j in (0..quads).step_by(4) {
+            let w4 = &ws[j..j + 4];
             for b in 0..B {
-                acc[b] += wv * xs[b][j];
+                let x4 = &xs[b][j..j + 4];
+                acc[b] += w4[0] * x4[0];
+                acc[b] += w4[1] * x4[1];
+                acc[b] += w4[2] * x4[2];
+                acc[b] += w4[3] * x4[3];
+            }
+        }
+        for j in quads..width {
+            for b in 0..B {
+                acc[b] += ws[j] * xs[b][j];
             }
         }
         wo += width;

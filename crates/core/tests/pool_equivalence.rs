@@ -17,12 +17,17 @@
 //!   model's own `predict`) to the NS bit, for every predictor kind and
 //!   plan shape, on dirty test rows, for single records and batches on
 //!   both sides of the fan-out threshold, at 1 and 4 threads.
+//! * Tree split search from per-code count tables (pool views) must grow
+//!   the trees the gather scan grows over owned matrices
+//!   (`fit_unpooled`): identical saved models and NS bits on a mixed
+//!   schema, for both tree kinds, full and Diverse plans, 1 and 4 threads.
 
 use frac_core::scoring::PARALLEL_WORK_THRESHOLD;
 use frac_core::{
     CatModel, FaultPlan, FracConfig, FracModel, RealModel, SolverMode, SolverStrategy,
     TrainingPlan,
 };
+use frac_dataset::dataset::{DatasetBuilder, MISSING_CODE};
 use frac_dataset::{Column, Dataset};
 use frac_learn::tree::TreeConfig;
 use frac_learn::{SvcConfig, SvrConfig};
@@ -359,4 +364,68 @@ fn plan_matches_oracle_with_a_dropped_target() {
     assert_eq!(model.n_targets(), train.n_features() - 1);
     assert_ne!(model.ns_renorm_factor(), 1.0);
     check_plan_matches_oracle(&model, &dirty(&test), "dropped target");
+}
+
+// ---------------------------------------------------------------------------
+// Count-table split search vs the gather scan.
+
+/// The SNP surrogate with about 10% of genotypes missing, and after every
+/// fifth SNP a real feature derived from genotype sums with some NaN
+/// cells. Under `FracConfig::snp()` its real targets grow regression trees
+/// and its SNPs classification trees, both over one-hot blocks with
+/// missing codes and real columns between them.
+fn mixed_surrogate() -> (Dataset, Dataset) {
+    let (train, test) = snp_surrogate();
+    let mix = |data: &Dataset, row0: usize| -> Dataset {
+        let code = |j: usize, r: usize| match data.column(j) {
+            Column::Categorical { codes, .. } => codes[r],
+            Column::Real(_) => unreachable!("the SNP surrogate is all categorical"),
+        };
+        let n_snps = data.n_features();
+        let mut b = DatasetBuilder::new();
+        for j in 0..n_snps {
+            let codes = (0..data.n_rows())
+                .map(|r| {
+                    if ((r + row0) * 7 + j * 3).is_multiple_of(10) { MISSING_CODE } else { code(j, r) }
+                })
+                .collect();
+            let arity = data.schema().kind(j).one_hot_width() as u32;
+            b = b.categorical(format!("snp{j}"), arity, codes);
+            if j % 5 == 4 {
+                let values = (0..data.n_rows())
+                    .map(|r| {
+                        if (r + row0 + j).is_multiple_of(9) {
+                            return f64::NAN;
+                        }
+                        let noise = ((r + row0) * 31 + j * 17) % 13;
+                        code(j, r) as f64 + 0.5 * code((j + 7) % n_snps, r) as f64
+                            + noise as f64 * 0.1
+                    })
+                    .collect();
+                b = b.real(format!("expr{j}"), values);
+            }
+        }
+        b.build()
+    };
+    (mix(&train, 0), mix(&test, train.n_rows()))
+}
+
+#[test]
+fn count_table_trees_match_the_gather_oracle_on_a_mixed_schema() {
+    let (train, test) = mixed_surrogate();
+    let config = FracConfig::snp();
+    let n = train.n_features();
+    for (what, plan) in
+        [("full", TrainingPlan::full(n)), ("diverse", TrainingPlan::diverse(n, 0.5, 2, 23))]
+    {
+        for threads in [1, 4] {
+            pool(threads).install(|| {
+                let at = format!("{what}, {threads} threads");
+                let (pooled, _) = FracModel::fit(&train, &plan, &config);
+                let (oracle, _) = FracModel::fit_unpooled(&train, &plan, &config);
+                assert_eq!(pooled.to_text(), oracle.to_text(), "{at}: saved models differ");
+                assert_bits_eq(&pooled.score(&test), &oracle.score(&test), &format!("{at}: NS"));
+            });
+        }
+    }
 }

@@ -13,7 +13,7 @@
 //! applied unchanged to held-out folds and test samples, so no test-set
 //! statistics leak into training.
 
-use crate::dataset::{Column, Dataset};
+use crate::dataset::{ColStore, Column, Dataset};
 use crate::schema::FeatureKind;
 use crate::stats;
 
@@ -352,10 +352,24 @@ impl PoolSpec {
     }
 
     /// Encode every covered feature of `data` once, producing the shared
-    /// backing store all per-target views borrow from.
+    /// backing store all per-target views borrow from. The pool also keeps
+    /// the code column of every covered categorical feature (a zero-copy
+    /// clone when `data` is mapped from FCB), so its views can hand tree
+    /// split search the codes behind each one-hot block.
     pub fn encode(&self, data: &Dataset) -> EncodedPool {
         let DesignMatrix { n_rows, n_cols, values } = self.encode_rows(data);
-        EncodedPool { spec: self.clone(), n_rows, n_cols, values }
+        let codes = self
+            .encoders
+            .iter()
+            .enumerate()
+            .map(|(j, enc)| match (enc, data.column(j)) {
+                (Some(FeatureEncoder::OneHot { .. }), Column::Categorical { codes, .. }) => {
+                    Some(codes.clone())
+                }
+                _ => None,
+            })
+            .collect();
+        EncodedPool { spec: self.clone(), n_rows, n_cols, values, codes }
     }
 
     /// Encode every covered feature of `data` into a row-major matrix whose
@@ -388,6 +402,9 @@ pub struct EncodedPool {
     n_rows: usize,
     n_cols: usize,
     values: Vec<f64>,
+    /// Code column of each covered categorical feature, by schema index;
+    /// `None` for real and uncovered features.
+    codes: Vec<Option<ColStore<u32>>>,
 }
 
 impl EncodedPool {
@@ -410,9 +427,17 @@ impl EncodedPool {
     }
 
     /// Resident bytes of the shared backing store — charged once per run
-    /// by the resource meter, replacing per-target matrix bytes.
+    /// by the resource meter, replacing per-target matrix bytes. Code
+    /// columns count only when owned; mapped ones live in the FCB mapping.
     pub fn approx_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<f64>()
+        let owned_codes: usize = self
+            .codes
+            .iter()
+            .flatten()
+            .filter(|c| !c.is_mapped())
+            .map(|c| std::mem::size_of_val(c.as_slice()))
+            .sum();
+        self.values.len() * std::mem::size_of::<f64>() + owned_codes
     }
 
     /// Number of encoded cells (`n_rows × n_cols`) — the unit the
@@ -432,10 +457,16 @@ impl EncodedPool {
         let offs = &self.spec.col_offsets;
         let mut segments: Vec<(usize, usize)> = Vec::new();
         let mut col_map = Vec::new();
+        let mut blocks = Vec::new();
         for &j in inputs {
             assert!(self.spec.covers(j), "feature {j} not covered by the pool");
             let start = offs[j];
             let width = offs[j + 1] - start;
+            if let Some(codes) = &self.codes[j] {
+                if width > 0 {
+                    blocks.push(CatBlock { first: col_map.len(), arity: width, codes });
+                }
+            }
             match segments.last_mut() {
                 // Adjacent pool columns merge into one contiguous segment,
                 // so whole-row ops degrade to a single slice in the common
@@ -452,6 +483,7 @@ impl EncodedPool {
             n_cols: col_map.len(),
             segments,
             col_map,
+            blocks,
         }
     }
 }
@@ -473,6 +505,8 @@ pub struct PoolView<'a> {
     segments: Vec<(usize, usize)>,
     /// View column → pool column.
     col_map: Vec<usize>,
+    /// The view's categorical one-hot blocks, ascending by first column.
+    blocks: Vec<CatBlock<'a>>,
 }
 
 impl DesignView for PoolView<'_> {
@@ -580,13 +614,17 @@ impl DesignView for PoolView<'_> {
         }
     }
 
+    fn cat_blocks(&self) -> Option<CatBlocks<'_>> {
+        (!self.blocks.is_empty()).then(|| CatBlocks { blocks: &self.blocks, rows: RowIx::Direct })
+    }
+
     fn view_overhead_bytes(&self) -> usize {
         self.segments.len() * std::mem::size_of::<(usize, usize)>()
             + self.col_map.len() * std::mem::size_of::<usize>()
     }
 }
 
-/// Row indirection levels supported by [`ColRef`].
+/// Row indirection levels supported by [`ColRef`] and [`CatBlocks`].
 ///
 /// Views compose at most two row subsets on top of backing storage (a
 /// presence filter, then a CV fold), so two explicit levels cover every
@@ -599,6 +637,31 @@ enum RowIx<'a> {
     One(&'a [usize]),
     /// View row `i` is storage row `inner[outer[i]]`.
     Two(&'a [usize], &'a [usize]),
+}
+
+impl<'a> RowIx<'a> {
+    /// Storage row of view row `i`.
+    #[inline]
+    fn resolve(self, i: usize) -> usize {
+        match self {
+            RowIx::Direct => i,
+            RowIx::One(map) => map[i],
+            RowIx::Two(outer, inner) => inner[outer[i]],
+        }
+    }
+
+    /// One more subset level: view row `i` becomes current row `rows[i]`.
+    ///
+    /// # Panics
+    /// Panics if already two levels deep — the workspace never stacks row
+    /// subsets deeper than presence + CV fold.
+    fn push(self, rows: &'a [usize]) -> RowIx<'a> {
+        match self {
+            RowIx::Direct => RowIx::One(rows),
+            RowIx::One(inner) => RowIx::Two(rows, inner),
+            RowIx::Two(..) => panic!("row indirection deeper than two levels"),
+        }
+    }
 }
 
 /// Borrowed, strided access to one column of a design view — no
@@ -628,26 +691,52 @@ impl<'a> ColRef<'a> {
     /// Value at view row `i`.
     #[inline]
     pub fn get(&self, i: usize) -> f64 {
-        let r = match self.rows {
-            RowIx::Direct => i,
-            RowIx::One(map) => map[i],
-            RowIx::Two(outer, inner) => inner[outer[i]],
-        };
-        self.values[self.first + r * self.stride]
+        self.values[self.first + self.rows.resolve(i) * self.stride]
     }
 
     /// The column restricted to `rows` (indices into this column's rows).
-    ///
-    /// # Panics
-    /// Panics if the column is already two indirection levels deep — the
-    /// workspace never stacks row subsets deeper than presence + CV fold.
     fn push_rows(self, rows: &'a [usize]) -> ColRef<'a> {
-        let pushed = match self.rows {
-            RowIx::Direct => RowIx::One(rows),
-            RowIx::One(inner) => RowIx::Two(rows, inner),
-            RowIx::Two(..) => panic!("column row indirection deeper than two levels"),
-        };
-        ColRef { rows: pushed, len: rows.len(), ..self }
+        ColRef { rows: self.rows.push(rows), len: rows.len(), ..self }
+    }
+}
+
+/// One categorical input's one-hot block in a design view: view columns
+/// `first..first + arity` are the indicators `code == 0`, …,
+/// `code == arity - 1` of `codes`. A missing code
+/// ([`crate::dataset::MISSING_CODE`]) sets none of them.
+#[derive(Debug, Clone, Copy)]
+pub struct CatBlock<'a> {
+    /// View column of the indicator for code 0.
+    pub first: usize,
+    /// Number of indicator columns (the feature's arity, at least 1).
+    pub arity: usize,
+    /// The feature's codes, indexed by storage row (see
+    /// [`CatBlocks::resolve_rows`]).
+    pub codes: &'a [u32],
+}
+
+/// The categorical blocks of a design view, ascending by first column, and
+/// the map from view rows to the storage rows their codes are read at.
+#[derive(Debug, Clone, Copy)]
+pub struct CatBlocks<'a> {
+    blocks: &'a [CatBlock<'a>],
+    rows: RowIx<'a>,
+}
+
+impl<'a> CatBlocks<'a> {
+    /// The blocks, ascending by [`CatBlock::first`].
+    #[inline]
+    pub fn blocks(&self) -> &'a [CatBlock<'a>] {
+        self.blocks
+    }
+
+    /// Append the storage row of each view row in `view_rows` to `out`;
+    /// `codes[out[i]]` is then view row `view_rows[i]`'s code in any block.
+    pub fn resolve_rows(&self, view_rows: &[usize], out: &mut Vec<usize>) {
+        match self.rows {
+            RowIx::Direct => out.extend_from_slice(view_rows),
+            rows => out.extend(view_rows.iter().map(|&i| rows.resolve(i))),
+        }
     }
 }
 
@@ -707,6 +796,14 @@ pub trait DesignView: Sync {
     /// kernel — axpy has no cross-lane reduction — just faster).
     fn axpy_row_blocked(&self, r: usize, alpha: f64, w: &mut [f64]) {
         self.axpy_row(r, alpha, w);
+    }
+
+    /// The categorical one-hot blocks of this view with their raw codes,
+    /// when the view has them: pool views and row subsets of them. Views
+    /// that hold only encoded values return `None`. Tree split search
+    /// scores a whole block from one per-code count table.
+    fn cat_blocks(&self) -> Option<CatBlocks<'_>> {
+        None
     }
 
     /// Bytes this view holds beyond the storage it borrows (row-index
@@ -777,6 +874,10 @@ impl<D: DesignView + ?Sized> DesignView for RowSubset<'_, D> {
 
     fn col(&self, c: usize) -> ColRef<'_> {
         self.inner.col(c).push_rows(self.rows)
+    }
+
+    fn cat_blocks(&self) -> Option<CatBlocks<'_>> {
+        self.inner.cat_blocks().map(|b| CatBlocks { rows: b.rows.push(self.rows), ..b })
     }
 
     fn view_overhead_bytes(&self) -> usize {
@@ -1221,6 +1322,34 @@ mod tests {
         sub2.copy_row_into(0, &mut buf);
         assert_eq!(buf, [30.0, 31.0]);
         assert_eq!(sub2.view_overhead_bytes(), 2 * std::mem::size_of::<usize>());
+    }
+
+    #[test]
+    fn pool_views_expose_categorical_blocks_through_row_subsets() {
+        let d = mixed();
+        let pool = PoolSpec::fit(&d, &[0, 1, 2], true).encode(&d);
+        // Real `e1` is view column 0; the ternary `snp` block follows.
+        let view = pool.view(&[0, 2]);
+        let blocks = view.cat_blocks().expect("the view has a categorical input");
+        assert_eq!(blocks.blocks().len(), 1);
+        let b = blocks.blocks()[0];
+        assert_eq!((b.first, b.arity), (1, 3));
+        assert_eq!(b.codes, &[0, 1, 2, MISSING_CODE]);
+        let mut rows = Vec::new();
+        blocks.resolve_rows(&[3, 0], &mut rows);
+        assert_eq!(rows, [3, 0]);
+        // Two subset levels map view rows back to storage rows.
+        let present = [1usize, 2, 3];
+        let sub = RowSubset::new(&view, &present);
+        let fold = [2usize, 0];
+        let sub2 = RowSubset::new(&sub, &fold[..]);
+        rows.clear();
+        sub2.cat_blocks().unwrap().resolve_rows(&[0, 1], &mut rows);
+        assert_eq!(rows, [3, 1]);
+        // Real-only views, owned matrices and scoring rows have no blocks.
+        assert!(pool.view(&[0, 1]).cat_blocks().is_none());
+        assert!(DesignSpec::fit(&d, &[2], true).encode(&d).cat_blocks().is_none());
+        assert!(pool.spec().encode_rows(&d).cat_blocks().is_none());
     }
 
     #[test]

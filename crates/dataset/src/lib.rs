@@ -55,7 +55,8 @@ pub use dataset::{ColStore, Column, Dataset, Value};
 pub use fcb::{FcbError, FcbFile, FcbInfo, FcbWriter};
 pub use mmap::MmapFile;
 pub use design::{
-    ColRef, DesignMatrix, DesignView, EncodedPool, PackedDesign, PoolSpec, PoolView, RowSubset,
+    CatBlock, CatBlocks, ColRef, DesignMatrix, DesignView, EncodedPool, PackedDesign, PoolSpec,
+    PoolView, RowSubset,
 };
 pub use kde::GaussianKde;
 pub use quarantine::{FeatureScreen, QuarantineReason, ScreenReport};

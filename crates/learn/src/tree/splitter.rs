@@ -1,26 +1,46 @@
 //! Best-split search shared by both tree flavours.
 //!
-//! For every candidate feature the node's samples are gathered into a
-//! contiguous structure-of-arrays scratch buffer — `(value, label)` pairs
-//! for classification, `(value, target)` for regression — sorted by value
-//! with an unstable total-order sort, and swept left-to-right evaluating
-//! every distinct threshold with O(1) incremental statistics: class counts
-//! for classification, first/second moments for regression. The gather
-//! reads feature values through the borrowed [`frac_dataset::ColRef`]
-//! column path, so the search runs allocation-free over owned matrices and
-//! pool views alike; the sweep itself never touches the view again. Labels
-//! and targets are cached once per node, so the per-sample closures are
-//! called `n` times per node instead of `n` times per column.
+//! Candidate columns are searched in ascending view-column order, in one of
+//! two ways:
 //!
-//! Two-valued columns — every one-hot indicator block, i.e. the entire
-//! design of a categorical-only fit — skip the sort: a single counting
-//! pass over the gathered values evaluates the column's only candidate
-//! threshold directly. The shortcut is exact, not approximate: the split
-//! statistics at the lone distinct-value boundary are integer class counts
-//! (classification) or a two-group partition (regression), so the computed
-//! gain matches the sorted sweep bit for bit in the classification case
-//! and up to tie-group summation order in the regression case. Constant
-//! columns are likewise rejected without sorting.
+//! * **Count tables** for the one-hot block of every categorical input whose
+//!   codes the view exposes ([`DesignView::cat_blocks`]: pool views and row
+//!   subsets of them). Per node the samples are resolved to storage rows
+//!   once; then, per block, one pass over the codes fills an
+//!   `(arity + 1) × classes` count table whose last row counts missing
+//!   codes, and every indicator of the block is scored from that table.
+//!   Regression trees make the same single pass, accumulating each
+//!   indicator's `code ≠ c` target sums.
+//! * **Gather scan** for every other column: real inputs, and every column
+//!   of a view without blocks (owned [`frac_dataset::DesignMatrix`] inputs,
+//!   JL-projected designs). The node's samples are gathered into a
+//!   contiguous structure-of-arrays scratch buffer — `(value, label)` pairs
+//!   for classification, `(value, target)` for regression — sorted by value
+//!   with an unstable total-order sort, and swept left-to-right evaluating
+//!   every distinct threshold with O(1) incremental statistics: class counts
+//!   for classification, first/second moments for regression. The gather
+//!   reads feature values through the borrowed [`frac_dataset::ColRef`]
+//!   column path. Labels and targets are cached once per node, so the
+//!   per-sample closures are called `n` times per node instead of `n` times
+//!   per column. Two-valued columns skip the sort: a single counting pass
+//!   evaluates the column's only candidate threshold. Constant columns are
+//!   rejected without sorting.
+//!
+//! The count tables pick the split the gather scan picks, bit for bit, so
+//! `FracModel::fit_unpooled` (owned matrices, no blocks) is their whole-fit
+//! oracle. An indicator takes the values 0 and 1, so its one threshold is
+//! `0.5 * (0.0 + 1.0)` and its left side is `code ≠ c`. Classification left
+//! counts are the node counts minus table row `c` — the integers the
+//! two-valued scan counts. Regression sums are folded in sample order over
+//! the `code ≠ c` samples, which is the two-valued scan's own fold (the
+//! shortcut "node total − per-code sum" rounds differently). An indicator
+//! with no sample on one side is the scan's constant column and is skipped,
+//! and indicators are scored in column order, so [`beats`] sees every
+//! candidate in the scan's order.
+//!
+//! Entropy terms −(c/m)·ln(c/m) are read from a per-thread memo filled with
+//! that same expression for node sizes up to [`ENTROPY_MEMO_CAP`]; larger
+//! nodes compute each term inline.
 //!
 //! For **classification** the unstable sort is result-identical to the
 //! previous stable sort: the statistics inspected at distinct-value
@@ -37,21 +57,33 @@
 //! regression gains with a tolerance rather than bit-for-bit.
 //!
 //! Budget cooperation: both searches poll the [`TargetBudget`] every
-//! [`SCAN_CHECK_ELEMS`] gathered elements, so a single pathological column
-//! (or a very wide node) cannot blow past a deadline between the growers'
-//! per-expansion checks.
+//! [`SCAN_CHECK_ELEMS`] elements gathered or counted, so a single
+//! pathological column (or a very wide node) cannot blow past a deadline
+//! between the growers' per-expansion checks.
 //!
 //! The previous per-row probing implementation is compiled for tests only,
 //! as the oracle the scans above are checked against.
 
 use crate::budget::TargetBudget;
 use crate::fault::TrainError;
-use frac_dataset::DesignView;
+use frac_dataset::{CatBlock, DesignView};
+use std::cell::RefCell;
 
-/// Elements gathered between cooperative budget polls inside the split
-/// scan. Small enough that one interval is microseconds of work, large
-/// enough that the `Instant::now()` in a limited budget stays invisible.
+/// Elements gathered or counted between cooperative budget polls inside
+/// the split search. Small enough that one interval is microseconds of
+/// work, large enough that the `Instant::now()` in a limited budget stays
+/// invisible.
 const SCAN_CHECK_ELEMS: usize = 4096;
+
+/// Threshold of every one-hot indicator split: the gather scan's midpoint
+/// between an indicator's two values.
+const INDICATOR_THRESHOLD: f64 = 0.5 * (0.0 + 1.0);
+
+/// Largest node size whose entropy terms are memoized. A thread's memo
+/// holds −(c/m)·ln(c/m) for every `c ≤ m` up to the largest node it has
+/// searched, capped here: at most (cap + 1)(cap + 2)/2 `f64`s, which is
+/// 265,224 bytes per thread.
+const ENTROPY_MEMO_CAP: usize = 256;
 
 /// A chosen split: feature, threshold, and the impurity decrease it buys.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,21 +95,58 @@ pub(crate) struct SplitChoice {
     pub n_left: usize,
 }
 
+/// −(c/m)·ln(c/m): the one expression every entropy term is computed with,
+/// memoized or not.
+#[inline]
+fn entropy_term(c: usize, total: usize) -> f64 {
+    let p = c as f64 / total as f64;
+    -p * p.ln()
+}
+
+/// Entropy terms by (count, total), filled on demand; see
+/// [`ENTROPY_MEMO_CAP`].
+#[derive(Debug, Default)]
+struct EntropyMemo {
+    /// Row `m` — the terms `c = 0..=m` of total `m` — starts at `m(m+1)/2`.
+    terms: Vec<f64>,
+    /// Rows filled: totals `0..rows`.
+    rows: usize,
+}
+
+impl EntropyMemo {
+    /// Fill the rows for every total up to `n` (at most the cap).
+    fn ensure(&mut self, n: usize) {
+        let rows = n.min(ENTROPY_MEMO_CAP) + 1;
+        self.terms.reserve_exact((rows * (rows + 1) / 2).saturating_sub(self.terms.len()));
+        while self.rows < rows {
+            let m = self.rows;
+            self.terms.extend((0..=m).map(|c| entropy_term(c, m)));
+            self.rows += 1;
+        }
+    }
+
+    /// [`entropy_term`]`(c, total)`, from the memo when it holds `total`.
+    #[inline]
+    fn term(&self, c: usize, total: usize) -> f64 {
+        if total < self.rows {
+            self.terms[total * (total + 1) / 2 + c]
+        } else {
+            entropy_term(c, total)
+        }
+    }
+}
+
+thread_local! {
+    static ENTROPY_MEMO: RefCell<EntropyMemo> = RefCell::new(EntropyMemo::default());
+}
+
 /// Shannon entropy (nats) of a count vector.
 #[inline]
-pub(crate) fn counts_entropy(counts: &[usize], total: usize) -> f64 {
+fn counts_entropy(counts: &[usize], total: usize, memo: &EntropyMemo) -> f64 {
     if total == 0 {
         return 0.0;
     }
-    let n = total as f64;
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / n;
-            -p * p.ln()
-        })
-        .sum()
+    counts.iter().filter(|&&c| c > 0).map(|&c| memo.term(c, total)).sum()
 }
 
 /// Shannon entropy (nats) of the complement counts `node - left`, computed
@@ -85,20 +154,35 @@ pub(crate) fn counts_entropy(counts: &[usize], total: usize) -> f64 {
 /// matches [`counts_entropy`] exactly, so the f64 sum is bit-identical to
 /// the old collect-then-fold path.
 #[inline]
-fn residual_entropy(left: &[usize], node: &[usize], total: usize) -> f64 {
+fn residual_entropy(left: &[usize], node: &[usize], total: usize, memo: &EntropyMemo) -> f64 {
     if total == 0 {
         return 0.0;
     }
-    let n = total as f64;
     let mut h = 0.0;
     for (&l, &t) in left.iter().zip(node) {
         let c = t - l;
         if c > 0 {
-            let p = c as f64 / n;
-            h += -p * p.ln();
+            h += memo.term(c, total);
         }
     }
     h
+}
+
+/// Information gain of sending `n_left` of the node's `n` samples, with
+/// class counts `left`, to the left child.
+#[inline]
+fn entropy_gain(
+    parent_entropy: f64,
+    left: &[usize],
+    node: &[usize],
+    n_left: usize,
+    n: usize,
+    memo: &EntropyMemo,
+) -> f64 {
+    let h_left = counts_entropy(left, n_left, memo);
+    let h_right = residual_entropy(left, node, n - n_left, memo);
+    let weighted = (n_left as f64 * h_left + (n - n_left) as f64 * h_right) / n as f64;
+    parent_entropy - weighted
 }
 
 /// Sum of squared deviations from the mean, from raw moments.
@@ -109,6 +193,21 @@ fn sse(sum: f64, sum_sq: f64, n: usize) -> f64 {
     }
     let nf = n as f64;
     (sum_sq - sum * sum / nf).max(0.0)
+}
+
+/// SSE decrease of sending `n_left` of the node's `n` samples, with target
+/// moments `left_sum`/`left_sq`, to the left child.
+#[inline]
+fn sse_gain(
+    parent_sse: f64,
+    (left_sum, left_sq): (f64, f64),
+    (total_sum, total_sq): (f64, f64),
+    n_left: usize,
+    n: usize,
+) -> f64 {
+    let child_sse =
+        sse(left_sum, left_sq, n_left) + sse(total_sum - left_sum, total_sq - left_sq, n - n_left);
+    parent_sse - child_sse
 }
 
 /// Scratch buffers reused across nodes to avoid per-node allocation.
@@ -125,6 +224,16 @@ pub(crate) struct SplitScratch {
     pub labels: Vec<u32>,
     /// Regression target of each node sample, cached once per node.
     pub targets: Vec<f64>,
+    /// Storage row of each node sample, resolved once per node for the
+    /// count tables.
+    pub rows: Vec<usize>,
+    /// One block's count table: `(arity + 1) × classes` for
+    /// classification, `arity + 1` for regression; the last row counts
+    /// missing codes.
+    pub table: Vec<usize>,
+    /// Per-indicator target sum and squared sum over `code ≠ c`
+    /// (regression only).
+    pub off_moments: Vec<(f64, f64)>,
 }
 
 impl SplitScratch {
@@ -136,6 +245,9 @@ impl SplitScratch {
             node_counts: vec![0; arity],
             labels: Vec::new(),
             targets: Vec::new(),
+            rows: Vec::new(),
+            table: Vec::new(),
+            off_moments: Vec::new(),
         }
     }
 }
@@ -149,6 +261,66 @@ fn beats(best: &Option<SplitChoice>, gain: f64, feature: usize, threshold: f64) 
         gain > b.gain + 1e-15
             || ((gain - b.gain).abs() <= 1e-15 && (feature, threshold) < (b.feature, b.threshold))
     })
+}
+
+/// Keep `cand` if its gain clears `min_gain` and beats the incumbent.
+#[inline]
+fn offer(best: &mut Option<SplitChoice>, cand: SplitChoice, min_gain: f64) {
+    if cand.gain > min_gain && beats(best, cand.gain, cand.feature, cand.threshold) {
+        *best = Some(cand);
+    }
+}
+
+/// One step of the column walk: a column for the gather scan, or a whole
+/// categorical block for its count table.
+enum Unit<'a> {
+    Column(usize),
+    Block(&'a CatBlock<'a>),
+}
+
+/// The columns `0..n_cols` in ascending order, each block taken whole.
+fn units<'a>(n_cols: usize, blocks: &'a [CatBlock<'a>]) -> impl Iterator<Item = Unit<'a>> {
+    let (mut f, mut next) = (0usize, 0usize);
+    std::iter::from_fn(move || {
+        if f >= n_cols {
+            return None;
+        }
+        match blocks.get(next) {
+            Some(block) if block.first == f => {
+                next += 1;
+                f += block.arity;
+                Some(Unit::Block(block))
+            }
+            _ => {
+                f += 1;
+                Some(Unit::Column(f - 1))
+            }
+        }
+    })
+}
+
+/// Resolve the node's samples to storage rows when `x` has blocks, and
+/// return the blocks (empty when it has none).
+fn node_blocks<'x>(
+    x: &'x dyn DesignView,
+    samples: &[usize],
+    rows: &mut Vec<usize>,
+) -> &'x [CatBlock<'x>] {
+    rows.clear();
+    match x.cat_blocks() {
+        Some(blocks) => {
+            blocks.resolve_rows(samples, rows);
+            blocks.blocks()
+        }
+        None => &[],
+    }
+}
+
+/// Is an indicator with `n_right` of the node's `n` samples at `code == c`
+/// a legal split? Zero samples on a side is the scan's constant column.
+#[inline]
+fn indicator_splits(n_right: usize, n: usize, min_leaf: usize) -> bool {
+    n_right > 0 && n_right < n && n_right >= min_leaf && n - n_right >= min_leaf
 }
 
 /// Best entropy-gain split for a classification node.
@@ -172,26 +344,78 @@ pub(crate) fn best_classification_split(
     if n < 2 * min_leaf {
         return Ok(None);
     }
-    let SplitScratch { cpairs, left_counts, node_counts, labels, .. } = scratch;
+    ENTROPY_MEMO.with_borrow_mut(|memo| {
+        memo.ensure(n);
+        classification_search(samples, x, label, arity, min_leaf, min_gain, scratch, budget, memo)
+    })
+}
+
+/// [`best_classification_split`] with the thread's entropy memo in hand.
+#[allow(clippy::too_many_arguments)]
+fn classification_search(
+    samples: &[usize],
+    x: &dyn DesignView,
+    label: &dyn Fn(usize) -> u32,
+    arity: usize,
+    min_leaf: usize,
+    min_gain: f64,
+    scratch: &mut SplitScratch,
+    budget: &TargetBudget,
+    memo: &EntropyMemo,
+) -> Result<Option<SplitChoice>, TrainError> {
+    let n = samples.len();
+    let SplitScratch { cpairs, left_counts, node_counts, labels, rows, table, .. } = scratch;
     labels.clear();
     labels.extend(samples.iter().map(|&s| label(s)));
     node_counts.iter_mut().for_each(|c| *c = 0);
     for &l in labels.iter() {
         node_counts[l as usize] += 1;
     }
-    let parent_entropy = counts_entropy(node_counts, n);
+    let parent_entropy = counts_entropy(node_counts, n, memo);
     if parent_entropy <= 0.0 {
         return Ok(None); // pure node
     }
 
+    let blocks = node_blocks(x, samples, rows);
     let mut best: Option<SplitChoice> = None;
     let mut since_check = 0usize;
-    for f in 0..x.n_cols() {
+    for unit in units(x.n_cols(), blocks) {
         since_check += n;
         if since_check >= SCAN_CHECK_ELEMS {
             budget.check()?;
             since_check = 0;
         }
+        let f = match unit {
+            Unit::Column(f) => f,
+            Unit::Block(block) => {
+                // Row `c` of the table holds the class counts of
+                // `code == c` — the indicator's right side.
+                let width = block.arity;
+                table.clear();
+                table.resize((width + 1) * arity, 0);
+                for (&r, &l) in rows.iter().zip(labels.iter()) {
+                    let code = (block.codes[r] as usize).min(width);
+                    table[code * arity + l as usize] += 1;
+                }
+                for (c, right) in table.chunks_exact(arity).take(width).enumerate() {
+                    let n_right: usize = right.iter().sum();
+                    if !indicator_splits(n_right, n, min_leaf) {
+                        continue;
+                    }
+                    for ((lc, &t), &rc) in left_counts.iter_mut().zip(node_counts.iter()).zip(right)
+                    {
+                        *lc = t - rc;
+                    }
+                    let n_left = n - n_right;
+                    let gain =
+                        entropy_gain(parent_entropy, left_counts, node_counts, n_left, n, memo);
+                    let (feature, threshold) = (block.first + c, INDICATOR_THRESHOLD);
+                    offer(&mut best, SplitChoice { feature, threshold, gain, n_left }, min_gain);
+                }
+                continue;
+            }
+        };
+
         let col = x.col(f);
         cpairs.clear();
         let (mut vmin, mut vmax) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -209,10 +433,10 @@ pub(crate) fn best_classification_split(
             continue; // constant column (±0.0 mixes included) — no threshold
         }
 
-        // Two-valued column (every one-hot indicator): the only candidate
-        // threshold sits between `vmin` and `vmax`, and its left side is
-        // exactly the `vmin` group — integer counts, so the gain below is
-        // bit-identical to the sorted sweep's.
+        // Two-valued column: the only candidate threshold sits between
+        // `vmin` and `vmax`, and its left side is exactly the `vmin` group
+        // — integer counts, so the gain below is bit-identical to the
+        // sorted sweep's.
         left_counts.iter_mut().for_each(|c| *c = 0);
         let (mut n_min, mut n_max) = (0usize, 0usize);
         for &(v, l) in cpairs.iter() {
@@ -225,15 +449,9 @@ pub(crate) fn best_classification_split(
         }
         if n_min + n_max == n {
             if n_min >= min_leaf && n - n_min >= min_leaf {
-                let h_left = counts_entropy(left_counts, n_min);
-                let h_right = residual_entropy(left_counts, node_counts, n - n_min);
-                let weighted =
-                    (n_min as f64 * h_left + (n - n_min) as f64 * h_right) / n as f64;
-                let gain = parent_entropy - weighted;
-                let threshold = 0.5 * (vmin + vmax);
-                if gain > min_gain && beats(&best, gain, f, threshold) {
-                    best = Some(SplitChoice { feature: f, threshold, gain, n_left: n_min });
-                }
+                let gain = entropy_gain(parent_entropy, left_counts, node_counts, n_min, n, memo);
+                let (threshold, n_left) = (0.5 * (vmin + vmax), n_min);
+                offer(&mut best, SplitChoice { feature: f, threshold, gain, n_left }, min_gain);
             }
             continue;
         }
@@ -252,17 +470,10 @@ pub(crate) fn best_classification_split(
             if n_left < min_leaf || n - n_left < min_leaf {
                 continue;
             }
-            let h_left = counts_entropy(left_counts, n_left);
-            let h_right = residual_entropy(left_counts, node_counts, n - n_left);
-            let weighted =
-                (n_left as f64 * h_left + (n - n_left) as f64 * h_right) / n as f64;
-            let gain = parent_entropy - weighted;
+            let gain = entropy_gain(parent_entropy, left_counts, node_counts, n_left, n, memo);
             let threshold = 0.5 * (v + v_next);
-            if gain > min_gain && beats(&best, gain, f, threshold) {
-                best = Some(SplitChoice { feature: f, threshold, gain, n_left });
-            }
+            offer(&mut best, SplitChoice { feature: f, threshold, gain, n_left }, min_gain);
         }
-        let _ = arity;
     }
     Ok(best)
 }
@@ -283,7 +494,7 @@ pub(crate) fn best_regression_split(
     if n < 2 * min_leaf {
         return Ok(None);
     }
-    let SplitScratch { rpairs, targets, .. } = scratch;
+    let SplitScratch { rpairs, targets, rows, table, off_moments, .. } = scratch;
     targets.clear();
     targets.extend(samples.iter().map(|&s| target(s)));
     let (mut total_sum, mut total_sq) = (0.0f64, 0.0f64);
@@ -291,19 +502,54 @@ pub(crate) fn best_regression_split(
         total_sum += y;
         total_sq += y * y;
     }
+    let totals = (total_sum, total_sq);
     let parent_sse = sse(total_sum, total_sq, n);
     if parent_sse <= 0.0 {
         return Ok(None); // constant target
     }
 
+    let blocks = node_blocks(x, samples, rows);
     let mut best: Option<SplitChoice> = None;
     let mut since_check = 0usize;
-    for f in 0..x.n_cols() {
+    for unit in units(x.n_cols(), blocks) {
         since_check += n;
         if since_check >= SCAN_CHECK_ELEMS {
             budget.check()?;
             since_check = 0;
         }
+        let f = match unit {
+            Unit::Column(f) => f,
+            Unit::Block(block) => {
+                // Indicator `c`'s left side is `code ≠ c`: its moments fold
+                // in sample order, exactly as the two-valued scan's do.
+                let width = block.arity;
+                table.clear();
+                table.resize(width + 1, 0);
+                off_moments.clear();
+                off_moments.resize(width, (0.0, 0.0));
+                for (&r, &y) in rows.iter().zip(targets.iter()) {
+                    let code = (block.codes[r] as usize).min(width);
+                    table[code] += 1;
+                    for (c, (sum, sq)) in off_moments.iter_mut().enumerate() {
+                        if c != code {
+                            *sum += y;
+                            *sq += y * y;
+                        }
+                    }
+                }
+                for (c, (&n_right, &left)) in table.iter().zip(off_moments.iter()).enumerate() {
+                    if !indicator_splits(n_right, n, min_leaf) {
+                        continue;
+                    }
+                    let n_left = n - n_right;
+                    let gain = sse_gain(parent_sse, left, totals, n_left, n);
+                    let (feature, threshold) = (block.first + c, INDICATOR_THRESHOLD);
+                    offer(&mut best, SplitChoice { feature, threshold, gain, n_left }, min_gain);
+                }
+                continue;
+            }
+        };
+
         let col = x.col(f);
         rpairs.clear();
         let (mut vmin, mut vmax) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -337,13 +583,9 @@ pub(crate) fn best_regression_split(
         }
         if n_min + n_max == n {
             if n_min >= min_leaf && n - n_min >= min_leaf {
-                let child_sse = sse(min_sum, min_sq, n_min)
-                    + sse(total_sum - min_sum, total_sq - min_sq, n - n_min);
-                let gain = parent_sse - child_sse;
-                let threshold = 0.5 * (vmin + vmax);
-                if gain > min_gain && beats(&best, gain, f, threshold) {
-                    best = Some(SplitChoice { feature: f, threshold, gain, n_left: n_min });
-                }
+                let gain = sse_gain(parent_sse, (min_sum, min_sq), totals, n_min, n);
+                let (threshold, n_left) = (0.5 * (vmin + vmax), n_min);
+                offer(&mut best, SplitChoice { feature: f, threshold, gain, n_left }, min_gain);
             }
             continue;
         }
@@ -363,13 +605,9 @@ pub(crate) fn best_regression_split(
             if n_left < min_leaf || n - n_left < min_leaf {
                 continue;
             }
-            let child_sse = sse(left_sum, left_sq, n_left)
-                + sse(total_sum - left_sum, total_sq - left_sq, n - n_left);
-            let gain = parent_sse - child_sse;
+            let gain = sse_gain(parent_sse, (left_sum, left_sq), totals, n_left, n);
             let threshold = 0.5 * (v + v_next);
-            if gain > min_gain && beats(&best, gain, f, threshold) {
-                best = Some(SplitChoice { feature: f, threshold, gain, n_left });
-            }
+            offer(&mut best, SplitChoice { feature: f, threshold, gain, n_left }, min_gain);
         }
     }
     Ok(best)
@@ -396,7 +634,9 @@ fn legacy_classification_split(
     for &s in samples {
         scratch.node_counts[label(s) as usize] += 1;
     }
-    let parent_entropy = counts_entropy(&scratch.node_counts, n);
+    // An empty memo: every term is computed inline.
+    let memo = EntropyMemo::default();
+    let parent_entropy = counts_entropy(&scratch.node_counts, n, &memo);
     if parent_entropy <= 0.0 {
         return None; // pure node
     }
@@ -420,14 +660,14 @@ fn legacy_classification_split(
             if n_left < min_leaf || n - n_left < min_leaf {
                 continue;
             }
-            let h_left = counts_entropy(&scratch.left_counts, n_left);
+            let h_left = counts_entropy(&scratch.left_counts, n_left, &memo);
             let right_counts: Vec<usize> = scratch
                 .left_counts
                 .iter()
                 .zip(&scratch.node_counts)
                 .map(|(&l, &t)| t - l)
                 .collect();
-            let h_right = counts_entropy(&right_counts, n - n_left);
+            let h_right = counts_entropy(&right_counts, n - n_left, &memo);
             let weighted =
                 (n_left as f64 * h_left + (n - n_left) as f64 * h_right) / n as f64;
             let gain = parent_entropy - weighted;
@@ -501,7 +741,10 @@ fn legacy_regression_split(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frac_dataset::DesignMatrix;
+    use frac_dataset::dataset::{DatasetBuilder, MISSING_CODE};
+    use frac_dataset::design::DesignSpec;
+    use frac_dataset::{Column, Dataset, DesignMatrix, PoolSpec, RowSubset};
+    use proptest::prelude::*;
 
     fn matrix(rows: &[&[f64]]) -> DesignMatrix {
         let n_cols = rows[0].len();
@@ -551,8 +794,9 @@ mod tests {
 
     #[test]
     fn entropy_of_counts() {
-        assert_eq!(counts_entropy(&[4, 0], 4), 0.0);
-        assert!((counts_entropy(&[2, 2], 4) - 2.0f64.ln()).abs() < 1e-12);
+        let memo = EntropyMemo::default();
+        assert_eq!(counts_entropy(&[4, 0], 4, &memo), 0.0);
+        assert!((counts_entropy(&[2, 2], 4, &memo) - 2.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -561,10 +805,14 @@ mod tests {
         let left = [2usize, 3, 1, 0];
         let right: Vec<usize> = node.iter().zip(&left).map(|(&t, &l)| t - l).collect();
         let total: usize = right.iter().sum();
-        assert_eq!(
-            residual_entropy(&left, &node, total).to_bits(),
-            counts_entropy(&right, total).to_bits()
-        );
+        let mut memo = EntropyMemo::default();
+        for filled in [0, total] {
+            memo.ensure(filled);
+            assert_eq!(
+                residual_entropy(&left, &node, total, &memo).to_bits(),
+                counts_entropy(&right, total, &memo).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -814,5 +1062,200 @@ mod tests {
             &budget,
         );
         assert!(r.is_err(), "expired budget must abort the scan");
+    }
+    #[test]
+    fn entropy_memo_matches_direct_expression() {
+        let mut memo = EntropyMemo::default();
+        memo.ensure(ENTROPY_MEMO_CAP + 50);
+        assert_eq!(memo.rows, ENTROPY_MEMO_CAP + 1, "the memo stops at its cap");
+        for n in 1..=ENTROPY_MEMO_CAP {
+            for c in 0..=n {
+                let p = c as f64 / n as f64;
+                let direct = -p * p.ln();
+                let memoized = memo.term(c, n);
+                if c == 0 {
+                    // 0·ln 0 is NaN either way; the entropy sums never
+                    // look up a zero count.
+                    assert!(memoized.is_nan() && direct.is_nan());
+                } else {
+                    assert_eq!(memoized.to_bits(), direct.to_bits(), "c={c} n={n}");
+                }
+            }
+        }
+    }
+
+    /// splitmix64: a self-contained generator for the conformance data.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(state: &mut u64, n: usize) -> usize {
+        (mix(state) % n as u64) as usize
+    }
+
+    /// `n_cat` categorical features (arity 1–5, about 10% missing codes)
+    /// and one real column at a random schema position, over `n_rows` rows.
+    fn conformance_data(n_cat: usize, n_rows: usize, state: &mut u64) -> Dataset {
+        let real_at = below(state, n_cat + 1);
+        let mut b = DatasetBuilder::new();
+        for j in 0..=n_cat {
+            if j == real_at {
+                let values = (0..n_rows).map(|_| below(state, 7) as f64 * 0.5 - 1.0).collect();
+                b = b.real("real", values);
+                continue;
+            }
+            let arity = 1 + below(state, 5) as u32;
+            let codes = (0..n_rows)
+                .map(|_| {
+                    if below(state, 10) == 0 {
+                        MISSING_CODE
+                    } else {
+                        below(state, arity as usize) as u32
+                    }
+                })
+                .collect();
+            b = b.categorical(format!("cat{j}"), arity, codes);
+        }
+        b.build()
+    }
+
+    /// A random subset of `0..n` of at least `min` rows, in random order.
+    fn shuffled_subset(state: &mut u64, n: usize, min: usize) -> Vec<usize> {
+        let mut rows: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rows.swap(i, below(state, i + 1));
+        }
+        let keep = min.min(n) + below(state, n - min.min(n) + 1);
+        rows.truncate(keep);
+        rows
+    }
+
+    /// Both searches on one node of two views, as comparable bit patterns.
+    #[allow(clippy::type_complexity)]
+    fn both_kinds(
+        x: &dyn DesignView,
+        samples: &[usize],
+        labels: &[u32],
+        targets: &[f64],
+        classes: usize,
+        min_leaf: usize,
+    ) -> [Option<(usize, u64, usize, u64)>; 2] {
+        let bits = |c: Option<SplitChoice>| {
+            c.map(|c| (c.feature, c.threshold.to_bits(), c.n_left, c.gain.to_bits()))
+        };
+        let budget = TargetBudget::unlimited();
+        let mut s = SplitScratch::new(classes);
+        let class = best_classification_split(
+            samples,
+            x,
+            &|r| labels[r],
+            classes,
+            min_leaf,
+            1e-12,
+            &mut s,
+            &budget,
+        );
+        let reg =
+            best_regression_split(samples, x, &|r| targets[r], min_leaf, 1e-12, &mut s, &budget);
+        [bits(class.unwrap()), bits(reg.unwrap())]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn count_tables_match_the_gather_scan(
+            n_cat in 1usize..7,
+            n_rows in 6usize..40,
+            classes in 2usize..5,
+            min_leaf in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed;
+            let data = conformance_data(n_cat, n_rows, &mut state);
+            let n_features = data.n_features();
+            let all: Vec<usize> = (0..n_features).collect();
+            // Every feature but (sometimes) one, so views have gaps.
+            let drop = below(&mut state, n_features + 1);
+            let inputs: Vec<usize> = all.iter().copied().filter(|&j| j != drop).collect();
+            let pool = PoolSpec::fit(&data, &all, true).encode(&data);
+            let pooled = pool.view(&inputs);
+            let owned = DesignSpec::fit(&data, &inputs, true).encode(&data);
+            prop_assert!(owned.cat_blocks().is_none());
+            let n_cat_inputs = inputs
+                .iter()
+                .filter(|&&j| matches!(data.column(j), Column::Categorical { .. }))
+                .count();
+            prop_assert_eq!(pooled.cat_blocks().map_or(0, |b| b.blocks().len()), n_cat_inputs);
+
+            let rows1 = shuffled_subset(&mut state, n_rows, 4);
+            let rows2 = shuffled_subset(&mut state, rows1.len(), 4);
+            let p1 = RowSubset::new(&pooled, &rows1);
+            let p2 = RowSubset::new(&p1, &rows2[..]);
+            let o1 = RowSubset::new(&owned, &rows1);
+            let o2 = RowSubset::new(&o1, &rows2[..]);
+            let levels: [(&dyn DesignView, &dyn DesignView); 3] =
+                [(&pooled, &owned), (&p1, &o1), (&p2, &o2)];
+            for (level, (tables, scan)) in levels.into_iter().enumerate() {
+                let n = tables.n_rows();
+                // Labels follow one categorical input most of the time, so
+                // indicator splits have real gain to compete on.
+                let guide = tables.cat_blocks().map(|b| b.blocks()[0]);
+                let mut rows = Vec::new();
+                if let Some(blocks) = tables.cat_blocks() {
+                    blocks.resolve_rows(&(0..n).collect::<Vec<_>>(), &mut rows);
+                }
+                let labels: Vec<u32> = (0..n)
+                    .map(|i| match guide {
+                        Some(g) if below(&mut state, 4) != 0 => {
+                            (g.codes[rows[i]] as usize).min(g.arity) as u32 % classes as u32
+                        }
+                        _ => below(&mut state, classes) as u32,
+                    })
+                    .collect();
+                // Noise with a full mantissa, so moment sums round and a
+                // different fold order would show in the gain bits.
+                let targets: Vec<f64> = labels
+                    .iter()
+                    .map(|&l| l as f64 + (mix(&mut state) >> 11) as f64 * 1e-16 - 0.45)
+                    .collect();
+                let samples = shuffled_subset(&mut state, n, 2);
+                let a = both_kinds(tables, &samples, &labels, &targets, classes, min_leaf);
+                let b = both_kinds(scan, &samples, &labels, &targets, classes, min_leaf);
+                prop_assert_eq!(a, b, "level {}: classification, regression", level);
+            }
+        }
+    }
+
+    #[test]
+    fn block_pass_trips_expired_budget() {
+        // Eighty ternary features and nothing else: every poll of the
+        // search happens between block passes (64 × 80 > SCAN_CHECK_ELEMS).
+        let n_rows = 64usize;
+        let mut b = DatasetBuilder::new();
+        for j in 0..80 {
+            let codes = (0..n_rows).map(|i| ((i * 7 + j) % 3) as u32).collect();
+            b = b.categorical(format!("snp{j}"), 3, codes);
+        }
+        let data = b.build();
+        let all: Vec<usize> = (0..data.n_features()).collect();
+        let pool = PoolSpec::fit(&data, &all, true).encode(&data);
+        let view = pool.view(&all);
+        assert_eq!(view.cat_blocks().map(|b| b.blocks().len()), Some(80));
+        let ys: Vec<u32> = (0..n_rows).map(|i| (i % 2) as u32).collect();
+        let samples: Vec<usize> = (0..n_rows).collect();
+        let budget =
+            crate::budget::RunBudget::with_deadline(std::time::Duration::ZERO).start_target();
+        let mut s = SplitScratch::new(2);
+        let class =
+            best_classification_split(&samples, &view, &|r| ys[r], 2, 1, 1e-12, &mut s, &budget);
+        assert_eq!(class, Err(TrainError::DeadlineExceeded));
+        let reg =
+            best_regression_split(&samples, &view, &|r| ys[r] as f64, 1, 1e-12, &mut s, &budget);
+        assert_eq!(reg, Err(TrainError::DeadlineExceeded));
     }
 }

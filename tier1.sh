@@ -32,6 +32,11 @@ cargo build --release -p frac -p frac-cli
 #   models fitted from a memory-mapped FCB file score bit-identically to
 #   TSV-fitted ones at any thread count.
 cargo test -q --workspace
+# Shard supervision once more in release: fast fits put many records in
+# one journal flush window, which is where an abort-after fault must still
+# kill a worker at exactly its record count. The debug build rarely gets
+# there.
+cargo test --release -q -p frac-core --test shard_supervision
 cargo clippy --workspace -- -D warnings
 # frac-core and frac-learn deny unwrap/expect in non-test code via
 # crate-root cfg_attr (flags passed here would leak into dependency
@@ -123,6 +128,13 @@ timeout 120 ./target/release/frac train \
   --test "$smoke_dir/autism.test.tsv" \
   > "$smoke_dir/score-tsv.tsv" 2> /dev/null
 cmp "$smoke_dir/score-fcb.tsv" "$smoke_dir/score-tsv.tsv"
+# Split pin: trees use no kernel tier, so the TSV-trained model is the same
+# file on every host. A change that moves a chosen split updates this
+# checksum and says why in CHANGES.md.
+model_crc="$(tail -1 "$smoke_dir/autism-tsv.frac")"
+if [ "$model_crc" != "crc 133744fa" ]; then
+  echo "split pin: autism --snp model ends in '$model_crc', want 'crc 133744fa'"; exit 1
+fi
 
 # Schema smoke: scoring a saved SNP model against an expression test file
 # must be refused — exit 1 with the schema error on stderr, never a panic
