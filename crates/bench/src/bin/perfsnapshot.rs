@@ -1,8 +1,7 @@
 //! Performance snapshot: the fast solver path (shrinking + warm starts +
 //! blocked kernels) against the strict reference solver on solver-bound
 //! SVM configurations (`BENCH_solver.json`), so the perf trajectory is
-//! tracked across PRs. Further families measure journal
-//! overhead (`BENCH_journal.json`), telemetry overhead
+//! tracked across PRs. Further families measure telemetry overhead
 //! (`BENCH_telemetry.json`), sharded-run scaling — per-shard journals
 //! fitted concurrently then merged, at 1/2/4 shards
 //! (`BENCH_shard.json`) — the SIMD kernel tier — per-kernel
@@ -20,11 +19,12 @@
 //! ```
 //!
 //! With no `--family` flag every family runs; `--family` (repeatable:
-//! `solver | journal | shard | telemetry | simd | gram | oocore`)
+//! `solver | shard | telemetry | simd | gram | oocore`)
 //! restricts the run to the named families. The whole fit (wall clock,
-//! encoded cells, peak bytes) and the serving path (cold start,
-//! single-record latency, saturated throughput) are measured end to end by
-//! the `ledger` benchmark instead.
+//! encoded cells, peak bytes), the journal (append time, bytes, overhead
+//! over a plain fit), model save and load, and the serving path (cold
+//! start, single-record latency, saturated throughput) are measured end to
+//! end by the `ledger` benchmark instead.
 //!
 //! Environment knobs: `FRAC_PERF_FEATURES` (default 400),
 //! `FRAC_PERF_ROWS` (default 80), `FRAC_PERF_REPS` (default 2; best of),
@@ -47,34 +47,6 @@ use std::time::Instant;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// One timed fit+score run.
-struct Snapshot {
-    fit_s: f64,
-    score_s: f64,
-}
-
-fn best_of<F: Fn() -> Snapshot>(reps: usize, run: F) -> Snapshot {
-    let mut best: Option<Snapshot> = None;
-    for _ in 0..reps {
-        let s = run();
-        if best.as_ref().is_none_or(|b| s.fit_s < b.fit_s) {
-            best = Some(s);
-        }
-    }
-    best.expect("at least one rep")
-}
-
-fn timed(train: &Dataset, test: &Dataset, plan: &TrainingPlan, config: &FracConfig) -> Snapshot {
-    let t0 = Instant::now();
-    let (model, _) = FracModel::fit(train, plan, config);
-    let fit_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let ns = model.score(test);
-    let score_s = t1.elapsed().as_secs_f64();
-    assert!(ns.iter().all(|s| s.is_finite()));
-    Snapshot { fit_s, score_s }
 }
 
 /// One timed fit+score run with the process-wide solver counters it drove.
@@ -178,71 +150,6 @@ fn solver_family_json(
         test.n_rows(),
         solver_mode_json(&strict),
         solver_mode_json(&fast),
-    )
-}
-
-/// Time one family through the plain fit and the journaled fit (fresh
-/// journal each rep — no resume) and render its JSON object with the wall
-/// overhead the write-ahead checkpointing costs.
-fn journal_family_json(
-    name: &str,
-    train: &Dataset,
-    test: &Dataset,
-    config: &FracConfig,
-    reps: usize,
-) -> String {
-    let plan = TrainingPlan::full(train.n_features());
-    let plain = best_of(reps, || timed(train, test, &plan, config));
-    let journal_path =
-        std::env::temp_dir().join(format!("frac-perf-journal-{name}.frj"));
-    let journaled = best_of(reps, || {
-        let _ = std::fs::remove_file(&journal_path);
-        let t0 = Instant::now();
-        let fit = FracModel::fit_journaled(
-            train,
-            &plan,
-            config,
-            &frac_core::RunBudget::unlimited(),
-            &journal_path,
-        )
-        .expect("journaled fit");
-        assert_eq!(fit.resumed, 0, "bench must measure a fresh run");
-        assert!(!fit.journal_broken);
-        let fit_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let ns = fit.model.score(test);
-        let score_s = t1.elapsed().as_secs_f64();
-        assert!(ns.iter().all(|s| s.is_finite()));
-        Snapshot { fit_s, score_s }
-    });
-    let journal_bytes = std::fs::metadata(&journal_path).map(|m| m.len()).unwrap_or(0);
-    let _ = std::fs::remove_file(&journal_path);
-    let overhead = journaled.fit_s / plain.fit_s - 1.0;
-    eprintln!(
-        "{name}: fit plain {:.3}s vs journaled {:.3}s ({:+.2}% overhead); \
-         journal {} bytes for {} targets",
-        plain.fit_s,
-        journaled.fit_s,
-        overhead * 100.0,
-        journal_bytes,
-        plan.n_targets(),
-    );
-    format!(
-        "  \"{name}\": {{\n    \
-         \"surrogate\": {{\"n_features\": {}, \"train_rows\": {}, \"test_rows\": {}}},\n    \
-         \"plain\": {{\"fit_wall_s\": {:.6}, \"score_wall_s\": {:.6}}},\n    \
-         \"journaled\": {{\"fit_wall_s\": {:.6}, \"score_wall_s\": {:.6}}},\n    \
-         \"journal_bytes\": {journal_bytes},\n    \
-         \"records\": {},\n    \
-         \"fit_overhead_fraction\": {overhead:.4}\n  }}",
-        train.n_features(),
-        train.n_rows(),
-        test.n_rows(),
-        plain.fit_s,
-        plain.score_s,
-        journaled.fit_s,
-        journaled.score_s,
-        plan.n_targets(),
     )
 }
 
@@ -843,8 +750,7 @@ fn main() {
     let reps = env_usize("FRAC_PERF_REPS", 2).max(1);
     let n_test = n_rows;
 
-    const FAMILIES: [&str; 7] =
-        ["solver", "journal", "shard", "telemetry", "simd", "gram", "oocore"];
+    const FAMILIES: [&str; 6] = ["solver", "shard", "telemetry", "simd", "gram", "oocore"];
     let mut selected: Vec<String> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -977,25 +883,6 @@ fn main() {
         let solver_json = format!("{{\n{sexpr_json},\n{ssnp_json}\n}}\n");
         std::fs::write("BENCH_solver.json", &solver_json).expect("write BENCH_solver.json");
         println!("{solver_json}");
-    }
-
-    if run("journal") {
-        // Journal overhead: the same fit with every completed target appended
-        // (checksummed + fsynced) to the write-ahead journal. The checkpoint
-        // write is one frame per *target*, so its cost amortizes over the
-        // target's whole ensemble fit; the budget is < 3% wall overhead.
-        let expr_journal = journal_family_json(
-            "expression",
-            &expr_train,
-            &expr_test,
-            &FracConfig::expression(),
-            reps,
-        );
-        let snp_journal =
-            journal_family_json("snp", &snp_train, &snp_test, &FracConfig::snp(), reps);
-        let journal_json = format!("{{\n{expr_journal},\n{snp_journal}\n}}\n");
-        std::fs::write("BENCH_journal.json", &journal_json).expect("write BENCH_journal.json");
-        println!("{journal_json}");
     }
 
     if run("shard") {

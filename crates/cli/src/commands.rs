@@ -923,9 +923,9 @@ mod tests {
         // Journaled train from scratch, then resume of the complete journal:
         // every target restores, nothing refits, same saved model.
         train(base.clone(), false).unwrap();
-        let first = std::fs::read_to_string(dir.join("m.frac")).unwrap();
+        let first = std::fs::read(dir.join("m.frac")).unwrap();
         train(TrainArgs { out: dir.join("m2.frac"), ..base.clone() }, true).unwrap();
-        let second = std::fs::read_to_string(dir.join("m2.frac")).unwrap();
+        let second = std::fs::read(dir.join("m2.frac")).unwrap();
         assert_eq!(first, second);
         // Resuming under a different seed must refuse the journal.
         let err = train(TrainArgs { seed: 7, ..base.clone() }, true).unwrap_err();
@@ -1014,7 +1014,7 @@ mod tests {
             ..TrainArgs::default()
         };
         train(base.clone(), false).unwrap();
-        let first = std::fs::read_to_string(dir.join("m.frac")).unwrap();
+        let first = std::fs::read(dir.join("m.frac")).unwrap();
         // Resume from the directory: both shard journals are complete, so
         // nothing refits and the saved model is byte-identical.
         train(
@@ -1027,7 +1027,7 @@ mod tests {
             true,
         )
         .unwrap();
-        let second = std::fs::read_to_string(dir.join("m2.frac")).unwrap();
+        let second = std::fs::read(dir.join("m2.frac")).unwrap();
         assert_eq!(first, second);
         // A foreign (wrong-seed) resume is refused per shard, naming the
         // config hash that differed.

@@ -12,10 +12,10 @@
 //!
 //! # File format
 //!
-//! A header, then zero or more records:
+//! A text header, then zero or more framed records:
 //!
 //! ```text
-//! fracjournal 1
+//! fracjournal 2
 //! config <hex u64>            FNV-1a of the FracConfig (Debug rendering)
 //! dataset <hex u64>           Dataset::fingerprint() of the training set
 //! plan <hex u64>              TrainingPlan::content_hash()
@@ -26,29 +26,18 @@
 //! rec ...
 //! ```
 //!
-//! Each record body is itself line-oriented text:
-//!
-//! ```text
-//! target <t>
-//! status fitted|dropped
-//! flops <u64>
-//! transient <u64>
-//! model_bytes <u64>
-//! n_models <u64>
-//! events <k>
-//! ev sanitized <cells>
-//! ev quarantined allmissing|zerovariance|singleclass <class>|nonfinite <cells>
-//! ev degraded <member> strict|baseline <detail…>
-//! ev memberdropped <member> <detail…>
-//! ev dropped <reason…>
-//! feature <t>                 (persist feature section, only when fitted)
-//! …
-//! ```
-//!
-//! The feature section is byte-identical to the one in the persisted model
-//! format ([`crate::persist`]), so a model assembled from journal records
+//! A v2 record body is little-endian binary ([`frac_dataset::binio`],
+//! FORMATS.md §4): the target, a fitted/dropped status byte, four `u64`
+//! cost counters, the health events (a tag byte, the event's fields, and
+//! a length-prefixed UTF-8 detail where the event has one), then — for a
+//! fitted target — the feature section, byte-identical to the one in model
+//! v5 ([`crate::persist`]), so a model assembled from journal records
 //! round-trips bit-exactly. SVM warm-start duals are *not* journaled — they
 //! only affect solve trajectories, never (in strict mode) results.
+//!
+//! Version 1 journals carried line-oriented text bodies. They are still
+//! scanned and resumed; opening one for append first rewrites it as v2, so
+//! a file never mixes body encodings.
 //!
 //! # Integrity rules
 //!
@@ -59,15 +48,18 @@
 //!   **fresh**: it is truncated and rewritten. A file whose first line is
 //!   not the journal magic is an error, never truncated — it is probably
 //!   not ours.
-//! * The first record whose frame, checksum, or body fails to validate
-//!   ends the valid region; the file is truncated there and appends
-//!   continue from that offset.
+//! * The first record whose frame or checksum fails to validate ends the
+//!   valid region; the file is truncated there and appends continue from
+//!   that offset. A record whose checksum passes but whose body does not
+//!   decode is an error ([`JournalError::Corrupt`]): those bytes are what
+//!   a writer committed, so the cause is format skew, not a torn write.
 
 use crate::health::{FallbackKind, TargetHealth, TargetOutcome};
 use crate::model::FeatureModel;
-use crate::persist::{parse_feature, write_feature};
+use crate::persist::{parse_feature, parse_section, write_section};
+use frac_dataset::binio::{ByteError, ByteReader, ByteWriter};
 use frac_dataset::crc::crc32;
-use frac_dataset::textio::{TextReader, TextWriter};
+use frac_dataset::textio::TextReader;
 use frac_dataset::QuarantineReason;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -81,7 +73,7 @@ use std::sync::Mutex;
 const SYNC_INTERVAL: std::time::Duration = std::time::Duration::from_millis(50);
 
 const JOURNAL_MAGIC: &str = "fracjournal";
-const JOURNAL_VERSION: u32 = 1;
+const JOURNAL_VERSION: u32 = 2;
 
 /// Compatibility header of a run journal: a resumed run must match every
 /// fingerprint or the journal's records are meaningless for it.
@@ -248,7 +240,7 @@ impl RunJournal {
         if bytes.is_empty() {
             return Ok((Self::create(&path, expected)?, Vec::new()));
         }
-        let scan = scan_bytes(&bytes)?;
+        let (scan, version) = scan_versioned(&bytes)?;
         let header = match scan.header {
             None => {
                 // Torn header: the only thing ever written was a partial
@@ -260,7 +252,12 @@ impl RunJournal {
         if header != *expected {
             return Err(JournalError::Mismatch(mismatch_detail(&header, expected)));
         }
-        if (scan.valid_len as usize) < bytes.len() {
+        if version < JOURNAL_VERSION {
+            // An older journal's intact records are rewritten in the
+            // current encoding before anything is appended (its torn tail
+            // goes with it).
+            rewrite_current(&path, &header, &scan.records)?;
+        } else if (scan.valid_len as usize) < bytes.len() {
             // Torn tail from a mid-append kill: drop it so the next append
             // starts at a record boundary.
             let f = std::fs::OpenOptions::new().write(true).open(&path)?;
@@ -305,7 +302,7 @@ impl RunJournal {
     /// then fsync once. On failure the journal is marked broken and the
     /// error returned; the caller may keep fitting (resume will simply
     /// refit the unlogged targets).
-    fn append_bodies(&self, bodies: impl Iterator<Item = String>) -> Result<(), JournalError> {
+    fn append_bodies(&self, bodies: impl Iterator<Item = Vec<u8>>) -> Result<(), JournalError> {
         self.write_bodies(bodies)?;
         self.sync()
     }
@@ -317,15 +314,8 @@ impl RunJournal {
     /// fast many-target workloads. Marks the journal broken on failure.
     /// While an abort-after fault is armed, only the records it still
     /// allows are written; the process then aborts on that boundary.
-    fn write_bodies(&self, bodies: impl Iterator<Item = String>) -> Result<(), JournalError> {
-        use std::fmt::Write as _;
-        let mut buf = String::new();
-        let mut n_records = 0usize;
-        for body in bodies.take(crate::fault::journal_records_allowed()) {
-            let _ = writeln!(buf, "rec {} {:08x}", body.len(), crc32(body.as_bytes()));
-            buf.push_str(&body);
-            n_records += 1;
-        }
+    fn write_bodies(&self, bodies: impl Iterator<Item = Vec<u8>>) -> Result<(), JournalError> {
+        let (buf, n_records) = frame(bodies.take(crate::fault::journal_records_allowed()));
         if buf.is_empty() {
             return Ok(());
         }
@@ -334,7 +324,7 @@ impl RunJournal {
                 Ok(f) => f,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            file.write_all(buf.as_bytes())?;
+            file.write_all(&buf)?;
             Ok(())
         })();
         if result.is_err() {
@@ -375,7 +365,7 @@ impl RunJournal {
     /// targets (plus an in-flight torn tail), which resume simply refits.
     /// Errors mark the journal broken and the loop keeps draining
     /// (discarding) so senders never block on a dead disk.
-    pub(crate) fn write_loop(&self, rx: std::sync::mpsc::Receiver<String>) {
+    pub(crate) fn write_loop(&self, rx: std::sync::mpsc::Receiver<Vec<u8>>) {
         use std::sync::mpsc::RecvTimeoutError;
         // `None` = everything written is synced; `Some(t)` = unsynced
         // records on disk, flush due at `t`.
@@ -441,6 +431,42 @@ fn sync_parent_dir(path: &Path) {
     }
 }
 
+/// Frame record bodies as `rec <len> <crc32 hex>\n<body>` into one buffer;
+/// returns the buffer and the number of records in it.
+fn frame(bodies: impl Iterator<Item = Vec<u8>>) -> (Vec<u8>, usize) {
+    let mut buf = Vec::new();
+    let mut n_records = 0usize;
+    for body in bodies {
+        buf.extend_from_slice(format!("rec {} {:08x}\n", body.len(), crc32(&body)).as_bytes());
+        buf.extend_from_slice(&body);
+        n_records += 1;
+    }
+    (buf, n_records)
+}
+
+/// Replace the journal at `path` with a current-version journal holding
+/// `records`: written beside it, fsynced, then renamed over it, so a crash
+/// mid-rewrite leaves the old file intact.
+fn rewrite_current(
+    path: &Path,
+    header: &JournalHeader,
+    records: &[TargetRecord],
+) -> Result<(), JournalError> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut bytes = header_text(header).into_bytes();
+    bytes.extend(frame(records.iter().map(|r| record_body(&r.as_parts()))).0);
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(&bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    sync_parent_dir(path);
+    Ok(())
+}
+
 fn header_text(h: &JournalHeader) -> String {
     format!(
         "{JOURNAL_MAGIC} {JOURNAL_VERSION}\nconfig {:016x}\ndataset {:016x}\nplan {:016x}\nplanned {}\nendheader\n",
@@ -499,14 +525,20 @@ fn parse_hex_field(line: &str, tag: &str) -> Option<u64> {
     u64::from_str_radix(rest.trim(), 16).ok()
 }
 
+/// A parsed header: the header, the journal's format version, and the
+/// byte offset just past the header.
+type ParsedHeader = (JournalHeader, u32, usize);
+
 /// Parse the header region. `Ok(None)` means torn-but-ours (start fresh);
 /// `Err` means the file is not a journal at all.
-fn parse_header(bytes: &[u8]) -> Result<Option<(JournalHeader, usize)>, JournalError> {
+fn parse_header(bytes: &[u8]) -> Result<Option<ParsedHeader>, JournalError> {
     let Some((first, mut pos)) = read_line(bytes, 0) else {
-        // No complete first line. If what's there is a prefix of our magic
-        // line it is a torn header; anything else is not our file.
-        let prefix = format!("{JOURNAL_MAGIC} {JOURNAL_VERSION}");
-        return if prefix.as_bytes().starts_with(bytes) {
+        // No complete first line. If what's there is a prefix of a magic
+        // line any version wrote it is a torn header; anything else is not
+        // our file.
+        let torn = (1..=JOURNAL_VERSION)
+            .any(|v| format!("{JOURNAL_MAGIC} {v}").as_bytes().starts_with(bytes));
+        return if torn {
             Ok(None)
         } else {
             Err(JournalError::Corrupt("not a fracjournal file".into()))
@@ -516,13 +548,13 @@ fn parse_header(bytes: &[u8]) -> Result<Option<(JournalHeader, usize)>, JournalE
     if fields.next() != Some(JOURNAL_MAGIC) {
         return Err(JournalError::Corrupt("not a fracjournal file".into()));
     }
-    match fields.next().and_then(|v| v.parse::<u32>().ok()) {
-        Some(v) if v <= JOURNAL_VERSION => {}
+    let version = match fields.next().and_then(|v| v.parse::<u32>().ok()) {
+        Some(v) if (1..=JOURNAL_VERSION).contains(&v) => v,
         Some(v) => {
             return Err(JournalError::Corrupt(format!("unsupported journal version {v}")));
         }
         None => return Ok(None),
-    }
+    };
     let mut take_hex = |tag: &str| -> Result<Option<u64>, JournalError> {
         match read_line(bytes, pos) {
             None => Ok(None),
@@ -554,6 +586,7 @@ fn parse_header(bytes: &[u8]) -> Result<Option<(JournalHeader, usize)>, JournalE
     match read_line(bytes, pos) {
         Some(("endheader", next)) => Ok(Some((
             JournalHeader { config_hash, dataset_fingerprint, plan_hash, planned },
+            version,
             next,
         ))),
         _ => Ok(None),
@@ -561,14 +594,21 @@ fn parse_header(bytes: &[u8]) -> Result<Option<(JournalHeader, usize)>, JournalE
 }
 
 fn scan_bytes(bytes: &[u8]) -> Result<JournalScan, JournalError> {
-    let Some((header, header_end)) = parse_header(bytes)? else {
-        return Ok(JournalScan {
+    scan_versioned(bytes).map(|(scan, _)| scan)
+}
+
+/// Scan a journal's bytes; also returns its format version (the current
+/// one for a torn header, which is rewritten fresh).
+fn scan_versioned(bytes: &[u8]) -> Result<(JournalScan, u32), JournalError> {
+    let Some((header, version, header_end)) = parse_header(bytes)? else {
+        let scan = JournalScan {
             header: None,
             header_end: 0,
             record_ends: Vec::new(),
             valid_len: 0,
             records: Vec::new(),
-        });
+        };
+        return Ok((scan, JOURNAL_VERSION));
     };
     let mut pos = header_end;
     let mut record_ends = Vec::new();
@@ -585,67 +625,190 @@ fn scan_bytes(bytes: &[u8]) -> Result<JournalScan, JournalError> {
         ) else {
             break;
         };
-        let Some(body) = bytes.get(body_start..body_start + len) else { break };
+        // One spelling per frame: a line the writer would not produce (hex
+        // case, leading zeros, extra fields) is damage like any other.
+        if line != format!("rec {len} {crc:08x}") {
+            break;
+        }
+        // The length comes from the file: a frame claiming more bytes than
+        // remain (or than an address can hold) is a torn or damaged tail.
+        let Some(end) = body_start.checked_add(len) else { break };
+        let Some(body) = bytes.get(body_start..end) else { break };
         if crc32(body) != crc {
             break;
         }
         // The frame checksum passed, so these are exactly the bytes a
         // writer committed: a parse failure here is format skew, not a
         // torn write, and silently truncating would discard good work.
-        let text = std::str::from_utf8(body)
-            .map_err(|_| JournalError::Corrupt("record body is not UTF-8".into()))?;
-        let rec = parse_record_body(text)?;
+        let rec = if version == 1 {
+            let text = std::str::from_utf8(body)
+                .map_err(|_| JournalError::Corrupt("record body is not UTF-8".into()))?;
+            parse_record_text(text)?
+        } else {
+            parse_record_body(body).map_err(|e| JournalError::Corrupt(format!("record body {e}")))?
+        };
         records.push(rec);
-        pos = body_start + len;
+        pos = end;
         record_ends.push(pos as u64);
     }
-    Ok(JournalScan {
+    let scan = JournalScan {
         header: Some(header),
         header_end: header_end as u64,
         record_ends,
         valid_len: pos as u64,
         records,
-    })
+    };
+    Ok((scan, version))
 }
 
-/// Newlines inside free-text diagnostics would break the line framing.
-fn one_line(s: &str) -> String {
-    s.replace(['\n', '\r'], " ")
-}
+/// Binary event tags of a v2 record (FORMATS.md §4).
+const EV_SANITIZED: u8 = 0;
+const EV_ALL_MISSING: u8 = 1;
+const EV_ZERO_VARIANCE: u8 = 2;
+const EV_SINGLE_CLASS: u8 = 3;
+const EV_NON_FINITE: u8 = 4;
+const EV_DEGRADED: u8 = 5;
+const EV_MEMBER_DROPPED: u8 = 6;
+const EV_DROPPED: u8 = 7;
+/// Fallback rungs of a degraded event.
+const RUNG_STRICT: u8 = 0;
+const RUNG_BASELINE: u8 = 1;
+/// Record status bytes.
+const STATUS_DROPPED: u8 = 0;
+const STATUS_FITTED: u8 = 1;
 
-fn write_event(w: &mut TextWriter, outcome: &TargetOutcome) {
+fn write_event(w: &mut ByteWriter, outcome: &TargetOutcome) {
     match outcome {
-        TargetOutcome::Sanitized { cells } => w.line("ev", ["sanitized".into(), cells.to_string()]),
+        TargetOutcome::Sanitized { cells } => {
+            w.u8(EV_SANITIZED);
+            w.u64(*cells as u64);
+        }
         TargetOutcome::Quarantined { reason } => match reason {
-            QuarantineReason::AllMissing => w.line("ev", ["quarantined", "allmissing"]),
-            QuarantineReason::ZeroVariance => w.line("ev", ["quarantined", "zerovariance"]),
+            QuarantineReason::AllMissing => w.u8(EV_ALL_MISSING),
+            QuarantineReason::ZeroVariance => w.u8(EV_ZERO_VARIANCE),
             QuarantineReason::SingleClass { class } => {
-                w.line("ev", ["quarantined".into(), "singleclass".into(), class.to_string()])
+                w.u8(EV_SINGLE_CLASS);
+                w.u32(*class);
             }
             QuarantineReason::NonFinite { cells } => {
-                w.line("ev", ["quarantined".into(), "nonfinite".into(), cells.to_string()])
+                w.u8(EV_NON_FINITE);
+                w.u64(*cells as u64);
             }
         },
         TargetOutcome::Degraded { member, fallback, detail } => {
-            let rung = match fallback {
-                FallbackKind::StrictSolver => "strict",
-                FallbackKind::Baseline => "baseline",
-            };
-            w.line(
-                "ev",
-                ["degraded".into(), member.to_string(), rung.into(), one_line(detail)],
-            )
+            w.u8(EV_DEGRADED);
+            w.len32(*member);
+            w.u8(match fallback {
+                FallbackKind::StrictSolver => RUNG_STRICT,
+                FallbackKind::Baseline => RUNG_BASELINE,
+            });
+            w.str(detail);
         }
-        TargetOutcome::MemberDropped { member, detail } => w.line(
-            "ev",
-            ["memberdropped".into(), member.to_string(), one_line(detail)],
-        ),
+        TargetOutcome::MemberDropped { member, detail } => {
+            w.u8(EV_MEMBER_DROPPED);
+            w.len32(*member);
+            w.str(detail);
+        }
         TargetOutcome::Dropped { reason } => {
-            w.line("ev", ["dropped".into(), one_line(reason)])
+            w.u8(EV_DROPPED);
+            w.str(reason);
         }
     }
 }
 
+fn read_cells(r: &mut ByteReader<'_>) -> Result<usize, ByteError> {
+    let at = r.offset();
+    let cells = r.u64("event cells")?;
+    usize::try_from(cells).map_err(|_| ByteError::new(at, format!("cell count {cells} overflows")))
+}
+
+fn read_event(r: &mut ByteReader<'_>) -> Result<TargetOutcome, ByteError> {
+    let at = r.offset();
+    let quarantined = |reason| TargetOutcome::Quarantined { reason };
+    Ok(match r.u8("event tag")? {
+        EV_SANITIZED => TargetOutcome::Sanitized { cells: read_cells(r)? },
+        EV_ALL_MISSING => quarantined(QuarantineReason::AllMissing),
+        EV_ZERO_VARIANCE => quarantined(QuarantineReason::ZeroVariance),
+        EV_SINGLE_CLASS => {
+            quarantined(QuarantineReason::SingleClass { class: r.u32("event class")? })
+        }
+        EV_NON_FINITE => quarantined(QuarantineReason::NonFinite { cells: read_cells(r)? }),
+        EV_DEGRADED => {
+            let member = r.index("event member")?;
+            let at = r.offset();
+            let fallback = match r.u8("event rung")? {
+                RUNG_STRICT => FallbackKind::StrictSolver,
+                RUNG_BASELINE => FallbackKind::Baseline,
+                rung => return Err(ByteError::new(at, format!("unknown fallback rung {rung}"))),
+            };
+            TargetOutcome::Degraded { member, fallback, detail: r.str("event detail")?.into() }
+        }
+        EV_MEMBER_DROPPED => TargetOutcome::MemberDropped {
+            member: r.index("event member")?,
+            detail: r.str("event detail")?.into(),
+        },
+        EV_DROPPED => TargetOutcome::Dropped { reason: r.str("event reason")?.into() },
+        tag => return Err(ByteError::new(at, format!("unknown event tag {tag}"))),
+    })
+}
+
+/// Serialize a v2 record body.
+pub(crate) fn record_body(rec: &RecordParts<'_>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.len32(rec.target);
+    w.u8(if rec.feature.is_some() { STATUS_FITTED } else { STATUS_DROPPED });
+    w.u64(rec.flops);
+    w.u64(rec.transient);
+    w.u64(rec.model_bytes);
+    w.u64(rec.n_models);
+    w.len32(rec.outcomes.len());
+    for outcome in &rec.outcomes {
+        write_event(&mut w, outcome);
+    }
+    if let Some(fm) = rec.feature {
+        write_section(&mut w, fm);
+    }
+    w.finish()
+}
+
+/// Parse a v2 record body: every field, every event, the feature section
+/// of a fitted target, and nothing after it.
+fn parse_record_body(body: &[u8]) -> Result<TargetRecord, ByteError> {
+    let mut r = ByteReader::new(body);
+    let target = r.index("record target")?;
+    let at = r.offset();
+    let fitted = match r.u8("record status")? {
+        STATUS_FITTED => true,
+        STATUS_DROPPED => false,
+        status => return Err(ByteError::new(at, format!("bad record status {status}"))),
+    };
+    let flops = r.u64("flops")?;
+    let transient = r.u64("transient")?;
+    let model_bytes = r.u64("model_bytes")?;
+    let n_models = r.u64("n_models")?;
+    let n_events = r.count("events", 1)?;
+    let mut health = Vec::with_capacity(n_events);
+    for _ in 0..n_events {
+        health.push(read_event(&mut r)?);
+    }
+    let feature = if fitted {
+        let at = r.offset();
+        let fm = parse_section(&mut r)?;
+        if fm.target != target {
+            return Err(ByteError::new(
+                at,
+                format!("record for target {target} carries a model for target {}", fm.target),
+            ));
+        }
+        Some(fm)
+    } else {
+        None
+    };
+    r.finish("record")?;
+    Ok(TargetRecord { target, feature, health, flops, transient, model_bytes, n_models })
+}
+
+/// Parse one event line of a v1 (text) record.
 fn parse_event(fields: &[&str]) -> Result<TargetOutcome, JournalError> {
     let bad = || JournalError::Corrupt(format!("bad event line: ev {}", fields.join(" ")));
     match fields.first().copied() {
@@ -689,25 +852,8 @@ fn parse_event(fields: &[&str]) -> Result<TargetOutcome, JournalError> {
     }
 }
 
-pub(crate) fn record_body(rec: &RecordParts<'_>) -> String {
-    let mut w = TextWriter::new();
-    w.line("target", [rec.target]);
-    w.line("status", [if rec.feature.is_some() { "fitted" } else { "dropped" }]);
-    w.line("flops", [rec.flops]);
-    w.line("transient", [rec.transient]);
-    w.line("model_bytes", [rec.model_bytes]);
-    w.line("n_models", [rec.n_models]);
-    w.line("events", [rec.outcomes.len()]);
-    for outcome in &rec.outcomes {
-        write_event(&mut w, outcome);
-    }
-    if let Some(fm) = rec.feature {
-        write_feature(&mut w, fm);
-    }
-    w.finish()
-}
-
-fn parse_record_body(text: &str) -> Result<TargetRecord, JournalError> {
+/// Parse a v1 (text) record body.
+fn parse_record_text(text: &str) -> Result<TargetRecord, JournalError> {
     let corrupt = |e: frac_dataset::textio::TextError| JournalError::Corrupt(e.to_string());
     let mut r = TextReader::new(text);
     let target: usize = r.parse_one("target").map_err(corrupt)?;
@@ -910,20 +1056,74 @@ mod tests {
         let body = record_body(&rec.as_parts());
         let back = parse_record_body(&body).unwrap();
         assert_eq!(back.target, 5);
-        assert_eq!(back.health.len(), rec.health.len());
-        // The multi-line detail is flattened, everything else survives.
-        match &back.health[5] {
-            TargetOutcome::Degraded { detail, .. } => {
-                assert_eq!(detail, "panicked: multi line payload")
-            }
-            other => panic!("wrong event kind: {other:?}"),
-        }
-        assert_eq!(back.health[..5], rec.health[..5]);
-        assert_eq!(back.health[6..], rec.health[6..]);
+        // Every event survives as written, multi-line details included.
+        assert_eq!(back.health, rec.health);
         assert_eq!(
             (back.flops, back.transient, back.model_bytes, back.n_models),
             (1, 2, 3, 4)
         );
+        assert_eq!(record_body(&back.as_parts()), body, "one byte image per record");
+        // A trailing byte, an unknown event tag and a bad status are
+        // refused, each at its offset.
+        let mut trailing = body.clone();
+        trailing.push(0);
+        let err = parse_record_body(&trailing).err().unwrap();
+        assert!(err.to_string().contains("trailing byte"), "{err}");
+        let first_event = 4 + 1 + 4 * 8 + 4;
+        let mut unknown = body.clone();
+        unknown[first_event] = 99;
+        let err = parse_record_body(&unknown).err().unwrap();
+        assert_eq!(err.offset, first_event, "{err}");
+        assert!(err.to_string().contains("unknown event tag 99"), "{err}");
+        let mut status = body;
+        status[4] = 7;
+        let err = parse_record_body(&status).err().unwrap();
+        assert!(err.to_string().contains("bad record status 7"), "{err}");
+    }
+
+    #[test]
+    fn a_frame_claiming_more_bytes_than_an_address_holds_ends_the_valid_region() {
+        let path = tmp_path("hugeframe.fjr");
+        std::fs::remove_file(&path).ok();
+        let j = RunJournal::create(&path, &header()).unwrap();
+        j.append(&dropped_record(0)).unwrap();
+        drop(j);
+        let intact = std::fs::metadata(&path).unwrap().len();
+        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(format!("rec {} 00000000\nxyz", usize::MAX).as_bytes()).unwrap();
+        drop(f);
+        let scan = RunJournal::scan(&path).unwrap();
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.valid_len, intact);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A v1 journal (text bodies) as the v1 writer left it scans through
+    /// the text reader; opening it for append rewrites it as v2 with the
+    /// same records, so appends never mix encodings.
+    #[test]
+    fn v1_journals_scan_and_are_rewritten_as_v2_on_open() {
+        let v1 = include_bytes!("../tests/fixtures/mixed-a.v1.frj");
+        let scan = scan_bytes(v1).unwrap();
+        let header = scan.header.unwrap();
+        assert_eq!(scan.records.len(), 7);
+        assert_eq!(scan.valid_len as usize, v1.len());
+        let path = tmp_path("upgrade.fjr");
+        std::fs::write(&path, v1).unwrap();
+        let (j, records) = RunJournal::open_or_create(&path, &header).unwrap();
+        assert_eq!(records.len(), 7);
+        j.append(&dropped_record(42)).unwrap();
+        drop(j);
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(bytes.starts_with(b"fracjournal 2\n"));
+        let rescan = RunJournal::scan(&path).unwrap();
+        assert_eq!(rescan.records.len(), 8);
+        for (a, b) in scan.records.iter().zip(&rescan.records) {
+            assert_eq!(a.target, b.target);
+            assert_eq!(a.health, b.health);
+            assert_eq!(a.feature.is_some(), b.feature.is_some());
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1345,7 +1345,7 @@ impl FracModel {
         }
         let todo: Vec<usize> =
             (0..plan.targets.len()).filter(|&i| slots[i].is_none()).collect();
-        let fit_index = |i: usize, tx: Option<&std::sync::mpsc::Sender<String>>| {
+        let fit_index = |i: usize, tx: Option<&std::sync::mpsc::Sender<Vec<u8>>>| {
             let tp = &plan.targets[i];
             let tf = fit_one_target(
                 train,
@@ -1389,7 +1389,7 @@ impl FracModel {
         let fitted: Vec<(usize, TargetFit)> = match journal {
             None => todo.par_iter().map(|&i| fit_index(i, None)).collect(),
             Some(j) => std::thread::scope(|s| {
-                let (tx, rx) = std::sync::mpsc::channel::<String>();
+                let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
                 let writer = s.spawn(move || j.write_loop(rx));
                 let fitted =
                     todo.par_iter().map(|&i| fit_index(i, Some(&tx))).collect();

@@ -1,83 +1,154 @@
-//! Model persistence: save a fitted [`FracModel`] to a text file and reload
-//! it for later scoring.
+//! Model persistence: save a fitted [`FracModel`] to a binary file and
+//! reload it for later scoring.
 //!
 //! FRaC's operational pattern in a clinic is train-once / screen-forever:
 //! the reference cohort changes rarely, new patients arrive continuously,
-//! and the full-run training is the expensive half (Table II). The format
-//! is the plain line-oriented text of [`frac_dataset::textio`]: versioned,
-//! dependency-free, human-inspectable, and bit-exact for floats — a
-//! reloaded model produces *identical* NS scores (tested).
+//! and the full-run training is the expensive half (Table II). A full
+//! model holds one (d−1)-input predictor per feature, so its size grows as
+//! d², and every `frac score --model`, daemon cold start and reload pays
+//! for reading it. Model v5 (FORMATS.md §3) is therefore little-endian
+//! binary written with [`frac_dataset::binio`]: floats are stored as their
+//! bit patterns (a reloaded model produces *identical* NS scores, tested),
+//! and a load maps the file, checks its length and one CRC-32, and decodes
+//! the feature sections without parsing a single number from text.
+//!
+//! Every model has exactly one v5 byte image: loading refuses anything a
+//! writer would not produce (unknown tags, a non-zero reserved field,
+//! duplicate targets, trailing bytes), so `to_bytes` of a loaded model
+//! reproduces the file. Text models (v1–v4) are still loaded through
+//! [`FracModel::from_text`]; they are no longer written.
 
 use crate::model::{
     CatPredictor, ErrorModel, FeatureModel, FeaturePredictor, FracModel, PredictorModel,
     RealPredictor,
 };
+use frac_dataset::binio::{ByteError, ByteReader, ByteWriter};
 use frac_dataset::crc::crc32;
 use frac_dataset::design::DesignSpec;
-use frac_dataset::textio::{TextError, TextReader, TextWriter};
+use frac_dataset::textio::{TextError, TextReader};
 
-/// Format version tag; bump on breaking layout changes.
-/// Version 2 added the `planned` line (targets the training plan asked
+/// Magic of a binary (v5+) model file.
+const MAGIC: &[u8; 8] = b"FRACMOD\0";
+/// The version [`FracModel::save`] writes.
+const VERSION: u32 = 5;
+/// Magic word of a text (v1–v4) model file's first line.
+///
+/// Text version 2 added the `planned` line (targets the training plan asked
 /// for, including ones dropped by fault isolation); version 3 added the
 /// `crc` trailer (CRC-32 of everything through the `end` line, verified on
 /// load); version 4 added the optional `shards` line (per-shard worker
-/// restart counts of a `--shards N` run, written only when the model came
-/// out of a sharded fit). Version 1–3 files are still read — v1 defaults
-/// `planned` to the surviving feature count, v1/v2 load without a checksum,
-/// and a missing `shards` line means a single-process fit.
-const MAGIC: &str = "fracmodel";
-const VERSION: u32 = 4;
+/// restart counts of a `--shards N` run). v1 defaults `planned` to the
+/// surviving feature count, v1/v2 load without a checksum, and a missing
+/// `shards` line means a single-process fit.
+const TEXT_MAGIC: &str = "fracmodel";
+const TEXT_VERSION: u32 = 4;
 
-/// Serialize one per-target feature section (the unit shared by the model
-/// file and the run journal's per-target records).
-pub(crate) fn write_feature(w: &mut TextWriter, fm: &FeatureModel) {
-    w.line("feature", [fm.target]);
-    w.floats("entropy", &[fm.entropy]);
-    w.floats("strength", &[fm.strength]);
-    w.line("predictors", [fm.predictors.len()]);
+/// Bytes of the v5 header through the shard count (magic, version,
+/// reserved, planned, shard count).
+const HEADER_BYTES: usize = 24;
+/// The smallest v5 file: the header, the feature count and the trailer.
+const MIN_FILE_BYTES: usize = HEADER_BYTES + 4 + 4;
+/// The smallest feature section: target, entropy, strength, predictor
+/// count.
+const MIN_SECTION_BYTES: usize = 24;
+/// The smallest predictor: an empty design spec, the model tag, a majority
+/// class and a zero-arity confusion model.
+const MIN_PREDICTOR_BYTES: usize = 4 + 1 + 4 + 12;
+
+/// Model tags of a feature section's predictors (FORMATS.md §3).
+const MODEL_SVR: u8 = 0;
+const MODEL_RTREE: u8 = 1;
+const MODEL_CONST: u8 = 2;
+const MODEL_CTREE: u8 = 3;
+const MODEL_SVC: u8 = 4;
+const MODEL_MAJORITY: u8 = 5;
+
+/// Serialize one per-target feature section — the unit shared by model v5
+/// files and the bodies of v2 run-journal records.
+pub(crate) fn write_section(w: &mut ByteWriter, fm: &FeatureModel) {
+    w.len32(fm.target);
+    w.f64(fm.entropy);
+    w.f64(fm.strength);
+    w.len32(fm.predictors.len());
     for fp in &fm.predictors {
-        fp.spec.write_text(w);
+        fp.spec.write_bin(w);
         match (&fp.model, &fp.error) {
             (PredictorModel::Real(m), ErrorModel::Gaussian(e)) => {
                 match m {
                     RealPredictor::Svr(svr) => {
-                        w.tag("model_svr");
-                        svr.write_text(w);
+                        w.u8(MODEL_SVR);
+                        svr.write_bin(w);
                     }
                     RealPredictor::Tree(t) => {
-                        w.tag("model_rtree");
-                        t.write_text(w);
+                        w.u8(MODEL_RTREE);
+                        t.write_bin(w);
                     }
                     RealPredictor::Constant(c) => {
-                        w.tag("model_const");
-                        c.write_text(w);
+                        w.u8(MODEL_CONST);
+                        c.write_bin(w);
                     }
                 }
-                e.write_text(w);
+                e.write_bin(w);
             }
             (PredictorModel::Cat(m), ErrorModel::Confusion(e)) => {
                 match m {
                     CatPredictor::Tree(t) => {
-                        w.tag("model_ctree");
-                        t.write_text(w);
+                        w.u8(MODEL_CTREE);
+                        t.write_bin(w);
                     }
                     CatPredictor::Svc(svc) => {
-                        w.tag("model_svc");
-                        svc.write_text(w);
+                        w.u8(MODEL_SVC);
+                        svc.write_bin(w);
                     }
                     CatPredictor::Majority(mc) => {
-                        w.tag("model_majority");
-                        mc.write_text(w);
+                        w.u8(MODEL_MAJORITY);
+                        mc.write_bin(w);
                     }
                 }
-                e.write_text(w);
+                e.write_bin(w);
             }
             _ => unreachable!("model/error kinds are constructed consistently"),
         }
     }
 }
 
-/// Parse one feature section previously produced by [`write_feature`].
+/// Parse one feature section previously produced by [`write_section`].
+pub(crate) fn parse_section(r: &mut ByteReader<'_>) -> Result<FeatureModel, ByteError> {
+    use frac_learn::{
+        ClassificationTree, ConfusionErrorModel, ConstantRegressor, GaussianErrorModel,
+        LinearSvc, LinearSvr, MajorityClassifier, RegressionTree,
+    };
+    let target = r.index("feature target")?;
+    let entropy = r.f64("feature entropy")?;
+    let strength = r.f64("feature strength")?;
+    let n_predictors = r.count("feature predictors", MIN_PREDICTOR_BYTES)?;
+    let mut predictors = Vec::with_capacity(n_predictors);
+    for _ in 0..n_predictors {
+        let spec = DesignSpec::parse_bin(r)?;
+        let at = r.offset();
+        let model = match r.u8("model tag")? {
+            MODEL_SVR => PredictorModel::Real(RealPredictor::Svr(LinearSvr::parse_bin(r)?)),
+            MODEL_RTREE => PredictorModel::Real(RealPredictor::Tree(RegressionTree::parse_bin(r)?)),
+            MODEL_CONST => {
+                PredictorModel::Real(RealPredictor::Constant(ConstantRegressor::parse_bin(r)?))
+            }
+            MODEL_CTREE => PredictorModel::Cat(CatPredictor::Tree(ClassificationTree::parse_bin(r)?)),
+            MODEL_SVC => PredictorModel::Cat(CatPredictor::Svc(LinearSvc::parse_bin(r)?)),
+            MODEL_MAJORITY => {
+                PredictorModel::Cat(CatPredictor::Majority(MajorityClassifier::parse_bin(r)?))
+            }
+            tag => return Err(ByteError::new(at, format!("unknown model tag {tag}"))),
+        };
+        let error = match model {
+            PredictorModel::Real(_) => ErrorModel::Gaussian(GaussianErrorModel::parse_bin(r)?),
+            PredictorModel::Cat(_) => ErrorModel::Confusion(ConfusionErrorModel::parse_bin(r)?),
+        };
+        predictors.push(FeaturePredictor { spec, model, error });
+    }
+    Ok(FeatureModel { target, entropy, strength, predictors })
+}
+
+/// Parse one feature section of a text model (v1–v4) or a v1 journal record.
 pub(crate) fn parse_feature(r: &mut TextReader<'_>) -> Result<FeatureModel, TextError> {
     let target: usize = r.parse_one("feature")?;
     parse_feature_body(r, target)
@@ -201,35 +272,118 @@ fn verify_crc_trailer(text: &str) -> Result<(), TextError> {
 }
 
 impl FracModel {
-    /// Serialize the model to the text format (v4: checksummed trailer,
-    /// optional shard-provenance line).
-    pub fn to_text(&self) -> String {
-        let mut w = TextWriter::new();
-        w.line(MAGIC, [VERSION]);
-        w.line("planned", [self.planned_targets]);
-        if !self.shard_restarts.is_empty() {
-            w.line("shards", self.shard_restarts.iter().copied());
+    /// Serialize the model to model v5 bytes: magic, version, a reserved
+    /// zero, the planned target count, the shard restart counts, the
+    /// feature sections, then a CRC-32 of every byte before it.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.bytes(MAGIC);
+        w.u32(VERSION);
+        w.u32(0);
+        w.len32(self.planned_targets);
+        w.len32(self.shard_restarts.len());
+        for &restarts in &self.shard_restarts {
+            w.len32(restarts);
         }
-        w.line("features", [self.features.len()]);
+        w.len32(self.features.len());
         for fm in &self.features {
-            write_feature(&mut w, fm);
+            write_section(&mut w, fm);
         }
-        w.tag("end");
-        let body = w.finish();
-        let checksum = crc32(body.as_bytes());
-        format!("{body}crc {checksum:08x}\n")
+        let checksum = crc32(w.as_bytes());
+        w.u32(checksum);
+        w.finish()
     }
 
-    /// Parse a model previously produced by [`FracModel::to_text`].
+    /// Parse a model file's bytes: model v5, or text v1–v4 (dispatched on
+    /// the magic).
+    pub fn from_bytes(bytes: &[u8]) -> Result<FracModel, TextError> {
+        if bytes.starts_with(MAGIC) {
+            return Ok(Self::from_v5(bytes)?);
+        }
+        if bytes.starts_with(TEXT_MAGIC.as_bytes()) {
+            let text = std::str::from_utf8(bytes).map_err(|e| {
+                format!("model text is not UTF-8 at byte {} (file is corrupt)", e.valid_up_to())
+            })?;
+            return Self::from_text(text);
+        }
+        if bytes.is_empty() {
+            return Err("empty model file".into());
+        }
+        if MAGIC.starts_with(bytes) || TEXT_MAGIC.as_bytes().starts_with(bytes) {
+            return Err(format!("model file truncated inside its magic ({} bytes)", bytes.len()).into());
+        }
+        Err("not a FRaC model file (unknown magic)".into())
+    }
+
+    /// Parse model v5 bytes. The length and the CRC trailer are checked
+    /// before any section is decoded, so a truncated or bit-flipped file
+    /// reports that, never a misleading mid-section error.
+    fn from_v5(bytes: &[u8]) -> Result<FracModel, ByteError> {
+        let mut r = ByteReader::new(bytes);
+        r.take(MAGIC.len(), "magic")?;
+        let version = r.u32("version")?;
+        if version != VERSION {
+            return Err(ByteError::new(MAGIC.len(), format!("unsupported model version {version}")));
+        }
+        if bytes.len() < MIN_FILE_BYTES {
+            return Err(ByteError::new(
+                bytes.len(),
+                format!(
+                    "model file of {} bytes is shorter than any v5 model ({MIN_FILE_BYTES}) — \
+                     the file was truncated",
+                    bytes.len()
+                ),
+            ));
+        }
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+        let computed = crc32(body);
+        if stored != computed {
+            return Err(ByteError::new(
+                body.len(),
+                format!(
+                    "model file checksum mismatch: stored {stored:08x}, computed {computed:08x} \
+                     (file is corrupt or was truncated)"
+                ),
+            ));
+        }
+        let mut r = ByteReader::new(body);
+        r.take(MAGIC.len() + 4, "header")?;
+        if r.u32("reserved")? != 0 {
+            return Err(ByteError::new(MAGIC.len() + 4, "reserved header field is not zero"));
+        }
+        let planned_targets = r.index("planned targets")?;
+        let n_shards = r.count("shard restart counts", 4)?;
+        let shard_restarts =
+            (0..n_shards).map(|_| r.index("shard restart count")).collect::<Result<_, _>>()?;
+        let n_features = r.count("feature sections", MIN_SECTION_BYTES)?;
+        let mut features = Vec::with_capacity(n_features);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..n_features {
+            let at = r.offset();
+            let fm = parse_section(&mut r)?;
+            if !seen.insert(fm.target) {
+                return Err(ByteError::new(
+                    at,
+                    format!("duplicate section for target feature {}", fm.target),
+                ));
+            }
+            features.push(fm);
+        }
+        r.finish("last feature section")?;
+        Ok(FracModel { features, plan: std::sync::OnceLock::new(), planned_targets, shard_restarts })
+    }
+
+    /// Parse a text model (v1–v4), the format written before v5.
     ///
     /// Rejects duplicate per-target sections (a well-formed writer never
     /// emits them; accepting the last one silently would mask a corrupted
-    /// or maliciously spliced file) and, for v3 files, verifies the CRC-32
+    /// or maliciously spliced file) and, for v3+ files, verifies the CRC-32
     /// trailer before trusting any parsed value.
     pub fn from_text(text: &str) -> Result<FracModel, TextError> {
         let mut r = TextReader::new(text);
-        let version: u32 = r.parse_one(MAGIC)?;
-        if !(1..=VERSION).contains(&version) {
+        let version: u32 = r.parse_one(TEXT_MAGIC)?;
+        if !(1..=TEXT_VERSION).contains(&version) {
             return Err(format!("unsupported fracmodel version {version}").into());
         }
         if version >= 3 {
@@ -261,11 +415,11 @@ impl FracModel {
         Ok(FracModel { features, plan: std::sync::OnceLock::new(), planned_targets, shard_restarts })
     }
 
-    /// Save to a file, atomically and durably: the model is written to
-    /// `<path>.tmp`, fsynced, then renamed over `path`, so a crash at any
-    /// instant leaves either the old file or the complete new one — never a
-    /// torn mix. The parent directory is fsynced best-effort so the rename
-    /// itself survives power loss.
+    /// Save to a file as model v5, atomically and durably: the model is
+    /// written to `<path>.tmp`, fsynced, then renamed over `path`, so a
+    /// crash at any instant leaves either the old file or the complete new
+    /// one — never a torn mix. The parent directory is fsynced best-effort
+    /// so the rename itself survives power loss.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         use std::io::Write as _;
         let path = path.as_ref();
@@ -276,7 +430,7 @@ impl FracModel {
         };
         {
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_text().as_bytes())?;
+            f.write_all(&self.to_bytes())?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
@@ -290,51 +444,64 @@ impl FracModel {
         Ok(())
     }
 
-    /// Load from a file.
+    /// Load from a file (v5, or text v1–v4).
     ///
-    /// Every error — I/O, truncation, checksum, parse — names the path, so
-    /// callers (the CLI, the serving daemon's hot-reload) can surface it
-    /// verbatim without re-wrapping.
+    /// The file is mapped read-only for the parse and unmapped before this
+    /// returns, so a load never leaves a file-sized hole in the heap. Saves
+    /// replace a model by renaming a new file over it, so a mapped file is
+    /// never rewritten in place. Every error — I/O, truncation, checksum,
+    /// parse — names the path, so callers (the CLI, the serving daemon's
+    /// hot-reload) can surface it verbatim without re-wrapping.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<FracModel, TextError> {
         let path = path.as_ref();
-        let text = read_text(path).map_err(|e| {
+        let map = frac_dataset::MmapFile::open(path).map_err(|e| {
             TextError::from(format!("{}: I/O error: {e}", path.display()))
         })?;
-        FracModel::from_text(&text).map_err(|e| TextError {
+        FracModel::from_bytes(map.as_bytes()).map_err(|e| TextError {
             message: format!("{}: {}", path.display(), e.message),
             ..e
         })
     }
 }
 
-/// Read a model file whole, into a buffer that never lives on the heap.
-///
-/// The text is dropped as soon as the model is parsed. If its buffer came
-/// from the heap, anything allocated while the model is live could settle
-/// in the file-sized hole it leaves, and the next load of the same file —
-/// a daemon's cold start or reload — would no longer fit there: the heap
-/// would grow by a whole file. glibc serves an allocation from its own
-/// mapping, unmapped on free, only above its mmap threshold, which rises
-/// to the size of the largest mapping freed so far, up to 32 MiB. A
-/// capacity above that cap keeps every model buffer a mapping; the unused
-/// tail is never touched, so it costs address space, not memory.
-fn read_text(path: &std::path::Path) -> std::io::Result<String> {
-    use std::io::Read as _;
-    const ALWAYS_MAPPED: usize = (32 << 20) + 1;
-    let mut file = std::fs::File::open(path)?;
-    let len = usize::try_from(file.metadata()?.len()).unwrap_or(0);
-    let mut text = String::with_capacity(len.max(ALWAYS_MAPPED));
-    file.read_to_string(&mut text)?;
-    Ok(text)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::{write_section, HEADER_BYTES};
     use crate::config::FracConfig;
     use crate::model::FracModel;
     use crate::plan::TrainingPlan;
+    use frac_dataset::binio::ByteWriter;
+    use frac_dataset::crc::crc32;
     use frac_dataset::dataset::{DatasetBuilder, MISSING_CODE};
     use frac_synth::{ExpressionConfig, ExpressionGenerator};
+
+    /// `small_model()` as the v4 text writer saved it (the last text
+    /// version, no longer written).
+    const SMALL_V4: &str = include_str!("../tests/fixtures/small.v4.frac");
+
+    /// Append a recomputed CRC trailer to a v5 body.
+    fn reseal(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    /// Re-seal a text body (through its `end` line) with a v3+ trailer.
+    fn reseal_text(body: &str) -> String {
+        format!("{body}crc {:08x}\n", crc32(body.as_bytes()))
+    }
+
+    fn text_body_end(text: &str) -> usize {
+        text.rfind("\nend\n").unwrap() + "\nend\n".len()
+    }
+
+    /// Load `bytes`, check the result re-encodes to exactly `bytes`.
+    fn roundtrip(model: &FracModel) -> FracModel {
+        let bytes = model.to_bytes();
+        let back = FracModel::from_bytes(&bytes).unwrap();
+        assert_eq!(back.to_bytes(), bytes, "a loaded v5 model must re-encode to the same bytes");
+        back
+    }
 
     #[test]
     fn expression_model_roundtrips_bit_exact() {
@@ -351,8 +518,7 @@ mod tests {
         let plan = TrainingPlan::full(train.n_features());
         let (model, _) = FracModel::fit(&train, &plan, &FracConfig::default());
 
-        let text = model.to_text();
-        let back = FracModel::from_text(&text).unwrap();
+        let back = roundtrip(&model);
         let ns_a = model.score(&test);
         let ns_b = back.score(&test);
         for (a, b) in ns_a.iter().zip(&ns_b) {
@@ -378,7 +544,7 @@ mod tests {
             .real("expr", vec![1.0, f64::NAN, 5.0])
             .build();
 
-        let back = FracModel::from_text(&model.to_text()).unwrap();
+        let back = roundtrip(&model);
         let (ns_a, ns_b) = (model.score(&test), back.score(&test));
         for (a, b) in ns_a.iter().zip(&ns_b) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -397,6 +563,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.frac");
         model.save(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), model.to_bytes());
         let back = FracModel::load(&path).unwrap();
         assert_eq!(model.score(&train), back.score(&train));
         std::fs::remove_file(&path).ok();
@@ -404,26 +571,18 @@ mod tests {
 
     #[test]
     fn rejects_bad_version_and_garbage() {
-        assert!(FracModel::from_text("fracmodel 99\n").is_err());
-        assert!(FracModel::from_text("not a model").is_err());
-        assert!(FracModel::from_text("").is_err());
-        // Truncated model.
-        let train = DatasetBuilder::new()
-            .real("x", (0..8).map(|i| i as f64).collect())
-            .real("y", (0..8).map(|i| i as f64).collect())
-            .build();
-        let (model, _) =
-            FracModel::fit(&train, &TrainingPlan::full(2), &FracConfig::default());
-        let text = model.to_text();
-        let truncated = &text[..text.len() / 2];
-        assert!(FracModel::from_text(truncated).is_err());
-    }
-
-    fn parse_err(text: &str) -> frac_dataset::textio::TextError {
-        match FracModel::from_text(text) {
-            Err(e) => e,
-            Ok(_) => panic!("expected parse error"),
-        }
+        let err = |bytes: &[u8]| match FracModel::from_bytes(bytes) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("{} bytes must not load", bytes.len()),
+        };
+        let mut future = small_model().to_bytes();
+        future[8] = 99;
+        assert!(err(&future).contains("unsupported model version 99"));
+        assert!(err(b"fracmodel 99\n").contains("unsupported fracmodel version 99"));
+        assert!(err(b"not a model").contains("unknown magic"));
+        assert!(err(b"").contains("empty"));
+        let bytes = small_model().to_bytes();
+        assert!(err(&bytes[..bytes.len() / 2]).contains("checksum mismatch"));
     }
 
     fn small_model() -> FracModel {
@@ -437,79 +596,96 @@ mod tests {
     }
 
     #[test]
-    fn v3_crc_trailer_catches_corruption() {
-        let model = small_model();
-        let text = model.to_text();
-        assert!(text.contains("\ncrc "), "v3+ files carry a crc trailer: {text}");
-        assert!(FracModel::from_text(&text).is_ok());
+    fn crc_trailer_catches_corruption() {
+        let bytes = small_model().to_bytes();
+        // Flip one bit of the first section's entropy: the file still
+        // decodes structurally, but the checksum must catch it.
+        let mut flipped = bytes.clone();
+        flipped[HEADER_BYTES + 4 + 4 + 3] ^= 0x10;
+        let err = FracModel::from_bytes(&flipped).err().unwrap().to_string();
+        assert!(err.contains("checksum mismatch"), "{err}");
+        // A missing trailer reads as a checksum mismatch over a short body.
+        let err = FracModel::from_bytes(&bytes[..bytes.len() - 4]).err().unwrap().to_string();
+        assert!(err.contains("checksum mismatch"), "{err}");
 
-        // Flip one digit somewhere in the body: checksum must catch it even
-        // though the file still parses structurally.
-        let pos = text.find("entropy ").expect("entropy line") + "entropy ".len() + 1;
-        let mut corrupted = text.clone().into_bytes();
+        // Text v3+ files keep their own trailer check.
+        assert!(FracModel::from_text(SMALL_V4).is_ok());
+        let pos = SMALL_V4.find("entropy ").unwrap() + "entropy ".len() + 1;
+        let mut corrupted = SMALL_V4.as_bytes().to_vec();
         corrupted[pos] = if corrupted[pos] == b'1' { b'2' } else { b'1' };
-        let corrupted = String::from_utf8(corrupted).unwrap();
-        let err = parse_err(&corrupted);
-        assert!(err.to_string().contains("checksum mismatch"), "{err}");
-
-        // A missing trailer on a v3 file is also rejected, naming the
-        // trailer rather than a generic parse failure.
-        let body_end = text.rfind("\nend\n").unwrap() + "\nend\n".len();
-        let err = parse_err(&text[..body_end]);
-        assert!(err.to_string().contains("missing CRC trailer"), "{err}");
+        let err = FracModel::from_bytes(&corrupted).err().unwrap().to_string();
+        assert!(err.contains("checksum mismatch"), "{err}");
+        let err =
+            FracModel::from_text(&SMALL_V4[..text_body_end(SMALL_V4)]).err().unwrap().to_string();
+        assert!(err.contains("missing CRC trailer"), "{err}");
     }
 
-    /// Satellite guarantee: a file truncated anywhere after the version
-    /// line fails with an error that names the path and the truncation
-    /// (missing `end`, missing trailer, or short trailer) — never a
-    /// generic "unknown tag"-style parse error from half a feature
-    /// section, because the trailer is checked before any body parsing.
+    /// A file truncated anywhere fails with an error that names the path
+    /// and the truncation — never a generic parse error from half a
+    /// feature section, because the length and trailer are checked before
+    /// any section is decoded. Holds for v5 and for text files.
     #[test]
     fn truncation_at_any_offset_names_path_and_trailer() {
-        let model = small_model();
         let dir = std::env::temp_dir().join("frac-persist-truncation-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.frac");
-        model.save(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let body_end = text.rfind("\nend\n").unwrap() + "\nend\n".len();
-
-        // Offsets spanning the interesting regions: just past the version
-        // line, mid-body, just before `end`, after `end` but before the
-        // trailer, and inside the trailer's tag and hex digits.
-        let offsets = [
-            text.find('\n').unwrap() + 2, // inside the `planned` line
-            text.len() / 3,               // mid-body
-            text.len() / 2,               // mid-body
-            body_end - 3,                 // inside the `end` line
-            body_end,                     // trailer fully missing
-            body_end + 2,                 // inside the `crc` tag
-            text.len() - 6,               // trailer hex cut short
+        small_model().save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let text = SMALL_V4;
+        let body_end = text_body_end(text);
+        let cases: Vec<(&[u8], Vec<usize>)> = vec![
+            (
+                &bytes,
+                vec![
+                    3,                // inside the magic
+                    10,               // inside the version
+                    HEADER_BYTES,     // before the feature count
+                    bytes.len() / 3,  // mid-section
+                    bytes.len() / 2,  // mid-section
+                    bytes.len() - 4,  // trailer fully missing
+                    bytes.len() - 1,  // trailer cut short
+                ],
+            ),
+            (
+                text.as_bytes(),
+                vec![
+                    5,                        // inside the magic
+                    text.find('\n').unwrap() + 2, // inside the `planned` line
+                    text.len() / 3,           // mid-body
+                    text.len() / 2,           // mid-body
+                    body_end - 3,             // inside the `end` line
+                    body_end,                 // trailer fully missing
+                    body_end + 2,             // inside the `crc` tag
+                    text.len() - 6,           // trailer hex cut short
+                ],
+            ),
         ];
-        for &off in &offsets {
-            let cut = path.with_extension(format!("cut{off}"));
-            std::fs::write(&cut, &text.as_bytes()[..off]).unwrap();
-            let err = match FracModel::load(&cut) {
-                Err(e) => e.to_string(),
-                Ok(_) => panic!("offset {off}: truncated file loaded"),
-            };
-            assert!(
-                err.contains(&cut.display().to_string()),
-                "offset {off}: error must name the path: {err}"
-            );
-            assert!(
-                err.to_lowercase().contains("truncat"),
-                "offset {off}: error must name the truncation: {err}"
-            );
-            assert!(
-                !err.contains("unknown model tag"),
-                "offset {off}: generic parse error leaked through: {err}"
-            );
-            std::fs::remove_file(&cut).ok();
+        for (file, offsets) in cases {
+            for off in offsets {
+                let cut = path.with_extension(format!("cut{off}"));
+                std::fs::write(&cut, &file[..off]).unwrap();
+                let err = match FracModel::load(&cut) {
+                    Err(e) => e.to_string(),
+                    Ok(_) => panic!("offset {off}: truncated file loaded"),
+                };
+                assert!(
+                    err.contains(&cut.display().to_string()),
+                    "offset {off}: error must name the path: {err}"
+                );
+                assert!(
+                    err.to_lowercase().contains("truncat"),
+                    "offset {off}: error must name the truncation: {err}"
+                );
+                assert!(
+                    !err.contains("unknown model tag"),
+                    "offset {off}: generic parse error leaked through: {err}"
+                );
+                std::fs::remove_file(&cut).ok();
+            }
         }
 
-        // Losing only the final newline leaves the trailer complete: the
-        // file still verifies and loads.
+        // A text file that lost only its final newline keeps a complete
+        // trailer: it still verifies and loads.
         let trimmed = path.with_extension("nonl");
         std::fs::write(&trimmed, &text.as_bytes()[..text.len() - 1]).unwrap();
         assert!(FracModel::load(&trimmed).is_ok());
@@ -520,17 +696,18 @@ mod tests {
     #[test]
     fn older_versions_still_load() {
         let model = small_model();
-        let text = model.to_text();
-        let body_end = text.rfind("\nend\n").unwrap() + "\nend\n".len();
+        // The v4 fixture is the same fit: loading it and re-encoding gives
+        // today's v5 bytes.
+        let v4 = FracModel::from_text(SMALL_V4).unwrap();
+        assert_eq!(v4.to_bytes(), model.to_bytes());
+        let body_end = text_body_end(SMALL_V4);
         // Reconstruct a v3 file: old version line, trailer recomputed over
         // the edited body.
-        let v3_body = text[..body_end].replacen("fracmodel 4", "fracmodel 3", 1);
-        let v3 =
-            format!("{v3_body}crc {:08x}\n", frac_dataset::crc::crc32(v3_body.as_bytes()));
+        let v3 = reseal_text(&SMALL_V4[..body_end].replacen("fracmodel 4", "fracmodel 3", 1));
         let back = FracModel::from_text(&v3).unwrap();
         assert_eq!(back.planned_targets, model.planned_targets);
         // A v2 file: old version line, no crc trailer.
-        let v2 = text[..body_end].replacen("fracmodel 4", "fracmodel 2", 1);
+        let v2 = SMALL_V4[..body_end].replacen("fracmodel 4", "fracmodel 2", 1);
         let back = FracModel::from_text(&v2).unwrap();
         assert_eq!(back.planned_targets, model.planned_targets);
         // And a v1 file: no `planned` line either.
@@ -540,23 +717,22 @@ mod tests {
             .replacen(&planned_line, "", 1);
         let back = FracModel::from_text(&v1).unwrap();
         assert_eq!(back.features.len(), model.features.len());
+        assert_eq!(back.to_bytes(), model.to_bytes());
     }
 
     #[test]
     fn shard_restarts_roundtrip_and_default_empty() {
-        // A single-process model writes no `shards` line and loads with an
-        // empty provenance.
+        // A single-process model stores no restart counts and loads with
+        // an empty provenance.
         let model = small_model();
-        assert!(!model.to_text().contains("\nshards "));
-        let back = FracModel::from_text(&model.to_text()).unwrap();
-        assert!(back.shard_restarts().is_empty());
+        let bytes = model.to_bytes();
+        assert_eq!(bytes[20..24], 0u32.to_le_bytes());
+        assert!(roundtrip(&model).shard_restarts().is_empty());
 
         // A sharded model's restart counts survive the roundtrip.
         let mut sharded = small_model();
         sharded.shard_restarts = vec![0, 2, 1];
-        let text = sharded.to_text();
-        assert!(text.contains("\nshards 0 2 1\n"), "{text}");
-        let back = FracModel::from_text(&text).unwrap();
+        let back = roundtrip(&sharded);
         assert_eq!(back.shard_restarts(), &[0, 2, 1]);
         // Scores are unaffected by provenance.
         let train = DatasetBuilder::new()
@@ -569,27 +745,62 @@ mod tests {
     #[test]
     fn duplicate_target_sections_are_rejected_with_location() {
         let model = small_model();
-        let text = model.to_text();
-        // Duplicate the first feature section verbatim and fix up the count;
-        // recompute the trailer so the error comes from the duplicate check,
-        // not the checksum.
-        let start = text.find("\nfeature ").expect("feature section") + 1;
-        let end = start
-            + text[start..].find("\nfeature ").map(|i| i + 1).unwrap_or_else(|| {
-                text[start..].rfind("\nend\n").expect("end tag") + 1
-            });
+        let bytes = model.to_bytes();
+        // Duplicate the first feature section and fix up the count; the
+        // trailer is recomputed so the error comes from the duplicate
+        // check, not the checksum.
+        let mut w = ByteWriter::new();
+        write_section(&mut w, &model.features[0]);
+        let first = w.finish();
+        let sections = HEADER_BYTES + 4;
+        assert_eq!(bytes[sections..sections + first.len()], first[..]);
+        let n = model.features.len() as u32;
+        let mut doubled = bytes[..HEADER_BYTES].to_vec();
+        doubled.extend_from_slice(&(n + 1).to_le_bytes());
+        doubled.extend_from_slice(&first);
+        doubled.extend_from_slice(&bytes[sections..bytes.len() - 4]);
+        let err = FracModel::from_bytes(&reseal(doubled)).err().unwrap().to_string();
+        assert!(err.contains("duplicate section for target feature"), "{err}");
+        let at = format!("byte {}:", sections + first.len());
+        assert!(err.contains(&at), "the error names the second copy's offset: {err}");
+
+        // The text reader keeps its own check, anchored to a line.
+        let text = SMALL_V4;
+        let start = text.find("\nfeature ").unwrap() + 1;
+        let end = start + text[start..].find("\nfeature ").unwrap() + 1;
         let section = &text[start..end];
-        let n = model.features.len();
-        let doubled = text
+        let doubled = text[..text_body_end(text)]
             .replacen(&format!("features {n}"), &format!("features {}", n + 1), 1)
             .replacen(section, &format!("{section}{section}"), 1);
-        let body_end = doubled.rfind("\nend\n").unwrap() + "\nend\n".len();
-        let body = &doubled[..body_end];
-        let fixed = format!("{body}crc {:08x}\n", frac_dataset::crc::crc32(body.as_bytes()));
-        let err = parse_err(&fixed);
-        let msg = err.to_string();
-        assert!(msg.contains("duplicate section for target feature"), "{msg}");
-        assert!(err.line > 0, "duplicate error should carry a line number: {msg}");
+        let err = FracModel::from_text(&reseal_text(&doubled)).err().unwrap();
+        assert!(err.to_string().contains("duplicate section for target feature"), "{err}");
+        assert!(err.line > 0, "duplicate error should carry a line number: {err}");
+    }
+
+    /// The checks behind the CRC: with the trailer recomputed, a non-zero
+    /// reserved field, an unknown model tag and a trailing byte are each
+    /// refused — none of them is a byte image a writer produces.
+    #[test]
+    fn resealed_files_still_face_the_structural_checks() {
+        let model = small_model();
+        let bytes = model.to_bytes();
+        let body = &bytes[..bytes.len() - 4];
+        let err = |body: Vec<u8>| FracModel::from_bytes(&reseal(body)).err().unwrap().to_string();
+
+        let mut reserved = body.to_vec();
+        reserved[12] = 1;
+        assert!(err(reserved).contains("reserved header field"));
+
+        let mut spec = ByteWriter::new();
+        model.features[0].predictors[0].spec.write_bin(&mut spec);
+        let tag = HEADER_BYTES + 4 + 24 + spec.as_bytes().len();
+        let mut unknown = body.to_vec();
+        unknown[tag] = 6;
+        assert!(err(unknown).contains(&format!("byte {tag}: unknown model tag 6")));
+
+        let mut trailing = body.to_vec();
+        trailing.push(0);
+        assert!(err(trailing).contains("1 trailing byte"));
     }
 
     #[test]

@@ -648,32 +648,26 @@ fn flatten<L: Copy>(
 
 #[cfg(test)]
 mod tests {
+    use crate::model::{CatPredictor, PredictorModel, RealPredictor};
     use crate::{FracConfig, FracModel, TrainingPlan};
+    use frac_dataset::binio::ByteWriter;
     use frac_dataset::crc::crc32;
     use frac_dataset::dataset::DatasetBuilder;
 
-    /// `model`'s file text with `edit` applied to its first line starting
-    /// with `tag`, re-sealed with a valid CRC trailer — a well-formed file
-    /// whose parts disagree.
-    fn corrupted(model: &FracModel, tag: &str, edit: impl Fn(&str) -> String) -> FracModel {
-        let text = model.to_text();
-        let body = &text[..text.rfind("\nend\n").unwrap() + "\nend\n".len()];
-        let mut done = false;
-        let body: String = body
-            .lines()
-            .map(|l| {
-                if !done && l.starts_with(tag) {
-                    done = true;
-                    edit(l)
-                } else {
-                    l.to_string()
-                }
-            })
-            .map(|l| l + "\n")
-            .collect();
-        assert!(done, "no `{tag}` line to corrupt");
-        let sealed = format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
-        FracModel::from_text(&sealed).expect("the corrupted file still parses")
+    /// `model`'s v5 file with the first occurrence of `from` replaced by
+    /// `to`, re-sealed with a valid CRC trailer — a well-formed file whose
+    /// parts disagree.
+    fn corrupted(model: &FracModel, from: &[u8], to: &[u8]) -> FracModel {
+        let bytes = model.to_bytes();
+        let body = &bytes[..bytes.len() - 4];
+        let at = body
+            .windows(from.len())
+            .position(|w| w == from)
+            .expect("the pattern is in the model bytes");
+        let mut edited = [&body[..at], to, &body[at + from.len()..]].concat();
+        let crc = crc32(&edited);
+        edited.extend_from_slice(&crc.to_le_bytes());
+        FracModel::from_bytes(&edited).expect("the corrupted file still parses")
     }
 
     #[test]
@@ -686,12 +680,20 @@ mod tests {
             .build();
         let (model, _) = FracModel::fit(&train, &TrainingPlan::full(2), &FracConfig::snp());
         assert!(model.scoring_plan().is_ok());
-        // `split feature threshold left right`: send the root's left child
-        // back to the root, which a walk would follow forever.
-        let looped = corrupted(&model, "split ", |l| {
-            let f: Vec<&str> = l.split(' ').collect();
-            format!("split {} {} 0 {}", f[1], f[2], f[4])
-        });
+        let PredictorModel::Cat(CatPredictor::Tree(tree)) = &model.features[0].predictors[0].model
+        else {
+            panic!("an SNP model grows classification trees")
+        };
+        let mut w = ByteWriter::new();
+        tree.write_bin(&mut w);
+        let tree_bytes = w.finish();
+        // Arity, node count, then the root: a split tag, feature,
+        // threshold, left, right. Send the root's left child back to the
+        // root, which a walk would follow forever.
+        assert_eq!(tree_bytes[8], 1, "the root is a split");
+        let mut looped = tree_bytes.clone();
+        looped[8 + 1 + 4 + 8..][..4].copy_from_slice(&0u32.to_le_bytes());
+        let looped = corrupted(&model, &tree_bytes, &looped);
         let err = looped.scoring_plan().unwrap_err();
         assert!(err.contains("not a later node"), "{err}");
     }
@@ -704,11 +706,17 @@ mod tests {
         let train = DatasetBuilder::new().real("a", a).real("b", b).real("c", c).build();
         let (model, _) = FracModel::fit(&train, &TrainingPlan::full(3), &FracConfig::default());
         assert!(model.scoring_plan().is_ok());
+        let PredictorModel::Real(RealPredictor::Svr(svr)) = &model.features[0].predictors[0].model
+        else {
+            panic!("the default config fits linear SVRs")
+        };
         // Drop a weight: a dot product zipped over the shorter side would
         // silently ignore the last input.
-        let short = corrupted(&model, "svr_weights", |l| {
-            l[..l.rfind(' ').unwrap()].to_string()
-        });
+        let (mut from, mut to) = (ByteWriter::new(), ByteWriter::new());
+        svr.write_bin(&mut from);
+        let short = svr.weights()[..svr.weights().len() - 1].to_vec();
+        frac_learn::LinearSvr::from_parts(short, svr.bias()).write_bin(&mut to);
+        let short = corrupted(&model, from.as_bytes(), to.as_bytes());
         let err = short.scoring_plan().unwrap_err();
         assert!(err.contains("1 weights for a 2-column design"), "{err}");
     }

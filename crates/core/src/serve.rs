@@ -2,8 +2,9 @@
 //!
 //! Precision-medicine scoring is interactive: a clinician submits one
 //! expression profile and wants its normalized surprisal *now*, without
-//! paying the model-load cost (CRC verification + text parse of hundreds of
-//! per-target predictors) on every request. This module keeps one verified
+//! paying the model-load cost (mapping the file, CRC verification, decoding
+//! hundreds of per-target predictors, compiling the scoring plan) on every
+//! request. This module keeps one verified
 //! [`FracModel`] resident and scores streams of records against it, built
 //! around three robustness guarantees:
 //!

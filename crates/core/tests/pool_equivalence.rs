@@ -423,7 +423,7 @@ fn count_table_trees_match_the_gather_oracle_on_a_mixed_schema() {
                 let at = format!("{what}, {threads} threads");
                 let (pooled, _) = FracModel::fit(&train, &plan, &config);
                 let (oracle, _) = FracModel::fit_unpooled(&train, &plan, &config);
-                assert_eq!(pooled.to_text(), oracle.to_text(), "{at}: saved models differ");
+                assert_eq!(pooled.to_bytes(), oracle.to_bytes(), "{at}: saved models differ");
                 assert_bits_eq(&pooled.score(&test), &oracle.score(&test), &format!("{at}: NS"));
             });
         }

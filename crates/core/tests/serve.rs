@@ -81,9 +81,9 @@ fn fixture() -> &'static Fixture {
 
         // Corrupt candidate: the model file cut mid-body (fails the CRC
         // trailer check on load).
-        let text = std::fs::read_to_string(&model_path).unwrap();
+        let bytes = std::fs::read(&model_path).unwrap();
         let corrupt_path = dir.join("corrupt.frac");
-        std::fs::write(&corrupt_path, &text[..text.len() / 2]).unwrap();
+        std::fs::write(&corrupt_path, &bytes[..bytes.len() / 2]).unwrap();
 
         // Incompatible candidate: a valid model for a *wider* schema, whose
         // targets and design inputs run past the serving schema — it must

@@ -35,6 +35,11 @@ enum FeatureEncoder {
     },
 }
 
+/// Binary encoder tags (FORMATS.md §3).
+const ENC_REAL: u8 = 0;
+const ENC_RAW: u8 = 1;
+const ENC_ONEHOT: u8 = 2;
+
 impl FeatureEncoder {
     fn width(&self) -> usize {
         match self {
@@ -118,27 +123,68 @@ impl DesignSpec {
         Ok(())
     }
 
-    /// Serialize this spec into a [`crate::textio::TextWriter`] (model
-    /// persistence).
-    pub fn write_text(&self, w: &mut crate::textio::TextWriter) {
-        w.line("designspec", [self.input_features.len()]);
-        w.line("inputs", self.input_features.iter());
+    /// Serialize this spec into a [`crate::binio::ByteWriter`] (model v5
+    /// and journal v2 feature sections): the input count, the input
+    /// feature indices, then one tagged encoder per input.
+    pub fn write_bin(&self, w: &mut crate::binio::ByteWriter) {
+        w.len32(self.input_features.len());
+        for &j in &self.input_features {
+            w.len32(j);
+        }
         for enc in &self.encoders {
             match enc {
                 FeatureEncoder::Real { mean, inv_std } => {
-                    w.floats("enc_real", &[*mean, *inv_std]);
+                    w.u8(ENC_REAL);
+                    w.f64(*mean);
+                    w.f64(*inv_std);
                 }
                 FeatureEncoder::RealRaw { mean } => {
-                    w.floats("enc_raw", &[*mean]);
+                    w.u8(ENC_RAW);
+                    w.f64(*mean);
                 }
                 FeatureEncoder::OneHot { arity } => {
-                    w.line("enc_onehot", [*arity]);
+                    w.u8(ENC_ONEHOT);
+                    w.u32(*arity);
                 }
             }
         }
     }
 
-    /// Parse a spec previously produced by [`DesignSpec::write_text`].
+    /// Parse a spec previously produced by [`DesignSpec::write_bin`].
+    /// Rejects unknown encoder tags.
+    pub fn parse_bin(
+        r: &mut crate::binio::ByteReader<'_>,
+    ) -> Result<Self, crate::binio::ByteError> {
+        // Each input takes a 4-byte index plus an encoder of ≥ 5 bytes.
+        let n = r.count("designspec inputs", 9)?;
+        let mut input_features = Vec::with_capacity(n);
+        for _ in 0..n {
+            input_features.push(r.index("designspec input")?);
+        }
+        let mut encoders = Vec::with_capacity(n);
+        let mut n_cols = 0usize;
+        for _ in 0..n {
+            let at = r.offset();
+            let enc = match r.u8("encoder tag")? {
+                ENC_REAL => FeatureEncoder::Real {
+                    mean: r.f64("encoder mean")?,
+                    inv_std: r.f64("encoder inv_std")?,
+                },
+                ENC_RAW => FeatureEncoder::RealRaw { mean: r.f64("encoder mean")? },
+                ENC_ONEHOT => FeatureEncoder::OneHot { arity: r.u32("encoder arity")? },
+                tag => {
+                    return Err(crate::binio::ByteError::new(at, format!("unknown encoder tag {tag}")))
+                }
+            };
+            n_cols = n_cols
+                .checked_add(enc.width())
+                .ok_or_else(|| crate::binio::ByteError::new(at, "design width overflows"))?;
+            encoders.push(enc);
+        }
+        Ok(DesignSpec { input_features, encoders, n_cols })
+    }
+
+    /// Parse a spec from the text of a v1–v4 model file.
     pub fn parse_text(
         r: &mut crate::textio::TextReader<'_>,
     ) -> Result<Self, crate::textio::TextError> {
@@ -1194,21 +1240,43 @@ mod tests {
         assert_eq!(s.row(2), &[1.0, 2.0, 3.0]);
     }
 
+    fn spec_bytes(spec: &DesignSpec) -> Vec<u8> {
+        let mut w = crate::binio::ByteWriter::new();
+        spec.write_bin(&mut w);
+        w.finish()
+    }
+
     #[test]
-    fn spec_text_roundtrip() {
+    fn spec_bin_roundtrip() {
         let d = mixed();
         for standardize in [true, false] {
             let spec = DesignSpec::fit(&d, &[0, 2, 1], standardize);
-            let mut w = crate::textio::TextWriter::new();
-            spec.write_text(&mut w);
-            let text = w.finish();
-            let mut r = crate::textio::TextReader::new(&text);
-            let back = DesignSpec::parse_text(&mut r).unwrap();
+            let bytes = spec_bytes(&spec);
+            let mut r = crate::binio::ByteReader::new(&bytes);
+            let back = DesignSpec::parse_bin(&mut r).unwrap();
+            assert!(r.finish("spec").is_ok());
             assert_eq!(back.input_features(), spec.input_features());
             assert_eq!(back.n_cols(), spec.n_cols());
-            // Encodings agree exactly on data.
+            // Encodings agree exactly on data, and re-encode to the same bytes.
             assert_eq!(back.encode(&d), spec.encode(&d));
+            assert_eq!(spec_bytes(&back), bytes);
         }
+        // An unknown encoder tag is refused at its offset.
+        let mut bytes = spec_bytes(&DesignSpec::fit(&d, &[0], true));
+        bytes[8] = 9;
+        let err = DesignSpec::parse_bin(&mut crate::binio::ByteReader::new(&bytes)).unwrap_err();
+        assert_eq!(err.offset, 8, "{err}");
+        assert!(err.to_string().contains("unknown encoder tag 9"), "{err}");
+    }
+
+    #[test]
+    fn spec_text_still_parses() {
+        let text = "designspec 3\ninputs 0 2 1\nenc_real 0.5 2.0\nenc_raw -1.25\nenc_onehot 3\n";
+        let spec = DesignSpec::parse_text(&mut crate::textio::TextReader::new(text)).unwrap();
+        assert_eq!(spec.input_features(), &[0, 2, 1]);
+        assert_eq!(spec.n_cols(), 5);
+        let text = "designspec 2\ninputs 0\nenc_real 0.5 2.0\n";
+        assert!(DesignSpec::parse_text(&mut crate::textio::TextReader::new(text)).is_err());
     }
 
     #[test]
@@ -1278,11 +1346,7 @@ mod tests {
         assert_eq!(assembled.n_cols(), fresh.n_cols());
         assert_eq!(assembled.encode(&d), fresh.encode(&d));
         // Persisted form is identical too (format compatibility).
-        let mut wa = crate::textio::TextWriter::new();
-        assembled.write_text(&mut wa);
-        let mut wf = crate::textio::TextWriter::new();
-        fresh.write_text(&mut wf);
-        assert_eq!(wa.finish(), wf.finish());
+        assert_eq!(spec_bytes(&assembled), spec_bytes(&fresh));
     }
 
     #[test]

@@ -23,7 +23,11 @@
 //! * [`fcb`] — FCB, the binary column-major on-disk dataset format
 //!   (checksummed extents, mmap-loaded into zero-copy [`Dataset`] columns,
 //!   chunked bounded-memory encode); see `FORMATS.md` for the byte layout.
-//! * [`mmap`] — the read-only memory-map wrapper FCB loads through.
+//! * [`mmap`] — the read-only memory-map wrapper FCB files and models load
+//!   through.
+//! * [`binio`] — the little-endian byte codec of model files (v5) and
+//!   run-journal records (v2); [`textio`] reads the text versions before
+//!   them.
 //! * [`quarantine`] — degenerate-input screening (NaN/Inf cells,
 //!   zero-variance columns, single-class categoricals, all-missing targets)
 //!   and cell sanitization, run before anything reaches a solver.
@@ -36,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+pub mod binio;
 pub mod crc;
 pub mod dataset;
 pub mod design;

@@ -1,59 +1,10 @@
-//! Minimal line-oriented text (de)serialization substrate.
+//! Minimal line-oriented text deserialization substrate.
 //!
-//! Fitted FRaC models must be persistable (train once on the reference
-//! cohort, screen new samples for months) without pulling a serialization
-//! framework into a numerics workspace. The format is deliberately plain:
-//! one record per line, `tag value value …`, human-inspectable and
-//! dependency-free. Floats are written with `{:?}` (shortest round-trip
-//! representation), so save/load is bit-exact.
-
-/// Writer side: push tagged lines into a growing buffer.
-#[derive(Debug, Default)]
-pub struct TextWriter {
-    buf: String,
-}
-
-impl TextWriter {
-    /// New empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Write a line: the tag followed by space-separated fields.
-    pub fn line<I, S>(&mut self, tag: &str, fields: I)
-    where
-        I: IntoIterator<Item = S>,
-        S: std::fmt::Display,
-    {
-        self.buf.push_str(tag);
-        for f in fields {
-            self.buf.push(' ');
-            self.buf.push_str(&f.to_string());
-        }
-        self.buf.push('\n');
-    }
-
-    /// Write a tag-only line.
-    pub fn tag(&mut self, tag: &str) {
-        self.buf.push_str(tag);
-        self.buf.push('\n');
-    }
-
-    /// Write a line of f64 fields in round-trip representation.
-    pub fn floats(&mut self, tag: &str, values: &[f64]) {
-        self.buf.push_str(tag);
-        for v in values {
-            self.buf.push(' ');
-            self.buf.push_str(&format!("{v:?}"));
-        }
-        self.buf.push('\n');
-    }
-
-    /// Finish, returning the buffer.
-    pub fn finish(self) -> String {
-        self.buf
-    }
-}
+//! Model files up to v4 and v1 run-journal records were plain text: one
+//! record per line, `tag value value …`, with floats in their shortest
+//! round-trip representation. Those formats are read-only now (model v5
+//! and journal v2 are binary, see [`crate::binio`]), but every file
+//! already on disk stays loadable through this reader, bit-exactly.
 
 /// Reader side: consume tagged lines with typed field extraction.
 #[derive(Debug)]
@@ -198,14 +149,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_tagged_lines() {
-        let mut w = TextWriter::new();
-        w.line("header", ["v1"]);
-        w.floats("weights", &[1.5, -0.25, 1e-300, f64::MAX]);
-        w.line("count", [42u32]);
-        w.tag("end");
-        let text = w.finish();
-
+    fn reads_tagged_lines() {
+        let text = format!("header v1\nweights 1.5 -0.25 1e-300 {:?}\ncount 42\nend\n", f64::MAX);
         let mut r = TextReader::new(&text);
         assert_eq!(r.expect("header").unwrap(), vec!["v1"]);
         let ws: Vec<f64> = r.parse_all("weights").unwrap();
@@ -216,10 +161,9 @@ mod tests {
 
     #[test]
     fn float_roundtrip_is_bit_exact() {
+        // Files were written with `{:?}`, the shortest round-trip form.
         let values = [0.1, 1.0 / 3.0, std::f64::consts::PI, -2.2250738585072014e-308];
-        let mut w = TextWriter::new();
-        w.floats("v", &values);
-        let text = w.finish();
+        let text = values.iter().fold("v".to_string(), |t, v| format!("{t} {v:?}"));
         let mut r = TextReader::new(&text);
         let back: Vec<f64> = r.parse_all("v").unwrap();
         for (a, b) in values.iter().zip(&back) {

@@ -28,13 +28,20 @@ impl ConstantRegressor {
         ConstantRegressor { mean }
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.floats("const_reg", &[self.mean]);
+    /// Serialize into a byte writer (model persistence).
+    pub fn write_bin(&self, w: &mut frac_dataset::binio::ByteWriter) {
+        w.f64(self.mean);
     }
 
     /// Parse a model previously produced by
-    /// [`ConstantRegressor::write_text`].
+    /// [`ConstantRegressor::write_bin`].
+    pub fn parse_bin(
+        r: &mut frac_dataset::binio::ByteReader<'_>,
+    ) -> Result<Self, frac_dataset::binio::ByteError> {
+        Ok(ConstantRegressor { mean: r.f64("constant mean")? })
+    }
+
+    /// Parse a model from the text of a v1–v4 model file.
     pub fn parse_text(
         r: &mut frac_dataset::textio::TextReader<'_>,
     ) -> Result<Self, frac_dataset::textio::TextError> {
@@ -88,13 +95,20 @@ impl MajorityClassifier {
         MajorityClassifier { class }
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.line("majority_clf", [self.class]);
+    /// Serialize into a byte writer (model persistence).
+    pub fn write_bin(&self, w: &mut frac_dataset::binio::ByteWriter) {
+        w.u32(self.class);
     }
 
     /// Parse a model previously produced by
-    /// [`MajorityClassifier::write_text`].
+    /// [`MajorityClassifier::write_bin`].
+    pub fn parse_bin(
+        r: &mut frac_dataset::binio::ByteReader<'_>,
+    ) -> Result<Self, frac_dataset::binio::ByteError> {
+        Ok(MajorityClassifier { class: r.u32("majority class")? })
+    }
+
+    /// Parse a model from the text of a v1–v4 model file.
     pub fn parse_text(
         r: &mut frac_dataset::textio::TextReader<'_>,
     ) -> Result<Self, frac_dataset::textio::TextError> {

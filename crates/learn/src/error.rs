@@ -77,13 +77,32 @@ impl GaussianErrorModel {
         std::mem::size_of::<Self>()
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.floats("gauss_err", &[self.mu, self.sigma]);
+    /// Serialize into a byte writer (model persistence): μ, then σ.
+    pub fn write_bin(&self, w: &mut frac_dataset::binio::ByteWriter) {
+        w.f64(self.mu);
+        w.f64(self.sigma);
     }
 
     /// Parse a model previously produced by
-    /// [`GaussianErrorModel::write_text`].
+    /// [`GaussianErrorModel::write_bin`]. A σ below [`Self::MIN_SIGMA`]
+    /// (or NaN) is refused rather than floored: no writer produces one,
+    /// and flooring it would give the file a second byte image.
+    pub fn parse_bin(
+        r: &mut frac_dataset::binio::ByteReader<'_>,
+    ) -> Result<Self, frac_dataset::binio::ByteError> {
+        let mu = r.f64("gaussian mu")?;
+        let at = r.offset();
+        let sigma = r.f64("gaussian sigma")?;
+        if sigma.is_nan() || sigma < Self::MIN_SIGMA {
+            return Err(frac_dataset::binio::ByteError::new(
+                at,
+                format!("gaussian sigma {sigma} is below the floor {}", Self::MIN_SIGMA),
+            ));
+        }
+        Ok(GaussianErrorModel { mu, sigma })
+    }
+
+    /// Parse a model from the text of a v1–v4 model file.
     pub fn parse_text(
         r: &mut frac_dataset::textio::TextReader<'_>,
     ) -> Result<Self, frac_dataset::textio::TextError> {
@@ -158,14 +177,36 @@ impl ConfusionErrorModel {
         self.counts.len() * std::mem::size_of::<u64>() + std::mem::size_of::<Self>()
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.line("conf_err", [self.arity.to_string(), format!("{:?}", self.alpha)]);
-        w.line("conf_counts", self.counts.iter());
+    /// Serialize into a byte writer (model persistence): arity, α, then
+    /// the arity² counts row-major by prediction.
+    pub fn write_bin(&self, w: &mut frac_dataset::binio::ByteWriter) {
+        w.u32(self.arity);
+        w.f64(self.alpha);
+        for &c in &self.counts {
+            w.u64(c);
+        }
     }
 
     /// Parse a model previously produced by
-    /// [`ConfusionErrorModel::write_text`].
+    /// [`ConfusionErrorModel::write_bin`]: `alpha > 0` (NaN refused) and
+    /// exactly arity² counts, checked against the bytes left before they
+    /// are read.
+    pub fn parse_bin(
+        r: &mut frac_dataset::binio::ByteReader<'_>,
+    ) -> Result<Self, frac_dataset::binio::ByteError> {
+        let arity = r.u32("confusion arity")?;
+        let at = r.offset();
+        let alpha = r.f64("confusion alpha")?;
+        if alpha.is_nan() || alpha <= 0.0 {
+            return Err(frac_dataset::binio::ByteError::new(at, "alpha must be positive"));
+        }
+        let k = arity as usize;
+        let n = k.checked_mul(k).ok_or_else(|| r.error("confusion arity overflows"))?;
+        let counts = r.u64s(n, "confusion counts")?;
+        Ok(ConfusionErrorModel { arity, counts, alpha })
+    }
+
+    /// Parse a model from the text of a v1–v4 model file.
     pub fn parse_text(
         r: &mut frac_dataset::textio::TextReader<'_>,
     ) -> Result<Self, frac_dataset::textio::TextError> {

@@ -95,16 +95,32 @@ impl LinearSvc {
         LinearSvc { hyperplanes }
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.line("svc_classes", [self.hyperplanes.len()]);
+    /// Serialize into a byte writer (model persistence): the class count,
+    /// then each class's bias and counted weights.
+    pub fn write_bin(&self, w: &mut frac_dataset::binio::ByteWriter) {
+        w.len32(self.hyperplanes.len());
         for (weights, bias) in &self.hyperplanes {
-            w.floats("svc_bias", &[*bias]);
-            w.floats("svc_weights", weights);
+            w.f64(*bias);
+            w.f64s(weights);
         }
     }
 
-    /// Parse a model previously produced by [`LinearSvc::write_text`].
+    /// Parse a model previously produced by [`LinearSvc::write_bin`].
+    pub fn parse_bin(
+        r: &mut frac_dataset::binio::ByteReader<'_>,
+    ) -> Result<Self, frac_dataset::binio::ByteError> {
+        // Each class takes at least its bias and a weight count.
+        let k = r.count("svc classes", 12)?;
+        let mut hyperplanes = Vec::with_capacity(k);
+        for _ in 0..k {
+            let bias = r.f64("svc bias")?;
+            let weights = r.f64s("svc weights")?;
+            hyperplanes.push((weights, bias));
+        }
+        Ok(LinearSvc { hyperplanes })
+    }
+
+    /// Parse a model from the text of a v1–v4 model file.
     pub fn parse_text(
         r: &mut frac_dataset::textio::TextReader<'_>,
     ) -> Result<Self, frac_dataset::textio::TextError> {

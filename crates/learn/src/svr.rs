@@ -103,13 +103,23 @@ impl LinearSvr {
         LinearSvr { weights, bias }
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.floats("svr_bias", &[self.bias]);
-        w.floats("svr_weights", &self.weights);
+    /// Serialize into a byte writer (model persistence): bias, then the
+    /// counted weights.
+    pub fn write_bin(&self, w: &mut frac_dataset::binio::ByteWriter) {
+        w.f64(self.bias);
+        w.f64s(&self.weights);
     }
 
-    /// Parse a model previously produced by [`LinearSvr::write_text`].
+    /// Parse a model previously produced by [`LinearSvr::write_bin`].
+    pub fn parse_bin(
+        r: &mut frac_dataset::binio::ByteReader<'_>,
+    ) -> Result<Self, frac_dataset::binio::ByteError> {
+        let bias = r.f64("svr bias")?;
+        let weights = r.f64s("svr weights")?;
+        Ok(LinearSvr { weights, bias })
+    }
+
+    /// Parse a model from the text of a v1–v4 model file.
     pub fn parse_text(
         r: &mut frac_dataset::textio::TextReader<'_>,
     ) -> Result<Self, frac_dataset::textio::TextError> {

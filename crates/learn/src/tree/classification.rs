@@ -36,14 +36,35 @@ impl ClassificationTree {
         &self.nodes
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.line("ctree_arity", [self.arity]);
-        super::write_nodes(w, &self.nodes, u32::to_string);
+    /// Serialize into a byte writer (model persistence): the arity, then
+    /// the node arena, leaves carrying their `u32` class.
+    pub fn write_bin(&self, w: &mut frac_dataset::binio::ByteWriter) {
+        w.u32(self.arity);
+        super::write_nodes_bin(w, &self.nodes, |w, c| w.u32(*c));
     }
 
     /// Parse a model previously produced by
-    /// [`ClassificationTree::write_text`].
+    /// [`ClassificationTree::write_bin`]; every leaf class must be below
+    /// the arity.
+    pub fn parse_bin(
+        r: &mut frac_dataset::binio::ByteReader<'_>,
+    ) -> Result<Self, frac_dataset::binio::ByteError> {
+        let arity = r.u32("tree arity")?;
+        let nodes = super::parse_nodes_bin(r, 4, |r| {
+            let at = r.offset();
+            let c = r.u32("leaf class")?;
+            if c >= arity {
+                return Err(frac_dataset::binio::ByteError::new(
+                    at,
+                    format!("leaf class {c} out of range for arity {arity}"),
+                ));
+            }
+            Ok(c)
+        })?;
+        Ok(ClassificationTree { nodes, arity })
+    }
+
+    /// Parse a model from the text of a v1–v4 model file.
     pub fn parse_text(
         r: &mut frac_dataset::textio::TextReader<'_>,
     ) -> Result<Self, frac_dataset::textio::TextError> {

@@ -92,31 +92,74 @@ pub(crate) fn arena_len<L>(nodes: &[Node<L>]) -> usize {
     nodes.len()
 }
 
-/// Serialize a node arena (model persistence). Leaf payloads are written by
-/// `leaf` as a single whitespace-free token.
-pub(crate) fn write_nodes<L>(
-    w: &mut frac_dataset::textio::TextWriter,
+/// Binary node tags (FORMATS.md §3).
+const NODE_LEAF: u8 = 0;
+const NODE_SPLIT: u8 = 1;
+
+/// Serialize a node arena (model persistence): the node count, then per
+/// node a tag byte and either the leaf payload (written by `leaf`) or the
+/// split's feature, threshold and child indices.
+pub(crate) fn write_nodes_bin<L>(
+    w: &mut frac_dataset::binio::ByteWriter,
     nodes: &[Node<L>],
-    leaf: impl Fn(&L) -> String,
+    leaf: impl Fn(&mut frac_dataset::binio::ByteWriter, &L),
 ) {
-    w.line("tree_nodes", [nodes.len()]);
+    w.len32(nodes.len());
     for node in nodes {
         match node {
-            Node::Leaf(payload) => w.line("leaf", [leaf(payload)]),
-            Node::Split { feature, threshold, left, right } => w.line(
-                "split",
-                [
-                    feature.to_string(),
-                    format!("{threshold:?}"),
-                    left.to_string(),
-                    right.to_string(),
-                ],
-            ),
+            Node::Leaf(payload) => {
+                w.u8(NODE_LEAF);
+                leaf(w, payload);
+            }
+            Node::Split { feature, threshold, left, right } => {
+                w.u8(NODE_SPLIT);
+                w.len32(*feature);
+                w.f64(*threshold);
+                w.len32(*left);
+                w.len32(*right);
+            }
         }
     }
 }
 
-/// Parse a node arena previously produced by [`write_nodes`].
+/// Parse a node arena previously produced by [`write_nodes_bin`]. `leaf_bytes`
+/// is the size of one leaf payload, so the node count can be checked
+/// against the bytes left before the arena is allocated. Rejects unknown
+/// node tags and split children outside the arena.
+pub(crate) fn parse_nodes_bin<L>(
+    r: &mut frac_dataset::binio::ByteReader<'_>,
+    leaf_bytes: usize,
+    leaf: impl Fn(&mut frac_dataset::binio::ByteReader<'_>) -> Result<L, frac_dataset::binio::ByteError>,
+) -> Result<Vec<Node<L>>, frac_dataset::binio::ByteError> {
+    let n = r.count("tree nodes", 1 + leaf_bytes)?;
+    let mut nodes = Vec::with_capacity(n);
+    for _ in 0..n {
+        let at = r.offset();
+        let node = match r.u8("node tag")? {
+            NODE_LEAF => Node::Leaf(leaf(r)?),
+            NODE_SPLIT => {
+                let feature = r.index("split feature")?;
+                let threshold = r.f64("split threshold")?;
+                let left = r.index("split left child")?;
+                let right = r.index("split right child")?;
+                if left >= n || right >= n {
+                    return Err(frac_dataset::binio::ByteError::new(
+                        at,
+                        format!("split child index out of range ({left}, {right} of {n} nodes)"),
+                    ));
+                }
+                Node::Split { feature, threshold, left, right }
+            }
+            tag => {
+                return Err(frac_dataset::binio::ByteError::new(at, format!("unknown node tag {tag}")))
+            }
+        };
+        nodes.push(node);
+    }
+    Ok(nodes)
+}
+
+/// Parse a node arena from the text of a v1–v4 model file.
 pub(crate) fn parse_nodes<L>(
     r: &mut frac_dataset::textio::TextReader<'_>,
     leaf: impl Fn(&str) -> Result<L, frac_dataset::textio::TextError>,

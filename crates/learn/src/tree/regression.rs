@@ -35,13 +35,21 @@ impl RegressionTree {
         &self.nodes
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.tag("rtree");
-        super::write_nodes(w, &self.nodes, |v| format!("{v:?}"));
+    /// Serialize into a byte writer (model persistence): the node arena,
+    /// leaves carrying their `f64` value.
+    pub fn write_bin(&self, w: &mut frac_dataset::binio::ByteWriter) {
+        super::write_nodes_bin(w, &self.nodes, |w, v| w.f64(*v));
     }
 
-    /// Parse a model previously produced by [`RegressionTree::write_text`].
+    /// Parse a model previously produced by [`RegressionTree::write_bin`].
+    pub fn parse_bin(
+        r: &mut frac_dataset::binio::ByteReader<'_>,
+    ) -> Result<Self, frac_dataset::binio::ByteError> {
+        let nodes = super::parse_nodes_bin(r, 8, |r| r.f64("leaf value"))?;
+        Ok(RegressionTree { nodes })
+    }
+
+    /// Parse a model from the text of a v1–v4 model file.
     pub fn parse_text(
         r: &mut frac_dataset::textio::TextReader<'_>,
     ) -> Result<Self, frac_dataset::textio::TextError> {

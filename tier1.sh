@@ -128,12 +128,15 @@ timeout 120 ./target/release/frac train \
   --test "$smoke_dir/autism.test.tsv" \
   > "$smoke_dir/score-tsv.tsv" 2> /dev/null
 cmp "$smoke_dir/score-fcb.tsv" "$smoke_dir/score-tsv.tsv"
+# A model has one byte image (model v5), so the two files are identical too.
+cmp "$smoke_dir/autism-fcb.frac" "$smoke_dir/autism-tsv.frac"
 # Split pin: trees use no kernel tier, so the TSV-trained model is the same
-# file on every host. A change that moves a chosen split updates this
-# checksum and says why in CHANGES.md.
-model_crc="$(tail -1 "$smoke_dir/autism-tsv.frac")"
-if [ "$model_crc" != "crc 133744fa" ]; then
-  echo "split pin: autism --snp model ends in '$model_crc', want 'crc 133744fa'"; exit 1
+# file on every host. Its last four bytes are the v5 CRC-32 trailer. A
+# change that moves a chosen split updates this checksum and says why in
+# CHANGES.md.
+model_crc="$(tail -c 4 "$smoke_dir/autism-tsv.frac" | od -An -tx1 | tr -d ' \n')"
+if [ "$model_crc" != "e4c6fa92" ]; then
+  echo "split pin: autism --snp model's crc trailer reads '$model_crc', want 'e4c6fa92'"; exit 1
 fi
 
 # Schema smoke: scoring a saved SNP model against an expression test file
