@@ -7,12 +7,13 @@ use frac_core::shard::{
 };
 use frac_core::telemetry::{Counter, TelemetryReport, TelemetrySession};
 use frac_core::{
-    run_variant, FaultPlan, FeatureSelector, FracConfig, FracModel, JournaledFit, RunBudget,
-    validate_model, ServeConfig, Server, ShardOptions, ShardStat, SolverStrategy, TrainingPlan,
-    Variant,
+    run_variant, ContributionMatrix, FaultPlan, FeatureSelector, FracConfig, FracModel,
+    JournaledFit, RunBudget, validate_model, ServeConfig, Server, ShardOptions, ShardStat,
+    SolverStrategy, TrainingPlan, Variant,
 };
 use std::time::Duration;
 use frac_dataset::io::{read_tsv, write_tsv};
+use frac_dataset::Schema;
 use frac_eval::auc::auc_from_scores;
 use frac_projection::JlMatrixKind;
 use frac_synth::registry::{lookup, make_dataset, PAPER_DATASETS};
@@ -531,6 +532,31 @@ fn parse_shard_faults(spec: &str) -> Result<FaultPlan, Error> {
     Ok(plan)
 }
 
+/// `--top-features K`: one line per scored row naming its `k` largest NS
+/// contributions, largest first (none when `k` is 0).
+fn top_feature_lines(contributions: &ContributionMatrix, schema: &Schema, k: usize) -> Vec<String> {
+    if k == 0 {
+        return Vec::new();
+    }
+    (0..contributions.n_rows)
+        .map(|r| {
+            let mut ranked: Vec<(usize, f64)> = contributions
+                .feature_ids
+                .iter()
+                .zip(&contributions.values)
+                .map(|(&f, col)| (f, col[r]))
+                .collect();
+            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+            let tops: Vec<String> = ranked
+                .iter()
+                .take(k)
+                .map(|&(f, c)| format!("{}={c:.2}", schema.feature(f).name))
+                .collect();
+            format!("sample {r} top features: {}", tops.join(" "))
+        })
+        .collect()
+}
+
 /// Score with a previously saved model.
 fn score_with_model(args: &ScoreArgs, path: &std::path::Path) -> Result<(), Error> {
     let test = read_data_at(&args.test)?;
@@ -568,6 +594,9 @@ fn score_with_model(args: &ScoreArgs, path: &std::path::Path) -> Result<(), Erro
     for (r, v) in ns.iter().enumerate() {
         println!("{r}\t{v:.6}");
     }
+    for line in top_feature_lines(&contributions, test.schema(), args.top_features) {
+        eprintln!("{line}");
+    }
     if let Some(lpath) = &args.labels {
         let labels = read_labels(lpath, ns.len())?;
         eprintln!("AUC = {:.4}", auc_from_scores(&ns, &labels));
@@ -602,23 +631,8 @@ fn score(args: ScoreArgs) -> Result<(), Error> {
         println!("{r}\t{ns:.6}");
     }
 
-    if args.top_features > 0 {
-        for r in 0..test.n_rows() {
-            let mut contribs: Vec<(usize, f64)> = out
-                .contributions
-                .feature_ids
-                .iter()
-                .zip(&out.contributions.values)
-                .map(|(&f, col)| (f, col[r]))
-                .collect();
-            contribs.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let tops: Vec<String> = contribs
-                .iter()
-                .take(args.top_features)
-                .map(|&(f, c)| format!("{}={c:.2}", test.schema().feature(f).name))
-                .collect();
-            eprintln!("sample {r} top features: {}", tops.join(" "));
-        }
+    for line in top_feature_lines(&out.contributions, test.schema(), args.top_features) {
+        eprintln!("{line}");
     }
 
     if let Some(path) = &args.labels {
@@ -811,6 +825,46 @@ mod tests {
             ..ScoreArgs::default()
         };
         score(args).unwrap();
+    }
+
+    #[test]
+    fn top_features_agree_between_saved_model_and_in_process_fit() {
+        let dir = std::env::temp_dir().join("frac-cli-test-top-features");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        generate("breast.basal", &dir, 5).unwrap();
+        let model_path = dir.join("model.frac");
+        let args = ScoreArgs {
+            train: dir.join("breast.basal.train.tsv"),
+            test: dir.join("breast.basal.test.tsv"),
+            variant: "full".into(),
+            top_features: 3,
+            ..ScoreArgs::default()
+        };
+        train(
+            TrainArgs {
+                train: args.train.clone(),
+                out: model_path.clone(),
+                variant: "full".into(),
+                seed: args.seed,
+                ..TrainArgs::default()
+            },
+            false,
+        )
+        .unwrap();
+        // `score --model` and `score --train` rank the same contributions.
+        let test = read_data_at(&args.test).unwrap();
+        let model = FracModel::load(&model_path).unwrap();
+        let saved = top_feature_lines(&model.contributions(&test), test.schema(), 3);
+        let config = FracConfig::default().with_seed(args.seed);
+        let fitted = run_variant(&read_data_at(&args.train).unwrap(), &test, &Variant::Full, &config);
+        let in_process = top_feature_lines(&fitted.contributions, test.schema(), 3);
+        assert_eq!(saved.len(), test.n_rows());
+        assert!(saved[0].starts_with("sample 0 top features: "), "{}", saved[0]);
+        assert_eq!(saved[0].split(' ').count(), 4 + 3, "{}", saved[0]);
+        assert_eq!(saved, in_process);
+        assert!(top_feature_lines(&fitted.contributions, test.schema(), 0).is_empty());
+        score(ScoreArgs { model: Some(model_path), ..args }).unwrap();
     }
 
     #[test]

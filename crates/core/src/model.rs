@@ -409,8 +409,9 @@ fn fit_predictor(
     // Scope the thread-local solver pack cache to this exact predictor
     // problem: the CV drivers and final fits below then declare their train
     // rows per slot, letting repeated gathers of the same (rows, columns)
-    // design — and its Gram matrix — be reused instead of rebuilt.
-    frac_learn::solver::pack_cache::begin_scope(pack_scope(fit_nonce, target, inputs));
+    // design be reused, and every Gram solve gather its Q from the scope's
+    // one Q. The scope closes when this function returns.
+    let _scope = frac_learn::solver::pack_cache::begin_scope(pack_scope(fit_nonce, target, inputs));
     let owned: DesignMatrix;
     let pooled: PoolView<'_>;
     let spec: DesignSpec;
@@ -623,9 +624,10 @@ fn run_real<T: frac_learn::RegressorTrainer>(
     drop(error_span);
     let _final_span = telemetry::span(telemetry::Stage::FinalTrain);
     // Slot 0 of the pack-cache scope is the final fit over every present
-    // row (the CV folds took slots 1..); a repeat fit of the same problem
-    // (strict-ladder siblings, members sharing an input set) reuses the
-    // gather.
+    // row (the CV folds took slots 1.. and their rows are subsets of it, so
+    // a Gram final fit finds its Q already computed); a repeat fit of the
+    // same problem (strict-ladder siblings, members sharing an input set)
+    // reuses the gather.
     let all_rows: Vec<usize> = (0..x.n_rows()).collect();
     frac_learn::solver::pack_cache::set_rows(0, &all_rows);
     let final_fit = if budget.is_limited() {

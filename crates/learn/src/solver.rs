@@ -113,30 +113,32 @@ pub(crate) fn pack_for_solve(x: &dyn DesignView) -> Option<Rc<PackedDesign>> {
     Some(rc)
 }
 
-/// The Gram matrix for `packed` with the bias augmentation folded in, from
-/// the solve-context cache when one matches (members and one-vs-rest
-/// classes then share one O(n²d) build) or built fresh. The budget is
-/// polled once per Gram row during a build. The flag is true when this
-/// call actually built Q (the caller charges the build flops then).
+/// The Gram matrix for `packed` with the bias augmentation folded in, and
+/// the number of row-pair dots this call computed (the caller charges 2d
+/// flops for each). When `packed` is a gather of the open fit scope (see
+/// [`pack_cache`]), Q is gathered from the scope's one Q over all its rows,
+/// so a solve computes only the entries no earlier solve of the scope
+/// covered; otherwise Q is built in full. The budget is polled once per Q
+/// row either way.
 pub(crate) fn gram_for_solve(
     packed: &Rc<PackedDesign>,
     bias_sq: f64,
     budget: &TargetBudget,
-) -> Result<(Rc<GramMatrix>, bool), TrainError> {
-    if let Some(hit) = pack_cache::lookup_gram(packed, bias_sq) {
-        return Ok((hit, false));
+) -> Result<(GramMatrix, u64), TrainError> {
+    if let Some(gathered) = pack_cache::gather_gram(packed, bias_sq, || budget.check())? {
+        return Ok(gathered);
     }
-    let gram = Rc::new(GramMatrix::build(packed, bias_sq, budget)?);
+    let gram = GramMatrix::build(packed, bias_sq, budget)?;
     stats::record_gram_build();
-    pack_cache::store_gram(packed, bias_sq, &gram);
-    Ok((gram, true))
+    let n = packed.n_rows() as u64;
+    Ok((gram, n * (n + 1) / 2))
 }
 
 /// Which execution strategy the fast dual coordinate-descent loops use.
 ///
 /// * `Primal` — maintain `w = Xᵀα` and evaluate each gradient with an
 ///   O(d) row dot (the PR 2/PR 6 path).
-/// * `Gram` — precompute `Q = XXᵀ` (bias folded in) once per solve and
+/// * `Gram` — precompute `Q = XXᵀ` (bias folded in) before the solve and
 ///   maintain the dual gradient vector, making a coordinate visit an O(1)
 ///   gradient read plus an O(n) row-of-Q update; `w` is reconstructed once
 ///   at convergence. Wins when n ≪ d and Q fits in cache.
@@ -250,9 +252,10 @@ pub fn gram_policy() -> GramPolicy {
 
 /// A solve's Gram matrix `Q = XXᵀ + bias·𝟙` — n² doubles, symmetric, with
 /// the bias augmentation folded into every entry so the dual loops never
-/// special-case it. Built with the dispatched SIMD dot kernel over packed
-/// rows (upper triangle mirrored), O(n²d/2) once per solve — or once per
-/// (target, fold) when the [`pack_cache`] can share it.
+/// special-case it. Each entry is one dispatched SIMD dot of two packed
+/// rows (upper triangle mirrored). Outside a fit scope a solve builds it
+/// in O(n²d/2); inside one, it is gathered from the scope's Q, whose
+/// entries are computed once per fit scope (see [`pack_cache`]).
 #[derive(Debug)]
 pub struct GramMatrix {
     q: Vec<f64>,
@@ -296,100 +299,160 @@ impl GramMatrix {
     pub fn diag(&self, i: usize) -> f64 {
         self.q[i * self.n + i]
     }
-
-    /// Resident bytes (for the pack cache's byte cap).
-    pub fn approx_bytes(&self) -> usize {
-        self.q.len() * std::mem::size_of::<f64>()
-    }
-
-    /// Flops of one build over `d` columns: n(n+1)/2 dots of 2d flops.
-    pub fn build_flops(n: usize, d: usize) -> u64 {
-        (n as u64) * (n as u64 + 1) / 2 * (d as u64) * 2
-    }
 }
 
-/// Per-thread cache of solve-scoped [`PackedDesign`] gathers and their
-/// [`GramMatrix`] builds.
+/// Per-thread cache of solve-scoped [`PackedDesign`] gathers and the fit
+/// scope's one [`GramMatrix`].
 ///
-/// The fit driver re-solves the same (target, fold) design many times —
-/// once per ensemble member, once per one-vs-rest class, plus the final
-/// full fit — and each fast solve used to re-gather the rows. The driver
-/// brackets those solves with [`pack_cache::begin_scope`] (one scope per
-/// fitted predictor problem) and [`pack_cache::set_rows`] (the exact
-/// train-row indices of the
-/// upcoming solve); `pack_for_solve` then reuses a cached gather only when
-/// the stored row indices and the view shape match exactly, so a stale or
+/// The fit driver solves each fitted predictor problem several times —
+/// once per CV fold and once on the full data, each once per one-vs-rest
+/// class for SVC — over row sets drawn from the same design. It brackets
+/// those solves with [`pack_cache::begin_scope`] (one scope per fitted
+/// predictor problem, open while its guard lives) and
+/// [`pack_cache::set_rows`] (the exact train-row indices of the upcoming
+/// solve); `pack_for_solve` then reuses a cached gather only when the
+/// stored row indices and the view shape match exactly, so a stale or
 /// missing context degrades to a fresh gather, never a wrong one.
+///
+/// The scope also keeps one Q over its row-index space: entry (a, b) is
+/// `dot_blocked(row a, row b, bias²)` over the packed rows. Every fold's
+/// rows are a subset of the final fit's, so a Gram solve gathers its Q
+/// from the scope Q and computes only the entries no earlier solve of the
+/// scope covered. Both kernel tiers multiply lane-wise, so (a, b) and
+/// (b, a) give the same bits, and every solve sees exactly the Q a
+/// from-scratch build of its own rows would give.
 ///
 /// Thread-local on purpose: the fit fleet runs one target per rayon
 /// thread, so entries never cross targets mid-problem, and `Rc` keeps the
 /// hot path free of atomics.
 pub mod pack_cache {
-    use super::GramMatrix;
+    use super::{stats, GramMatrix};
+    use crate::fault::TrainError;
     use frac_dataset::PackedDesign;
     use std::cell::RefCell;
+    use std::marker::PhantomData;
     use std::rc::Rc;
 
-    /// Byte cap per thread across packed buffers and Gram matrices; the
-    /// oldest entries are evicted past it.
+    /// Byte cap per thread across packed buffers and the scope Q; the
+    /// oldest packs are evicted past it, and a scope Q that alone would
+    /// pass it is never built.
     const MAX_BYTES: usize = 16 << 20;
 
     struct Entry {
         slot: u64,
         rows: Vec<usize>,
         packed: Rc<PackedDesign>,
-        gram: Option<(u64, Rc<GramMatrix>)>,
     }
 
     impl Entry {
         fn bytes(&self) -> usize {
-            self.packed.approx_bytes()
-                + self.gram.as_ref().map_or(0, |(_, g)| g.approx_bytes())
-                + self.rows.len() * std::mem::size_of::<usize>()
+            self.packed.approx_bytes() + self.rows.len() * std::mem::size_of::<usize>()
+        }
+    }
+
+    /// The scope's Q, `dim × dim` over the row indices `set_rows` declares,
+    /// filled lazily: `filled[a·dim + b]` marks the entries already
+    /// computed. Each entry is final when written, so a solve cut short by
+    /// its budget leaves only exact entries behind.
+    struct ScopeGram {
+        bias_bits: u64,
+        n_cols: usize,
+        dim: usize,
+        q: Vec<f64>,
+        filled: Vec<bool>,
+    }
+
+    impl ScopeGram {
+        fn bytes(dim: usize) -> usize {
+            dim * dim * (std::mem::size_of::<f64>() + std::mem::size_of::<bool>())
+        }
+
+        /// Widen to `dim` rows, keeping every filled entry.
+        fn grow(&mut self, dim: usize) {
+            if dim <= self.dim {
+                return;
+            }
+            let mut q = vec![0.0f64; dim * dim];
+            let mut filled = vec![false; dim * dim];
+            for a in 0..self.dim {
+                let (old, new) = (a * self.dim..(a + 1) * self.dim, a * dim..a * dim + self.dim);
+                q[new.clone()].copy_from_slice(&self.q[old.clone()]);
+                filled[new].copy_from_slice(&self.filled[old]);
+            }
+            self.q = q;
+            self.filled = filled;
+            self.dim = dim;
         }
     }
 
     struct State {
-        /// Whether any scope was ever begun on this thread: `set_rows` is
-        /// inert until then, so code paths shared with direct trainer users
-        /// (the CV drivers) can declare rows unconditionally without risking
-        /// stale hits outside a scoped fit.
-        begun: bool,
+        /// Whether a scope's guard is alive: `set_rows` is inert otherwise,
+        /// so code paths shared with direct trainer users (the CV drivers)
+        /// can declare rows unconditionally without risking stale hits
+        /// outside a scoped fit.
+        open: bool,
         scope: u64,
         active: Option<(u64, Vec<usize>)>,
         entries: Vec<Entry>,
+        gram: Option<ScopeGram>,
     }
 
     thread_local! {
         static STATE: RefCell<State> = const {
-            RefCell::new(State { begun: false, scope: 0, active: None, entries: Vec::new() })
+            RefCell::new(State {
+                open: false,
+                scope: 0,
+                active: None,
+                entries: Vec::new(),
+                gram: None,
+            })
         };
     }
 
-    /// Enter a solve scope (one per fitted predictor problem: target ×
-    /// input set × fit). A scope change drops every cached entry; the
-    /// caller must pick keys that never collide across different designs
-    /// (e.g. hash of a per-fit nonce, target id, and input set).
-    pub fn begin_scope(scope: u64) {
+    /// Guard of an open solve scope; dropping it closes the scope. The
+    /// cached gathers and Q stay, so reopening the same scope reuses them.
+    #[must_use = "the scope closes when this guard drops"]
+    pub struct Scope {
+        _thread_bound: PhantomData<*const ()>,
+    }
+
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            STATE.with(|s| {
+                let mut s = s.borrow_mut();
+                s.open = false;
+                s.active = None;
+            });
+        }
+    }
+
+    /// Open a solve scope (one per fitted predictor problem: target ×
+    /// input set × fit) until the returned guard drops. A scope change
+    /// drops every cached gather and the scope Q; the caller must pick
+    /// keys that never collide across different designs (e.g. hash of a
+    /// per-fit nonce, target id, and input set).
+    pub fn begin_scope(scope: u64) -> Scope {
         STATE.with(|s| {
             let mut s = s.borrow_mut();
-            if !s.begun || s.scope != scope {
+            if s.scope != scope {
                 s.scope = scope;
                 s.entries.clear();
+                s.gram = None;
             }
-            s.begun = true;
+            s.open = true;
             s.active = None;
         });
+        Scope { _thread_bound: PhantomData }
     }
 
     /// Declare the train rows of the next solve(s): `slot` names the fold
     /// (or final fit) and `rows` are the exact row indices, compared
-    /// verbatim on lookup. Stays active until the next `set_rows` /
-    /// `clear_rows` / `begin_scope`.
+    /// verbatim on lookup and indexing the scope Q. Stays active until the
+    /// next `set_rows` / `clear_rows` / `begin_scope`, or the scope closes.
     pub fn set_rows(slot: u64, rows: &[usize]) {
         STATE.with(|s| {
             let mut s = s.borrow_mut();
-            if s.begun {
+            if s.open {
                 s.active = Some((slot, rows.to_vec()));
             }
         });
@@ -427,35 +490,72 @@ pub mod pack_cache {
                 return;
             }
             s.entries.retain(|e| e.slot != slot);
-            s.entries.push(Entry { slot, rows, packed: Rc::clone(packed), gram: None });
-            evict(&mut s.entries);
+            s.entries.push(Entry { slot, rows, packed: Rc::clone(packed) });
+            let gram_bytes = s.gram.as_ref().map_or(0, |g| ScopeGram::bytes(g.dim));
+            evict(&mut s.entries, gram_bytes);
         });
     }
 
-    pub(crate) fn lookup_gram(packed: &Rc<PackedDesign>, bias_sq: f64) -> Option<Rc<GramMatrix>> {
+    /// `packed`'s Q gathered from the scope Q, and the number of entries
+    /// this call computed. `Ok(None)` when `packed` is not a gather stored
+    /// in this scope, or when the scope Q would pass the byte cap; the
+    /// caller then builds Q itself. A bias or width change replaces the
+    /// scope Q. `poll` runs once per Q row; its error is returned as is.
+    pub(crate) fn gather_gram(
+        packed: &Rc<PackedDesign>,
+        bias_sq: f64,
+        mut poll: impl FnMut() -> Result<(), TrainError>,
+    ) -> Result<Option<(GramMatrix, u64)>, TrainError> {
         STATE.with(|s| {
-            s.borrow()
-                .entries
-                .iter()
-                .find(|e| Rc::ptr_eq(&e.packed, packed))
-                .and_then(|e| e.gram.as_ref())
-                .filter(|(bits, _)| *bits == bias_sq.to_bits())
-                .map(|(_, g)| Rc::clone(g))
+            let mut s = s.borrow_mut();
+            let State { entries, gram, .. } = &mut *s;
+            let Some(rows) = entries.iter().find(|e| Rc::ptr_eq(&e.packed, packed)).map(|e| &e.rows)
+            else {
+                return Ok(None);
+            };
+            let dim = rows.iter().max().map_or(0, |&r| r + 1);
+            if ScopeGram::bytes(dim) > MAX_BYTES {
+                return Ok(None);
+            }
+            let (n, n_cols, bias_bits) = (packed.n_rows(), packed.n_cols(), bias_sq.to_bits());
+            if gram.as_ref().is_some_and(|g| g.bias_bits != bias_bits || g.n_cols != n_cols) {
+                *gram = None;
+            }
+            let sg = gram.get_or_insert_with(|| {
+                stats::record_gram_build();
+                ScopeGram { bias_bits, n_cols, dim: 0, q: Vec::new(), filled: Vec::new() }
+            });
+            sg.grow(dim);
+            let mut q = vec![0.0f64; n * n];
+            let mut dots = 0u64;
+            for (i, &a) in rows.iter().enumerate() {
+                poll()?;
+                let ri = packed.row(i);
+                for (j, &b) in rows[..=i].iter().enumerate() {
+                    let ab = a * sg.dim + b;
+                    if !sg.filled[ab] {
+                        let v = frac_dataset::kernels::dot_blocked(ri, packed.row(j), bias_sq);
+                        let ba = b * sg.dim + a;
+                        sg.q[ab] = v;
+                        sg.q[ba] = v;
+                        sg.filled[ab] = true;
+                        sg.filled[ba] = true;
+                        dots += 1;
+                    }
+                    q[i * n + j] = sg.q[ab];
+                    q[j * n + i] = sg.q[ab];
+                }
+            }
+            let gram_bytes = ScopeGram::bytes(sg.dim);
+            evict(entries, gram_bytes);
+            Ok(Some((GramMatrix { q, n }, dots)))
         })
     }
 
-    pub(crate) fn store_gram(packed: &Rc<PackedDesign>, bias_sq: f64, gram: &Rc<GramMatrix>) {
-        STATE.with(|s| {
-            let mut s = s.borrow_mut();
-            if let Some(e) = s.entries.iter_mut().find(|e| Rc::ptr_eq(&e.packed, packed)) {
-                e.gram = Some((bias_sq.to_bits(), Rc::clone(gram)));
-            }
-            evict(&mut s.entries);
-        });
-    }
-
-    fn evict(entries: &mut Vec<Entry>) {
-        let mut total: usize = entries.iter().map(Entry::bytes).sum();
+    /// Drop the oldest packs while the cache, plus `gram_bytes` of scope
+    /// Q, passes [`MAX_BYTES`]; the newest pack always stays.
+    fn evict(entries: &mut Vec<Entry>, gram_bytes: usize) {
+        let mut total: usize = gram_bytes + entries.iter().map(Entry::bytes).sum::<usize>();
         while total > MAX_BYTES && entries.len() > 1 {
             total -= entries.remove(0).bytes();
         }
@@ -515,8 +615,10 @@ pub mod stats {
         pub dense_slots: u64,
         /// Solves that ran the Gram-matrix dual loop.
         pub gram_solves: u64,
-        /// Gram matrices actually built (< `gram_solves` when the pack
-        /// cache shares one Q across members / classes / the d/n sweep).
+        /// Gram matrices begun: one per fit scope whose solves take the
+        /// Gram loop (its folds and final fit gather from that one Q; a
+        /// bias change within a scope begins another), plus one per Gram
+        /// solve outside a scope. One-vs-rest classes share their solve's Q.
         pub gram_builds: u64,
         /// Solves that reused a cached [`frac_dataset::PackedDesign`]
         /// gather instead of re-gathering the design.
@@ -548,7 +650,8 @@ pub mod stats {
         GRAM_SOLVES.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one Gram matrix actually built (cache misses only).
+    /// Record one Gram matrix begun (a scope Q, or a Q built outside a
+    /// scope).
     pub fn record_gram_build() {
         GRAM_BUILDS.fetch_add(1, Ordering::Relaxed);
     }
@@ -586,6 +689,9 @@ pub mod stats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frac_dataset::{DesignMatrix, RowSubset};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn default_mode_is_fast() {
@@ -663,7 +769,6 @@ mod tests {
 
     #[test]
     fn gram_matrix_is_symmetric_with_bias_folded() {
-        use frac_dataset::DesignMatrix;
         let x = DesignMatrix::from_raw(3, 2, vec![1.0, 2.0, -0.5, 0.25, 3.0, -1.0]);
         let packed = std::rc::Rc::new(PackedDesign::from_view(&x).unwrap());
         let q = GramMatrix::build(&packed, 1.0, &TargetBudget::unlimited()).unwrap();
@@ -680,9 +785,8 @@ mod tests {
 
     #[test]
     fn pack_cache_reuses_gather_only_on_exact_row_match() {
-        use frac_dataset::DesignMatrix;
         let x = DesignMatrix::from_raw(4, 2, vec![0.0; 8]);
-        pack_cache::begin_scope(0xDEAD);
+        let scope = pack_cache::begin_scope(0xDEAD);
         pack_cache::set_rows(7, &[0, 1, 2, 3]);
         let a = pack_for_solve(&x).unwrap();
         let b = pack_for_solve(&x).unwrap();
@@ -691,8 +795,9 @@ mod tests {
         pack_cache::set_rows(7, &[0, 1, 3, 2]);
         let c = pack_for_solve(&x).unwrap();
         assert!(!Rc::ptr_eq(&a, &c));
+        drop(scope);
         // Scope change drops everything.
-        pack_cache::begin_scope(0xBEEF);
+        let scope = pack_cache::begin_scope(0xBEEF);
         pack_cache::set_rows(7, &[0, 1, 3, 2]);
         let d = pack_for_solve(&x).unwrap();
         assert!(!Rc::ptr_eq(&c, &d));
@@ -701,24 +806,135 @@ mod tests {
         let g = pack_for_solve(&x).unwrap();
         let h = pack_for_solve(&x).unwrap();
         assert!(!Rc::ptr_eq(&g, &h));
-        pack_cache::begin_scope(0);
+        // A closed scope ignores declared rows.
+        drop(scope);
+        pack_cache::set_rows(7, &[0, 1, 3, 2]);
+        let e = pack_for_solve(&x).unwrap();
+        assert!(!Rc::ptr_eq(&d, &e));
+        assert!(!Rc::ptr_eq(&e, &pack_for_solve(&x).unwrap()));
+    }
+
+    fn bits(q: &GramMatrix) -> Vec<u64> {
+        (0..q.n()).flat_map(|i| q.row(i).to_vec()).map(f64::to_bits).collect()
+    }
+
+    /// Q built from scratch over a fresh gather of `rows` of `x`.
+    fn own_q(x: &DesignMatrix, rows: &[usize], bias_sq: f64) -> Vec<u64> {
+        let packed = PackedDesign::from_view(&RowSubset::new(x, rows)).unwrap();
+        bits(&GramMatrix::build(&packed, bias_sq, &TargetBudget::unlimited()).unwrap())
+    }
+
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(state: &mut u64, n: usize) -> usize {
+        (mix(state) % n as u64) as usize
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A sequence of solves over random row subsets, in random order,
+        /// under both bias values: each gathers exactly the Q a build over
+        /// its own pack gives, and computes only the row pairs no earlier
+        /// solve under the same bias covered.
+        #[test]
+        fn scope_q_gathers_each_solves_own_q(
+            n in 1usize..25,
+            d in 1usize..9,
+            steps in 1usize..9,
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed;
+            // Uniform in [-4, 4): 53 random mantissa bits.
+            let values: Vec<f64> = (0..n * d)
+                .map(|_| (mix(&mut state) >> 11) as f64 / (1u64 << 50) as f64 - 4.0)
+                .collect();
+            let x = DesignMatrix::from_raw(n, d, values);
+            let _scope = pack_cache::begin_scope(seed);
+            let unlimited = TargetBudget::unlimited();
+            let mut covered = HashSet::new();
+            let mut last_bias = None;
+            for step in 0..steps {
+                let bias_sq = if below(&mut state, 3) == 0 { 0.0 } else { 1.0 };
+                if last_bias != Some(bias_sq) {
+                    covered.clear();
+                    last_bias = Some(bias_sq);
+                }
+                let mut rows: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    rows.swap(i, below(&mut state, i + 1));
+                }
+                rows.truncate(1 + below(&mut state, n));
+                pack_cache::set_rows(step as u64, &rows);
+                let packed = pack_for_solve(&RowSubset::new(&x, &rows)).unwrap();
+                let (q, dots) = gram_for_solve(&packed, bias_sq, &unlimited).unwrap();
+                prop_assert_eq!(bits(&q), own_q(&x, &rows, bias_sq));
+                let before = covered.len();
+                for (i, &a) in rows.iter().enumerate() {
+                    for &b in &rows[..=i] {
+                        covered.insert((a.min(b), a.max(b)));
+                    }
+                }
+                prop_assert_eq!(dots as usize, covered.len() - before);
+            }
+        }
     }
 
     #[test]
-    fn gram_cache_shares_q_per_pack_and_bias() {
-        use frac_dataset::DesignMatrix;
-        let x = DesignMatrix::from_raw(3, 4, (0..12).map(|v| v as f64).collect());
-        pack_cache::begin_scope(0xCAFE);
-        pack_cache::set_rows(1, &[0, 1, 2]);
-        let packed = pack_for_solve(&x).unwrap();
-        let unlimited = TargetBudget::unlimited();
-        let (q1, built1) = gram_for_solve(&packed, 1.0, &unlimited).unwrap();
-        let (q2, built2) = gram_for_solve(&packed, 1.0, &unlimited).unwrap();
-        assert!(built1 && !built2, "second solve must reuse the cached build");
-        assert!(Rc::ptr_eq(&q1, &q2), "same pack + bias must share one Q build");
-        let (q3, built3) = gram_for_solve(&packed, 0.0, &unlimited).unwrap();
-        assert!(built3, "bias change invalidates the cached Q");
-        assert!(!Rc::ptr_eq(&q1, &q3));
-        pack_cache::begin_scope(0);
+    fn budget_tripped_mid_fill_leaves_the_scope_q_exact() {
+        let x = DesignMatrix::from_raw(6, 3, (0..18).map(|v| (v as f64).sin()).collect());
+        let rows = [4, 0, 5, 2, 1, 3];
+        let _scope = pack_cache::begin_scope(0xF111);
+        pack_cache::set_rows(1, &rows);
+        let packed = pack_for_solve(&RowSubset::new(&x, &rows)).unwrap();
+        // The budget trips on its third poll, after two of Q's six rows.
+        let (run, cancel) = crate::RunBudget::unlimited().cancellable();
+        let budget = run.start_target();
+        let mut polls = 0;
+        let tripped = pack_cache::gather_gram(&packed, 1.0, || {
+            polls += 1;
+            if polls == 3 {
+                cancel.cancel();
+            }
+            budget.check()
+        });
+        assert_eq!(tripped.err(), Some(TrainError::DeadlineExceeded));
+        assert_eq!(polls, 3);
+        // The next solve gets the exact Q and computes only the 21 − 3
+        // entries the tripped one never reached.
+        let (q, dots) = gram_for_solve(&packed, 1.0, &TargetBudget::unlimited()).unwrap();
+        assert_eq!(bits(&q), own_q(&x, &rows, 1.0));
+        assert_eq!(dots, 18);
+    }
+
+    #[test]
+    fn scope_or_bias_change_never_serves_a_stale_entry() {
+        // Two designs of one shape: an entry of one served to the other
+        // would show as a wrong Q.
+        let x1 = DesignMatrix::from_raw(4, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let x2 = DesignMatrix::from_raw(4, 2, vec![-1.0, 0.5, 2.0, -3.0, 0.25, 1.0, -2.0, 4.0]);
+        let rows = [0, 1, 2, 3];
+        let solve = |x: &DesignMatrix, bias_sq: f64| {
+            pack_cache::set_rows(0, &rows);
+            let packed = pack_for_solve(x).unwrap();
+            let (q, dots) = gram_for_solve(&packed, bias_sq, &TargetBudget::unlimited()).unwrap();
+            (bits(&q), dots)
+        };
+        let scope = pack_cache::begin_scope(1);
+        assert_eq!(solve(&x1, 1.0), (own_q(&x1, &rows, 1.0), 10));
+        // Same scope, rows and bias: every entry is served, none computed.
+        assert_eq!(solve(&x1, 1.0), (own_q(&x1, &rows, 1.0), 0));
+        // A bias change starts a new scope Q.
+        assert_eq!(solve(&x1, 0.0), (own_q(&x1, &rows, 0.0), 10));
+        drop(scope);
+        // A scope change drops the gathers and the scope Q.
+        let _scope = pack_cache::begin_scope(2);
+        assert_eq!(solve(&x2, 0.0), (own_q(&x2, &rows, 0.0), 10));
     }
 }

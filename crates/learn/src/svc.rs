@@ -529,10 +529,10 @@ impl SvcTrainer {
         let d = x.n_cols();
         let k = arity as usize;
 
-        // Hoist the fast-path gather — and, under the Gram strategy, the
-        // O(n²d) Q build — out of the per-class loop: Q depends only on the
-        // design (labels enter the maintained gradient, not the matrix), so
-        // every one-vs-rest class shares one build.
+        // Hoist the fast-path gather — and, under the Gram strategy, Q —
+        // out of the per-class loop: Q depends only on the design (labels
+        // enter the maintained gradient, not the matrix), so every
+        // one-vs-rest class shares one Q.
         let packed = if cfg.mode == SolverMode::Fast && n > 0 {
             crate::solver::pack_for_solve(x)
         } else {
@@ -548,10 +548,8 @@ impl SvcTrainer {
                 };
                 if use_gram {
                     let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-                    let (q, built) = crate::solver::gram_for_solve(p, bias_sq, budget)?;
-                    if built {
-                        total_flops += GramMatrix::build_flops(n, d);
-                    }
+                    let (q, dots) = crate::solver::gram_for_solve(p, bias_sq, budget)?;
+                    total_flops += dots * (d as u64) * 2;
                     Some(q)
                 } else {
                     None
@@ -577,7 +575,7 @@ impl SvcTrainer {
             let out = self.solve_binary(
                 x,
                 packed.as_deref(),
-                gram.as_deref(),
+                gram.as_ref(),
                 &labels,
                 derive_seed(cfg.seed, class as u64),
                 class_warm,
@@ -590,8 +588,8 @@ impl SvcTrainer {
         }
 
         // Visit-based accounting (see svr.rs): flops are priced per path
-        // inside each solve (plus the shared Q build above, charged once);
-        // shrinking's skipped coordinates are not charged; warm-init
+        // inside each solve (plus the Q entries computed above, charged
+        // once); shrinking's skipped coordinates are not charged; warm-init
         // fold-in is priced by the CV driver once per dual vector, never
         // per solve.
         let active_set_bytes = match cfg.mode {

@@ -286,8 +286,8 @@ impl SvrTrainer {
                 };
                 if use_gram {
                     let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-                    let (gram, built) = crate::solver::gram_for_solve(&packed, bias_sq, budget)?;
-                    self.solve_fast_gram(&packed, &gram, built, y, warm, budget)
+                    let (gram, dots) = crate::solver::gram_for_solve(&packed, bias_sq, budget)?;
+                    self.solve_fast_gram(&packed, &gram, dots, y, warm, budget)
                 } else {
                     self.solve_fast_rows(packed.as_ref(), y, warm, budget)
                 }
@@ -305,7 +305,7 @@ impl SvrTrainer {
         &self,
         x: &frac_dataset::PackedDesign,
         q: &GramMatrix,
-        built: bool,
+        gram_dots: u64,
         y: &[f64],
         warm: Option<&[f64]>,
         budget: &TargetBudget,
@@ -417,12 +417,12 @@ impl SvrTrainer {
 
         stats::record_gram_solve();
         // Per visit: O(1) gradient + O(n+1) row-of-Q axpy (~4 flops/entry);
-        // plus the final O(nnz·d) reconstruction, and the Q build when this
-        // solve actually paid for it (a cache hit doesn't).
-        let mut flops = visits * ((n as u64) + 1) * 4 + nnz * ((d as u64) + 1) * 2;
-        if built {
-            flops += GramMatrix::build_flops(n, d);
-        }
+        // plus the final O(nnz·d) reconstruction, and 2d flops for each Q
+        // entry this solve computed (entries gathered from the scope Q
+        // were paid for by the solve that computed them).
+        let flops = visits * ((n as u64) + 1) * 4
+            + nnz * ((d as u64) + 1) * 2
+            + gram_dots * (d as u64) * 2;
         Ok(SvrSolve {
             w,
             w_bias,
@@ -594,8 +594,8 @@ impl SvrTrainer {
         }
 
         // Flops are priced per path inside each solve (the Gram loop's visit
-        // is O(n), the primal loop's O(d), and a Q build is charged only by
-        // the solve that paid for it). Warm-start initialization is priced
+        // is O(n), the primal loop's O(d), and a Q entry is charged only by
+        // the solve that computed it). Warm-start initialization is priced
         // by the CV driver once per dual vector, not here — a cached dual
         // vector may seed many solves (folds, ensemble members), and
         // charging per solve would double-count the same fold-in work.

@@ -153,6 +153,29 @@ if grep -q "panicked" "$smoke_dir/mismatch.log"; then
   echo "schema smoke: frac score panicked on a mismatched schema"; exit 1
 fi
 
+# Exact counter gate, SVR slice: fit the breast.basal surrogate above
+# under the portable tier, so no host SIMD feature changes a bit. The
+# model file and the fit's work counters are the same at any thread
+# count, so they are pinned exactly. A change that moves one updates its
+# pin and says why in CHANGES.md; wall clocks stay report-only.
+FRAC_KERNEL_TIER=unrolled ./target/release/frac train \
+  --train "$smoke_dir/breast.basal.train.tsv" --out "$smoke_dir/breast.frac" \
+  --telemetry "$smoke_dir/breast.trace.tsv" 2> "$smoke_dir/breast-train.log"
+breast_model="$(tail -c 4 "$smoke_dir/breast.frac" | od -An -tx1 | tr -d ' \n') $(wc -c < "$smoke_dir/breast.frac" | tr -d ' ')"
+if [ "$breast_model" != "6966fc4e 2978592" ]; then
+  echo "counter gate: breast.basal model reads crc and bytes '$breast_model', want '6966fc4e 2978592'"; exit 1
+fi
+./target/release/frac inspect-telemetry --file "$smoke_dir/breast.trace.tsv" \
+  > "$smoke_dir/breast-inspect.log"
+# gram_builds counts one Gram matrix per fit scope (DESIGN.md §13).
+breast_solver="solver	solves=1920 epochs=23766 visits=753839 dense_slots=756379 gram_solves=1920 gram_builds=320 pack_reuses=0"
+if ! grep -qxF "$breast_solver" "$smoke_dir/breast-inspect.log"; then
+  echo "counter gate: breast.basal $(grep '^solver	' "$smoke_dir/breast-inspect.log"), want $breast_solver"; exit 1
+fi
+if ! grep -qF "(320 feature models, 0.281 Gflop training)" "$smoke_dir/breast-train.log"; then
+  echo "counter gate: breast.basal $(grep '^saved' "$smoke_dir/breast-train.log"), want 0.281 Gflop"; exit 1
+fi
+
 # The telemetry-off build must compile every probe away and still pass
 # the same smoke (its trace degenerates to wall clock + solver delta).
 cargo build --release -p frac-cli --features telemetry-off
