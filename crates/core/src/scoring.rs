@@ -24,6 +24,14 @@
 //! hoisted values are ones the reference path also computes as a unit:
 //! `−ln P(t | p)` per confusion cell, then `− H(f)`. `contributions_unpooled`
 //! (one owned encode per predictor) is the oracle this is tested against.
+//!
+//! **Independent chains overlap.** A dot product is one chain of dependent
+//! adds, so the plan runs several at once, each with its own accumulator:
+//! a batch of four or more records shares one pass over a linear
+//! predictor's weights between a block of four records, and a call with
+//! fewer records folds up to four consecutive SVR predictors of equal
+//! width together in one pass over each row. Neither changes any fold
+//! order.
 
 use crate::model::{
     CatPredictor, ErrorModel, FeatureModel, FeaturePredictor, PredictorModel, RealPredictor,
@@ -42,6 +50,13 @@ use std::ops::Range;
 /// single-record order; the block only lets independent chains overlap.
 const BLOCK: usize = 4;
 
+/// SVR predictors that share one pass over a record's pool row when a call
+/// scores fewer than [`BLOCK`] records. Each lane keeps its own accumulator
+/// and reads its own weights and segments, so its fold order is exactly the
+/// single-predictor order; the lanes only let independent chains overlap.
+const LANES: usize = 4;
+const _: () = assert!(LANES == 4, "`lane_row` dispatches 1 to 4 lanes");
+
 /// Work units charged per tree level walked, relative to one linear
 /// multiply-add (a level is a dependent, usually cache-missing load).
 const TREE_LEVEL_WORK: u64 = 8;
@@ -49,13 +64,16 @@ const TREE_LEVEL_WORK: u64 = 8;
 /// Below this much estimated work (records × [`ScoringPlan::work_per_row`])
 /// a call scores on the calling thread instead of fanning features out
 /// over worker threads. The workspace's rayon spawns scoped OS threads per
-/// parallel call, ~100 µs of overhead. Measured at
-/// `available_parallelism() = 2` on the 400-feature ledger surrogates:
-/// one SNP record (~21 k units) takes 24 µs inline and 115 µs fanned out;
-/// one expression record (~160 k units) takes 203 µs inline and 227 µs
-/// fanned out, two records break even, and 64 records take 3.3 ms on two
-/// threads against 5.7 ms inline. The threshold sits near that break-even,
-/// ~250 µs of inline work.
+/// parallel call, tens of µs of overhead. Measured at
+/// `available_parallelism() = 2` on the 400-feature ledger surrogates
+/// (medians of 1,500 alternating calls each way, 75 for 64 records, on
+/// three seeds): one expression record (~160 k units) takes 94–140 µs
+/// inline and 118–155 µs fanned out; two records break even (159–238 µs
+/// inline, 152–229 µs fanned out); three gain (276–310 µs against
+/// 256–274 µs), and 64 take 2.4–2.6 ms on two threads against 3.6–3.7 ms
+/// inline. One to three SNP records (~21 k units each) take 21–39 µs
+/// inline and 67–97 µs fanned out. The threshold sits between one and two
+/// expression records, at that break-even.
 pub const PARALLEL_WORK_THRESHOLD: u64 = 250_000;
 
 /// A maximal run of pool columns a linear predictor reads, in the order of
@@ -104,6 +122,13 @@ struct CompiledPredictor {
     /// `tables[table + p · arity + t]`. Arity 0 for Gaussian error models.
     table: u32,
     arity: u32,
+}
+
+impl CompiledPredictor {
+    /// Its segments or nodes in the plan's shared array.
+    fn parts(&self) -> Range<usize> {
+        self.first as usize..(self.first + self.parts) as usize
+    }
 }
 
 /// A fitted model compiled for scoring; see the [module docs](self).
@@ -232,27 +257,35 @@ impl ScoringPlan {
         out: &mut [f64],
     ) {
         let n_rows = rows.n_rows();
+        // Too few records for a row block: SVR dot products fold in lanes.
+        let mut lanes = (n_rows < BLOCK).then(LaneGroup::default);
+        // Lane groups stop at the end of this call's features.
+        let features = &features[..range.end];
         for (i, col) in range.zip(out.chunks_exact_mut(n_rows)) {
-            let compiled = &self.predictors
-                [self.feature_start[i] as usize..self.feature_start[i + 1] as usize];
-            self.score_feature(&features[i], compiled, rows, test, col);
+            self.score_feature(features, i, lanes.as_mut(), rows, test, col);
         }
     }
 
-    /// Add one feature's contributions to `col` (one slot per row).
+    /// Add feature `i`'s contributions to `col` (one slot per row). With
+    /// `lanes`, its SVRs take their dot products from a lane group, which
+    /// is folded anew over `features[i..]` when it does not hold them.
     fn score_feature(
         &self,
-        fm: &FeatureModel,
-        compiled: &[CompiledPredictor],
+        features: &[FeatureModel],
+        i: usize,
+        mut lanes: Option<&mut LaneGroup>,
         rows: &DesignMatrix,
         test: &Dataset,
         col: &mut [f64],
     ) {
+        let fm = &features[i];
         let _target_guard = telemetry::target_guard(fm.target);
         let _score_span = telemetry::span(telemetry::Stage::Score);
         let n_rows = rows.n_rows();
-        for (fp, cp) in fm.predictors.iter().zip(compiled) {
-            let parts = cp.first as usize..(cp.first + cp.parts) as usize;
+        let first = self.feature_start[i] as usize;
+        let compiled = fm.predictors.iter().zip(&self.predictors[first..]);
+        for (p, (fp, cp)) in (first..).zip(compiled) {
+            let parts = cp.parts();
             match (&fp.model, &fp.error, test.column(fm.target)) {
                 (PredictorModel::Real(model), ErrorModel::Gaussian(err), Column::Real(truth)) => {
                     let present = (0..n_rows).filter(|&r| !truth[r].is_nan());
@@ -260,12 +293,25 @@ impl ScoringPlan {
                         col[r] += err.surprisal(truth[r], pred) - fm.entropy;
                     };
                     match (model, cp.layout) {
-                        (RealPredictor::Svr(m), Layout::Linear) => {
-                            let segs = &self.segments[parts];
-                            for_each_block(present, |rs| {
-                                svr_predictions(m, segs, rows, rs, &mut add)
-                            });
-                        }
+                        (RealPredictor::Svr(m), Layout::Linear) => match lanes.as_deref_mut() {
+                            // A group's pass runs in the span of its first
+                            // feature.
+                            Some(group) => {
+                                if !group.holds(p) {
+                                    *group = self.fold_lanes(features, i, p, rows);
+                                }
+                                let lane = p - group.first;
+                                for r in present {
+                                    add(r, group.dots[r][lane] + m.bias());
+                                }
+                            }
+                            None => {
+                                let segs = &self.segments[parts];
+                                for_each_block(present, |rs| {
+                                    svr_predictions(m, segs, rows, rs, &mut add)
+                                });
+                            }
+                        },
                         (RealPredictor::Tree(_), Layout::Tree) => {
                             let nodes = &self.nodes[parts];
                             for r in present {
@@ -316,6 +362,54 @@ impl ScoringPlan {
                 _ => unreachable!("model/error/column kinds are constructed consistently"),
             }
         }
+    }
+
+    /// Fold the dot products of the SVR at plan index `p` (a predictor of
+    /// feature `i`) and of the SVRs right after it in plan order, up to
+    /// [`LANES`] of one width within `features`, in one pass per row. Any
+    /// other predictor or a change of width ends the group.
+    ///
+    /// Kept out of line: inlined into [`Self::score_feature`] with its four
+    /// lane kernels, it made one SNP record (trees only) score 9% slower
+    /// on a 2-vCPU x86-64 host.
+    #[inline(never)]
+    fn fold_lanes(
+        &self,
+        features: &[FeatureModel],
+        i: usize,
+        p: usize,
+        rows: &DesignMatrix,
+    ) -> LaneGroup {
+        let svrs = (i..features.len())
+            .flat_map(|f| {
+                let first = self.feature_start[f] as usize;
+                features[f].predictors.iter().zip(&self.predictors[first..])
+            })
+            .skip(p - self.feature_start[i] as usize)
+            .map_while(|(fp, cp)| match (&fp.model, cp.layout) {
+                (PredictorModel::Real(RealPredictor::Svr(m)), Layout::Linear) => {
+                    Some((m.weights(), &self.segments[cp.parts()]))
+                }
+                _ => None,
+            });
+        let (mut ws, mut segs) = ([&[][..]; LANES], [&[][..]; LANES]);
+        let mut len = 0;
+        for (w, s) in svrs.take(LANES) {
+            if len > 0 && w.len() != ws[0].len() {
+                break;
+            }
+            (ws[len], segs[len]) = (w, s);
+            len += 1;
+        }
+        let mut group = LaneGroup {
+            first: p,
+            len,
+            dots: [[0.0; LANES]; BLOCK],
+        };
+        for (r, dots) in group.dots.iter_mut().enumerate().take(rows.n_rows()) {
+            *dots = lane_row(&ws[..len], &segs[..len], rows.row(r));
+        }
+        group
     }
 
     /// Compile one predictor into the plan's shared arrays, adding its
@@ -438,6 +532,23 @@ struct Scratch {
     depth: Vec<u64>,
 }
 
+/// The dot products of up to [`LANES`] consecutive SVR predictors, from plan
+/// index `first`, on each row of a call with fewer than [`BLOCK`] rows.
+#[derive(Debug, Default)]
+struct LaneGroup {
+    first: usize,
+    len: usize,
+    /// `dots[row][lane]`: `Σ w·x` of predictor `first + lane` on `row`.
+    dots: [[f64; LANES]; BLOCK],
+}
+
+impl LaneGroup {
+    /// Whether plan predictor `p` is one of this group's lanes.
+    fn holds(&self, p: usize) -> bool {
+        (self.first..self.first + self.len).contains(&p)
+    }
+}
+
 /// Hand `rows` to `f` in full blocks of [`BLOCK`], then the remainder one
 /// row at a time.
 fn for_each_block(rows: impl Iterator<Item = usize>, mut f: impl FnMut(&[usize])) {
@@ -527,6 +638,9 @@ fn svc_predictions(
 /// one-weight loop body is small enough that its address decides its
 /// speed: the same machine code ran 26% slower when it straddled a cache
 /// line. Four adds per step keep it add-latency-bound wherever it lands.
+/// One row goes through here only for SVC hyperplanes and for the leftover
+/// rows of a batch of [`BLOCK`] or more; SVRs of smaller calls fold in
+/// [`lane_dots`].
 fn dots<const B: usize>(w: &[f64], segs: &[Segment], rows: [&[f64]; B]) -> [f64; B] {
     let mut acc = [-0.0f64; B];
     let mut wo = 0usize;
@@ -551,6 +665,76 @@ fn dots<const B: usize>(w: &[f64], segs: &[Segment], rows: [&[f64]; B]) -> [f64;
             }
         }
         wo += width;
+    }
+    acc
+}
+
+/// [`lane_dots`] over `ws.len()` lanes (1 to [`LANES`]) of pool row `x`;
+/// the result's unused slots are 0.
+fn lane_row(ws: &[&[f64]], segs: &[&[Segment]], x: &[f64]) -> [f64; LANES] {
+    fn run<const L: usize>(ws: &[&[f64]], segs: &[&[Segment]], x: &[f64]) -> [f64; LANES] {
+        let dots = lane_dots::<L>(
+            std::array::from_fn(|l| ws[l]),
+            std::array::from_fn(|l| segs[l]),
+            x,
+        );
+        let mut out = [0.0; LANES];
+        out[..L].copy_from_slice(&dots);
+        out
+    }
+    match ws.len() {
+        1 => run::<1>(ws, segs, x),
+        2 => run::<2>(ws, segs, x),
+        3 => run::<3>(ws, segs, x),
+        4 => run::<4>(ws, segs, x),
+        n => unreachable!("a lane group holds 1 to {LANES} predictors, not {n}"),
+    }
+}
+
+/// `Σ w·x` of `L` linear predictors on one pool row `x`, in one pass over
+/// the row. Lane `l` folds its weights `ws[l]` against its own segments
+/// `segs[l]`, left to right from `−0.0`: [`dots`]'s order for one row, bit
+/// for bit. Every lane covers `ws[0].len()` columns; the pass runs in
+/// stretches that end wherever any lane's segment ends.
+fn lane_dots<const L: usize>(ws: [&[f64]; L], segs: [&[Segment]; L], x: &[f64]) -> [f64; L] {
+    let width = ws[0].len();
+    let mut acc = [-0.0f64; L];
+    // Per lane: the segment being read, and how far into it.
+    let (mut seg, mut off) = ([0usize; L], [0usize; L]);
+    let mut done = 0usize;
+    while done < width {
+        let run = (0..L)
+            .map(|l| segs[l][seg[l]].width as usize - off[l])
+            .min()
+            .unwrap_or(0);
+        let wr: [&[f64]; L] = std::array::from_fn(|l| &ws[l][done..done + run]);
+        let xr: [&[f64]; L] = std::array::from_fn(|l| {
+            let start = segs[l][seg[l]].start as usize + off[l];
+            &x[start..start + run]
+        });
+        let quads = run - run % 4;
+        for j in (0..quads).step_by(4) {
+            for l in 0..L {
+                let (w4, x4) = (&wr[l][j..j + 4], &xr[l][j..j + 4]);
+                acc[l] += w4[0] * x4[0];
+                acc[l] += w4[1] * x4[1];
+                acc[l] += w4[2] * x4[2];
+                acc[l] += w4[3] * x4[3];
+            }
+        }
+        for j in quads..run {
+            for l in 0..L {
+                acc[l] += wr[l][j] * xr[l][j];
+            }
+        }
+        done += run;
+        for l in 0..L {
+            off[l] += run;
+            if off[l] == segs[l][seg[l]].width as usize {
+                seg[l] += 1;
+                off[l] = 0;
+            }
+        }
     }
     acc
 }
@@ -648,11 +832,84 @@ fn flatten<L: Copy>(
 
 #[cfg(test)]
 mod tests {
+    use super::{dots, lane_row, Segment, LANES};
     use crate::model::{CatPredictor, PredictorModel, RealPredictor};
     use crate::{FracConfig, FracModel, TrainingPlan};
     use frac_dataset::binio::ByteWriter;
     use frac_dataset::crc::crc32;
     use frac_dataset::dataset::DatasetBuilder;
+    use proptest::prelude::*;
+
+    /// SplitMix64 step.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(state: &mut u64, n: usize) -> usize {
+        (mix(state) % n as u64) as usize
+    }
+
+    /// A weight or row value: ordinary magnitudes, signed zeros and
+    /// subnormals, so a fold that reassociated or dropped a `−0.0` start
+    /// would show in the bits.
+    fn value(state: &mut u64) -> f64 {
+        let sign = if mix(state) & 1 == 0 { 1.0 } else { -1.0 };
+        sign * match below(state, 6) {
+            0 => 0.0,
+            1 => f64::from_bits(1 + mix(state) % (1 << 52)),
+            2 => f64::MIN_POSITIVE,
+            3 => (below(state, 1 << 20) as f64) * 1e-3,
+            _ => (mix(state) >> 11) as f64 / (1u64 << 53) as f64 * 4.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_lane_folds_like_a_lone_dot_product(
+            n_lanes in 1usize..(LANES + 1),
+            width in 0usize..40,
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed;
+            // Each lane cuts `width` columns into segments at random points
+            // (some empty) and lays them out ascending with random gaps.
+            let lanes: Vec<Vec<Segment>> = (0..n_lanes)
+                .map(|_| {
+                    let mut segs = Vec::new();
+                    let (mut left, mut at) = (width, below(&mut state, 3));
+                    while left > 0 || segs.is_empty() {
+                        let w = below(&mut state, left.min(9) + 1);
+                        segs.push(Segment { start: at as u32, width: w as u32 });
+                        at += w + below(&mut state, 3);
+                        left -= w;
+                    }
+                    segs
+                })
+                .collect();
+            let row_len = lanes
+                .iter()
+                .filter_map(|segs| segs.last().map(|s| (s.start + s.width) as usize))
+                .max()
+                .unwrap_or(0);
+            let weights: Vec<Vec<f64>> = (0..n_lanes)
+                .map(|_| (0..width).map(|_| value(&mut state)).collect())
+                .collect();
+            let row: Vec<f64> = (0..row_len).map(|_| value(&mut state)).collect();
+            let ws: Vec<&[f64]> = weights.iter().map(Vec::as_slice).collect();
+            let segs: Vec<&[Segment]> = lanes.iter().map(Vec::as_slice).collect();
+            let folded = lane_row(&ws, &segs, &row);
+            for l in 0..n_lanes {
+                let alone = dots(ws[l], segs[l], [&row[..]])[0];
+                prop_assert_eq!(folded[l].to_bits(), alone.to_bits(), "lane {} of {}", l, n_lanes);
+            }
+        }
+    }
 
     /// `model`'s v5 file with the first occurrence of `from` replaced by
     /// `to`, re-sealed with a valid CRC trailer — a well-formed file whose

@@ -278,17 +278,26 @@ impl LatencyRing {
             self.next = (self.next + 1) % LATENCY_CAP;
         }
     }
+}
 
-    /// (p50, p99) over the retained samples; (0, 0) when empty.
-    fn percentiles(&self) -> (u64, u64) {
-        if self.samples.is_empty() {
-            return (0, 0);
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let pick = |p: usize| sorted[(sorted.len() - 1) * p / 100];
-        (pick(50), pick(99))
+/// (p50, p99) of the samples in `ring`. The samples are copied under its
+/// lock and sorted after the guard drops, so the scorer, which records
+/// into the ring after every batch, never waits behind the sort.
+fn latency_percentiles(ring: &Mutex<LatencyRing>) -> (u64, u64) {
+    // Two statements: a guard taken inside the call's argument would live
+    // until the end of the statement, across the sort.
+    let samples = lock(ring).samples.clone();
+    percentiles(samples)
+}
+
+/// (p50, p99) of `samples`; (0, 0) when empty.
+fn percentiles(mut samples: Vec<u64>) -> (u64, u64) {
+    if samples.is_empty() {
+        return (0, 0);
     }
+    samples.sort_unstable();
+    let pick = |p: usize| samples[(samples.len() - 1) * p / 100];
+    (pick(50), pick(99))
 }
 
 /// State shared between the accept loop, connection threads, the scorer, and
@@ -537,7 +546,7 @@ impl Server {
 }
 
 fn finish(shared: &Shared, start: Instant) -> ServeSummary {
-    let (p50_us, p99_us) = lock(&shared.latencies).percentiles();
+    let (p50_us, p99_us) = latency_percentiles(&shared.latencies);
     ServeSummary {
         counts: shared.health.snapshot(),
         p50_us,
@@ -837,7 +846,7 @@ fn handle_command(shared: &Shared, reply: &Arc<ReplySink>, seq: u64, cmd: &str) 
     if cmd == "ping" {
         reply.send(&format!("ok {seq} pong"));
     } else if cmd == "stats" {
-        let (p50, p99) = lock(&shared.latencies).percentiles();
+        let (p50, p99) = latency_percentiles(&shared.latencies);
         reply.send(&format!(
             "ok {seq} {} p50_us={p50} p99_us={p99}",
             shared.health.snapshot().summary()
@@ -900,18 +909,16 @@ mod tests {
 
     #[test]
     fn latency_ring_percentiles_and_cap() {
-        let mut ring = LatencyRing::default();
-        assert_eq!(ring.percentiles(), (0, 0));
+        let ring = Mutex::new(LatencyRing::default());
+        assert_eq!(latency_percentiles(&ring), (0, 0));
         for us in 1..=100 {
-            ring.record(us);
+            lock(&ring).record(us);
         }
-        let (p50, p99) = ring.percentiles();
-        assert_eq!(p50, 50);
-        assert_eq!(p99, 99);
+        assert_eq!(latency_percentiles(&ring), (50, 99));
         for us in 0..(LATENCY_CAP as u64 + 10) {
-            ring.record(us);
+            lock(&ring).record(us);
         }
-        assert_eq!(ring.samples.len(), LATENCY_CAP);
+        assert_eq!(lock(&ring).samples.len(), LATENCY_CAP);
     }
 
     #[test]

@@ -275,15 +275,16 @@ fn dirty(test: &Dataset) -> Dataset {
 
 /// Score `test` through the plan and through the reference path, bit for
 /// bit: every contribution, the renormalization, and the NS scores. Batch
-/// sizes cover one record (inline), 64 records, and the smallest batch the
-/// plan fans out over worker threads.
+/// sizes cover one to three records (inline; SVRs fold in lanes), one row
+/// block plus a leftover row, 64 records, and the smallest batch the plan
+/// fans out over worker threads.
 fn check_plan_matches_oracle(model: &FracModel, test: &Dataset, what: &str) {
     let work = model.scoring_plan().unwrap().work_per_row();
     assert!(work > 0 && work < PARALLEL_WORK_THRESHOLD, "{what}: one record scores inline");
     let fan_out = (PARALLEL_WORK_THRESHOLD / work + 1) as usize;
     for threads in [1, 4] {
         pool(threads).install(|| {
-            for n in [1, 64, fan_out] {
+            for n in [1, 2, 3, 5, 64, fan_out] {
                 let batch = cycle_rows(test, n);
                 let at = format!("{what}: {n} rows, {threads} threads");
                 let plan = model.contributions(&batch);
@@ -408,6 +409,24 @@ fn mixed_surrogate() -> (Dataset, Dataset) {
         b.build()
     };
     (mix(&train, 0), mix(&test, train.n_rows()))
+}
+
+#[test]
+fn plan_matches_oracle_on_a_mixed_schema_of_linear_predictors() {
+    // SVRs on the real features, SVCs on the SNPs: in plan order, runs of
+    // SVR lanes alternate with SVC predictors, and the Diverse model's
+    // SVRs read input subsets of unequal width.
+    let (train, test) = mixed_surrogate();
+    let config = FracConfig {
+        real_model: RealModel::Svr(SvrConfig::default()),
+        cat_model: CatModel::Svc(SvcConfig::default()),
+        ..FracConfig::snp()
+    };
+    let n = train.n_features();
+    let model = fit_full(&train, &config);
+    check_plan_matches_oracle(&model, &dirty(&test), "mixed svr/svc");
+    let (model, _) = FracModel::fit(&train, &TrainingPlan::diverse(n, 0.5, 2, 23), &config);
+    check_plan_matches_oracle(&model, &dirty(&test), "mixed svr/svc, diverse");
 }
 
 #[test]

@@ -175,6 +175,23 @@ fi
 if ! grep -qF "(320 feature models, 0.281 Gflop training)" "$smoke_dir/breast-train.log"; then
   echo "counter gate: breast.basal $(grep '^saved' "$smoke_dir/breast-train.log"), want 0.281 Gflop"; exit 1
 fi
+# NS pin: the daemon's replies print each score at full precision (the
+# shortest string that re-parses to the same bits), so these pin NS bits
+# of the model above: for the whole test file, scored in whatever batches
+# the pipe delivers, and for one record alone, which folds its SVRs in
+# lanes (DESIGN.md §6). A change that moves one has changed a score.
+./target/release/frac serve --model "$smoke_dir/breast.frac" \
+  --schema "$smoke_dir/breast.basal.train.tsv" \
+  < "$smoke_dir/breast.basal.test.tsv" > "$smoke_dir/breast-ns.out" 2> /dev/null
+breast_ns="$(grep -c '^ns ' "$smoke_dir/breast-ns.out" || true) $(cksum < "$smoke_dir/breast-ns.out")"
+if [ "$breast_ns" != "38 1824340706 901" ]; then
+  echo "NS pin: breast.basal test file's serve replies read ns lines and cksum '$breast_ns', want '38 1824340706 901'"; exit 1
+fi
+breast_ns1="$(head -2 "$smoke_dir/breast.basal.test.tsv" | ./target/release/frac serve \
+  --model "$smoke_dir/breast.frac" --schema "$smoke_dir/breast.basal.train.tsv" 2> /dev/null)"
+if [ "$breast_ns1" != "ns 2 861.684827125795" ]; then
+  echo "NS pin: breast.basal's first test record reads '$breast_ns1', want 'ns 2 861.684827125795'"; exit 1
+fi
 
 # The telemetry-off build must compile every probe away and still pass
 # the same smoke (its trace degenerates to wall clock + solver delta).
