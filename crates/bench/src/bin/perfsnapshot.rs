@@ -1,9 +1,8 @@
 //! Performance snapshot: the fast solver path (shrinking + warm starts +
 //! blocked kernels) against the strict reference solver on solver-bound
 //! SVM configurations (`BENCH_solver.json`), so the perf trajectory is
-//! tracked across PRs. Further families measure telemetry overhead
-//! (`BENCH_telemetry.json`), sharded-run scaling — per-shard journals
-//! fitted concurrently then merged, at 1/2/4 shards
+//! tracked across PRs. Further families measure sharded-run scaling —
+//! per-shard journals fitted concurrently then merged, at 1/2/4 shards
 //! (`BENCH_shard.json`) — the SIMD kernel tier — per-kernel
 //! throughput, and the expression fit wall and NS drift under the portable
 //! unrolled tier vs the dispatched tier (`BENCH_simd.json`) — and the
@@ -19,12 +18,12 @@
 //! ```
 //!
 //! With no `--family` flag every family runs; `--family` (repeatable:
-//! `solver | shard | telemetry | simd | gram | oocore`)
+//! `solver | shard | simd | gram | oocore`)
 //! restricts the run to the named families. The whole fit (wall clock,
 //! encoded cells, peak bytes), the journal (append time, bytes, overhead
 //! over a plain fit), model save and load, and the serving path (cold
-//! start, single-record latency, saturated throughput) are measured end to
-//! end by the `ledger` benchmark instead.
+//! start, single-record latency, saturated throughput) and the tracing
+//! overhead are measured end to end by the `ledger` benchmark instead.
 //!
 //! Environment knobs: `FRAC_PERF_FEATURES` (default 400),
 //! `FRAC_PERF_ROWS` (default 80), `FRAC_PERF_REPS` (default 2; best of),
@@ -38,7 +37,6 @@ use frac_dataset::kernels::{self, KernelTier};
 use frac_dataset::{Dataset, DesignMatrix};
 use frac_learn::solver::stats::{self, SolverStats};
 use frac_learn::svr::SvrTrainer;
-use frac_learn::telemetry::{Counter, TelemetryReport, TelemetrySession};
 use frac_learn::traits::RegressorTrainer;
 use frac_learn::{SvcConfig, SvrConfig};
 use frac_synth::snp::CohortGroup;
@@ -266,99 +264,6 @@ fn shard_family_json(
         test.n_rows(),
         plan.n_targets(),
         rows.join(",\n"),
-    )
-}
-
-/// Time one family with telemetry recording off (no session: every probe
-/// is one relaxed atomic load) vs on (a live [`TelemetrySession`] draining
-/// span records around the same fit + score), assert the scores are
-/// bit-identical both ways, and render its JSON object with the wall
-/// overhead and the per-stage wall shares the trace attributes.
-fn telemetry_family_json(
-    name: &str,
-    train: &Dataset,
-    test: &Dataset,
-    config: &FracConfig,
-    reps: usize,
-) -> String {
-    let plan = TrainingPlan::full(train.n_features());
-    // The probe cost is far below run-to-run wall noise, so the two sides
-    // are measured in *interleaved* pairs (slow drift — thermals, noisy
-    // neighbours — then hits both equally) and compared best-vs-best.
-    let reps = reps.max(3);
-    let mut off_fit_s = f64::INFINITY;
-    let mut best_on: Option<(f64, TelemetryReport)> = None;
-    let mut ns_off: Option<Vec<u64>> = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let (model, _) = FracModel::fit(train, &plan, config);
-        off_fit_s = off_fit_s.min(t0.elapsed().as_secs_f64());
-        let bits: Vec<u64> = model.score(test).iter().map(|v| v.to_bits()).collect();
-        if let Some(first) = &ns_off {
-            assert_eq!(first, &bits, "untraced fits must be deterministic");
-        } else {
-            ns_off = Some(bits);
-        }
-
-        let session = TelemetrySession::start().expect("no concurrent telemetry session");
-        let t0 = Instant::now();
-        let (model, _) = FracModel::fit(train, &plan, config);
-        let fit_s = t0.elapsed().as_secs_f64();
-        let ns_on: Vec<u64> = model.score(test).iter().map(|v| v.to_bits()).collect();
-        let trace = session.finish();
-        // Telemetry must observe, never perturb.
-        assert_eq!(ns_off.as_ref(), Some(&ns_on), "telemetry session changed the scores");
-        if best_on.as_ref().is_none_or(|b| fit_s < b.0) {
-            best_on = Some((fit_s, trace));
-        }
-    }
-    let (on_fit_s, trace) = best_on.expect("at least one rep");
-    let overhead = on_fit_s / off_fit_s - 1.0;
-    eprintln!(
-        "{name}: fit untraced {:.3}s vs traced {:.3}s ({:+.2}% overhead); \
-         {} spans, {} solver epochs attributed",
-        off_fit_s,
-        on_fit_s,
-        overhead * 100.0,
-        trace.spans.len(),
-        trace.counter(Counter::SolverEpochs),
-    );
-    let wall = trace.wall_ns.max(1) as f64;
-    let stages: Vec<String> = trace
-        .stage_totals()
-        .iter()
-        .map(|t| {
-            format!(
-                "\"{}\": {{\"spans\": {}, \"total_s\": {:.6}, \"share_of_wall\": {:.4}}}",
-                t.stage,
-                t.count,
-                t.total_ns as f64 / 1e9,
-                t.total_ns as f64 / wall
-            )
-        })
-        .collect();
-    let counters: Vec<String> = Counter::ALL
-        .iter()
-        .map(|&c| format!("\"{}\": {}", c.as_str(), trace.counter(c)))
-        .collect();
-    format!(
-        "  \"{name}\": {{\n    \
-         \"surrogate\": {{\"n_features\": {}, \"train_rows\": {}, \"test_rows\": {}}},\n    \
-         \"untraced\": {{\"fit_wall_s\": {:.6}}},\n    \
-         \"traced\": {{\"fit_wall_s\": {:.6}, \"spans\": {}, \"session_wall_s\": {:.6}}},\n    \
-         \"stages\": {{{}}},\n    \
-         \"counters\": {{{}}},\n    \
-         \"score_bits_identical\": true,\n    \
-         \"fit_overhead_fraction\": {overhead:.4}\n  }}",
-        train.n_features(),
-        train.n_rows(),
-        test.n_rows(),
-        off_fit_s,
-        on_fit_s,
-        trace.spans.len(),
-        trace.wall_ns as f64 / 1e9,
-        stages.join(", "),
-        counters.join(", "),
     )
 }
 
@@ -750,7 +655,7 @@ fn main() {
     let reps = env_usize("FRAC_PERF_REPS", 2).max(1);
     let n_test = n_rows;
 
-    const FAMILIES: [&str; 6] = ["solver", "shard", "telemetry", "simd", "gram", "oocore"];
+    const FAMILIES: [&str; 5] = ["solver", "shard", "simd", "gram", "oocore"];
     let mut selected: Vec<String> = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -896,26 +801,6 @@ fn main() {
         let shard_json = format!("{{\n{snp_shard}\n}}\n");
         std::fs::write("BENCH_shard.json", &shard_json).expect("write BENCH_shard.json");
         println!("{shard_json}");
-    }
-
-    if run("telemetry") {
-        // Telemetry overhead: the same fit + score with a live session
-        // draining span records vs the disabled probes (one relaxed atomic
-        // load each). Budget: ≤ 1% fit overhead, and the traced scores must
-        // be bit-identical to the untraced ones — recording may observe the
-        // run, never steer it.
-        let expr_tele = telemetry_family_json(
-            "expression",
-            &expr_train,
-            &expr_test,
-            &FracConfig::expression(),
-            reps,
-        );
-        let snp_tele =
-            telemetry_family_json("snp", &snp_train, &snp_test, &FracConfig::snp(), reps);
-        let tele_json = format!("{{\n{expr_tele},\n{snp_tele}\n}}\n");
-        std::fs::write("BENCH_telemetry.json", &tele_json).expect("write BENCH_telemetry.json");
-        println!("{tele_json}");
     }
 
     if run("simd") {

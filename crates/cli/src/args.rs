@@ -37,11 +37,6 @@ USAGE:
                            each target's time went) and write it here:
                            self-describing TSV, or JSON if FILE ends in
                            .json; inspect with `frac inspect-telemetry`
-        --solver-strategy S
-                           fast-SVM execution strategy: auto (cost-model
-                           selection per solve, default), gram (Gram-matrix
-                           dual maintenance for n ≪ d), or primal (classic
-                           primal maintenance)
 
   frac resume --train FILE --out FILE --journal FILE [OPTIONS]
       Continue a journaled `train` run that was killed or hit its
@@ -218,8 +213,6 @@ pub struct TrainArgs {
     pub shard_backoff: Option<Duration>,
     /// Telemetry trace output path (TSV, or JSON for a `.json` extension).
     pub telemetry: Option<PathBuf>,
-    /// Fast-SVM execution strategy (`auto` | `gram` | `primal`), if any.
-    pub solver_strategy: Option<String>,
 }
 
 impl Default for TrainArgs {
@@ -240,7 +233,6 @@ impl Default for TrainArgs {
             shard_heartbeat: None,
             shard_backoff: None,
             telemetry: None,
-            solver_strategy: None,
         }
     }
 }
@@ -425,10 +417,6 @@ fn parse_train_args(argv: &[String], sub: &str) -> Result<TrainArgs, String> {
             "--telemetry" => {
                 a.telemetry = Some(take_value(argv, &mut i, "--telemetry")?.into())
             }
-            "--solver-strategy" => {
-                a.solver_strategy =
-                    Some(take_value(argv, &mut i, "--solver-strategy")?.to_string())
-            }
             other => return Err(format!("unknown flag `{other}` for {sub}")),
         }
         i += 1;
@@ -481,12 +469,16 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "--members" => {
                         a.members = take_value(argv, &mut i, "--members")?
                             .parse()
-                            .map_err(|_| "--members expects an integer".to_string())?
+                            .ok()
+                            .filter(|&n: &usize| n >= 1)
+                            .ok_or_else(|| "--members expects an integer >= 1".to_string())?
                     }
                     "--dim" => {
                         a.dim = take_value(argv, &mut i, "--dim")?
                             .parse()
-                            .map_err(|_| "--dim expects an integer".to_string())?
+                            .ok()
+                            .filter(|&n: &usize| n >= 1)
+                            .ok_or_else(|| "--dim expects an integer >= 1".to_string())?
                     }
                     "--snp" => a.snp = true,
                     "--seed" => {
@@ -745,6 +737,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_empty_ensembles_and_projections() {
+        // Zero would reach the ensemble and JL constructors' asserts.
+        assert_eq!(
+            parse(&argv("score --train a --test b --members 0")).unwrap_err(),
+            "--members expects an integer >= 1"
+        );
+        assert_eq!(
+            parse(&argv("score --train a --test b --variant jl --dim 0")).unwrap_err(),
+            "--dim expects an integer >= 1"
+        );
+        assert!(parse(&argv("score --model m --test b --members 1 --dim 1")).is_ok());
+    }
+
+    #[test]
     fn parses_entropy_and_generate() {
         assert_eq!(
             parse(&argv("entropy --data x.tsv --top 5")).unwrap(),
@@ -936,23 +942,6 @@ mod tests {
                 assert_eq!(a.telemetry, Some(PathBuf::from("t.tsv")));
                 assert_eq!(a.deadline, Some(Duration::from_secs(2)));
             }
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn parses_train_solver_strategy_flag() {
-        let cmd = parse(&argv(
-            "train --train a.tsv --out m.frac --solver-strategy gram",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Train(a) => assert_eq!(a.solver_strategy.as_deref(), Some("gram")),
-            _ => panic!(),
-        }
-        // No flag: no override.
-        match parse(&argv("train --train a.tsv --out m.frac")).unwrap() {
-            Command::Train(a) => assert_eq!(a.solver_strategy, None),
             _ => panic!(),
         }
     }

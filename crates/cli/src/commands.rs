@@ -9,7 +9,7 @@ use frac_core::telemetry::{Counter, TelemetryReport, TelemetrySession};
 use frac_core::{
     run_variant, ContributionMatrix, FaultPlan, FeatureSelector, FracConfig, FracModel,
     JournaledFit, RunBudget, validate_model, ServeConfig, Server, ShardOptions, ShardStat,
-    SolverStrategy, TrainingPlan, Variant,
+    TrainingPlan, Variant,
 };
 use std::time::Duration;
 use frac_dataset::io::{read_tsv, write_tsv};
@@ -248,17 +248,11 @@ fn variant_from(args: &ScoreArgs) -> Result<Variant, Error> {
 
 fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
     let train = read_data_at(&args.train)?;
-    let mut config = if args.snp {
+    let config = if args.snp {
         FracConfig::snp().with_seed(args.seed)
     } else {
         FracConfig::default().with_seed(args.seed)
     };
-    if let Some(name) = &args.solver_strategy {
-        let strategy = SolverStrategy::parse(name)
-            .ok_or_else(|| format!("unknown solver strategy `{name}` (auto | gram | primal)"))?;
-        config = config.with_solver_strategy(strategy);
-        eprintln!("solver strategy: {strategy}");
-    }
     let plan = match args.variant.as_str() {
         "full" => TrainingPlan::full(train.n_features()),
         "filter" => {
@@ -341,9 +335,6 @@ fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
                 .arg(format!("{k}/{n_shards}"));
             if args.snp {
                 cmd.arg("--snp");
-            }
-            if let Some(s) = &args.solver_strategy {
-                cmd.args(["--solver-strategy", s]);
             }
             if let Some(d) = remaining {
                 // Deadlines don't cross process boundaries as instants; a

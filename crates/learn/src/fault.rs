@@ -121,6 +121,20 @@ pub fn all_finite<'a>(values: impl IntoIterator<Item = &'a f64>) -> bool {
     values.into_iter().all(|v| v.is_finite())
 }
 
+/// Reject a diverged SVM fit — any NaN/Inf weight or bias among its
+/// `(weights, bias)` hyperplanes — as [`TrainError::NonConvergence`] after
+/// `max_epochs`.
+pub(crate) fn check_converged<'a>(
+    max_epochs: usize,
+    hyperplanes: impl IntoIterator<Item = (&'a [f64], f64)>,
+) -> Result<(), TrainError> {
+    if hyperplanes.into_iter().all(|(w, b)| all_finite(w) && b.is_finite()) {
+        Ok(())
+    } else {
+        Err(TrainError::NonConvergence { epochs: max_epochs as u64 })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,13 +17,11 @@
 
 use crate::budget::TargetBudget;
 use crate::fault::{self, TrainError};
-use crate::solver::{stats, GramMatrix, SolverMode, SolverRows, SolverStrategy};
+use crate::solver::{CoordRule, DualConfig, Margins, SolvePlan, SolverMode, SolverStrategy};
 use crate::telemetry;
-use crate::traits::{Classifier, ClassifierTrainer, Trained, TrainingCost};
+use crate::traits::{Classifier, ClassifierTrainer, Trained};
 use frac_dataset::split::derive_seed;
-use frac_dataset::{DesignView, PackedDesign};
-use rand::prelude::*;
-use rand::rngs::StdRng;
+use frac_dataset::DesignView;
 
 /// Hyperparameters for [`LinearSvc`] training.
 #[derive(Debug, Clone, Copy)]
@@ -164,358 +162,82 @@ pub struct SvcTrainer {
     pub config: SvcConfig,
 }
 
+/// Binary hinge-loss SVC's coordinate rule for ±1 labels: the clipped
+/// Newton step on αᵢ ∈ [0, C], gradient `yᵢ·wᵀxᵢ − 1`. The box is
+/// one-sided at each bound, so are the shrink conditions.
+struct SvcRule<'a> {
+    labels: &'a [f64],
+    c: f64,
+}
+
+impl SvcRule<'_> {
+    /// The projected gradient: at a bound, only the inward direction.
+    #[inline]
+    fn projected(&self, a: f64, g: f64) -> f64 {
+        if a == 0.0 {
+            g.min(0.0)
+        } else if a >= self.c {
+            g.max(0.0)
+        } else {
+            g
+        }
+    }
+}
+
+impl CoordRule for SvcRule<'_> {
+    fn bounds(&self) -> (f64, f64) {
+        (0.0, self.c)
+    }
+
+    #[inline]
+    fn coef(&self, i: usize, dual: f64) -> f64 {
+        dual * self.labels[i]
+    }
+
+    #[inline]
+    fn grad<M: Margins>(&self, i: usize, m: &M) -> f64 {
+        // −0.0 is the exact additive identity: the margin keeps its bits.
+        self.labels[i] * m.margin(i, -0.0) - 1.0
+    }
+
+    #[inline]
+    fn violation(&self, a: f64, g: f64, shrink: f64) -> Option<f64> {
+        // Shrink: pinned at a box edge with the gradient pointing firmly
+        // out of the feasible interval.
+        let shrinks = if a == 0.0 {
+            g > shrink
+        } else if a >= self.c {
+            g < -shrink
+        } else {
+            false
+        };
+        (!shrinks).then(|| self.projected(a, g).abs())
+    }
+
+    #[inline]
+    fn step(&self, i: usize, a: f64, g: f64, h: f64) -> Option<(f64, f64)> {
+        if self.projected(a, g).abs() > 1e-14 && h > 0.0 {
+            let alpha = (a - g / h).clamp(0.0, self.c);
+            let delta = self.coef(i, alpha - a);
+            if delta != 0.0 {
+                return Some((alpha, delta));
+            }
+        }
+        None
+    }
+}
+
 impl SvcTrainer {
     /// Trainer with the given configuration.
     pub fn new(config: SvcConfig) -> Self {
         SvcTrainer { config }
     }
 
-    /// Strict reference sweep for one binary (±1) problem: every coordinate
-    /// every epoch, exact sequential kernels, warm start ignored.
-    fn solve_binary_strict(
-        &self,
-        x: &dyn DesignView,
-        labels: &[f64],
-        class_seed: u64,
-        budget: &TargetBudget,
-    ) -> Result<SvcSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-        let q_diag: Vec<f64> = (0..n).map(|i| x.row_sq_norm(i) + bias_sq).collect();
-
-        let mut alpha = vec![0.0f64; n];
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut epochs_run = 0u64;
-
-        for epoch in 0..cfg.max_epochs {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(class_seed, epoch as u64));
-            order.shuffle(&mut rng);
-            let mut max_violation = 0.0f64;
-
-            for &i in &order {
-                let yi = labels[i];
-                // G = y_i wᵀx_i − 1 (ascending-column fold, see svr.rs)
-                let mut g = x.row_dot_acc(i, &w, w_bias * bias_sq);
-                g = yi * g - 1.0;
-
-                let a = alpha[i];
-                let pg = if a == 0.0 {
-                    g.min(0.0)
-                } else if a >= cfg.c {
-                    g.max(0.0)
-                } else {
-                    g
-                };
-                max_violation = max_violation.max(pg.abs());
-
-                if pg.abs() > 1e-14 && q_diag[i] > 0.0 {
-                    let a_new = (a - g / q_diag[i]).clamp(0.0, cfg.c);
-                    let delta = (a_new - a) * yi;
-                    if delta != 0.0 {
-                        alpha[i] = a_new;
-                        x.axpy_row(i, delta, &mut w);
-                        w_bias += delta * bias_sq;
-                    }
-                }
-            }
-
-            epochs_run = (epoch + 1) as u64;
-            if max_violation < cfg.tolerance {
-                break;
-            }
-        }
-        let visits = epochs_run * n as u64;
-        let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvcSolve { w, w_bias, alpha, epochs: epochs_run, visits, path_bits: 0, flops })
-    }
-
-    /// The Gram-strategy fast loop for one binary problem: identical sweep
-    /// order, shrinking, and stopping logic to
-    /// [`SvcTrainer::solve_binary_fast_rows`], but the gradient comes from
-    /// a maintained dual image `qs[i] = Σ_j Q_ij α_j y_j` (= w·x_i +
-    /// w_bias·bias, since Q folds the bias in) instead of an O(d) primal
-    /// dot. Q is label-independent, so every one-vs-rest class reuses the
-    /// same matrix.
-    fn solve_binary_fast_gram(
-        &self,
-        x: &PackedDesign,
-        q: &GramMatrix,
-        labels: &[f64],
-        class_seed: u64,
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvcSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-
-        let mut alpha = vec![0.0f64; n];
-        let mut qs = vec![0.0f64; n];
-        if let Some(warm) = warm {
-            debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
-            for (i, &wv) in warm.iter().enumerate() {
-                let a = wv.clamp(0.0, cfg.c);
-                if a != 0.0 {
-                    alpha[i] = a;
-                    frac_dataset::kernels::axpy_blocked(a * labels[i], q.row(i), &mut qs);
-                }
-            }
-        }
-
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut shrink_thr = f64::INFINITY;
-        let mut epochs = 0u64;
-        let mut visits = 0u64;
-
-        while epochs < cfg.max_epochs as u64 {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(class_seed, epochs));
-            crate::solver::shuffle_fast(&mut active, &mut rng);
-            let mut max_violation = 0.0f64;
-
-            let mut idx = 0usize;
-            while idx < active.len() {
-                let i = active[idx];
-                let yi = labels[i];
-                let g = yi * qs[i] - 1.0;
-                visits += 1;
-
-                let a = alpha[i];
-                let shrink = if a == 0.0 {
-                    g > shrink_thr
-                } else if a >= cfg.c {
-                    g < -shrink_thr
-                } else {
-                    false
-                };
-                if shrink {
-                    active.swap_remove(idx);
-                    continue;
-                }
-
-                let pg = if a == 0.0 {
-                    g.min(0.0)
-                } else if a >= cfg.c {
-                    g.max(0.0)
-                } else {
-                    g
-                };
-                max_violation = max_violation.max(pg.abs());
-
-                let h = q.diag(i);
-                if pg.abs() > 1e-14 && h > 0.0 {
-                    let a_new = (a - g / h).clamp(0.0, cfg.c);
-                    let delta = (a_new - a) * yi;
-                    if delta != 0.0 {
-                        alpha[i] = a_new;
-                        frac_dataset::kernels::axpy_blocked(delta, q.row(i), &mut qs);
-                    }
-                }
-                idx += 1;
-            }
-
-            epochs += 1;
-            if max_violation < cfg.tolerance {
-                if active.len() == n {
-                    break;
-                }
-                active = (0..n).collect();
-                shrink_thr = f64::INFINITY;
-            } else {
-                shrink_thr = max_violation;
-            }
-        }
-
-        // Reconstruct the primal once: w = Σ α_i y_i x_i over the support.
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        let mut nnz = 0u64;
-        for (i, &a) in alpha.iter().enumerate() {
-            if a != 0.0 {
-                let scaled = a * labels[i];
-                x.axpy_row_blocked(i, scaled, &mut w);
-                w_bias += scaled * bias_sq;
-                nnz += 1;
-            }
-        }
-
-        stats::record_gram_solve();
-        let flops = visits * ((n as u64) + 1) * 4 + nnz * ((d as u64) + 1) * 2;
-        Ok(SvcSolve {
-            w,
-            w_bias,
-            alpha,
-            epochs,
-            visits,
-            path_bits: crate::solver::STRATEGY_GRAM_CODE,
-            flops,
-        })
-    }
-
-    /// Fast primal-maintenance path for one binary problem: active-set
-    /// shrinking, optional warm-started duals, blocked kernels. Mirrors the
-    /// SVR fast path; the box here is `[0, C]` (hinge loss), so the shrink
-    /// conditions are the one-sided liblinear ones.
-    fn solve_binary_fast_rows<X: SolverRows + ?Sized>(
-        &self,
-        x: &X,
-        labels: &[f64],
-        class_seed: u64,
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvcSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-        let q_diag: Vec<f64> = (0..n).map(|i| x.sq_norm(i) + bias_sq).collect();
-
-        let mut alpha = vec![0.0f64; n];
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        if let Some(warm) = warm {
-            debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
-            for (i, &wv) in warm.iter().enumerate() {
-                let a = wv.clamp(0.0, cfg.c);
-                if a != 0.0 {
-                    alpha[i] = a;
-                    let scaled = a * labels[i];
-                    x.axpy(i, scaled, &mut w);
-                    w_bias += scaled * bias_sq;
-                }
-            }
-        }
-
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut shrink_thr = f64::INFINITY;
-        let mut epochs = 0u64;
-        let mut visits = 0u64;
-
-        while epochs < cfg.max_epochs as u64 {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(class_seed, epochs));
-            crate::solver::shuffle_fast(&mut active, &mut rng);
-            let mut max_violation = 0.0f64;
-
-            let mut idx = 0usize;
-            while idx < active.len() {
-                let i = active[idx];
-                let yi = labels[i];
-                let g = yi * x.dot(i, &w, w_bias * bias_sq) - 1.0;
-                visits += 1;
-
-                let a = alpha[i];
-                // Shrink: pinned at a box edge with the gradient pointing
-                // firmly out of the feasible interval.
-                let shrink = if a == 0.0 {
-                    g > shrink_thr
-                } else if a >= cfg.c {
-                    g < -shrink_thr
-                } else {
-                    false
-                };
-                if shrink {
-                    active.swap_remove(idx);
-                    continue;
-                }
-
-                let pg = if a == 0.0 {
-                    g.min(0.0)
-                } else if a >= cfg.c {
-                    g.max(0.0)
-                } else {
-                    g
-                };
-                max_violation = max_violation.max(pg.abs());
-
-                if pg.abs() > 1e-14 && q_diag[i] > 0.0 {
-                    let a_new = (a - g / q_diag[i]).clamp(0.0, cfg.c);
-                    let delta = (a_new - a) * yi;
-                    if delta != 0.0 {
-                        alpha[i] = a_new;
-                        x.axpy(i, delta, &mut w);
-                        w_bias += delta * bias_sq;
-                    }
-                }
-                idx += 1;
-            }
-
-            epochs += 1;
-            if max_violation < cfg.tolerance {
-                if active.len() == n {
-                    break;
-                }
-                // Unshrink and recheck before declaring convergence.
-                active = (0..n).collect();
-                shrink_thr = f64::INFINITY;
-            } else {
-                shrink_thr = max_violation;
-            }
-        }
-
-        let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvcSolve {
-            w,
-            w_bias,
-            alpha,
-            epochs,
-            visits,
-            path_bits: crate::solver::STRATEGY_PRIMAL_CODE,
-            flops,
-        })
-    }
-
-    /// Dispatch one binary problem on the configured [`SolverMode`] and
-    /// record solver stats. `packed`/`gram` carry the per-train fast-path
-    /// context hoisted by [`SvcTrainer::train_warm_impl`] (one gather and
-    /// at most one Q build shared by all one-vs-rest classes). Fails only
-    /// when `budget` trips (the budget is polled once per coordinate-descent
-    /// epoch).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_binary(
-        &self,
-        x: &dyn DesignView,
-        packed: Option<&PackedDesign>,
-        gram: Option<&GramMatrix>,
-        labels: &[f64],
-        class_seed: u64,
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvcSolve, TrainError> {
-        let span = telemetry::span(telemetry::Stage::Solve);
-        let out = match self.config.mode {
-            SolverMode::Strict => self.solve_binary_strict(x, labels, class_seed, budget)?,
-            SolverMode::Fast => match (packed, gram) {
-                (Some(p), Some(q)) => {
-                    self.solve_binary_fast_gram(p, q, labels, class_seed, warm, budget)?
-                }
-                (Some(p), None) => {
-                    self.solve_binary_fast_rows(p, labels, class_seed, warm, budget)?
-                }
-                _ => self.solve_binary_fast_rows(x, labels, class_seed, warm, budget)?,
-            },
-        };
-        drop(span);
-        stats::record(out.epochs, out.visits, out.epochs * x.n_rows() as u64);
-        telemetry::counter_add(telemetry::Counter::SolverEpochs, out.epochs);
-        telemetry::counter_add(telemetry::Counter::SolverVisits, out.visits);
-        if out.path_bits != 0 {
-            telemetry::counter_add(telemetry::Counter::SolverStrategy, out.path_bits);
-        }
-        Ok(out)
-    }
-
-    /// One-vs-rest solve over all classes with cooperative budget polling.
-    /// With an unlimited budget this is the arithmetic of
-    /// [`ClassifierTrainer::train_view_warm`], bit for bit.
+    /// One-vs-rest solve over all classes with cooperative budget polling
+    /// (once per epoch of every binary problem, and per Q row while Q is
+    /// built). Fails only when `budget` trips.
     #[allow(clippy::type_complexity)]
-    fn train_warm_impl(
+    fn fit(
         &self,
         x: &dyn DesignView,
         y: &[u32],
@@ -525,103 +247,41 @@ impl SvcTrainer {
     ) -> Result<(Trained<LinearSvc>, Vec<Vec<f64>>), TrainError> {
         assert_eq!(x.n_rows(), y.len(), "target length must match rows");
         let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let k = arity as usize;
-
-        // Hoist the fast-path gather — and, under the Gram strategy, Q —
-        // out of the per-class loop: Q depends only on the design (labels
-        // enter the maintained gradient, not the matrix), so every
-        // one-vs-rest class shares one Q.
-        let packed = if cfg.mode == SolverMode::Fast && n > 0 {
-            crate::solver::pack_for_solve(x)
-        } else {
-            None
+        let (n, d, k) = (x.n_rows(), x.n_cols(), arity as usize);
+        let dual_cfg = DualConfig {
+            mode: cfg.mode,
+            strategy: cfg.strategy,
+            bias: cfg.bias,
+            max_epochs: cfg.max_epochs,
+            tolerance: cfg.tolerance,
         };
-        let mut total_flops = 0u64;
-        let gram = match &packed {
-            Some(p) => {
-                let use_gram = match cfg.strategy {
-                    SolverStrategy::Primal => false,
-                    SolverStrategy::Gram => true,
-                    SolverStrategy::Auto => crate::solver::gram_policy().should_use_gram(n, d),
-                };
-                if use_gram {
-                    let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-                    let (q, dots) = crate::solver::gram_for_solve(p, bias_sq, budget)?;
-                    total_flops += dots * (d as u64) * 2;
-                    Some(q)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
+        let plan = SolvePlan::new(x, dual_cfg, budget)?;
 
         let mut hyperplanes = Vec::with_capacity(k);
         let mut duals = Vec::with_capacity(k);
-        let mut used_gram = false;
+        let (mut flops, mut path_bits) = (0u64, 0u64);
         for class in 0..k {
-            let labels: Vec<f64> = y
-                .iter()
-                .map(|&c| if c as usize == class { 1.0 } else { -1.0 })
-                .collect();
             if n == 0 {
                 hyperplanes.push((vec![0.0; d], 0.0));
                 duals.push(Vec::new());
                 continue;
             }
+            let labels: Vec<f64> = y
+                .iter()
+                .map(|&c| if c as usize == class { 1.0 } else { -1.0 })
+                .collect();
+            let rule = SvcRule { labels: &labels, c: cfg.c };
             let class_warm = warm.and_then(|w| w.get(class)).map(|v| v.as_slice());
-            let out = self.solve_binary(
-                x,
-                packed.as_deref(),
-                gram.as_ref(),
-                &labels,
-                derive_seed(cfg.seed, class as u64),
-                class_warm,
-                budget,
-            )?;
-            total_flops += out.flops;
-            used_gram |= out.path_bits & crate::solver::STRATEGY_GRAM_CODE != 0;
+            let span = telemetry::span(telemetry::Stage::Solve);
+            let out = plan.solve(&rule, derive_seed(cfg.seed, class as u64), class_warm, budget)?;
+            drop(span);
+            flops += out.flops;
+            path_bits |= out.path_bits;
             hyperplanes.push((out.w, if cfg.bias { out.w_bias } else { 0.0 }));
-            duals.push(out.alpha);
+            duals.push(out.dual);
         }
-
-        // Visit-based accounting (see svr.rs): flops are priced per path
-        // inside each solve (plus the Q entries computed above, charged
-        // once); shrinking's skipped coordinates are not charged; warm-init
-        // fold-in is priced by the CV driver once per dual vector, never
-        // per solve.
-        let active_set_bytes = match cfg.mode {
-            SolverMode::Fast => n * std::mem::size_of::<usize>(),
-            SolverMode::Strict => 0,
-        };
-        let gram_bytes = if used_gram {
-            (n * n + n) * std::mem::size_of::<f64>()
-        } else {
-            0
-        };
-        let cost = TrainingCost {
-            flops: total_flops,
-            peak_bytes: ((2 * n + d) * std::mem::size_of::<f64>() + active_set_bytes + gram_bytes)
-                as u64,
-        };
-        Ok((Trained { model: LinearSvc { hyperplanes }, cost }, duals))
+        Ok((Trained { model: LinearSvc { hyperplanes }, cost: plan.cost(flops, path_bits) }, duals))
     }
-}
-
-/// The raw output of one binary SVC solve.
-struct SvcSolve {
-    w: Vec<f64>,
-    w_bias: f64,
-    alpha: Vec<f64>,
-    epochs: u64,
-    visits: u64,
-    /// `STRATEGY_*` mask bits for the path this solve took (0 on strict).
-    path_bits: u64,
-    /// Flops performed by this solve, priced per path (the shared Q build
-    /// is charged once by [`SvcTrainer::train_warm_impl`], not here).
-    flops: u64,
 }
 
 impl ClassifierTrainer for SvcTrainer {
@@ -638,16 +298,14 @@ impl ClassifierTrainer for SvcTrainer {
         arity: u32,
         warm: Option<&[Vec<f64>]>,
     ) -> (Trained<LinearSvc>, Option<Vec<Vec<f64>>>) {
-        match self.train_warm_impl(x, y, arity, warm, &TargetBudget::unlimited()) {
+        match self.fit(x, y, arity, warm, &TargetBudget::unlimited()) {
             Ok((trained, duals)) => (trained, Some(duals)),
             Err(_) => unreachable!("unlimited budget cannot trip"),
         }
     }
 
-    /// Same one-vs-rest solve as the infallible path (bit-identical on
-    /// success), but validates the problem up front and rejects diverged
-    /// binary solves — any NaN/Inf hyperplane — as
-    /// [`TrainError::NonConvergence`].
+    /// The budgeted solve under an unlimited budget: bit-identical to the
+    /// infallible path on success.
     fn try_train_view_warm(
         &self,
         x: &dyn DesignView,
@@ -655,22 +313,13 @@ impl ClassifierTrainer for SvcTrainer {
         arity: u32,
         warm: Option<&[Vec<f64>]>,
     ) -> Result<(Trained<LinearSvc>, Option<Vec<Vec<f64>>>), TrainError> {
-        fault::check_classification_problem(x, y)?;
-        let (trained, duals) = self.train_view_warm(x, y, arity, warm);
-        let diverged = trained.model.hyperplanes.iter().any(|(w, b)| {
-            !fault::all_finite(w) || !b.is_finite()
-        });
-        if diverged {
-            return Err(TrainError::NonConvergence {
-                epochs: self.config.max_epochs as u64,
-            });
-        }
-        Ok((trained, duals))
+        self.try_train_view_budgeted(x, y, arity, warm, &TargetBudget::unlimited())
     }
 
-    /// Budget-polling one-vs-rest solve: same arithmetic as the other
-    /// paths, with the budget checked once per epoch of every binary
-    /// sub-problem.
+    /// Same arithmetic as the other paths, with the budget checked once
+    /// per epoch of every binary sub-problem; validates the problem up
+    /// front and rejects diverged binary solves — any NaN/Inf hyperplane —
+    /// as [`TrainError::NonConvergence`].
     fn try_train_view_budgeted(
         &self,
         x: &dyn DesignView,
@@ -681,15 +330,9 @@ impl ClassifierTrainer for SvcTrainer {
     ) -> Result<(Trained<LinearSvc>, Option<Vec<Vec<f64>>>), TrainError> {
         fault::check_classification_problem(x, y)?;
         budget.check()?;
-        let (trained, duals) = self.train_warm_impl(x, y, arity, warm, budget)?;
-        let diverged = trained.model.hyperplanes.iter().any(|(w, b)| {
-            !fault::all_finite(w) || !b.is_finite()
-        });
-        if diverged {
-            return Err(TrainError::NonConvergence {
-                epochs: self.config.max_epochs as u64,
-            });
-        }
+        let (trained, duals) = self.fit(x, y, arity, warm, budget)?;
+        let planes = trained.model.hyperplanes.iter().map(|(w, b)| (w.as_slice(), *b));
+        fault::check_converged(self.config.max_epochs, planes)?;
         Ok((trained, Some(duals)))
     }
 }
@@ -697,7 +340,8 @@ impl ClassifierTrainer for SvcTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frac_dataset::DesignMatrix;
+    use crate::solver::{sweep, Primal, Schedule, Solved};
+    use frac_dataset::{DesignMatrix, PackedDesign};
 
     fn matrix(rows: &[&[f64]]) -> DesignMatrix {
         let n_cols = rows[0].len();
@@ -825,11 +469,11 @@ mod tests {
     }
 
     /// Bits of one binary solve's weights, bias, and duals.
-    fn solve_bits(s: &SvcSolve) -> (Vec<u64>, u64, Vec<u64>) {
+    fn solve_bits(s: &Solved) -> (Vec<u64>, u64, Vec<u64>) {
         (
             s.w.iter().map(|v| v.to_bits()).collect(),
             s.w_bias.to_bits(),
-            s.alpha.iter().map(|v| v.to_bits()).collect(),
+            s.dual.iter().map(|v| v.to_bits()).collect(),
         )
     }
 
@@ -846,28 +490,39 @@ mod tests {
         let labels: Vec<f64> = (0..n).map(|i| if i * 13 % 7 < 3 { 1.0 } else { -1.0 }).collect();
         let packed = PackedDesign::from_view(&x).unwrap();
         let view: &dyn DesignView = &x;
-        let t = SvcTrainer::default();
-        let seed = t.config.seed;
+        let cfg = SvcConfig::default();
+        let rule = SvcRule { labels: &labels, c: cfg.c };
+        let schedule = Schedule {
+            seed: cfg.seed,
+            max_epochs: cfg.max_epochs,
+            tolerance: cfg.tolerance,
+            strict: false,
+        };
         let unlimited = TargetBudget::unlimited();
+        let solve = |rows_are_packed: bool, warm: Option<&[f64]>| {
+            if rows_are_packed {
+                sweep(&rule, Primal::new(&packed, 1.0), &schedule, warm, &unlimited).unwrap()
+            } else {
+                sweep(&rule, Primal::new(view, 1.0), &schedule, warm, &unlimited).unwrap()
+            }
+        };
 
-        let cold = t.solve_binary_fast_rows(view, &labels, seed, None, &unlimited).unwrap();
-        assert!(cold.alpha.iter().any(|&a| a != 0.0), "solve must move the duals");
-        let cold_packed =
-            t.solve_binary_fast_rows(&packed, &labels, seed, None, &unlimited).unwrap();
+        let cold = solve(false, None);
+        assert!(cold.dual.iter().any(|&a| a != 0.0), "solve must move the duals");
+        let cold_packed = solve(true, None);
         assert_eq!(solve_bits(&cold), solve_bits(&cold_packed), "cold");
         assert_eq!((cold.epochs, cold.visits), (cold_packed.epochs, cold_packed.visits));
 
         // Warm start from scaled cold duals, some pushed outside the box so
         // the clamp runs too.
         let warm: Vec<f64> = cold
-            .alpha
+            .dual
             .iter()
             .enumerate()
             .map(|(i, &a)| if i % 5 == 0 { 3.0 } else { 0.5 * a })
             .collect();
-        let hot = t.solve_binary_fast_rows(view, &labels, seed, Some(&warm), &unlimited).unwrap();
-        let hot_packed =
-            t.solve_binary_fast_rows(&packed, &labels, seed, Some(&warm), &unlimited).unwrap();
+        let hot = solve(false, Some(&warm));
+        let hot_packed = solve(true, Some(&warm));
         assert_eq!(solve_bits(&hot), solve_bits(&hot_packed), "warm");
         assert_eq!((hot.epochs, hot.visits), (hot_packed.epochs, hot_packed.visits));
     }

@@ -26,13 +26,10 @@
 
 use crate::budget::TargetBudget;
 use crate::fault::{self, TrainError};
-use crate::solver::{stats, GramMatrix, SolverMode, SolverRows, SolverStrategy};
+use crate::solver::{CoordRule, DualConfig, Margins, SolvePlan, SolverMode, SolverStrategy};
 use crate::telemetry;
 use crate::traits::{Regressor, RegressorTrainer, Trained, TrainingCost};
-use frac_dataset::split::derive_seed;
 use frac_dataset::DesignView;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 /// Hyperparameters for [`LinearSvr`] training.
 #[derive(Debug, Clone, Copy)]
@@ -147,22 +144,71 @@ pub struct SvrTrainer {
     pub config: SvrConfig,
 }
 
-/// The raw output of one dual solve: primal weights, duals, and work done.
-struct SvrSolve {
-    w: Vec<f64>,
-    w_bias: f64,
-    beta: Vec<f64>,
-    epochs: u64,
-    /// Coordinates whose gradient was evaluated (= dense `epochs · n` on the
-    /// strict path; less under shrinking).
-    visits: u64,
-    /// `STRATEGY_*` mask bits describing the path this solve actually took
-    /// (0 on the strict path, which predates the strategy telemetry).
-    path_bits: u64,
-    /// Flops actually performed, priced per path: the primal loop pays
-    /// O(d) per visit, the Gram loop O(n) per visit plus the one-off Q
-    /// build and final w reconstruction.
-    flops: u64,
+/// ε-SVR's coordinate rule: the Newton step on the piecewise-quadratic
+/// dual coordinate βᵢ ∈ [−C, C], gradient `wᵀxᵢ − yᵢ`.
+struct SvrRule<'a> {
+    y: &'a [f64],
+    c: f64,
+    epsilon: f64,
+}
+
+impl CoordRule for SvrRule<'_> {
+    fn bounds(&self) -> (f64, f64) {
+        (-self.c, self.c)
+    }
+
+    #[inline]
+    fn coef(&self, _: usize, dual: f64) -> f64 {
+        dual
+    }
+
+    #[inline]
+    fn grad<M: Margins>(&self, i: usize, m: &M) -> f64 {
+        m.margin(i, -self.y[i])
+    }
+
+    #[inline]
+    fn violation(&self, b: f64, g: f64, shrink: f64) -> Option<f64> {
+        let (gp, gn) = (g + self.epsilon, g - self.epsilon);
+        // Shrink: pinned at a bound with the blocked direction's gradient
+        // beyond the threshold — KKT-optimal with margin.
+        let shrinks = if b == 0.0 {
+            gp > shrink && gn < -shrink
+        } else if b >= self.c {
+            gp < -shrink
+        } else if b <= -self.c {
+            gn > shrink
+        } else {
+            false
+        };
+        (!shrinks).then(|| svr_violation(b, gp, gn, self.c))
+    }
+
+    #[inline]
+    fn step(&self, _: usize, b: f64, g: f64, h: f64) -> Option<(f64, f64)> {
+        if h <= 0.0 {
+            // Zero row: the objective is linear in βᵢ, so any movement is
+            // unbounded or useless. Reset to 0; the row moves no margin.
+            return Some((0.0, 0.0));
+        }
+        let (gp, gn) = (g + self.epsilon, g - self.epsilon);
+        let dstep = if gp < h * b {
+            -gp / h
+        } else if gn > h * b {
+            -gn / h
+        } else {
+            -b
+        };
+        // A NaN step fails this test too, so it never moves a dual.
+        if dstep.abs() >= 1e-14 {
+            let beta = (b + dstep).clamp(-self.c, self.c);
+            let delta = beta - b;
+            if delta != 0.0 {
+                return Some((beta, delta));
+            }
+        }
+        None
+    }
 }
 
 impl SvrTrainer {
@@ -171,394 +217,10 @@ impl SvrTrainer {
         SvrTrainer { config }
     }
 
-    /// The strict reference sweep: every coordinate every epoch, exact
-    /// sequential kernels. Ignores warm starts by design — this path's
-    /// results depend only on (data, config), never on solve history.
-    /// The budget is polled once per epoch (the cooperative cancellation
-    /// granularity of the ISSUE's "checked every N passes").
-    fn solve_strict(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        budget: &TargetBudget,
-    ) -> Result<SvrSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-        // Q_ii = x_i·x_i (+1 for the bias augmentation).
-        let q_diag: Vec<f64> = (0..n).map(|i| x.row_sq_norm(i) + bias_sq).collect();
-
-        let mut beta = vec![0.0f64; n];
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut epochs_run = 0u64;
-
-        for epoch in 0..cfg.max_epochs {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, epoch as u64));
-            order.shuffle(&mut rng);
-            let mut max_violation = 0.0f64;
-
-            for &i in &order {
-                let h = q_diag[i];
-                // G = wᵀx_i − y_i (folded in ascending column order — any
-                // view must reproduce the owned accumulation bit for bit).
-                let g = x.row_dot_acc(i, &w, -y[i] + w_bias * bias_sq);
-                let gp = g + cfg.epsilon;
-                let gn = g - cfg.epsilon;
-
-                // Projected-gradient violation (liblinear's criterion): at a
-                // bound, only a gradient pointing back *into* the feasible
-                // interval counts — a blocked direction is KKT-optimal.
-                let b = beta[i];
-                let violation = svr_violation(b, gp, gn, cfg.c);
-                max_violation = max_violation.max(violation);
-
-                if h <= 0.0 {
-                    // Zero row: objective is linear in β_i; any movement is
-                    // unbounded or useless. Reset to 0.
-                    beta[i] = 0.0;
-                    continue;
-                }
-
-                // Newton step on the piecewise-quadratic dual coordinate.
-                let dstep = if gp < h * b {
-                    -gp / h
-                } else if gn > h * b {
-                    -gn / h
-                } else {
-                    -b
-                };
-                if dstep.abs() < 1e-14 {
-                    continue;
-                }
-                let beta_new = (b + dstep).clamp(-cfg.c, cfg.c);
-                let delta = beta_new - b;
-                if delta != 0.0 {
-                    beta[i] = beta_new;
-                    x.axpy_row(i, delta, &mut w);
-                    w_bias += delta * bias_sq;
-                }
-            }
-
-            epochs_run = (epoch + 1) as u64;
-            if max_violation < cfg.tolerance {
-                break;
-            }
-        }
-
-        let visits = epochs_run * n as u64;
-        // Every visited coordinate touches its (d+1) augmented columns twice
-        // (gradient + update), ~4 flops each.
-        let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvrSolve { w, w_bias, beta, epochs: epochs_run, visits, path_bits: 0, flops })
-    }
-
-    /// The fast path: active-set shrinking (liblinear §4), warm-started
-    /// duals, blocked kernels. A bound-pinned coordinate whose projected
-    /// gradient clears the previous epoch's worst violation is dropped from
-    /// the sweep; once the active set converges, one full
-    /// unshrink-and-recheck pass runs with shrinking disabled before
-    /// convergence is declared.
-    fn solve_fast(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvrSolve, TrainError> {
-        // Gather the design into contiguous rows when it fits the packing
-        // budget: the epoch loops below then monomorphize to single-slice
-        // kernel calls with no view indirection. The Gram strategy
-        // additionally requires a packed design (Q is built from its rows),
-        // so an unpackable view always takes the primal path.
-        let cfg = &self.config;
-        match crate::solver::pack_for_solve(x) {
-            Some(packed) => {
-                let n = packed.n_rows();
-                let d = packed.n_cols();
-                let use_gram = match cfg.strategy {
-                    SolverStrategy::Primal => false,
-                    SolverStrategy::Gram => n > 0,
-                    SolverStrategy::Auto => crate::solver::gram_policy().should_use_gram(n, d),
-                };
-                if use_gram {
-                    let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-                    let (gram, dots) = crate::solver::gram_for_solve(&packed, bias_sq, budget)?;
-                    self.solve_fast_gram(&packed, &gram, dots, y, warm, budget)
-                } else {
-                    self.solve_fast_rows(packed.as_ref(), y, warm, budget)
-                }
-            }
-            None => self.solve_fast_rows(x, y, warm, budget),
-        }
-    }
-
-    /// The Gram-strategy fast loop: identical sweep order, shrinking, and
-    /// stopping logic to [`SvrTrainer::solve_fast_rows`], but the gradient
-    /// comes from a maintained dual image `qb[i] = Σ_j Q_ij β_j` (an O(1)
-    /// read + O(n) row-of-Q update per step) instead of an O(d) primal dot;
-    /// `w` is reconstructed once at convergence.
-    fn solve_fast_gram(
-        &self,
-        x: &frac_dataset::PackedDesign,
-        q: &GramMatrix,
-        gram_dots: u64,
-        y: &[f64],
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvrSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-
-        let mut beta = vec![0.0f64; n];
-        // qb[i] tracks w·x_i + w_bias·bias exactly (Q folds the bias into
-        // every entry), so g = qb[i] − y_i mirrors the primal gradient.
-        let mut qb = vec![0.0f64; n];
-        if let Some(warm) = warm {
-            debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
-            for (i, &wv) in warm.iter().enumerate() {
-                let b = wv.clamp(-cfg.c, cfg.c);
-                if b != 0.0 {
-                    beta[i] = b;
-                    frac_dataset::kernels::axpy_blocked(b, q.row(i), &mut qb);
-                }
-            }
-        }
-
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut shrink_thr = f64::INFINITY;
-        let mut epochs = 0u64;
-        let mut visits = 0u64;
-
-        while epochs < cfg.max_epochs as u64 {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, epochs));
-            crate::solver::shuffle_fast(&mut active, &mut rng);
-            let mut max_violation = 0.0f64;
-
-            let mut idx = 0usize;
-            while idx < active.len() {
-                let i = active[idx];
-                let h = q.diag(i);
-                let g = qb[i] - y[i];
-                visits += 1;
-                let gp = g + cfg.epsilon;
-                let gn = g - cfg.epsilon;
-                let b = beta[i];
-
-                let shrink = if b == 0.0 {
-                    gp > shrink_thr && gn < -shrink_thr
-                } else if b >= cfg.c {
-                    gp < -shrink_thr
-                } else if b <= -cfg.c {
-                    gn > shrink_thr
-                } else {
-                    false
-                };
-                if shrink {
-                    active.swap_remove(idx);
-                    continue;
-                }
-
-                max_violation = max_violation.max(svr_violation(b, gp, gn, cfg.c));
-
-                if h <= 0.0 {
-                    beta[i] = 0.0;
-                    idx += 1;
-                    continue;
-                }
-
-                let dstep = if gp < h * b {
-                    -gp / h
-                } else if gn > h * b {
-                    -gn / h
-                } else {
-                    -b
-                };
-                if dstep.abs() >= 1e-14 {
-                    let beta_new = (b + dstep).clamp(-cfg.c, cfg.c);
-                    let delta = beta_new - b;
-                    if delta != 0.0 {
-                        beta[i] = beta_new;
-                        frac_dataset::kernels::axpy_blocked(delta, q.row(i), &mut qb);
-                    }
-                }
-                idx += 1;
-            }
-
-            epochs += 1;
-            if max_violation < cfg.tolerance {
-                if active.len() == n {
-                    break;
-                }
-                active = (0..n).collect();
-                shrink_thr = f64::INFINITY;
-            } else {
-                shrink_thr = max_violation;
-            }
-        }
-
-        // Reconstruct the primal once: w = Xᵀβ over the support vectors.
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        let mut nnz = 0u64;
-        for (i, &b) in beta.iter().enumerate() {
-            if b != 0.0 {
-                x.axpy_row_blocked(i, b, &mut w);
-                w_bias += b * bias_sq;
-                nnz += 1;
-            }
-        }
-
-        stats::record_gram_solve();
-        // Per visit: O(1) gradient + O(n+1) row-of-Q axpy (~4 flops/entry);
-        // plus the final O(nnz·d) reconstruction, and 2d flops for each Q
-        // entry this solve computed (entries gathered from the scope Q
-        // were paid for by the solve that computed them).
-        let flops = visits * ((n as u64) + 1) * 4
-            + nnz * ((d as u64) + 1) * 2
-            + gram_dots * (d as u64) * 2;
-        Ok(SvrSolve {
-            w,
-            w_bias,
-            beta,
-            epochs,
-            visits,
-            path_bits: crate::solver::STRATEGY_GRAM_CODE,
-            flops,
-        })
-    }
-
-    fn solve_fast_rows<X: SolverRows + ?Sized>(
-        &self,
-        x: &X,
-        y: &[f64],
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvrSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-        let q_diag: Vec<f64> = (0..n).map(|i| x.sq_norm(i) + bias_sq).collect();
-
-        let mut beta = vec![0.0f64; n];
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        if let Some(warm) = warm {
-            debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
-            for (i, &wv) in warm.iter().enumerate() {
-                // Clamp into the feasible box: any feasible point is a valid
-                // start, so a caller may pass duals fit under a different C.
-                let b = wv.clamp(-cfg.c, cfg.c);
-                if b != 0.0 {
-                    beta[i] = b;
-                    x.axpy(i, b, &mut w);
-                    w_bias += b * bias_sq;
-                }
-            }
-        }
-
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut shrink_thr = f64::INFINITY;
-        let mut epochs = 0u64;
-        let mut visits = 0u64;
-
-        while epochs < cfg.max_epochs as u64 {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, epochs));
-            crate::solver::shuffle_fast(&mut active, &mut rng);
-            let mut max_violation = 0.0f64;
-
-            let mut idx = 0usize;
-            while idx < active.len() {
-                let i = active[idx];
-                let h = q_diag[i];
-                let g = x.dot(i, &w, -y[i] + w_bias * bias_sq);
-                visits += 1;
-                let gp = g + cfg.epsilon;
-                let gn = g - cfg.epsilon;
-                let b = beta[i];
-
-                // Shrink: pinned at a bound with the blocked direction's
-                // gradient beyond the previous epoch's worst violation —
-                // KKT-optimal with margin, so skip it until the recheck.
-                let shrink = if b == 0.0 {
-                    gp > shrink_thr && gn < -shrink_thr
-                } else if b >= cfg.c {
-                    gp < -shrink_thr
-                } else if b <= -cfg.c {
-                    gn > shrink_thr
-                } else {
-                    false
-                };
-                if shrink {
-                    active.swap_remove(idx);
-                    continue;
-                }
-
-                max_violation = max_violation.max(svr_violation(b, gp, gn, cfg.c));
-
-                if h <= 0.0 {
-                    beta[i] = 0.0;
-                    idx += 1;
-                    continue;
-                }
-
-                let dstep = if gp < h * b {
-                    -gp / h
-                } else if gn > h * b {
-                    -gn / h
-                } else {
-                    -b
-                };
-                if dstep.abs() >= 1e-14 {
-                    let beta_new = (b + dstep).clamp(-cfg.c, cfg.c);
-                    let delta = beta_new - b;
-                    if delta != 0.0 {
-                        beta[i] = beta_new;
-                        x.axpy(i, delta, &mut w);
-                        w_bias += delta * bias_sq;
-                    }
-                }
-                idx += 1;
-            }
-
-            epochs += 1;
-            if max_violation < cfg.tolerance {
-                if active.len() == n {
-                    break;
-                }
-                // Unshrink and recheck: restore every coordinate and run one
-                // full pass with shrinking disabled (infinite threshold).
-                active = (0..n).collect();
-                shrink_thr = f64::INFINITY;
-            } else {
-                shrink_thr = max_violation;
-            }
-        }
-
-        let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvrSolve {
-            w,
-            w_bias,
-            beta,
-            epochs,
-            visits,
-            path_bits: crate::solver::STRATEGY_PRIMAL_CODE,
-            flops,
-        })
-    }
-
-    /// Dispatch on the configured [`SolverMode`], record solver stats, and
-    /// price the work actually done. Returns [`TrainError::DeadlineExceeded`]
+    /// One dual solve on the configured path, with its cost priced from
+    /// the work actually done. Returns [`TrainError::DeadlineExceeded`]
     /// only when `budget` trips; with an unlimited budget it never fails.
-    fn solve_impl(
+    fn fit(
         &self,
         x: &dyn DesignView,
         y: &[f64],
@@ -567,76 +229,36 @@ impl SvrTrainer {
     ) -> Result<(Trained<LinearSvr>, Vec<f64>), TrainError> {
         assert_eq!(x.n_rows(), y.len(), "target length must match rows");
         let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-
-        if n == 0 {
-            return Ok((
-                Trained {
-                    model: LinearSvr { weights: vec![0.0; d], bias: 0.0 },
-                    cost: TrainingCost::default(),
-                },
-                Vec::new(),
-            ));
+        if x.n_rows() == 0 {
+            let model = LinearSvr { weights: vec![0.0; x.n_cols()], bias: 0.0 };
+            return Ok((Trained { model, cost: TrainingCost::default() }, Vec::new()));
         }
 
+        // One solve per call, so its span also covers the gather and Q.
         let span = telemetry::span(telemetry::Stage::Solve);
-        let out = match cfg.mode {
-            SolverMode::Strict => self.solve_strict(x, y, budget)?,
-            SolverMode::Fast => self.solve_fast(x, y, warm, budget)?,
+        let dual_cfg = DualConfig {
+            mode: cfg.mode,
+            strategy: cfg.strategy,
+            bias: cfg.bias,
+            max_epochs: cfg.max_epochs,
+            tolerance: cfg.tolerance,
         };
+        let plan = SolvePlan::new(x, dual_cfg, budget)?;
+        let rule = SvrRule { y, c: cfg.c, epsilon: cfg.epsilon };
+        let out = plan.solve(&rule, cfg.seed, warm, budget)?;
         drop(span);
-        stats::record(out.epochs, out.visits, out.epochs * n as u64);
-        telemetry::counter_add(telemetry::Counter::SolverEpochs, out.epochs);
-        telemetry::counter_add(telemetry::Counter::SolverVisits, out.visits);
-        if out.path_bits != 0 {
-            telemetry::counter_add(telemetry::Counter::SolverStrategy, out.path_bits);
-        }
-
-        // Flops are priced per path inside each solve (the Gram loop's visit
-        // is O(n), the primal loop's O(d), and a Q entry is charged only by
-        // the solve that computed it). Warm-start initialization is priced
-        // by the CV driver once per dual vector, not here — a cached dual
-        // vector may seed many solves (folds, ensemble members), and
-        // charging per solve would double-count the same fold-in work.
-        // Under shrinking, `visits` counts only coordinates actually swept,
-        // so the savings show up in ResourceReport instead of being charged
-        // as dense work.
-        let active_set_bytes = match cfg.mode {
-            SolverMode::Fast => n * std::mem::size_of::<usize>(),
-            SolverMode::Strict => 0,
-        };
-        let gram_bytes = if out.path_bits & crate::solver::STRATEGY_GRAM_CODE != 0 {
-            (n * n + n) * std::mem::size_of::<f64>()
-        } else {
-            0
-        };
-        let cost = TrainingCost {
-            flops: out.flops,
-            peak_bytes: ((n + d + n) * std::mem::size_of::<f64>() + active_set_bytes + gram_bytes)
-                as u64,
-        };
-        Ok((
-            Trained {
-                model: LinearSvr {
-                    weights: out.w,
-                    bias: if cfg.bias { out.w_bias } else { 0.0 },
-                },
-                cost,
-            },
-            out.beta,
-        ))
+        let model = LinearSvr { weights: out.w, bias: if cfg.bias { out.w_bias } else { 0.0 } };
+        Ok((Trained { model, cost: plan.cost(out.flops, out.path_bits) }, out.dual))
     }
 
-    /// Infallible solve: identical arithmetic under an unlimited budget,
-    /// which can never trip.
-    fn solve(
+    /// [`Self::fit`] under an unlimited budget, which can never trip.
+    fn fit_unlimited(
         &self,
         x: &dyn DesignView,
         y: &[f64],
         warm: Option<&[f64]>,
     ) -> (Trained<LinearSvr>, Vec<f64>) {
-        match self.solve_impl(x, y, warm, &TargetBudget::unlimited()) {
+        match self.fit(x, y, warm, &TargetBudget::unlimited()) {
             Ok(out) => out,
             Err(_) => unreachable!("unlimited budget cannot trip"),
         }
@@ -644,7 +266,8 @@ impl SvrTrainer {
 }
 
 /// Projected-gradient violation of one dual coordinate (liblinear's
-/// stopping criterion), shared by both solver paths.
+/// stopping criterion): at a bound, only a gradient pointing back *into*
+/// the feasible interval counts — a blocked direction is KKT-optimal.
 #[inline]
 fn svr_violation(b: f64, gp: f64, gn: f64, c: f64) -> f64 {
     if b == 0.0 {
@@ -670,7 +293,7 @@ impl RegressorTrainer for SvrTrainer {
     type Model = LinearSvr;
 
     fn train_view(&self, x: &dyn DesignView, y: &[f64]) -> Trained<LinearSvr> {
-        self.solve(x, y, None).0
+        self.fit_unlimited(x, y, None).0
     }
 
     fn train_view_warm(
@@ -679,31 +302,25 @@ impl RegressorTrainer for SvrTrainer {
         y: &[f64],
         warm: Option<&[f64]>,
     ) -> (Trained<LinearSvr>, Option<Vec<f64>>) {
-        let (trained, beta) = self.solve(x, y, warm);
+        let (trained, beta) = self.fit_unlimited(x, y, warm);
         (trained, Some(beta))
     }
 
-    /// Same solve as the infallible path (bit-identical on success), but
-    /// validates the problem up front and rejects diverged solves — NaN/Inf
-    /// weights after the epoch budget — as [`TrainError::NonConvergence`].
+    /// The budgeted solve under an unlimited budget: bit-identical to the
+    /// infallible path on success.
     fn try_train_view_warm(
         &self,
         x: &dyn DesignView,
         y: &[f64],
         warm: Option<&[f64]>,
     ) -> Result<(Trained<LinearSvr>, Option<Vec<f64>>), TrainError> {
-        fault::check_regression_problem(x, y)?;
-        let (trained, beta) = self.solve(x, y, warm);
-        if !fault::all_finite(trained.model.weights()) || !trained.model.bias().is_finite() {
-            return Err(TrainError::NonConvergence {
-                epochs: self.config.max_epochs as u64,
-            });
-        }
-        Ok((trained, Some(beta)))
+        self.try_train_view_budgeted(x, y, warm, &TargetBudget::unlimited())
     }
 
-    /// Budget-polling solve: same arithmetic as the other paths, with the
-    /// budget checked once per coordinate-descent epoch.
+    /// Same arithmetic as the other paths, with the budget checked once
+    /// per coordinate-descent epoch; validates the problem up front and
+    /// rejects diverged solves — NaN/Inf weights after the epoch budget —
+    /// as [`TrainError::NonConvergence`].
     fn try_train_view_budgeted(
         &self,
         x: &dyn DesignView,
@@ -712,12 +329,9 @@ impl RegressorTrainer for SvrTrainer {
         budget: &TargetBudget,
     ) -> Result<(Trained<LinearSvr>, Option<Vec<f64>>), TrainError> {
         fault::check_regression_problem(x, y)?;
-        let (trained, beta) = self.solve_impl(x, y, warm, budget)?;
-        if !fault::all_finite(trained.model.weights()) || !trained.model.bias().is_finite() {
-            return Err(TrainError::NonConvergence {
-                epochs: self.config.max_epochs as u64,
-            });
-        }
+        let (trained, beta) = self.fit(x, y, warm, budget)?;
+        let model = &trained.model;
+        fault::check_converged(self.config.max_epochs, [(model.weights(), model.bias())])?;
         Ok((trained, Some(beta)))
     }
 }
@@ -725,6 +339,7 @@ impl RegressorTrainer for SvrTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{sweep, Primal, Schedule, Solved};
     use frac_dataset::DesignMatrix;
 
     fn matrix(rows: &[&[f64]]) -> DesignMatrix {
@@ -874,11 +489,11 @@ mod tests {
     }
 
     /// Bits of one solve's weights, bias, and duals.
-    fn solve_bits(s: &SvrSolve) -> (Vec<u64>, u64, Vec<u64>) {
+    fn solve_bits(s: &Solved) -> (Vec<u64>, u64, Vec<u64>) {
         (
             s.w.iter().map(|v| v.to_bits()).collect(),
             s.w_bias.to_bits(),
-            s.beta.iter().map(|v| v.to_bits()).collect(),
+            s.dual.iter().map(|v| v.to_bits()).collect(),
         )
     }
 
@@ -896,25 +511,39 @@ mod tests {
         let y: Vec<f64> = (0..n).map(|i| ((i * 13 % 9) as f64 - 4.0) * 0.3).collect();
         let packed = frac_dataset::PackedDesign::from_view(&x).unwrap();
         let view: &dyn DesignView = &x;
-        let t = SvrTrainer::default();
+        let cfg = SvrConfig::default();
+        let rule = SvrRule { y: &y, c: cfg.c, epsilon: cfg.epsilon };
+        let schedule = Schedule {
+            seed: cfg.seed,
+            max_epochs: cfg.max_epochs,
+            tolerance: cfg.tolerance,
+            strict: false,
+        };
         let unlimited = TargetBudget::unlimited();
+        let solve = |rows_are_packed: bool, warm: Option<&[f64]>| {
+            if rows_are_packed {
+                sweep(&rule, Primal::new(&packed, 1.0), &schedule, warm, &unlimited).unwrap()
+            } else {
+                sweep(&rule, Primal::new(view, 1.0), &schedule, warm, &unlimited).unwrap()
+            }
+        };
 
-        let cold = t.solve_fast_rows(view, &y, None, &unlimited).unwrap();
-        assert!(cold.beta.iter().any(|&b| b != 0.0), "solve must move the duals");
-        let cold_packed = t.solve_fast_rows(&packed, &y, None, &unlimited).unwrap();
+        let cold = solve(false, None);
+        assert!(cold.dual.iter().any(|&b| b != 0.0), "solve must move the duals");
+        let cold_packed = solve(true, None);
         assert_eq!(solve_bits(&cold), solve_bits(&cold_packed), "cold");
         assert_eq!((cold.epochs, cold.visits), (cold_packed.epochs, cold_packed.visits));
 
         // Warm start from scaled cold duals, some pushed outside the box so
         // the clamp runs too.
         let warm: Vec<f64> = cold
-            .beta
+            .dual
             .iter()
             .enumerate()
             .map(|(i, &b)| if i % 5 == 0 { 3.0 } else { 0.5 * b })
             .collect();
-        let hot = t.solve_fast_rows(view, &y, Some(&warm), &unlimited).unwrap();
-        let hot_packed = t.solve_fast_rows(&packed, &y, Some(&warm), &unlimited).unwrap();
+        let hot = solve(false, Some(&warm));
+        let hot_packed = solve(true, Some(&warm));
         assert_eq!(solve_bits(&hot), solve_bits(&hot_packed), "warm");
         assert_eq!((hot.epochs, hot.visits), (hot_packed.epochs, hot_packed.visits));
     }

@@ -120,7 +120,8 @@ timeout 120 ./target/release/frac train \
   --out "$smoke_dir/autism-fcb.frac" --snp 2> "$smoke_dir/fcb-train.log"
 timeout 120 ./target/release/frac train \
   --train "$smoke_dir/autism.train.tsv" \
-  --out "$smoke_dir/autism-tsv.frac" --snp 2> /dev/null
+  --out "$smoke_dir/autism-tsv.frac" --snp \
+  --telemetry "$smoke_dir/autism-tsv.trace.tsv" 2> /dev/null
 ./target/release/frac score --model "$smoke_dir/autism-fcb.frac" \
   --test "$smoke_dir/autism.test.tsv" \
   > "$smoke_dir/score-fcb.tsv" 2> /dev/null
@@ -138,6 +139,16 @@ model_crc="$(tail -c 4 "$smoke_dir/autism-tsv.frac" | od -An -tx1 | tr -d ' \n')
 if [ "$model_crc" != "e4c6fa92" ]; then
   echo "split pin: autism --snp model's crc trailer reads '$model_crc', want 'e4c6fa92'"; exit 1
 fi
+# Exact counter gate, tree slice: the same fit's tree nodes and encoded
+# cells. Trees use no kernel tier, so these hold on every host; the trace
+# above must not have moved a bit of the model (the cmp and split pin).
+./target/release/frac inspect-telemetry --file "$smoke_dir/autism-tsv.trace.tsv" \
+  > "$smoke_dir/autism-inspect.log"
+for want in "tree_nodes	49824" "encoded_cells	94500"; do
+  if ! grep -qxF "$want" "$smoke_dir/autism-inspect.log"; then
+    echo "counter gate: autism --snp $(grep "^${want%%	*}	" "$smoke_dir/autism-inspect.log"), want $want"; exit 1
+  fi
+done
 
 # Schema smoke: scoring a saved SNP model against an expression test file
 # must be refused — exit 1 with the schema error on stderr, never a panic
