@@ -38,7 +38,7 @@ use frac_dataset::{Dataset, DesignMatrix};
 use frac_learn::solver::stats::{self, SolverStats};
 use frac_learn::svr::SvrTrainer;
 use frac_learn::traits::RegressorTrainer;
-use frac_learn::{SvcConfig, SvrConfig};
+use frac_learn::{SvcConfig, SvrConfig, TargetBudget};
 use frac_synth::snp::CohortGroup;
 use frac_synth::{ExpressionConfig, ExpressionGenerator, SnpConfig, SnpGenerator, SubpopulationMix};
 use std::time::Instant;
@@ -530,11 +530,12 @@ fn sweep_solve_s(
         ..SvrConfig::default()
     };
     let trainer = SvrTrainer::new(cfg);
+    let unlimited = TargetBudget::unlimited();
     let mut best = f64::INFINITY;
     for _ in 0..windows {
         let t0 = Instant::now();
         for _ in 0..solves {
-            let (model, _) = trainer.train_view_warm(x, y, None);
+            let (model, _) = trainer.fit(x, y, None, &unlimited).expect("sweep solves converge");
             std::hint::black_box(model);
         }
         best = best.min(t0.elapsed().as_secs_f64() / solves as f64);

@@ -349,7 +349,8 @@ pub fn parse_duration(s: &str) -> Result<Duration, String> {
     if !(value.is_finite() && value > 0.0) {
         return Err(format!("duration `{s}` must be positive and finite"));
     }
-    Ok(Duration::from_secs_f64(value * scale))
+    Duration::try_from_secs_f64(value * scale)
+        .map_err(|_| format!("duration `{s}` is too long"))
 }
 
 /// Parse the shared flag set of `train` and `resume`.
@@ -821,6 +822,14 @@ mod tests {
         assert!(parse_duration("-1h").is_err());
         assert!(parse_duration("").is_err());
         assert!(parse_duration("h").is_err());
+        // Past `Duration::MAX` is a usage error naming the value, not a
+        // panic; just below it parses (a deadline past the clock's range
+        // then never trips, see `RunBudget::with_deadline`).
+        let err = parse_duration("1e20s").unwrap_err();
+        assert!(err.contains("`1e20s`") && err.contains("too long"), "{err}");
+        assert!(parse_duration("1e300h").is_err());
+        let just_below = Duration::from_secs(10_000_000_000_000_000_000);
+        assert_eq!(parse_duration("1e19s").unwrap(), just_below);
     }
 
     #[test]

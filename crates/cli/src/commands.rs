@@ -195,36 +195,47 @@ fn serve(args: ServeArgs) -> Result<(), Error> {
     };
     eprintln!("frac serve: exit: {}", summary.render());
     if let Some(tpath) = &args.telemetry {
-        match session {
-            Some(s) => {
-                let mut trace = s.finish();
-                trace.notes.push(("serve_health".into(), summary.counts.summary()));
-                trace.notes.push(("serve_p50_us".into(), summary.p50_us.to_string()));
-                trace.notes.push(("serve_p99_us".into(), summary.p99_us.to_string()));
-                trace
-                    .notes
-                    .push(("serve_throughput_rps".into(), format!("{:.1}", summary.throughput_rps())));
-                let text = if tpath.extension().is_some_and(|e| e == "json") {
-                    trace.to_json()
-                } else {
-                    trace.write_tsv()
-                };
-                std::fs::write(tpath, text).map_err(|e| format!("{}: {e}", tpath.display()))?;
-                eprintln!(
-                    "telemetry: {} spans → {} (summarize with \
-                     `frac inspect-telemetry --file {}`)",
-                    trace.spans.len(),
-                    tpath.display(),
-                    tpath.display()
-                );
-            }
-            None => eprintln!(
-                "warning: --telemetry ignored: another telemetry session \
-                 is already active in this process"
-            ),
-        }
+        let notes = vec![
+            ("serve_health".into(), summary.counts.summary()),
+            ("serve_p50_us".into(), summary.p50_us.to_string()),
+            ("serve_p99_us".into(), summary.p99_us.to_string()),
+            ("serve_throughput_rps".into(), format!("{:.1}", summary.throughput_rps())),
+        ];
+        write_trace(session, tpath, notes)?;
     }
     Ok(())
+}
+
+/// Finish a `--telemetry` session into `path` — JSON when the extension is
+/// `.json`, TSV otherwise — with `notes` appended to the trace's own, and
+/// print the summary line. `session` is `None` when another session was
+/// already live in this process: then warn and write nothing.
+fn write_trace(
+    session: Option<TelemetrySession>,
+    path: &std::path::Path,
+    notes: Vec<(String, String)>,
+) -> Result<Option<TelemetryReport>, Error> {
+    let Some(session) = session else {
+        eprintln!(
+            "warning: --telemetry ignored: another telemetry session \
+             is already active in this process"
+        );
+        return Ok(None);
+    };
+    let mut trace = session.finish();
+    trace.notes.extend(notes);
+    let text =
+        if path.extension().is_some_and(|e| e == "json") { trace.to_json() } else { trace.write_tsv() };
+    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+    eprintln!(
+        "telemetry: {} spans across {} stages → {} \
+         (summarize with `frac inspect-telemetry --file {}`)",
+        trace.spans.len(),
+        trace.stage_totals().len(),
+        path.display(),
+        path.display()
+    );
+    Ok(Some(trace))
 }
 
 /// Build the requested variant from CLI flags.
@@ -417,36 +428,12 @@ fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
         }
     }
     if let Some(tpath) = &args.telemetry {
-        match session {
-            Some(s) => {
-                let mut trace = s.finish();
-                trace.notes.push(("health".into(), report.health.summary()));
-                if let Some(stats) = &shard_stats {
-                    let restarts: Vec<String> =
-                        stats.iter().map(|s| s.restarts.to_string()).collect();
-                    trace.notes.push(("shard_restarts".into(), restarts.join(" ")));
-                }
-                let text = if tpath.extension().is_some_and(|e| e == "json") {
-                    trace.to_json()
-                } else {
-                    trace.write_tsv()
-                };
-                std::fs::write(tpath, text).map_err(|e| format!("{}: {e}", tpath.display()))?;
-                eprintln!(
-                    "telemetry: {} spans across {} stages → {} \
-                     (summarize with `frac inspect-telemetry --file {}`)",
-                    trace.spans.len(),
-                    trace.stage_totals().len(),
-                    tpath.display(),
-                    tpath.display()
-                );
-                report.telemetry = Some(trace);
-            }
-            None => eprintln!(
-                "warning: --telemetry ignored: another telemetry session \
-                 is already active in this process"
-            ),
+        let mut notes = vec![("health".into(), report.health.summary())];
+        if let Some(stats) = &shard_stats {
+            let restarts: Vec<String> = stats.iter().map(|s| s.restarts.to_string()).collect();
+            notes.push(("shard_restarts".into(), restarts.join(" ")));
         }
+        report.telemetry = write_trace(session, tpath, notes)?;
     }
     model.save(&args.out)?;
     eprintln!(

@@ -33,10 +33,7 @@ use frac_dataset::quarantine::{self, QuarantineReason, ScreenReport};
 use frac_dataset::split::{derive_seed, k_fold, Fold};
 use frac_dataset::{Column, Dataset, DesignMatrix, DesignView, EncodedPool, PoolView, RowSubset};
 use frac_learn::baseline::{ConstantRegressorTrainer, MajorityClassifierTrainer};
-use frac_learn::cv::{
-    cv_classification_folds, cv_classification_folds_budgeted, cv_regression_folds,
-    cv_regression_folds_budgeted,
-};
+use frac_learn::cv::{cv_classification_folds, cv_regression_folds};
 use frac_learn::svc::SvcTrainer;
 use frac_learn::svr::SvrTrainer;
 use frac_learn::telemetry;
@@ -609,14 +606,9 @@ fn run_real<T: frac_learn::RegressorTrainer>(
     (RealPredictor, TrainingCost, GaussianErrorModel, f64, TrainingCost, Option<Vec<f64>>),
     TrainError,
 > {
-    // The unlimited path keeps the original infallible CV (which tolerates
-    // a diverged fold) and stays bit-identical; only a limited budget pays
-    // for the fallible, cancellable variants.
-    let (oof, cv_cost, cv_duals) = if budget.is_limited() {
-        cv_regression_folds_budgeted(trainer, x, y, folds, init_duals, budget)?
-    } else {
-        cv_regression_folds(trainer, x, y, folds, init_duals)
-    };
+    // A fold that trips the budget, fails validation or diverges fails the
+    // whole attempt, with or without a deadline: the ladder takes it.
+    let (oof, cv_cost, cv_duals) = cv_regression_folds(trainer, x, y, folds, init_duals, budget)?;
     let error_span = telemetry::span(telemetry::Stage::ErrorModel);
     let pairs: Vec<(f64, f64)> = y.iter().copied().zip(oof.iter().copied()).collect();
     let error = GaussianErrorModel::fit(&pairs);
@@ -630,11 +622,7 @@ fn run_real<T: frac_learn::RegressorTrainer>(
     // reuses the gather.
     let all_rows: Vec<usize> = (0..x.n_rows()).collect();
     frac_learn::solver::pack_cache::set_rows(0, &all_rows);
-    let final_fit = if budget.is_limited() {
-        trainer.try_train_view_budgeted(x, y, cv_duals.as_deref(), budget)
-    } else {
-        trainer.try_train_view_warm(x, y, cv_duals.as_deref())
-    };
+    let final_fit = trainer.fit(x, y, cv_duals.as_deref(), budget);
     frac_learn::solver::pack_cache::clear_rows();
     let (trained, final_duals) = final_fit?;
     Ok((wrap(trained.model), trained.cost, error, strength, cv_cost, final_duals))
@@ -657,11 +645,8 @@ fn run_cat<T: frac_learn::ClassifierTrainer>(
     (CatPredictor, TrainingCost, ConfusionErrorModel, f64, TrainingCost, Option<Vec<Vec<f64>>>),
     TrainError,
 > {
-    let (oof, cv_cost, cv_duals) = if budget.is_limited() {
-        cv_classification_folds_budgeted(trainer, x, y, arity, folds, init_duals, budget)?
-    } else {
-        cv_classification_folds(trainer, x, y, arity, folds, init_duals)
-    };
+    let (oof, cv_cost, cv_duals) =
+        cv_classification_folds(trainer, x, y, arity, folds, init_duals, budget)?;
     let error_span = telemetry::span(telemetry::Stage::ErrorModel);
     let pairs: Vec<(u32, u32)> = y.iter().copied().zip(oof.iter().copied()).collect();
     let error = ConfusionErrorModel::fit(&pairs, arity);
@@ -670,11 +655,7 @@ fn run_cat<T: frac_learn::ClassifierTrainer>(
     let _final_span = telemetry::span(telemetry::Stage::FinalTrain);
     let all_rows: Vec<usize> = (0..x.n_rows()).collect();
     frac_learn::solver::pack_cache::set_rows(0, &all_rows);
-    let final_fit = if budget.is_limited() {
-        trainer.try_train_view_budgeted(x, y, arity, cv_duals.as_deref(), budget)
-    } else {
-        trainer.try_train_view_warm(x, y, arity, cv_duals.as_deref())
-    };
+    let final_fit = trainer.fit(x, y, arity, cv_duals.as_deref(), budget);
     frac_learn::solver::pack_cache::clear_rows();
     let (trained, final_duals) = final_fit?;
     Ok((wrap(trained.model), trained.cost, error, strength, cv_cost, final_duals))

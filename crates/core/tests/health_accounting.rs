@@ -1,14 +1,17 @@
 //! RunHealth arithmetic under adversity: every planned target is accounted
 //! for (survived or dropped, never lost), and the NS renormalization stays
 //! finite even when *everything* drops or the wall-clock budget is already
-//! spent before the first solve.
+//! spent before the first solve. And the converse: a budget that never
+//! trips changes no bit of a model.
 
 use frac_core::fault::INJECTED_PANIC;
 use frac_core::{
-    FallbackKind, FaultPlan, FracConfig, FracModel, RunBudget, TargetOutcome,
+    CatModel, FallbackKind, FaultPlan, FracConfig, FracModel, RunBudget, TargetOutcome,
     TrainingPlan,
 };
 use frac_dataset::Dataset;
+use frac_learn::SvcConfig;
+use frac_synth::snp::{CohortGroup, SnpConfig, SnpGenerator, SubpopulationMix};
 use frac_synth::{ExpressionConfig, ExpressionGenerator};
 use proptest::prelude::*;
 use std::sync::Once;
@@ -44,6 +47,46 @@ fn expr_data(n_rows: usize, n_features: usize, seed: u64) -> Dataset {
     })
     .generate(n_rows, 0, seed ^ 0x5EED);
     data
+}
+
+fn snp_data(n_rows: usize, n_snps: usize, seed: u64) -> Dataset {
+    let gen = SnpGenerator::new(SnpConfig {
+        n_snps,
+        ld_block_size: 4,
+        n_subpops: 2,
+        structure_seed: seed,
+        ..SnpConfig::default()
+    });
+    let groups = [CohortGroup { n: n_rows, mix: SubpopulationMix::uniform(2), is_case: false }];
+    gen.generate(&groups, seed ^ 0x5EED).0
+}
+
+/// Every fit takes the one budgeted training path, so a budget that never
+/// trips must leave every bit alone. Each config — the expression default
+/// (SVR, on the Gram path at this shape), `FracConfig::snp()` (trees) and
+/// an SVC config — is fitted with no budget, under a one-hour deadline, and
+/// under a cancellable budget nobody cancels; all three save the same bytes.
+#[test]
+fn a_budget_that_never_trips_moves_no_bit() {
+    let expr = expr_data(30, 12, 4);
+    let snp = snp_data(30, 16, 8);
+    let svc = FracConfig { cat_model: CatModel::Svc(SvcConfig::default()), ..FracConfig::snp() };
+    for (name, data, config) in [
+        ("svr", &expr, FracConfig::expression()),
+        ("trees", &snp, FracConfig::snp()),
+        ("svc", &snp, svc),
+    ] {
+        let plan = TrainingPlan::full(data.n_features());
+        let (plain, plain_report) = FracModel::fit(data, &plan, &config);
+        let bytes = plain.to_bytes();
+        let hour = RunBudget::with_deadline(Duration::from_secs(3600));
+        let (uncancelled, _handle) = RunBudget::unlimited().cancellable();
+        for (how, budget) in [("a 1 h deadline", hour), ("an uncancelled budget", uncancelled)] {
+            let (model, report) = FracModel::fit_budgeted(data, &plan, &config, &budget);
+            assert_eq!(report.health.summary(), plain_report.health.summary(), "{name}, {how}");
+            assert!(model.to_bytes() == bytes, "{name}: {how} changed the model bytes");
+        }
+    }
 }
 
 #[test]

@@ -6,6 +6,8 @@
 //! predictor contributes nothing but noise to NS, the phenomenon the paper's
 //! §II-D footnote discusses.
 
+use crate::budget::TargetBudget;
+use crate::fault::{self, TrainError};
 use crate::traits::{
     Classifier, ClassifierTrainer, Regressor, RegressorTrainer, Trained, TrainingCost,
 };
@@ -66,15 +68,24 @@ pub struct ConstantRegressorTrainer;
 impl RegressorTrainer for ConstantRegressorTrainer {
     type Model = ConstantRegressor;
 
-    fn train_view(&self, x: &dyn DesignView, y: &[f64]) -> Trained<ConstantRegressor> {
-        assert_eq!(x.n_rows(), y.len());
-        Trained {
+    /// The budget is checked once up front: the fit is one pass over `y`.
+    fn fit(
+        &self,
+        x: &dyn DesignView,
+        y: &[f64],
+        _warm: Option<&[f64]>,
+        budget: &TargetBudget,
+    ) -> Result<(Trained<ConstantRegressor>, Option<Vec<f64>>), TrainError> {
+        budget.check()?;
+        fault::check_regression_problem(x, y)?;
+        let trained = Trained {
             model: ConstantRegressor { mean: stats::mean(y).unwrap_or(0.0) },
             cost: TrainingCost {
                 flops: y.len() as u64,
                 peak_bytes: std::mem::size_of::<f64>() as u64,
             },
-        }
+        };
+        Ok((trained, None))
     }
 }
 
@@ -133,8 +144,17 @@ pub struct MajorityClassifierTrainer;
 impl ClassifierTrainer for MajorityClassifierTrainer {
     type Model = MajorityClassifier;
 
-    fn train_view(&self, x: &dyn DesignView, y: &[u32], arity: u32) -> Trained<MajorityClassifier> {
-        assert_eq!(x.n_rows(), y.len());
+    /// The budget is checked once up front: the fit is one pass over `y`.
+    fn fit(
+        &self,
+        x: &dyn DesignView,
+        y: &[u32],
+        arity: u32,
+        _warm: Option<&[Vec<f64>]>,
+        budget: &TargetBudget,
+    ) -> Result<(Trained<MajorityClassifier>, Option<Vec<Vec<f64>>>), TrainError> {
+        budget.check()?;
+        fault::check_classification_problem(x, y)?;
         let mut counts = vec![0usize; arity as usize];
         for &c in y {
             counts[c as usize] += 1;
@@ -145,13 +165,14 @@ impl ClassifierTrainer for MajorityClassifierTrainer {
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(c, _)| c as u32)
             .unwrap_or(0);
-        Trained {
+        let trained = Trained {
             model: MajorityClassifier { class },
             cost: TrainingCost {
                 flops: y.len() as u64,
                 peak_bytes: (arity as u64) * std::mem::size_of::<usize>() as u64,
             },
-        }
+        };
+        Ok((trained, None))
     }
 }
 

@@ -11,10 +11,13 @@
 //! fallback ladder skips the strict retry and substitutes the baseline
 //! predictor, keeping partial runs scoreable.
 //!
-//! The unlimited budget is the common case and is free: every field is
-//! `None`, so [`TargetBudget::check`] performs no clock read and no atomic
-//! load, and the clean fast path stays bit-identical to a build without
-//! budgets at all.
+//! Every trainer call takes a budget; there is no separate unbudgeted
+//! path. The unlimited budget is the common case and is free: every field
+//! is `None`, so [`TargetBudget::check`] performs no clock read and no
+//! atomic load, and a budget that never trips moves no bit of a model — a
+//! budget only decides *whether* a fit finishes, never *what* it computes.
+//! A deadline too far out for the clock to represent is no deadline: it
+//! never trips.
 
 use crate::fault::TrainError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,13 +26,11 @@ use std::time::{Duration, Instant};
 
 /// Wall-clock and cancellation budget for one whole run.
 ///
-/// Combines an absolute run deadline, an optional per-target timeout, and an
-/// optional external cancel flag. Cloning is cheap; the cancel flag is
-/// shared.
+/// Combines an optional absolute run deadline and an optional external
+/// cancel flag. Cloning is cheap; the cancel flag is shared.
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     deadline: Option<Instant>,
-    per_target: Option<Duration>,
     cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -40,19 +41,11 @@ impl RunBudget {
         RunBudget::default()
     }
 
-    /// Budget bounded by a run deadline `dur` from now.
+    /// Budget bounded by a run deadline `dur` from now. A `dur` that
+    /// overflows the clock sets no deadline: such a budget never trips and
+    /// [`Self::remaining`] returns `None`.
     pub fn with_deadline(dur: Duration) -> Self {
-        RunBudget {
-            deadline: Some(Instant::now() + dur),
-            ..RunBudget::default()
-        }
-    }
-
-    /// Add a per-target timeout: each target's budget trips `dur` after that
-    /// target starts, even if the run deadline is further out.
-    pub fn per_target(mut self, dur: Duration) -> Self {
-        self.per_target = Some(dur);
-        self
+        RunBudget { deadline: Instant::now().checked_add(dur), cancel: None }
     }
 
     /// Attach a cancel flag, returning the handle that trips it. Any number
@@ -61,11 +54,6 @@ impl RunBudget {
         let flag = Arc::new(AtomicBool::new(false));
         self.cancel = Some(Arc::clone(&flag));
         (self, CancelHandle { flag })
-    }
-
-    /// Whether this budget can ever trip (false for [`Self::unlimited`]).
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.per_target.is_some() || self.cancel.is_some()
     }
 
     /// Wall-clock time left until the run deadline; `None` when the budget
@@ -79,8 +67,7 @@ impl RunBudget {
     }
 
     /// Whether the run as a whole can make no further progress: the deadline
-    /// has already passed or the run was cancelled. Per-target timeouts do
-    /// not count — they bound individual fits, not the run.
+    /// has already passed or the run was cancelled.
     pub fn is_expired(&self) -> bool {
         if let Some(flag) = &self.cancel {
             if flag.load(Ordering::Relaxed) {
@@ -90,15 +77,10 @@ impl RunBudget {
         matches!(self.deadline, Some(d) if Instant::now() >= d)
     }
 
-    /// Derive the budget for one target starting now: the tighter of the run
-    /// deadline and `now + per_target`, plus the shared cancel flag.
+    /// Derive the budget for one target: the run deadline plus the shared
+    /// cancel flag.
     pub fn start_target(&self) -> TargetBudget {
-        let local = self.per_target.map(|d| Instant::now() + d);
-        let deadline = match (self.deadline, local) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        TargetBudget { deadline, cancel: self.cancel.clone() }
+        TargetBudget { deadline: self.deadline, cancel: self.cancel.clone() }
     }
 }
 
@@ -135,11 +117,6 @@ impl TargetBudget {
         }
         Ok(())
     }
-
-    /// Whether this budget can ever trip.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
 }
 
 /// Handle that cancels a run from another thread (or a signal handler).
@@ -168,10 +145,9 @@ mod tests {
     #[test]
     fn unlimited_never_trips() {
         let b = RunBudget::unlimited();
-        assert!(!b.is_limited());
-        let t = b.start_target();
-        assert!(!t.is_limited());
-        assert!(t.check().is_ok());
+        assert!(!b.is_expired());
+        assert!(b.start_target().check().is_ok());
+        assert!(TargetBudget::unlimited().check().is_ok());
     }
 
     #[test]
@@ -188,11 +164,15 @@ mod tests {
     }
 
     #[test]
-    fn per_target_tightens_run_deadline() {
-        let b = RunBudget::with_deadline(Duration::from_secs(3600))
-            .per_target(Duration::from_secs(0));
-        let t = b.start_target();
-        assert_eq!(t.check(), Err(TrainError::DeadlineExceeded));
+    fn deadline_past_the_clock_never_trips() {
+        // `Instant + Duration` would panic on overflow; a deadline the
+        // clock cannot represent is no deadline at all.
+        for dur in [Duration::MAX, Duration::from_secs(10_000_000_000_000_000_000)] {
+            let b = RunBudget::with_deadline(dur);
+            assert_eq!(b.remaining(), None);
+            assert!(!b.is_expired());
+            assert!(b.start_target().check().is_ok());
+        }
     }
 
     #[test]
@@ -224,12 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn is_expired_covers_deadline_and_cancel_but_not_per_target() {
+    fn is_expired_covers_deadline_and_cancel() {
         assert!(!RunBudget::unlimited().is_expired());
         assert!(RunBudget::with_deadline(Duration::ZERO).is_expired());
         assert!(!RunBudget::with_deadline(Duration::from_secs(3600)).is_expired());
-        // A per-target timeout bounds single fits, not the whole run.
-        assert!(!RunBudget::unlimited().per_target(Duration::ZERO).is_expired());
         let (b, handle) = RunBudget::unlimited().cancellable();
         assert!(!b.is_expired());
         handle.cancel();

@@ -5,120 +5,46 @@
 //! construct error models. Then, the entire data set is used to train
 //! predictors." (paper §I-A-1)
 //!
-//! These helpers run the k-fold half: they return, for every training row,
-//! the prediction made by the fold model that did *not* see it, plus the
-//! accumulated [`TrainingCost`] of all fold models.
+//! These drivers run the k-fold half, one per target kind: for every
+//! training row they return the prediction made by the fold model that did
+//! *not* see it, plus the accumulated [`TrainingCost`] of all fold models.
+//! Every fold trains through the trainer's one fallible, budgeted `fit`, so
+//! the first fold that fails — a tripped budget, a problem that fails
+//! validation, or a diverged solve — aborts the CV with its [`TrainError`],
+//! with or without a deadline, and the caller's fallback ladder handles it.
 
 use crate::budget::TargetBudget;
 use crate::fault::TrainError;
 use crate::telemetry;
 use crate::traits::{ClassifierTrainer, Classifier, Regressor, RegressorTrainer, TrainingCost};
-use frac_dataset::split::{k_fold, Fold};
+use frac_dataset::split::Fold;
 use frac_dataset::{DesignView, RowSubset};
 
-/// Out-of-fold predictions for a regression problem.
+/// Out-of-fold predictions for a regression problem over a caller-supplied
+/// fold plan, with warm-started duals threaded fold to fold.
 ///
-/// Returns `(predictions, cost)` where `predictions[r]` is the held-out
-/// prediction for row `r`. `cost.flops` sums over folds; `cost.peak_bytes`
-/// is the largest single-fold working set (folds run sequentially, so their
-/// transient memory is not concurrently live). Each fold trains on a
-/// [`RowSubset`] view of `x` — the only per-fold memory beyond the solver's
-/// own state is the row-index vector and a one-row prediction buffer, not a
-/// copy of the training slice.
-pub fn cv_regression<T: RegressorTrainer>(
-    trainer: &T,
-    x: &dyn DesignView,
-    y: &[f64],
-    k: usize,
-    seed: u64,
-) -> (Vec<f64>, TrainingCost) {
-    let folds = k_fold(x.n_rows(), k, seed);
-    let (preds, cost, _) = cv_regression_folds(trainer, x, y, &folds, None);
-    (preds, cost)
-}
-
-/// [`cv_regression`] over a caller-supplied fold plan, with warm-started
-/// duals threaded fold to fold.
+/// Returns `(predictions, cost, duals)` where `predictions[r]` is the
+/// held-out prediction for row `r`. `cost.flops` sums over folds;
+/// `cost.peak_bytes` is the largest single-fold working set (folds run
+/// sequentially, so their transient memory is not concurrently live). Each
+/// fold trains on a [`RowSubset`] view of `x` — the only per-fold memory
+/// beyond the solver's own state is the row-index vector and a one-row
+/// prediction buffer, not a copy of the training slice.
 ///
 /// The fold plan is computed once per FRaC run and shared across targets
 /// (the per-target plan is its restriction to present rows), so the k-fold
-/// shuffle is no longer re-derived per target. Each fold's solve seeds from
+/// shuffle is not re-derived per target. Each fold's solve seeds from
 /// `dual_by_row` — the latest dual seen for each row of `x`, initialized
 /// from `init_duals` (e.g. a previous replicate's solution) or zeros — and
 /// scatters its solution back, so fold `j+1` starts from the duals of the
-/// shared rows it has in common with folds `1..=j`. The returned vector is
-/// the final `dual_by_row`, ready to seed the full-data fit; it is `None`
-/// when the trainer has no dual formulation (trees, baselines).
-pub fn cv_regression_folds<T: RegressorTrainer>(
-    trainer: &T,
-    x: &dyn DesignView,
-    y: &[f64],
-    folds: &[Fold],
-    init_duals: Option<&[f64]>,
-) -> (Vec<f64>, TrainingCost, Option<Vec<f64>>) {
-    assert_eq!(x.n_rows(), y.len(), "target length must match rows");
-    let n = x.n_rows();
-    let mut preds = vec![f64::NAN; n];
-    let mut row_buf = vec![0.0f64; x.n_cols()];
-    let mut dual_by_row: Vec<f64> = match init_duals {
-        Some(d) => {
-            assert_eq!(d.len(), n, "init dual length must match rows");
-            d.to_vec()
-        }
-        None => vec![0.0; n],
-    };
-    let mut have_duals = true;
-    let mut flops = 0u64;
-    let mut peak = 0u64;
-    let mut warm_buf: Vec<f64> = Vec::new();
-    for (fold_idx, fold) in folds.iter().enumerate() {
-        let _fold_span = telemetry::span(telemetry::Stage::CvFold);
-        let x_train = RowSubset::new(x, &fold.train);
-        let y_train: Vec<f64> = fold.train.iter().map(|&r| y[r]).collect();
-        warm_buf.clear();
-        warm_buf.extend(fold.train.iter().map(|&r| dual_by_row[r]));
-        let warm = if have_duals { Some(warm_buf.as_slice()) } else { None };
-        // Declare this fold's rows to the per-scope pack cache (slot 0 is
-        // the final fit) — inert unless a fit scope is active.
-        crate::solver::pack_cache::set_rows(1 + fold_idx as u64, &fold.train);
-        let (trained, duals) = trainer.train_view_warm(&x_train, &y_train, warm);
-        crate::solver::pack_cache::clear_rows();
-        match duals {
-            Some(d) => {
-                for (&r, &b) in fold.train.iter().zip(&d) {
-                    dual_by_row[r] = b;
-                }
-            }
-            None => have_duals = false,
-        }
-        flops += trained.cost.flops;
-        peak = peak.max(
-            trained.cost.peak_bytes
-                + fold_overhead_bytes(&x_train, &row_buf)
-                + 2 * std::mem::size_of_val(dual_by_row.as_slice()) as u64,
-        );
-        for &r in &fold.holdout {
-            x.copy_row_into(r, &mut row_buf);
-            preds[r] = trained.model.predict(&row_buf);
-        }
-    }
-    if have_duals {
-        flops += warm_init_flops(init_duals.map_or(0, count_nonzero), x.n_cols());
-    }
-    let out_duals = have_duals.then_some(dual_by_row);
-    (preds, TrainingCost { flops, peak_bytes: peak }, out_duals)
-}
-
-/// Budget-aware [`cv_regression_folds`]: each fold trains through
-/// [`RegressorTrainer::try_train_view_budgeted`], so a tripped budget
-/// surfaces as [`TrainError::DeadlineExceeded`] between (or inside) fold
-/// solves instead of running the remaining folds. Unlike the infallible
-/// path, a fold that fails validation or diverges also aborts the CV — the
-/// caller's fallback ladder handles it. With an unlimited budget and clean
-/// folds the predictions, cost, and duals are bit-identical to
-/// [`cv_regression_folds`].
+/// shared rows it has in common with folds `1..=j`. The returned duals are
+/// the final `dual_by_row`, ready to seed the full-data fit; they are
+/// `None` when the trainer has no dual formulation (trees, baselines).
+///
+/// `budget` is polled inside every fold's fit; the first fold error is
+/// returned as is.
 #[allow(clippy::type_complexity)]
-pub fn cv_regression_folds_budgeted<T: RegressorTrainer>(
+pub fn cv_regression_folds<T: RegressorTrainer>(
     trainer: &T,
     x: &dyn DesignView,
     y: &[f64],
@@ -148,10 +74,12 @@ pub fn cv_regression_folds_budgeted<T: RegressorTrainer>(
         warm_buf.clear();
         warm_buf.extend(fold.train.iter().map(|&r| dual_by_row[r]));
         let warm = if have_duals { Some(warm_buf.as_slice()) } else { None };
+        // Declare this fold's rows to the per-scope pack cache (slot 0 is
+        // the final fit) — inert unless a fit scope is active.
         crate::solver::pack_cache::set_rows(1 + fold_idx as u64, &fold.train);
-        let trained_duals = trainer.try_train_view_budgeted(&x_train, &y_train, warm, budget);
+        let fitted = trainer.fit(&x_train, &y_train, warm, budget);
         crate::solver::pack_cache::clear_rows();
-        let (trained, duals) = trained_duals?;
+        let (trained, duals) = fitted?;
         match duals {
             Some(d) => {
                 for (&r, &b) in fold.train.iter().zip(&d) {
@@ -179,96 +107,11 @@ pub fn cv_regression_folds_budgeted<T: RegressorTrainer>(
 }
 
 /// Out-of-fold predictions for a classification problem; see
-/// [`cv_regression`] for conventions.
-pub fn cv_classification<T: ClassifierTrainer>(
-    trainer: &T,
-    x: &dyn DesignView,
-    y: &[u32],
-    arity: u32,
-    k: usize,
-    seed: u64,
-) -> (Vec<u32>, TrainingCost) {
-    let folds = k_fold(x.n_rows(), k, seed);
-    let (preds, cost, _) = cv_classification_folds(trainer, x, y, arity, &folds, None);
-    (preds, cost)
-}
-
-/// [`cv_classification`] over a caller-supplied fold plan with warm-started
-/// duals; see [`cv_regression_folds`] for the threading contract. Duals are
-/// per one-vs-rest class: `duals[k][r]` is row `r`'s latest dual for class
-/// `k`'s binary problem.
-pub fn cv_classification_folds<T: ClassifierTrainer>(
-    trainer: &T,
-    x: &dyn DesignView,
-    y: &[u32],
-    arity: u32,
-    folds: &[Fold],
-    init_duals: Option<&[Vec<f64>]>,
-) -> (Vec<u32>, TrainingCost, Option<Vec<Vec<f64>>>) {
-    assert_eq!(x.n_rows(), y.len(), "target length must match rows");
-    let n = x.n_rows();
-    let k_classes = arity as usize;
-    let mut preds = vec![0u32; n];
-    let mut row_buf = vec![0.0f64; x.n_cols()];
-    let mut dual_by_row: Vec<Vec<f64>> = match init_duals {
-        Some(d) => {
-            assert_eq!(d.len(), k_classes, "init duals must have one vector per class");
-            d.to_vec()
-        }
-        None => vec![vec![0.0; n]; k_classes],
-    };
-    let mut have_duals = true;
-    let mut flops = 0u64;
-    let mut peak = 0u64;
-    for (fold_idx, fold) in folds.iter().enumerate() {
-        let _fold_span = telemetry::span(telemetry::Stage::CvFold);
-        let x_train = RowSubset::new(x, &fold.train);
-        let y_train: Vec<u32> = fold.train.iter().map(|&r| y[r]).collect();
-        let warm_vecs: Vec<Vec<f64>> = if have_duals {
-            dual_by_row
-                .iter()
-                .map(|class_duals| fold.train.iter().map(|&r| class_duals[r]).collect())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let warm = if have_duals { Some(warm_vecs.as_slice()) } else { None };
-        crate::solver::pack_cache::set_rows(1 + fold_idx as u64, &fold.train);
-        let (trained, duals) = trainer.train_view_warm(&x_train, &y_train, arity, warm);
-        crate::solver::pack_cache::clear_rows();
-        match duals {
-            Some(d) => {
-                for (class_duals, class_out) in dual_by_row.iter_mut().zip(&d) {
-                    for (&r, &a) in fold.train.iter().zip(class_out) {
-                        class_duals[r] = a;
-                    }
-                }
-            }
-            None => have_duals = false,
-        }
-        flops += trained.cost.flops;
-        peak = peak.max(
-            trained.cost.peak_bytes
-                + fold_overhead_bytes(&x_train, &row_buf)
-                + 2 * (k_classes * n * std::mem::size_of::<f64>()) as u64,
-        );
-        for &r in &fold.holdout {
-            x.copy_row_into(r, &mut row_buf);
-            preds[r] = trained.model.predict(&row_buf);
-        }
-    }
-    if have_duals {
-        let nz = init_duals.map_or(0, |d| d.iter().map(|v| count_nonzero(v)).sum());
-        flops += warm_init_flops(nz, x.n_cols());
-    }
-    let out_duals = have_duals.then_some(dual_by_row);
-    (preds, TrainingCost { flops, peak_bytes: peak }, out_duals)
-}
-
-/// Budget-aware [`cv_classification_folds`]; see
-/// [`cv_regression_folds_budgeted`] for the contract.
+/// [`cv_regression_folds`] for the fold, warm-start, cost and failure
+/// contract. Duals are per one-vs-rest class: `duals[k][r]` is row `r`'s
+/// latest dual for class `k`'s binary problem.
 #[allow(clippy::type_complexity)]
-pub fn cv_classification_folds_budgeted<T: ClassifierTrainer>(
+pub fn cv_classification_folds<T: ClassifierTrainer>(
     trainer: &T,
     x: &dyn DesignView,
     y: &[u32],
@@ -306,9 +149,9 @@ pub fn cv_classification_folds_budgeted<T: ClassifierTrainer>(
         };
         let warm = if have_duals { Some(warm_vecs.as_slice()) } else { None };
         crate::solver::pack_cache::set_rows(1 + fold_idx as u64, &fold.train);
-        let trained_duals = trainer.try_train_view_budgeted(&x_train, &y_train, arity, warm, budget);
+        let fitted = trainer.fit(&x_train, &y_train, arity, warm, budget);
         crate::solver::pack_cache::clear_rows();
-        let (trained, duals) = trained_duals?;
+        let (trained, duals) = fitted?;
         match duals {
             Some(d) => {
                 for (class_duals, class_out) in dual_by_row.iter_mut().zip(&d) {
@@ -364,15 +207,48 @@ fn fold_overhead_bytes(view: &dyn DesignView, row_buf: &[f64]) -> u64 {
 mod tests {
     use super::*;
     use crate::baseline::{ConstantRegressorTrainer, MajorityClassifierTrainer};
+    use crate::budget::RunBudget;
     use crate::svr::{SvrConfig, SvrTrainer};
+    use crate::traits::Trained;
     use crate::tree::ClassificationTreeTrainer;
+    use frac_dataset::split::k_fold;
     use frac_dataset::DesignMatrix;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Regression CV over a fresh `k`-fold plan, cold, unlimited budget.
+    fn oof_regression<T: RegressorTrainer>(
+        t: &T,
+        x: &dyn DesignView,
+        y: &[f64],
+        k: usize,
+        seed: u64,
+    ) -> (Vec<f64>, TrainingCost) {
+        let folds = k_fold(x.n_rows(), k, seed);
+        let (preds, cost, _) =
+            cv_regression_folds(t, x, y, &folds, None, &TargetBudget::unlimited()).unwrap();
+        (preds, cost)
+    }
+
+    /// Classification CV over a fresh `k`-fold plan, cold, unlimited budget.
+    fn oof_classification<T: ClassifierTrainer>(
+        t: &T,
+        x: &dyn DesignView,
+        y: &[u32],
+        arity: u32,
+        k: usize,
+        seed: u64,
+    ) -> Vec<u32> {
+        let folds = k_fold(x.n_rows(), k, seed);
+        cv_classification_folds(t, x, y, arity, &folds, None, &TargetBudget::unlimited())
+            .unwrap()
+            .0
+    }
 
     #[test]
     fn every_row_receives_a_prediction() {
         let x = DesignMatrix::from_raw(10, 1, (0..10).map(|i| i as f64).collect());
         let y: Vec<f64> = (0..10).map(|i| i as f64 * 2.0).collect();
-        let (preds, _) = cv_regression(&ConstantRegressorTrainer, &x, &y, 5, 1);
+        let (preds, _) = oof_regression(&ConstantRegressorTrainer, &x, &y, 5, 1);
         assert!(preds.iter().all(|p| !p.is_nan()));
     }
 
@@ -383,7 +259,7 @@ mod tests {
         // outside its fold's training set.
         let x = DesignMatrix::from_raw(6, 1, vec![0.0; 6]);
         let y = vec![0.0, 10.0, 20.0, 30.0, 40.0, 50.0];
-        let (preds, _) = cv_regression(&ConstantRegressorTrainer, &x, &y, 3, 7);
+        let (preds, _) = oof_regression(&ConstantRegressorTrainer, &x, &y, 3, 7);
         for (r, (&p, &t)) in preds.iter().zip(&y).enumerate() {
             assert!((p - t).abs() > 1e-9, "row {r} leaked into its own fold");
         }
@@ -395,7 +271,7 @@ mod tests {
         let x = DesignMatrix::from_raw(n, 1, (0..n).map(|i| i as f64 * 0.1).collect());
         let y: Vec<f64> = (0..n).map(|i| 3.0 * (i as f64 * 0.1) + 1.0).collect();
         let cfg = SvrConfig { epsilon: 0.01, c: 100.0, ..SvrConfig::default() };
-        let (preds, cost) = cv_regression(&SvrTrainer::new(cfg), &x, &y, 5, 3);
+        let (preds, cost) = oof_regression(&SvrTrainer::new(cfg), &x, &y, 5, 3);
         let max_err = preds
             .iter()
             .zip(&y)
@@ -410,8 +286,7 @@ mod tests {
     fn classification_cv_covers_all_rows() {
         let x = DesignMatrix::from_raw(12, 1, (0..12).map(|i| (i % 2) as f64).collect());
         let y: Vec<u32> = (0..12).map(|i| (i % 2) as u32).collect();
-        let (preds, _) =
-            cv_classification(&ClassificationTreeTrainer::default(), &x, &y, 2, 4, 5);
+        let preds = oof_classification(&ClassificationTreeTrainer::default(), &x, &y, 2, 4, 5);
         assert_eq!(preds.len(), 12);
         assert!(preds.iter().all(|&p| p < 2));
     }
@@ -420,10 +295,10 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let x = DesignMatrix::from_raw(8, 1, (0..8).map(|i| i as f64).collect());
         let y: Vec<u32> = vec![0, 1, 0, 1, 0, 1, 0, 1];
-        let a = cv_classification(&MajorityClassifierTrainer, &x, &y, 2, 4, 9).0;
-        let b = cv_classification(&MajorityClassifierTrainer, &x, &y, 2, 4, 9).0;
+        let a = oof_classification(&MajorityClassifierTrainer, &x, &y, 2, 4, 9);
+        let b = oof_classification(&MajorityClassifierTrainer, &x, &y, 2, 4, 9);
         assert_eq!(a, b);
-        let c = cv_classification(&MajorityClassifierTrainer, &x, &y, 2, 4, 10).0;
+        let c = oof_classification(&MajorityClassifierTrainer, &x, &y, 2, 4, 10);
         // Different seed shuffles folds differently (may coincide rarely, but
         // not for this configuration).
         assert_ne!(a, c);
@@ -435,7 +310,7 @@ mod tests {
         let x = DesignMatrix::from_raw(n, d, vec![1.0; n * d]);
         let y = vec![0.0f64; n];
         let k = 5;
-        let (_, cost) = cv_regression(&ConstantRegressorTrainer, &x, &y, k, 3);
+        let (_, cost) = oof_regression(&ConstantRegressorTrainer, &x, &y, k, 3);
         // Largest fold trains on n - n/k rows. The old model charged a full
         // copy of that slice; the view model charges only row indices plus
         // the one-row prediction buffer (+ the trainer's own peak).
@@ -447,30 +322,19 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_cv_matches_plain_and_trips_when_expired() {
-        use crate::budget::RunBudget;
+    fn expired_budget_aborts_both_drivers() {
         let n = 20;
         let x = DesignMatrix::from_raw(n, 1, (0..n).map(|i| i as f64 * 0.1).collect());
         let y: Vec<f64> = (0..n).map(|i| 2.0 * (i as f64 * 0.1)).collect();
         let folds = k_fold(n, 4, 11);
-        let t = SvrTrainer::default();
-        let (a, ca, da) = cv_regression_folds(&t, &x, &y, &folds, None);
-        let (b, cb, db) =
-            cv_regression_folds_budgeted(&t, &x, &y, &folds, None, &TargetBudget::unlimited())
-                .unwrap();
-        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b));
-        assert_eq!(ca, cb);
-        assert_eq!(da, db);
-
         let expired = RunBudget::with_deadline(std::time::Duration::from_secs(0)).start_target();
         assert!(matches!(
-            cv_regression_folds_budgeted(&t, &x, &y, &folds, None, &expired),
+            cv_regression_folds(&SvrTrainer::default(), &x, &y, &folds, None, &expired),
             Err(TrainError::DeadlineExceeded)
         ));
         let yc: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
         assert!(matches!(
-            cv_classification_folds_budgeted(
+            cv_classification_folds(
                 &ClassificationTreeTrainer::default(),
                 &x,
                 &yc,
@@ -481,6 +345,76 @@ mod tests {
             ),
             Err(TrainError::DeadlineExceeded)
         ));
+    }
+
+    /// Fits a baseline, except on the fold whose training set lacks the
+    /// row with target `poison` (the fold holding that row out): that fold
+    /// "diverges". Counts its calls.
+    struct DivergesWithout {
+        poison: u32,
+        calls: AtomicUsize,
+    }
+
+    const STUB_ERROR: TrainError = TrainError::NonConvergence { epochs: 3 };
+
+    impl RegressorTrainer for DivergesWithout {
+        type Model = crate::baseline::ConstantRegressor;
+        fn fit(
+            &self,
+            x: &dyn DesignView,
+            y: &[f64],
+            warm: Option<&[f64]>,
+            budget: &TargetBudget,
+        ) -> Result<(Trained<Self::Model>, Option<Vec<f64>>), TrainError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            if !y.contains(&f64::from(self.poison)) {
+                return Err(STUB_ERROR);
+            }
+            ConstantRegressorTrainer.fit(x, y, warm, budget)
+        }
+    }
+
+    impl ClassifierTrainer for DivergesWithout {
+        type Model = crate::baseline::MajorityClassifier;
+        fn fit(
+            &self,
+            x: &dyn DesignView,
+            y: &[u32],
+            arity: u32,
+            warm: Option<&[Vec<f64>]>,
+            budget: &TargetBudget,
+        ) -> Result<(Trained<Self::Model>, Option<Vec<Vec<f64>>>), TrainError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            if !y.contains(&self.poison) {
+                return Err(STUB_ERROR);
+            }
+            MajorityClassifierTrainer.fit(x, y, arity, warm, budget)
+        }
+    }
+
+    #[test]
+    fn failing_fold_aborts_the_cv_without_a_deadline() {
+        // One rule with or without a deadline: the first fold that fails
+        // ends the CV with its error, and no later fold runs.
+        let n = 10;
+        let x = DesignMatrix::from_raw(n, 1, (0..n).map(|i| i as f64).collect());
+        let folds = k_fold(n, 5, 2);
+        let poison = 4;
+        let bad = folds.iter().position(|f| f.holdout.contains(&poison)).unwrap();
+        let unlimited = TargetBudget::unlimited();
+
+        let t = DivergesWithout { poison: poison as u32, calls: AtomicUsize::new(0) };
+        let y: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let err = cv_regression_folds(&t, &x, &y, &folds, None, &unlimited).unwrap_err();
+        assert_eq!(err, STUB_ERROR);
+        assert_eq!(t.calls.load(Ordering::Relaxed), bad + 1);
+
+        let t = DivergesWithout { poison: poison as u32, calls: AtomicUsize::new(0) };
+        let yc: Vec<u32> = (0..n as u32).collect();
+        let err =
+            cv_classification_folds(&t, &x, &yc, n as u32, &folds, None, &unlimited).unwrap_err();
+        assert_eq!(err, STUB_ERROR);
+        assert_eq!(t.calls.load(Ordering::Relaxed), bad + 1);
     }
 
     #[test]
@@ -494,13 +428,15 @@ mod tests {
         let x = DesignMatrix::from_raw(n, 1, (0..n).map(|i| i as f64 * 0.1).collect());
         let y: Vec<f64> = (0..n).map(|i| 2.0 * (i as f64 * 0.1)).collect();
         let folds = k_fold(n, 3, 5);
+        let unlimited = TargetBudget::unlimited();
         // One epoch, and epoch 1 never shrinks (the threshold starts at
         // infinity), so per-fold visits are identical with or without warm
         // duals — any flops difference is the init charge alone.
         let t = SvrTrainer::new(SvrConfig { max_epochs: 1, ..SvrConfig::default() });
-        let (_, cold, _) = cv_regression_folds(&t, &x, &y, &folds, None);
+        let (_, cold, _) = cv_regression_folds(&t, &x, &y, &folds, None, &unlimited).unwrap();
         let init: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 0.5 } else { 0.0 }).collect();
-        let (_, warm, _) = cv_regression_folds(&t, &x, &y, &folds, Some(&init));
+        let (_, warm, _) =
+            cv_regression_folds(&t, &x, &y, &folds, Some(&init), &unlimited).unwrap();
         let nonzero = init.iter().filter(|&&b| b != 0.0).count() as u64;
         let one_charge = nonzero * ((x.n_cols() as u64) + 1) * 2;
         assert_eq!(
@@ -513,7 +449,7 @@ mod tests {
     #[test]
     fn single_row_degenerate_cv_still_returns() {
         let x = DesignMatrix::from_raw(1, 1, vec![0.5]);
-        let (preds, _) = cv_regression(&ConstantRegressorTrainer, &x, &[2.0], 5, 0);
+        let (preds, _) = oof_regression(&ConstantRegressorTrainer, &x, &[2.0], 5, 0);
         assert_eq!(preds.len(), 1);
         assert!(!preds[0].is_nan());
     }

@@ -1,13 +1,15 @@
 //! Fallible training: the error taxonomy of the fault-isolated fleet.
 //!
 //! FRaC aggregates hundreds of independent per-feature models, so one
-//! degenerate training problem must never take down the whole run. Trainers
-//! expose fallible entry points ([`crate::RegressorTrainer::try_train_view_warm`]
-//! and the classifier analogue) that validate their inputs and inspect their
-//! outputs, returning a [`TrainError`] instead of panicking or silently
-//! emitting a poisoned model. The caller (frac-core's per-target fit loop)
-//! reacts with a fallback ladder: retry the strict solver, substitute the
-//! baseline predictor, or drop the target.
+//! degenerate training problem must never take down the whole run. Every
+//! trainer has one training method ([`crate::RegressorTrainer::fit`] and
+//! the classifier analogue) that validates its inputs with the checks
+//! below, polls its budget and inspects its output, returning a
+//! [`TrainError`] instead of panicking or silently emitting a poisoned
+//! model. The cross-validation drivers pass the first fold error through,
+//! so a failing fold fails the whole fit attempt. The caller (frac-core's
+//! per-target fit loop) reacts with a fallback ladder: retry the strict
+//! solver, substitute the baseline predictor, or drop the target.
 
 use frac_dataset::DesignView;
 

@@ -20,8 +20,8 @@
 //!   **shrinking** (bound-pinned coordinates whose projected gradient
 //!   exceeds the previous epoch's worst violation are dropped from the
 //!   sweep, with a full unshrink-and-recheck pass before convergence is
-//!   declared), optional **warm-started duals** via the
-//!   `train_view_warm` entry points, blocked kernels, and per solve the
+//!   declared), optional **warm-started duals** via the trainers'
+//!   `fit` warm argument, blocked kernels, and per solve the
 //!   primal or Gram source ([`SolverStrategy`], [`GramPolicy`]). Iteration
 //!   order differs from the reference, so results agree with it only to
 //!   solver tolerance — the equivalence tests gate on NS-score tolerance

@@ -232,11 +232,16 @@ impl SvcTrainer {
     pub fn new(config: SvcConfig) -> Self {
         SvcTrainer { config }
     }
+}
+
+impl ClassifierTrainer for SvcTrainer {
+    type Model = LinearSvc;
 
     /// One-vs-rest solve over all classes with cooperative budget polling
-    /// (once per epoch of every binary problem, and per Q row while Q is
-    /// built). Fails only when `budget` trips.
-    #[allow(clippy::type_complexity)]
+    /// (once up front, once per epoch of every binary problem, and per Q
+    /// row while Q is built). Rejects a diverged binary solve — any
+    /// NaN/Inf hyperplane — as [`TrainError::NonConvergence`]. Returns the
+    /// final duals, one vector per class.
     fn fit(
         &self,
         x: &dyn DesignView,
@@ -244,8 +249,9 @@ impl SvcTrainer {
         arity: u32,
         warm: Option<&[Vec<f64>]>,
         budget: &TargetBudget,
-    ) -> Result<(Trained<LinearSvc>, Vec<Vec<f64>>), TrainError> {
-        assert_eq!(x.n_rows(), y.len(), "target length must match rows");
+    ) -> Result<(Trained<LinearSvc>, Option<Vec<Vec<f64>>>), TrainError> {
+        fault::check_classification_problem(x, y)?;
+        budget.check()?;
         let cfg = &self.config;
         let (n, d, k) = (x.n_rows(), x.n_cols(), arity as usize);
         let dual_cfg = DualConfig {
@@ -280,60 +286,10 @@ impl SvcTrainer {
             hyperplanes.push((out.w, if cfg.bias { out.w_bias } else { 0.0 }));
             duals.push(out.dual);
         }
-        Ok((Trained { model: LinearSvc { hyperplanes }, cost: plan.cost(flops, path_bits) }, duals))
-    }
-}
-
-impl ClassifierTrainer for SvcTrainer {
-    type Model = LinearSvc;
-
-    fn train_view(&self, x: &dyn DesignView, y: &[u32], arity: u32) -> Trained<LinearSvc> {
-        self.train_view_warm(x, y, arity, None).0
-    }
-
-    fn train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[u32],
-        arity: u32,
-        warm: Option<&[Vec<f64>]>,
-    ) -> (Trained<LinearSvc>, Option<Vec<Vec<f64>>>) {
-        match self.fit(x, y, arity, warm, &TargetBudget::unlimited()) {
-            Ok((trained, duals)) => (trained, Some(duals)),
-            Err(_) => unreachable!("unlimited budget cannot trip"),
-        }
-    }
-
-    /// The budgeted solve under an unlimited budget: bit-identical to the
-    /// infallible path on success.
-    fn try_train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[u32],
-        arity: u32,
-        warm: Option<&[Vec<f64>]>,
-    ) -> Result<(Trained<LinearSvc>, Option<Vec<Vec<f64>>>), TrainError> {
-        self.try_train_view_budgeted(x, y, arity, warm, &TargetBudget::unlimited())
-    }
-
-    /// Same arithmetic as the other paths, with the budget checked once
-    /// per epoch of every binary sub-problem; validates the problem up
-    /// front and rejects diverged binary solves — any NaN/Inf hyperplane —
-    /// as [`TrainError::NonConvergence`].
-    fn try_train_view_budgeted(
-        &self,
-        x: &dyn DesignView,
-        y: &[u32],
-        arity: u32,
-        warm: Option<&[Vec<f64>]>,
-        budget: &TargetBudget,
-    ) -> Result<(Trained<LinearSvc>, Option<Vec<Vec<f64>>>), TrainError> {
-        fault::check_classification_problem(x, y)?;
-        budget.check()?;
-        let (trained, duals) = self.fit(x, y, arity, warm, budget)?;
-        let planes = trained.model.hyperplanes.iter().map(|(w, b)| (w.as_slice(), *b));
-        fault::check_converged(self.config.max_epochs, planes)?;
-        Ok((trained, Some(duals)))
+        let planes = hyperplanes.iter().map(|(w, b)| (w.as_slice(), *b));
+        fault::check_converged(cfg.max_epochs, planes)?;
+        let model = LinearSvc { hyperplanes };
+        Ok((Trained { model, cost: plan.cost(flops, path_bits) }, Some(duals)))
     }
 }
 
@@ -440,23 +396,24 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_path_matches_warm_path_and_trips_when_expired() {
+    fn live_budget_matches_train_and_expired_budget_trips() {
         use crate::budget::RunBudget;
         let x = matrix(&[&[-1.0], &[-0.5], &[0.5], &[1.0]]);
         let y = vec![0, 0, 1, 1];
         let t = SvcTrainer::default();
-        let (a, da) = t
-            .try_train_view_budgeted(&x, &y, 2, None, &TargetBudget::unlimited())
-            .unwrap();
-        let (b, db) = t.try_train_view_warm(&x, &y, 2, None).unwrap();
+        let hour = RunBudget::with_deadline(std::time::Duration::from_secs(3600)).start_target();
+        let (a, da) = t.fit(&x, &y, 2, None, &hour).unwrap();
+        let (b, db) = t.fit(&x, &y, 2, None, &TargetBudget::unlimited()).unwrap();
+        let c = t.train(&x, &y, 2);
         for k in 0..2 {
             assert_eq!(a.model.hyperplanes[k], b.model.hyperplanes[k]);
+            assert_eq!(c.model.hyperplanes[k], b.model.hyperplanes[k]);
         }
         assert_eq!(da, db);
 
         let expired = RunBudget::with_deadline(std::time::Duration::from_secs(0)).start_target();
         assert_eq!(
-            t.try_train_view_budgeted(&x, &y, 2, None, &expired).unwrap_err(),
+            t.fit(&x, &y, 2, None, &expired).unwrap_err(),
             TrainError::DeadlineExceeded
         );
     }

@@ -21,8 +21,10 @@
 //! Two solver paths exist (see [`crate::solver`]): the **strict** reference
 //! sweep above, and the default **fast** path adding liblinear's two classic
 //! accelerations — active-set shrinking with an unshrink-and-recheck pass,
-//! and warm-started duals through [`RegressorTrainer::train_view_warm`] —
-//! on top of the blocked view kernels.
+//! and warm-started duals through [`RegressorTrainer::fit`] — on top of the
+//! blocked view kernels. Either way one call is one solve: the budget is
+//! polled once per epoch, and a diverged solve is rejected as
+//! [`TrainError::NonConvergence`].
 
 use crate::budget::TargetBudget;
 use crate::fault::{self, TrainError};
@@ -216,53 +218,6 @@ impl SvrTrainer {
     pub fn new(config: SvrConfig) -> Self {
         SvrTrainer { config }
     }
-
-    /// One dual solve on the configured path, with its cost priced from
-    /// the work actually done. Returns [`TrainError::DeadlineExceeded`]
-    /// only when `budget` trips; with an unlimited budget it never fails.
-    fn fit(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<(Trained<LinearSvr>, Vec<f64>), TrainError> {
-        assert_eq!(x.n_rows(), y.len(), "target length must match rows");
-        let cfg = &self.config;
-        if x.n_rows() == 0 {
-            let model = LinearSvr { weights: vec![0.0; x.n_cols()], bias: 0.0 };
-            return Ok((Trained { model, cost: TrainingCost::default() }, Vec::new()));
-        }
-
-        // One solve per call, so its span also covers the gather and Q.
-        let span = telemetry::span(telemetry::Stage::Solve);
-        let dual_cfg = DualConfig {
-            mode: cfg.mode,
-            strategy: cfg.strategy,
-            bias: cfg.bias,
-            max_epochs: cfg.max_epochs,
-            tolerance: cfg.tolerance,
-        };
-        let plan = SolvePlan::new(x, dual_cfg, budget)?;
-        let rule = SvrRule { y, c: cfg.c, epsilon: cfg.epsilon };
-        let out = plan.solve(&rule, cfg.seed, warm, budget)?;
-        drop(span);
-        let model = LinearSvr { weights: out.w, bias: if cfg.bias { out.w_bias } else { 0.0 } };
-        Ok((Trained { model, cost: plan.cost(out.flops, out.path_bits) }, out.dual))
-    }
-
-    /// [`Self::fit`] under an unlimited budget, which can never trip.
-    fn fit_unlimited(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> (Trained<LinearSvr>, Vec<f64>) {
-        match self.fit(x, y, warm, &TargetBudget::unlimited()) {
-            Ok(out) => out,
-            Err(_) => unreachable!("unlimited budget cannot trip"),
-        }
-    }
 }
 
 /// Projected-gradient violation of one dual coordinate (liblinear's
@@ -292,36 +247,9 @@ fn svr_violation(b: f64, gp: f64, gn: f64, c: f64) -> f64 {
 impl RegressorTrainer for SvrTrainer {
     type Model = LinearSvr;
 
-    fn train_view(&self, x: &dyn DesignView, y: &[f64]) -> Trained<LinearSvr> {
-        self.fit_unlimited(x, y, None).0
-    }
-
-    fn train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> (Trained<LinearSvr>, Option<Vec<f64>>) {
-        let (trained, beta) = self.fit_unlimited(x, y, warm);
-        (trained, Some(beta))
-    }
-
-    /// The budgeted solve under an unlimited budget: bit-identical to the
-    /// infallible path on success.
-    fn try_train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> Result<(Trained<LinearSvr>, Option<Vec<f64>>), TrainError> {
-        self.try_train_view_budgeted(x, y, warm, &TargetBudget::unlimited())
-    }
-
-    /// Same arithmetic as the other paths, with the budget checked once
-    /// per coordinate-descent epoch; validates the problem up front and
-    /// rejects diverged solves — NaN/Inf weights after the epoch budget —
-    /// as [`TrainError::NonConvergence`].
-    fn try_train_view_budgeted(
+    /// One dual solve on the configured path, with its cost priced from
+    /// the work actually done. Returns the final duals, one per row.
+    fn fit(
         &self,
         x: &dyn DesignView,
         y: &[f64],
@@ -329,10 +257,28 @@ impl RegressorTrainer for SvrTrainer {
         budget: &TargetBudget,
     ) -> Result<(Trained<LinearSvr>, Option<Vec<f64>>), TrainError> {
         fault::check_regression_problem(x, y)?;
-        let (trained, beta) = self.fit(x, y, warm, budget)?;
-        let model = &trained.model;
-        fault::check_converged(self.config.max_epochs, [(model.weights(), model.bias())])?;
-        Ok((trained, Some(beta)))
+        let cfg = &self.config;
+        if x.n_rows() == 0 {
+            let model = LinearSvr { weights: vec![0.0; x.n_cols()], bias: 0.0 };
+            return Ok((Trained { model, cost: TrainingCost::default() }, Some(Vec::new())));
+        }
+
+        // One solve per call, so its span also covers the gather and Q.
+        let span = telemetry::span(telemetry::Stage::Solve);
+        let dual_cfg = DualConfig {
+            mode: cfg.mode,
+            strategy: cfg.strategy,
+            bias: cfg.bias,
+            max_epochs: cfg.max_epochs,
+            tolerance: cfg.tolerance,
+        };
+        let plan = SolvePlan::new(x, dual_cfg, budget)?;
+        let rule = SvrRule { y, c: cfg.c, epsilon: cfg.epsilon };
+        let out = plan.solve(&rule, cfg.seed, warm, budget)?;
+        drop(span);
+        let model = LinearSvr { weights: out.w, bias: if cfg.bias { out.w_bias } else { 0.0 } };
+        fault::check_converged(cfg.max_epochs, [(model.weights(), model.bias())])?;
+        Ok((Trained { model, cost: plan.cost(out.flops, out.path_bits) }, Some(out.dual)))
     }
 }
 
@@ -458,25 +404,21 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_path_matches_warm_path_and_trips_when_expired() {
+    fn live_budget_matches_train_and_expired_budget_trips() {
         use crate::budget::RunBudget;
-        use crate::traits::RegressorTrainer;
         let x = matrix(&[&[0.1, 0.2], &[0.5, -0.3], &[-0.7, 0.9], &[0.2, 0.2]]);
         let y = vec![1.0, -0.5, 0.3, 0.9];
         let t = SvrTrainer::default();
-        let (a, da) = t
-            .try_train_view_budgeted(&x, &y, None, &TargetBudget::unlimited())
-            .unwrap();
-        let (b, db) = t.try_train_view_warm(&x, &y, None).unwrap();
+        let hour = RunBudget::with_deadline(std::time::Duration::from_secs(3600)).start_target();
+        let (a, da) = t.fit(&x, &y, None, &hour).unwrap();
+        let (b, db) = t.fit(&x, &y, None, &TargetBudget::unlimited()).unwrap();
         assert_eq!(a.model.weights(), b.model.weights());
         assert_eq!(a.model.bias(), b.model.bias());
         assert_eq!(da, db);
+        assert_eq!(t.train(&x, &y).model.weights(), b.model.weights());
 
         let expired = RunBudget::with_deadline(std::time::Duration::from_secs(0)).start_target();
-        assert_eq!(
-            t.try_train_view_budgeted(&x, &y, None, &expired).unwrap_err(),
-            TrainError::DeadlineExceeded
-        );
+        assert_eq!(t.fit(&x, &y, None, &expired).unwrap_err(), TrainError::DeadlineExceeded);
     }
 
     #[test]

@@ -2,13 +2,18 @@
 //!
 //! FRaC is model-agnostic ("predictors can be any supervised learning
 //! algorithm"); the core crate drives everything through these traits so any
-//! regressor/classifier pair can be plugged in. Trainers also report a
+//! regressor/classifier pair can be plugged in. Each trainer has one
+//! training method, `fit`: it validates the problem, polls a
+//! [`TargetBudget`] cooperatively and rejects a diverged solve, returning a
+//! [`TrainError`] instead of panicking or emitting a poisoned model (see
+//! [`crate::fault`]). `train` is the cold-start, unlimited-budget
+//! convenience on top of it for tests and benches. Trainers also report a
 //! [`TrainingCost`], the raw material for reproducing the paper's CPU-time
 //! and memory columns.
 
 use crate::budget::TargetBudget;
-use crate::fault::{self, TrainError};
-use frac_dataset::{DesignMatrix, DesignView};
+use crate::fault::TrainError;
+use frac_dataset::DesignView;
 
 /// Analytic cost of one model-training call.
 ///
@@ -26,17 +31,6 @@ pub struct TrainingCost {
     pub peak_bytes: u64,
 }
 
-impl TrainingCost {
-    /// Element-wise sum of two costs (flops add; peaks add, modelling
-    /// concurrently live solver state within one FRaC model build).
-    pub fn plus(self, other: TrainingCost) -> TrainingCost {
-        TrainingCost {
-            flops: self.flops + other.flops,
-            peak_bytes: self.peak_bytes + other.peak_bytes,
-        }
-    }
-}
-
 /// A fitted model plus the cost of fitting it.
 #[derive(Debug, Clone)]
 pub struct Trained<M> {
@@ -51,11 +45,6 @@ pub trait Regressor: Send + Sync {
     /// Predict the target for one encoded input row.
     fn predict(&self, x: &[f64]) -> f64;
 
-    /// Predict every row of a design matrix.
-    fn predict_batch(&self, m: &DesignMatrix) -> Vec<f64> {
-        (0..m.n_rows()).map(|r| self.predict(m.row(r))).collect()
-    }
-
     /// Approximate resident bytes of the fitted model.
     fn approx_bytes(&self) -> usize;
 }
@@ -65,93 +54,62 @@ pub trait Classifier: Send + Sync {
     /// Predict the class code for one encoded input row.
     fn predict(&self, x: &[f64]) -> u32;
 
-    /// Predict every row of a design matrix.
-    fn predict_batch(&self, m: &DesignMatrix) -> Vec<u32> {
-        (0..m.n_rows()).map(|r| self.predict(m.row(r))).collect()
-    }
-
     /// Approximate resident bytes of the fitted model.
     fn approx_bytes(&self) -> usize;
 }
 
 /// Trains regressors from `(design view, real targets)` pairs.
 ///
-/// `train_view` is the primary entry point: it accepts any [`DesignView`],
-/// so the caller can hand over a zero-copy slice of a shared
-/// [`frac_dataset::EncodedPool`] (or a [`frac_dataset::RowSubset`] of one)
-/// instead of materializing an owned matrix per target/fold.
+/// The design is any [`DesignView`], so the caller can hand over a
+/// zero-copy slice of a shared [`frac_dataset::EncodedPool`] (or a
+/// [`frac_dataset::RowSubset`] of one) instead of materializing an owned
+/// matrix per target/fold.
 pub trait RegressorTrainer: Send + Sync {
     /// The model type produced.
     type Model: Regressor;
 
-    /// Fit a model from any design view. `y.len()` must equal `x.n_rows()`;
-    /// `y` contains no NaNs (the caller drops rows with missing targets).
-    fn train_view(&self, x: &dyn DesignView, y: &[f64]) -> Trained<Self::Model>;
-
-    /// Fit with an optional warm-start dual vector, returning the final
-    /// duals alongside the model.
+    /// Fit a model, optionally warm-started, under `budget`.
     ///
-    /// Contract: `warm`, when given, has `x.n_rows()` entries — one dual per
-    /// **row of this view, in view order** — and may come from *any* prior
+    /// `y.len()` must equal `x.n_rows()` and `y` holds no NaNs (the caller
+    /// drops rows with missing targets); a shape mismatch, an
+    /// unaddressable problem size or a non-finite target comes back as a
+    /// [`TrainError`]. The budget is polled cooperatively — once per
+    /// coordinate-descent epoch, every few tree expansions, or once up
+    /// front for trainers whose fits are short — and a tripped budget
+    /// returns [`TrainError::DeadlineExceeded`]. A diverged solve
+    /// (NaN/Inf weights after the epoch budget) returns
+    /// [`TrainError::NonConvergence`]. [`TargetBudget::unlimited`] never
+    /// trips and reads no clock, so it costs nothing and moves no bit.
+    ///
+    /// `warm`, when given, has `x.n_rows()` entries — one dual per **row
+    /// of this view, in view order** — and may come from *any* prior
     /// solve (other fold, other replicate, other hyperparameters); the
-    /// trainer clamps it into its own feasible box, so any real vector is a
-    /// legal start and can only change where the solver starts, never what
-    /// fixed point it converges to. The returned duals follow the same
-    /// row-order convention. Trainers without a dual formulation keep this
-    /// default: ignore the warm start, return `None`, and callers degrade
-    /// gracefully to cold starts.
-    fn train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> (Trained<Self::Model>, Option<Vec<f64>>) {
-        let _ = warm;
-        (self.train_view(x, y), None)
-    }
-
-    /// Fallible variant of [`Self::train_view_warm`]: validates the problem
-    /// (shape, allocation size, finite targets) and the fitted model instead
-    /// of panicking or returning a poisoned fit.
-    ///
-    /// The default performs the shared input validation and then delegates
-    /// to the infallible path — exactly the same arithmetic, so a clean
-    /// problem produces a bit-identical model. Trainers with a failure mode
-    /// of their own (the SVM solvers can diverge) override this to also
-    /// inspect their output.
+    /// trainer clamps it into its own feasible box, so any real vector is
+    /// a legal start and can only change where the solver starts, never
+    /// what fixed point it converges to. The returned duals follow the
+    /// same row-order convention. Trainers without a dual formulation
+    /// (trees, baselines) ignore `warm` and return `None`, and callers
+    /// degrade to cold starts.
     #[allow(clippy::type_complexity)]
-    fn try_train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> Result<(Trained<Self::Model>, Option<Vec<f64>>), TrainError> {
-        fault::check_regression_problem(x, y)?;
-        Ok(self.train_view_warm(x, y, warm))
-    }
-
-    /// Budget-aware variant of [`Self::try_train_view_warm`]: the trainer
-    /// checks `budget` cooperatively inside its inner loop and returns
-    /// [`TrainError::DeadlineExceeded`] once it trips. The default checks
-    /// the budget once up front and delegates — correct for trainers whose
-    /// fits are short; long-running solvers override to poll every few
-    /// epochs. With an unlimited budget the result is bit-identical to
-    /// [`Self::try_train_view_warm`].
-    #[allow(clippy::type_complexity)]
-    fn try_train_view_budgeted(
+    fn fit(
         &self,
         x: &dyn DesignView,
         y: &[f64],
         warm: Option<&[f64]>,
         budget: &TargetBudget,
-    ) -> Result<(Trained<Self::Model>, Option<Vec<f64>>), TrainError> {
-        budget.check()?;
-        self.try_train_view_warm(x, y, warm)
-    }
+    ) -> Result<(Trained<Self::Model>, Option<Vec<f64>>), TrainError>;
 
-    /// Fit from an owned matrix (convenience wrapper over [`Self::train_view`]).
-    fn train(&self, x: &DesignMatrix, y: &[f64]) -> Trained<Self::Model> {
-        self.train_view(x, y)
+    /// Cold-start [`Self::fit`] under an unlimited budget, for tests and
+    /// benches.
+    ///
+    /// # Panics
+    ///
+    /// On any [`TrainError`] — an invalid problem or a diverged solve.
+    fn train(&self, x: &dyn DesignView, y: &[f64]) -> Trained<Self::Model> {
+        match self.fit(x, y, None, &TargetBudget::unlimited()) {
+            Ok((trained, _)) => trained,
+            Err(e) => panic!("training failed: {e}"),
+        }
     }
 }
 
@@ -160,91 +118,61 @@ pub trait ClassifierTrainer: Send + Sync {
     /// The model type produced.
     type Model: Classifier;
 
-    /// Fit a model from any design view. `y.len()` must equal `x.n_rows()`;
-    /// all codes are `< arity` (the caller drops rows with missing targets).
-    fn train_view(&self, x: &dyn DesignView, y: &[u32], arity: u32) -> Trained<Self::Model>;
-
-    /// Fit with optional warm-start duals, returning the final duals.
+    /// Fit a model, optionally warm-started, under `budget`.
     ///
-    /// Same contract as [`RegressorTrainer::train_view_warm`], except the
-    /// duals are **per one-vs-rest class**: `warm[k][i]` seeds class `k`'s
-    /// dual for row `i` (in view order). A `warm` slice shorter than the
-    /// number of classes cold-starts the missing classes. The default
-    /// ignores warm starts and returns `None`.
-    fn train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[u32],
-        arity: u32,
-        warm: Option<&[Vec<f64>]>,
-    ) -> (Trained<Self::Model>, Option<Vec<Vec<f64>>>) {
-        let _ = warm;
-        (self.train_view(x, y, arity), None)
-    }
-
-    /// Fallible variant of [`Self::train_view_warm`]; see
-    /// [`RegressorTrainer::try_train_view_warm`] for the contract. The
-    /// default validates shape/allocation and delegates to the infallible
-    /// path bit-for-bit.
+    /// Same contract as [`RegressorTrainer::fit`], with all codes
+    /// `< arity` and the duals **per one-vs-rest class**: `warm[k][i]`
+    /// seeds class `k`'s dual for row `i` (in view order), and a `warm`
+    /// slice shorter than the number of classes cold-starts the missing
+    /// classes.
     #[allow(clippy::type_complexity)]
-    fn try_train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[u32],
-        arity: u32,
-        warm: Option<&[Vec<f64>]>,
-    ) -> Result<(Trained<Self::Model>, Option<Vec<Vec<f64>>>), TrainError> {
-        fault::check_classification_problem(x, y)?;
-        Ok(self.train_view_warm(x, y, arity, warm))
-    }
-
-    /// Budget-aware variant of [`Self::try_train_view_warm`]; see
-    /// [`RegressorTrainer::try_train_view_budgeted`] for the contract.
-    #[allow(clippy::type_complexity)]
-    fn try_train_view_budgeted(
+    fn fit(
         &self,
         x: &dyn DesignView,
         y: &[u32],
         arity: u32,
         warm: Option<&[Vec<f64>]>,
         budget: &TargetBudget,
-    ) -> Result<(Trained<Self::Model>, Option<Vec<Vec<f64>>>), TrainError> {
-        budget.check()?;
-        self.try_train_view_warm(x, y, arity, warm)
-    }
+    ) -> Result<(Trained<Self::Model>, Option<Vec<Vec<f64>>>), TrainError>;
 
-    /// Fit from an owned matrix (convenience wrapper over [`Self::train_view`]).
-    fn train(&self, x: &DesignMatrix, y: &[u32], arity: u32) -> Trained<Self::Model> {
-        self.train_view(x, y, arity)
+    /// Cold-start [`Self::fit`] under an unlimited budget, for tests and
+    /// benches.
+    ///
+    /// # Panics
+    ///
+    /// On any [`TrainError`] — an invalid problem or a diverged solve.
+    fn train(&self, x: &dyn DesignView, y: &[u32], arity: u32) -> Trained<Self::Model> {
+        match self.fit(x, y, arity, None, &TargetBudget::unlimited()) {
+            Ok((trained, _)) => trained,
+            Err(e) => panic!("training failed: {e}"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frac_dataset::DesignMatrix;
 
-    #[test]
-    fn cost_plus_adds_componentwise() {
-        let a = TrainingCost { flops: 10, peak_bytes: 100 };
-        let b = TrainingCost { flops: 5, peak_bytes: 50 };
-        let c = a.plus(b);
-        assert_eq!(c.flops, 15);
-        assert_eq!(c.peak_bytes, 150);
-    }
-
-    struct Zero;
-    impl Regressor for Zero {
-        fn predict(&self, _x: &[f64]) -> f64 {
-            0.0
-        }
-        fn approx_bytes(&self) -> usize {
-            0
+    /// A trainer whose every fit fails validation.
+    struct Refuses;
+    impl RegressorTrainer for Refuses {
+        type Model = crate::baseline::ConstantRegressor;
+        fn fit(
+            &self,
+            _x: &dyn DesignView,
+            _y: &[f64],
+            _warm: Option<&[f64]>,
+            _budget: &TargetBudget,
+        ) -> Result<(Trained<Self::Model>, Option<Vec<f64>>), TrainError> {
+            Err(TrainError::NonFiniteData { what: "regression targets" })
         }
     }
 
     #[test]
-    fn default_batch_prediction_maps_rows() {
-        let m = DesignMatrix::from_raw(3, 2, vec![1.0; 6]);
-        assert_eq!(Zero.predict_batch(&m), vec![0.0; 3]);
+    #[should_panic(expected = "training failed: non-finite value in regression targets")]
+    fn train_panics_with_the_train_error() {
+        let x = DesignMatrix::from_raw(2, 1, vec![1.0, 2.0]);
+        Refuses.train(&x, &[0.0, 1.0]);
     }
 }

@@ -215,16 +215,9 @@ fn majority(labels: impl Iterator<Item = u32>, arity: u32) -> u32 {
 impl ClassifierTrainer for ClassificationTreeTrainer {
     type Model = ClassificationTree;
 
-    fn train_view(&self, x: &dyn DesignView, y: &[u32], arity: u32) -> Trained<ClassificationTree> {
-        match self.grow(x, y, arity, &TargetBudget::unlimited()) {
-            Ok(trained) => trained,
-            Err(_) => unreachable!("unlimited budget cannot trip"),
-        }
-    }
-
-    /// Budget-polling growth: same arithmetic as the infallible path, with
-    /// the budget checked every `BUDGET_CHECK_NODES` node expansions.
-    fn try_train_view_budgeted(
+    /// Greedy growth with the budget checked every `BUDGET_CHECK_NODES`
+    /// node expansions. Trees have no duals: `warm` is ignored.
+    fn fit(
         &self,
         x: &dyn DesignView,
         y: &[u32],

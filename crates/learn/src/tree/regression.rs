@@ -85,9 +85,7 @@ impl RegressionTreeTrainer {
     }
 
     /// Greedy top-down growth with cooperative budget polling every
-    /// `BUDGET_CHECK_NODES` node expansions. With an unlimited budget the
-    /// result is the arithmetic of [`RegressorTrainer::train_view`], bit for
-    /// bit.
+    /// `BUDGET_CHECK_NODES` node expansions.
     fn grow(
         &self,
         x: &dyn DesignView,
@@ -180,16 +178,9 @@ impl RegressionTreeTrainer {
 impl RegressorTrainer for RegressionTreeTrainer {
     type Model = RegressionTree;
 
-    fn train_view(&self, x: &dyn DesignView, y: &[f64]) -> Trained<RegressionTree> {
-        match self.grow(x, y, &TargetBudget::unlimited()) {
-            Ok(trained) => trained,
-            Err(_) => unreachable!("unlimited budget cannot trip"),
-        }
-    }
-
-    /// Budget-polling growth: same arithmetic as the infallible path, with
-    /// the budget checked every `BUDGET_CHECK_NODES` node expansions.
-    fn try_train_view_budgeted(
+    /// Greedy growth with the budget checked every `BUDGET_CHECK_NODES`
+    /// node expansions. Trees have no duals: `warm` is ignored.
+    fn fit(
         &self,
         x: &dyn DesignView,
         y: &[f64],

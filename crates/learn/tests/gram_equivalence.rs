@@ -15,7 +15,7 @@ use frac_dataset::DesignMatrix;
 use frac_learn::svc::{SvcConfig, SvcTrainer};
 use frac_learn::svr::{SvrConfig, SvrTrainer};
 use frac_learn::traits::{ClassifierTrainer, RegressorTrainer};
-use frac_learn::{SolverMode, SolverStrategy};
+use frac_learn::{SolverMode, SolverStrategy, TargetBudget};
 use proptest::prelude::*;
 
 const MAX_N: usize = 12;
@@ -92,7 +92,8 @@ fn svr_objective_for(
     warm: Option<&[f64]>,
 ) -> f64 {
     let cfg = svr_cfg(strategy, tolerance);
-    let (_, duals) = SvrTrainer::new(cfg).train_view_warm(x, y, warm);
+    let (_, duals) =
+        SvrTrainer::new(cfg).fit(x, y, warm, &TargetBudget::unlimited()).expect("SVR fits");
     svr_objective(x, y, &duals.expect("SVR always returns duals"), cfg.epsilon)
 }
 
@@ -104,8 +105,9 @@ fn svc_objectives_for(
     tolerance: f64,
     warm: Option<&[Vec<f64>]>,
 ) -> Vec<f64> {
-    let (_, duals) =
-        SvcTrainer::new(svc_cfg(strategy, tolerance)).train_view_warm(x, y, arity, warm);
+    let (_, duals) = SvcTrainer::new(svc_cfg(strategy, tolerance))
+        .fit(x, y, arity, warm, &TargetBudget::unlimited())
+        .expect("SVC fits");
     let duals = duals.expect("SVC always returns duals");
     (0..arity as usize)
         .map(|class| {
@@ -217,7 +219,9 @@ proptest! {
             mode: SolverMode::Strict,
             ..SvrConfig::default()
         };
-        let (_, duals) = SvrTrainer::new(strict_cfg).train_view_warm(&x, &y[..n], None);
+        let (_, duals) = SvrTrainer::new(strict_cfg)
+            .fit(&x, &y[..n], None, &TargetBudget::unlimited())
+            .expect("SVR fits");
         let strict =
             svr_objective(&x, &y[..n], &duals.expect("duals"), strict_cfg.epsilon);
         let gram = svr_objective_for(&x, &y[..n], SolverStrategy::Gram, TIGHT, None);

@@ -11,7 +11,7 @@ use frac_dataset::DesignMatrix;
 use frac_learn::svc::{SvcConfig, SvcTrainer};
 use frac_learn::svr::{SvrConfig, SvrTrainer};
 use frac_learn::traits::{ClassifierTrainer, RegressorTrainer};
-use frac_learn::SolverMode;
+use frac_learn::{SolverMode, TargetBudget};
 use proptest::prelude::*;
 
 const MAX_N: usize = 12;
@@ -68,7 +68,8 @@ fn svr_objective_for(
     warm: Option<&[f64]>,
 ) -> f64 {
     let cfg = svr_cfg(mode);
-    let (_, duals) = SvrTrainer::new(cfg).train_view_warm(x, y, warm);
+    let (_, duals) =
+        SvrTrainer::new(cfg).fit(x, y, warm, &TargetBudget::unlimited()).expect("SVR fits");
     svr_objective(x, y, &duals.expect("SVR always returns duals"), cfg.epsilon)
 }
 
@@ -79,7 +80,9 @@ fn svc_objectives_for(
     mode: SolverMode,
     warm: Option<&[Vec<f64>]>,
 ) -> Vec<f64> {
-    let (_, duals) = SvcTrainer::new(svc_cfg(mode)).train_view_warm(x, y, arity, warm);
+    let (_, duals) = SvcTrainer::new(svc_cfg(mode))
+        .fit(x, y, arity, warm, &TargetBudget::unlimited())
+        .expect("SVC fits");
     let duals = duals.expect("SVC always returns duals");
     (0..arity as usize)
         .map(|class| {

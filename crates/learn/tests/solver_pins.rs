@@ -21,7 +21,7 @@ use frac_learn::solver::stats;
 use frac_learn::svc::{SvcConfig, SvcTrainer};
 use frac_learn::svr::{SvrConfig, SvrTrainer};
 use frac_learn::traits::{ClassifierTrainer, RegressorTrainer};
-use frac_learn::{SolverMode, SolverStrategy};
+use frac_learn::{SolverMode, SolverStrategy, TargetBudget};
 
 const N: usize = 30;
 const D: usize = 150;
@@ -122,7 +122,8 @@ fn svr_run(
     warm: Option<&[f64]>,
 ) -> (Pin, Vec<f64>) {
     let before = stats::snapshot();
-    let (trained, duals) = SvrTrainer::new(cfg).train_view_warm(x, y, warm);
+    let (trained, duals) =
+        SvrTrainer::new(cfg).fit(x, y, warm, &TargetBudget::unlimited()).expect("SVR fits");
     let after = stats::snapshot();
     let duals = duals.expect("SVR returns its duals");
     let model = &trained.model;
@@ -143,7 +144,9 @@ fn svc_run(
     warm: Option<&[Vec<f64>]>,
 ) -> (Pin, Vec<Vec<f64>>) {
     let before = stats::snapshot();
-    let (trained, duals) = SvcTrainer::new(cfg).train_view_warm(x, classes, CLASSES, warm);
+    let (trained, duals) = SvcTrainer::new(cfg)
+        .fit(x, classes, CLASSES, warm, &TargetBudget::unlimited())
+        .expect("SVC fits");
     let after = stats::snapshot();
     let duals = duals.expect("SVC returns its duals");
     let model = &trained.model;

@@ -186,6 +186,21 @@ fi
 if ! grep -qF "(320 feature models, 0.281 Gflop training)" "$smoke_dir/breast-train.log"; then
   echo "counter gate: breast.basal $(grep '^saved' "$smoke_dir/breast-train.log"), want 0.281 Gflop"; exit 1
 fi
+# A deadline never changes a model: every fit takes the one budgeted
+# training path, so the same fit under a one-hour deadline, journaled and
+# traced, must save the same file. Its journal's size is the counter
+# gate's journal slice (the records hold the model's feature sections).
+FRAC_KERNEL_TIER=unrolled ./target/release/frac train \
+  --train "$smoke_dir/breast.basal.train.tsv" --out "$smoke_dir/breast-deadline.frac" \
+  --deadline 1h --journal "$smoke_dir/breast.frj" \
+  --telemetry "$smoke_dir/breast-deadline.trace.tsv" 2> /dev/null
+cmp "$smoke_dir/breast-deadline.frac" "$smoke_dir/breast.frac"
+./target/release/frac inspect-telemetry --file "$smoke_dir/breast-deadline.trace.tsv" \
+  > "$smoke_dir/breast-deadline-inspect.log"
+breast_journal="journal_bytes	2991680"
+if ! grep -qxF "$breast_journal" "$smoke_dir/breast-deadline-inspect.log"; then
+  echo "counter gate: breast.basal $(grep '^journal_bytes	' "$smoke_dir/breast-deadline-inspect.log"), want $breast_journal"; exit 1
+fi
 # NS pin: the daemon's replies print each score at full precision (the
 # shortest string that re-parses to the same bits), so these pin NS bits
 # of the model above: for the whole test file, scored in whatever batches
