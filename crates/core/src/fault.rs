@@ -312,7 +312,7 @@ mod tests {
         let a = FaultPlan::seeded(9).with_poison(0.5).poison(&d);
         let real = a.column(0).as_real().unwrap();
         assert!(real.iter().any(|x| x.is_nan()));
-        assert!(real.iter().any(|&x| x == f64::INFINITY));
-        assert!(real.iter().any(|&x| x == f64::NEG_INFINITY));
+        assert!(real.contains(&f64::INFINITY));
+        assert!(real.contains(&f64::NEG_INFINITY));
     }
 }

@@ -811,7 +811,7 @@ mod tests {
             std::fs::write(shard_journal_path(&base, k, 3), "x").unwrap();
         }
         std::fs::write(dir.join("notes.txt"), "y").unwrap();
-        let paths = expand_journal_paths(&[dir.clone()]).unwrap();
+        let paths = expand_journal_paths(std::slice::from_ref(&dir)).unwrap();
         assert_eq!(
             paths,
             (0..3).map(|k| shard_journal_path(&base, k, 3)).collect::<Vec<_>>()

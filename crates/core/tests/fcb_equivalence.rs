@@ -11,7 +11,7 @@ use frac_dataset::io::{read_tsv, write_tsv};
 use frac_dataset::Dataset;
 use frac_synth::snp::{CohortGroup, SnpConfig, SnpGenerator, SubpopulationMix};
 use frac_synth::{ExpressionConfig, ExpressionGenerator};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn expression_surrogate() -> (Dataset, Dataset) {
     let (data, _) = ExpressionGenerator::new(ExpressionConfig {
@@ -73,7 +73,7 @@ fn check_fcb_matches_memory(
     train: &Dataset,
     test: &Dataset,
     config: &FracConfig,
-    dir: &PathBuf,
+    dir: &Path,
     what: &str,
 ) {
     let train_fcb = dir.join("train.fcb");
@@ -116,8 +116,8 @@ fn fcb_scores_identical_on_snp_surrogate() {
 fn fcb_scores_identical_across_thread_counts() {
     let (train, test) = expression_surrogate();
     let dir = tmp_dir("threads");
-    pack_dataset_chunked(&train, &dir.join("train.fcb"), 8).unwrap();
-    pack_dataset_chunked(&test, &dir.join("test.fcb"), 8).unwrap();
+    pack_dataset_chunked(&train, dir.join("train.fcb"), 8).unwrap();
+    pack_dataset_chunked(&test, dir.join("test.fcb"), 8).unwrap();
     let config = FracConfig::default();
     let plan = TrainingPlan::full(train.n_features());
     let mut per_thread = Vec::new();

@@ -1,6 +1,6 @@
 //! Entropy-minimizing classification trees (the paper's SNP model).
 
-use super::splitter::{best_classification_split, SplitScratch};
+use super::splitter::{best_classification_split, count_tables, subtract_tables, SplitScratch};
 use super::{descend, Node, TreeConfig, BUDGET_CHECK_NODES};
 use crate::budget::TargetBudget;
 use crate::fault::{self, TrainError};
@@ -106,6 +106,14 @@ impl ClassificationTreeTrainer {
     /// Greedy top-down growth with cooperative budget polling every
     /// `BUDGET_CHECK_NODES` node expansions; see
     /// [`super::regression::RegressionTreeTrainer`] for the contract.
+    ///
+    /// On a view with categorical blocks, every node that will be searched
+    /// carries its block count tables (`count_tables`). The root is counted
+    /// once; at a split only the smaller child is counted (ties go left),
+    /// and the larger child's tables are the parent's minus the smaller's,
+    /// derived in the parent's buffer. Buffers no open node needs go to a
+    /// free list the tree reuses, so depth-first growth holds about
+    /// `max_depth + 2` of them.
     fn grow(
         &self,
         x: &dyn DesignView,
@@ -130,14 +138,30 @@ impl ClassificationTreeTrainer {
             });
         }
 
-        let mut scratch = SplitScratch::new(arity as usize);
-        // Work stack of (node index, sample indices, depth).
+        let classes = arity as usize;
+        let label = |s: usize| y[s];
+        // The search runs on a node at `depth` with `m` samples only when
+        // these hold (the last is the search's own `min_leaf` test), so only
+        // such nodes need count tables.
+        let searched = |m: usize, depth: usize| {
+            depth < cfg.max_depth && m >= cfg.min_samples_split && m >= 2 * cfg.min_samples_leaf
+        };
+        let mut scratch = SplitScratch::new(classes);
+        let mut free: Vec<Vec<u32>> = Vec::new();
+        // Work stack of (node index, sample indices, depth, count tables).
         let root_samples: Vec<usize> = (0..n).collect();
+        let root_tables = if x.cat_blocks().is_some() && searched(n, 0) {
+            let mut tables = Vec::new();
+            count_tables(&root_samples, x, &label, classes, &mut scratch, &mut tables, budget)?;
+            Some(tables)
+        } else {
+            None
+        };
         nodes.push(Node::Leaf(0)); // placeholder, patched below
-        let mut stack = vec![(0usize, root_samples, 0usize)];
+        let mut stack = vec![(0usize, root_samples, 0usize, root_tables)];
         let mut expansions = 0usize;
 
-        while let Some((node_idx, samples, depth)) = stack.pop() {
+        while let Some((node_idx, samples, depth, tables)) = stack.pop() {
             if expansions.is_multiple_of(BUDGET_CHECK_NODES) {
                 budget.check()?;
             }
@@ -148,24 +172,26 @@ impl ClassificationTreeTrainer {
                 * (m as u64)
                 * ((m.max(2) as f64).log2().ceil() as u64 + 2);
 
-            let choice = if depth >= cfg.max_depth || m < cfg.min_samples_split {
-                None
-            } else {
+            let choice = if searched(m, depth) {
                 best_classification_split(
                     &samples,
                     x,
-                    &|s| y[s],
-                    arity as usize,
+                    &label,
+                    classes,
                     cfg.min_samples_leaf,
                     cfg.min_gain,
+                    tables.as_deref().unwrap_or_default(),
                     &mut scratch,
                     budget,
                 )?
+            } else {
+                None
             };
 
             match choice {
                 None => {
                     nodes[node_idx] = Node::Leaf(majority(samples.iter().map(|&s| y[s]), arity));
+                    free.extend(tables);
                 }
                 Some(c) => {
                     let split_col = x.col(c.feature);
@@ -182,8 +208,39 @@ impl ClassificationTreeTrainer {
                         left: left_idx,
                         right: right_idx,
                     };
-                    stack.push((left_idx, left_samples, depth + 1));
-                    stack.push((right_idx, right_samples, depth + 1));
+                    // Count the smaller child (ties go left) and derive the
+                    // larger one in the parent's buffer. A child is searched
+                    // only if its parent was, so a parent without tables
+                    // has no child that needs them.
+                    let (mut left_tables, mut right_tables) = (None, None);
+                    if let Some(mut parent) = tables {
+                        let left_smaller = left_samples.len() <= right_samples.len();
+                        let (small, large) = if left_smaller {
+                            (&left_samples, &right_samples)
+                        } else {
+                            (&right_samples, &left_samples)
+                        };
+                        let need_small = searched(small.len(), depth + 1);
+                        let need_large = searched(large.len(), depth + 1);
+                        let mut counted = free.pop().unwrap_or_default();
+                        if need_small || need_large {
+                            count_tables(
+                                small, x, &label, classes, &mut scratch, &mut counted, budget,
+                            )?;
+                        }
+                        if need_large {
+                            subtract_tables(&mut parent, &counted, budget)?;
+                        }
+                        let small_tables = keep(counted, need_small, &mut free);
+                        let large_tables = keep(parent, need_large, &mut free);
+                        (left_tables, right_tables) = if left_smaller {
+                            (small_tables, large_tables)
+                        } else {
+                            (large_tables, small_tables)
+                        };
+                    }
+                    stack.push((left_idx, left_samples, depth + 1, left_tables));
+                    stack.push((right_idx, right_samples, depth + 1, right_tables));
                 }
             }
         }
@@ -195,6 +252,16 @@ impl ClassificationTreeTrainer {
             model: ClassificationTree { nodes, arity },
             cost: TrainingCost { flops, peak_bytes },
         })
+    }
+}
+
+/// `tables` when a node needs them; otherwise back to the free list.
+fn keep(tables: Vec<u32>, needed: bool, free: &mut Vec<Vec<u32>>) -> Option<Vec<u32>> {
+    if needed {
+        Some(tables)
+    } else {
+        free.push(tables);
+        None
     }
 }
 

@@ -5,12 +5,15 @@
 //!
 //! * **Count tables** for the one-hot block of every categorical input whose
 //!   codes the view exposes ([`DesignView::cat_blocks`]: pool views and row
-//!   subsets of them). Per node the samples are resolved to storage rows
-//!   once; then, per block, one pass over the codes fills an
-//!   `(arity + 1) × classes` count table whose last row counts missing
-//!   codes, and every indicator of the block is scored from that table.
-//!   Regression trees make the same single pass, accumulating each
-//!   indicator's `code ≠ c` target sums.
+//!   subsets of them). Classification scores every indicator of a block
+//!   from the block's `(arity + 1) × classes` count table, whose last row
+//!   counts missing codes. The search itself counts nothing: it reads the
+//!   node's tables, which [`count_tables`] fills for every block in one
+//!   buffer after resolving the samples to storage rows once. The grower
+//!   counts the root, then at each split counts only the smaller child and
+//!   derives the larger one as parent − smaller ([`subtract_tables`]).
+//!   Regression trees make one pass per block inside the search, counting
+//!   codes and accumulating each indicator's `code ≠ c` target sums.
 //! * **Gather scan** for every other column: real inputs, and every column
 //!   of a view without blocks (owned [`frac_dataset::DesignMatrix`] inputs,
 //!   JL-projected designs). The node's samples are gathered into a
@@ -31,12 +34,14 @@
 //! oracle. An indicator takes the values 0 and 1, so its one threshold is
 //! `0.5 * (0.0 + 1.0)` and its left side is `code ≠ c`. Classification left
 //! counts are the node counts minus table row `c` — the integers the
-//! two-valued scan counts. Regression sums are folded in sample order over
-//! the `code ≠ c` samples, which is the two-valued scan's own fold (the
-//! shortcut "node total − per-code sum" rounds differently). An indicator
-//! with no sample on one side is the scan's constant column and is skipped,
-//! and indicators are scored in column order, so [`beats`] sees every
-//! candidate in the scan's order.
+//! two-valued scan counts. A table derived by subtraction holds the
+//! integers a count over the child would, so it moves no split. Regression
+//! sums are folded in sample order over the `code ≠ c` samples, which is
+//! the two-valued scan's own fold (the shortcut "node total − per-code sum"
+//! rounds differently, and so would tables derived by subtraction). An
+//! indicator with no sample on one side is the scan's constant column and
+//! is skipped, and indicators are scored in column order, so [`beats`] sees
+//! every candidate in the scan's order.
 //!
 //! Entropy terms −(c/m)·ln(c/m) are read from a per-thread memo filled with
 //! that same expression for node sizes up to [`ENTROPY_MEMO_CAP`]; larger
@@ -56,10 +61,11 @@
 //! implementation, one gather order); the legacy-oracle test compares
 //! regression gains with a tolerance rather than bit-for-bit.
 //!
-//! Budget cooperation: both searches poll the [`TargetBudget`] every
-//! [`SCAN_CHECK_ELEMS`] elements gathered or counted, so a single
-//! pathological column (or a very wide node) cannot blow past a deadline
-//! between the growers' per-expansion checks.
+//! Budget cooperation: both searches, the count pass and the subtraction
+//! poll the [`TargetBudget`] every [`SCAN_CHECK_ELEMS`] elements gathered,
+//! counted or subtracted, so a single pathological column (or a very wide
+//! node) cannot blow past a deadline between the growers' per-expansion
+//! checks.
 //!
 //! The previous per-row probing implementation is compiled for tests only,
 //! as the oracle the scans above are checked against.
@@ -227,8 +233,7 @@ pub(crate) struct SplitScratch {
     /// Storage row of each node sample, resolved once per node for the
     /// count tables.
     pub rows: Vec<usize>,
-    /// One block's count table: `(arity + 1) × classes` for
-    /// classification, `arity + 1` for regression; the last row counts
+    /// One block's code counts (regression only); the last entry counts
     /// missing codes.
     pub table: Vec<usize>,
     /// Per-indicator target sum and squared sum over `code ≠ c`
@@ -323,12 +328,81 @@ fn indicator_splits(n_right: usize, n: usize, min_leaf: usize) -> bool {
     n_right > 0 && n_right < n && n_right >= min_leaf && n - n_right >= min_leaf
 }
 
+/// Fill `tables` with the node's count table of every categorical block of
+/// `x`, block after block: block `b` takes `(b.arity + 1) × classes`
+/// counts, row `c` holding the class counts of `code == c` and the last row
+/// those of missing codes. A view without blocks leaves `tables` empty.
+/// Polls `budget` every [`SCAN_CHECK_ELEMS`] counted elements.
+///
+/// Counts are `u32`: a node of 2³² samples or more could wrap one, so it is
+/// refused as [`TrainError::AllocOverflow`].
+pub(crate) fn count_tables(
+    samples: &[usize],
+    x: &dyn DesignView,
+    label: &dyn Fn(usize) -> u32,
+    classes: usize,
+    scratch: &mut SplitScratch,
+    tables: &mut Vec<u32>,
+    budget: &TargetBudget,
+) -> Result<(), TrainError> {
+    tables.clear();
+    if u32::try_from(samples.len()).is_err() {
+        return Err(TrainError::AllocOverflow { rows: samples.len(), cols: x.n_cols() });
+    }
+    let SplitScratch { labels, rows, .. } = scratch;
+    let blocks = node_blocks(x, samples, rows);
+    if blocks.is_empty() {
+        return Ok(());
+    }
+    labels.clear();
+    labels.extend(samples.iter().map(|&s| label(s)));
+    tables.resize(blocks.iter().map(|b| (b.arity + 1) * classes).sum(), 0);
+    let n = samples.len();
+    let (mut offset, mut since_check) = (0usize, 0usize);
+    for block in blocks {
+        since_check += n;
+        if since_check >= SCAN_CHECK_ELEMS {
+            budget.check()?;
+            since_check = 0;
+        }
+        let width = block.arity;
+        let table = &mut tables[offset..offset + (width + 1) * classes];
+        offset += table.len();
+        for (&r, &l) in rows.iter().zip(labels.iter()) {
+            let code = (block.codes[r] as usize).min(width);
+            table[code * classes + l as usize] += 1;
+        }
+    }
+    Ok(())
+}
+
+/// Turn a split node's count tables into its larger child's, in place:
+/// subtract the smaller child's tables, which [`count_tables`] filled over
+/// the same blocks. Counts are integers, so the result is exactly what a
+/// count over the larger child would fill. Polls `budget` every
+/// [`SCAN_CHECK_ELEMS`] subtractions.
+pub(crate) fn subtract_tables(
+    parent: &mut [u32],
+    smaller: &[u32],
+    budget: &TargetBudget,
+) -> Result<(), TrainError> {
+    debug_assert_eq!(parent.len(), smaller.len(), "tables over different blocks");
+    for (p, s) in parent.chunks_mut(SCAN_CHECK_ELEMS).zip(smaller.chunks(SCAN_CHECK_ELEMS)) {
+        budget.check()?;
+        for (p, &s) in p.iter_mut().zip(s) {
+            *p -= s;
+        }
+    }
+    Ok(())
+}
+
 /// Best entropy-gain split for a classification node.
 ///
 /// `samples` are row indices into `get(row) -> value`; `labels(row)` gives
-/// the class. Returns `Ok(None)` when no split satisfies `min_leaf` or
-/// improves entropy by more than `min_gain`; `Err` only when `budget`
-/// trips mid-scan.
+/// the class. `tables` are the node's block count tables, as
+/// [`count_tables`] fills them (empty for a view without blocks). Returns
+/// `Ok(None)` when no split satisfies `min_leaf` or improves entropy by
+/// more than `min_gain`; `Err` only when `budget` trips mid-scan.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn best_classification_split(
     samples: &[usize],
@@ -337,6 +411,7 @@ pub(crate) fn best_classification_split(
     arity: usize,
     min_leaf: usize,
     min_gain: f64,
+    tables: &[u32],
     scratch: &mut SplitScratch,
     budget: &TargetBudget,
 ) -> Result<Option<SplitChoice>, TrainError> {
@@ -346,7 +421,9 @@ pub(crate) fn best_classification_split(
     }
     ENTROPY_MEMO.with_borrow_mut(|memo| {
         memo.ensure(n);
-        classification_search(samples, x, label, arity, min_leaf, min_gain, scratch, budget, memo)
+        classification_search(
+            samples, x, label, arity, min_leaf, min_gain, tables, scratch, budget, memo,
+        )
     })
 }
 
@@ -359,12 +436,13 @@ fn classification_search(
     arity: usize,
     min_leaf: usize,
     min_gain: f64,
+    tables: &[u32],
     scratch: &mut SplitScratch,
     budget: &TargetBudget,
     memo: &EntropyMemo,
 ) -> Result<Option<SplitChoice>, TrainError> {
     let n = samples.len();
-    let SplitScratch { cpairs, left_counts, node_counts, labels, rows, table, .. } = scratch;
+    let SplitScratch { cpairs, left_counts, node_counts, labels, .. } = scratch;
     labels.clear();
     labels.extend(samples.iter().map(|&s| label(s)));
     node_counts.iter_mut().for_each(|c| *c = 0);
@@ -376,9 +454,9 @@ fn classification_search(
         return Ok(None); // pure node
     }
 
-    let blocks = node_blocks(x, samples, rows);
+    let blocks = x.cat_blocks().map_or(&[][..], |b| b.blocks());
     let mut best: Option<SplitChoice> = None;
-    let mut since_check = 0usize;
+    let (mut offset, mut since_check) = (0usize, 0usize);
     for unit in units(x.n_cols(), blocks) {
         since_check += n;
         if since_check >= SCAN_CHECK_ELEMS {
@@ -388,23 +466,19 @@ fn classification_search(
         let f = match unit {
             Unit::Column(f) => f,
             Unit::Block(block) => {
-                // Row `c` of the table holds the class counts of
+                // Row `c` of the block's table holds the class counts of
                 // `code == c` — the indicator's right side.
                 let width = block.arity;
-                table.clear();
-                table.resize((width + 1) * arity, 0);
-                for (&r, &l) in rows.iter().zip(labels.iter()) {
-                    let code = (block.codes[r] as usize).min(width);
-                    table[code * arity + l as usize] += 1;
-                }
+                let table = &tables[offset..offset + (width + 1) * arity];
+                offset += table.len();
                 for (c, right) in table.chunks_exact(arity).take(width).enumerate() {
-                    let n_right: usize = right.iter().sum();
+                    let n_right: usize = right.iter().map(|&k| k as usize).sum();
                     if !indicator_splits(n_right, n, min_leaf) {
                         continue;
                     }
                     for ((lc, &t), &rc) in left_counts.iter_mut().zip(node_counts.iter()).zip(right)
                     {
-                        *lc = t - rc;
+                        *lc = t - rc as usize;
                     }
                     let n_left = n - n_right;
                     let gain =
@@ -741,15 +815,35 @@ fn legacy_regression_split(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::{ClassifierTrainer, RegressorTrainer};
+    use crate::tree::{ClassificationTreeTrainer, Node, RegressionTreeTrainer, TreeConfig};
     use frac_dataset::dataset::{DatasetBuilder, MISSING_CODE};
     use frac_dataset::design::DesignSpec;
-    use frac_dataset::{Column, Dataset, DesignMatrix, PoolSpec, RowSubset};
+    use frac_dataset::{Column, Dataset, DesignMatrix, EncodedPool, PoolSpec, RowSubset};
     use proptest::prelude::*;
 
     fn matrix(rows: &[&[f64]]) -> DesignMatrix {
         let n_cols = rows[0].len();
         let values: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
         DesignMatrix::from_raw(rows.len(), n_cols, values)
+    }
+
+    /// The classification search as the grower runs it: the node's count
+    /// tables first, then the search over them.
+    fn classification_split(
+        samples: &[usize],
+        x: &dyn DesignView,
+        label: &dyn Fn(usize) -> u32,
+        classes: usize,
+        min_leaf: usize,
+        scratch: &mut SplitScratch,
+        budget: &TargetBudget,
+    ) -> Result<Option<SplitChoice>, TrainError> {
+        let mut tables = Vec::new();
+        count_tables(samples, x, label, classes, scratch, &mut tables, budget)?;
+        best_classification_split(
+            samples, x, label, classes, min_leaf, 1e-12, &tables, scratch, budget,
+        )
     }
 
     fn class_split(
@@ -760,17 +854,9 @@ mod tests {
         min_leaf: usize,
     ) -> Option<SplitChoice> {
         let mut scratch = SplitScratch::new(arity);
-        best_classification_split(
-            samples,
-            x,
-            &|s| ys[s],
-            arity,
-            min_leaf,
-            1e-12,
-            &mut scratch,
-            &TargetBudget::unlimited(),
-        )
-        .unwrap()
+        let budget = TargetBudget::unlimited();
+        classification_split(samples, x, &|s| ys[s], arity, min_leaf, &mut scratch, &budget)
+            .unwrap()
     }
 
     fn reg_split(
@@ -914,13 +1000,12 @@ mod tests {
         let samples: Vec<usize> = (0..48).collect();
         for min_leaf in [1usize, 2, 5] {
             let mut s = SplitScratch::new(3);
-            let new_c = best_classification_split(
+            let new_c = classification_split(
                 &samples,
                 &x,
                 &|s| ys[s],
                 3,
                 min_leaf,
-                1e-12,
                 &mut s,
                 &TargetBudget::unlimited(),
             )
@@ -993,13 +1078,12 @@ mod tests {
         let samples: Vec<usize> = (0..40).collect();
         for min_leaf in [1usize, 3, 8] {
             let mut s = SplitScratch::new(3);
-            let new_c = best_classification_split(
+            let new_c = classification_split(
                 &samples,
                 &x,
                 &|s| ys[s],
                 3,
                 min_leaf,
-                1e-12,
                 &mut s,
                 &TargetBudget::unlimited(),
             )
@@ -1051,16 +1135,7 @@ mod tests {
         let budget =
             crate::budget::RunBudget::with_deadline(std::time::Duration::ZERO).start_target();
         let mut s = SplitScratch::new(2);
-        let r = best_classification_split(
-            &samples,
-            &x,
-            &|s| ys[s],
-            2,
-            1,
-            1e-12,
-            &mut s,
-            &budget,
-        );
+        let r = classification_split(&samples, &x, &|s| ys[s], 2, 1, &mut s, &budget);
         assert!(r.is_err(), "expired budget must abort the scan");
     }
     #[test]
@@ -1149,30 +1224,45 @@ mod tests {
         };
         let budget = TargetBudget::unlimited();
         let mut s = SplitScratch::new(classes);
-        let class = best_classification_split(
-            samples,
-            x,
-            &|r| labels[r],
-            classes,
-            min_leaf,
-            1e-12,
-            &mut s,
-            &budget,
-        );
+        let class = classification_split(samples, x, &|r| labels[r], classes, min_leaf, &mut s, &budget);
         let reg =
             best_regression_split(samples, x, &|r| targets[r], min_leaf, 1e-12, &mut s, &budget);
         [bits(class.unwrap()), bits(reg.unwrap())]
     }
 
+    /// A tree node with its threshold as bits, so arenas compare bit for bit.
+    #[derive(Debug, PartialEq)]
+    enum NodeBits {
+        Leaf(u32),
+        Split { feature: usize, threshold: u64, left: usize, right: usize },
+    }
+
+    fn arena_bits(nodes: &[Node<u32>]) -> Vec<NodeBits> {
+        nodes
+            .iter()
+            .map(|node| match *node {
+                Node::Leaf(class) => NodeBits::Leaf(class),
+                Node::Split { feature, threshold, left, right } => {
+                    NodeBits::Split { feature, threshold: threshold.to_bits(), left, right }
+                }
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
+        /// Single searches, and whole trees grown with count tables carried
+        /// from parent to children (the larger child derived by
+        /// subtraction), against the gather scan on owned matrices.
         #[test]
         fn count_tables_match_the_gather_scan(
             n_cat in 1usize..7,
             n_rows in 6usize..40,
             classes in 2usize..5,
             min_leaf in 1usize..4,
+            max_depth in 1usize..11,
+            min_split in 1usize..9,
             seed in any::<u64>(),
         ) {
             let mut state = seed;
@@ -1227,14 +1317,29 @@ mod tests {
                 let a = both_kinds(tables, &samples, &labels, &targets, classes, min_leaf);
                 let b = both_kinds(scan, &samples, &labels, &targets, classes, min_leaf);
                 prop_assert_eq!(a, b, "level {}: classification, regression", level);
+
+                let trainer = ClassificationTreeTrainer::new(TreeConfig {
+                    max_depth,
+                    min_samples_split: min_split,
+                    min_samples_leaf: min_leaf,
+                    ..TreeConfig::default()
+                });
+                let grown = trainer.train(tables, &labels, classes as u32);
+                let scanned = trainer.train(scan, &labels, classes as u32);
+                prop_assert_eq!(
+                    arena_bits(grown.model.nodes()),
+                    arena_bits(scanned.model.nodes()),
+                    "level {}: whole tree",
+                    level
+                );
             }
         }
     }
 
-    #[test]
-    fn block_pass_trips_expired_budget() {
-        // Eighty ternary features and nothing else: every poll of the
-        // search happens between block passes (64 × 80 > SCAN_CHECK_ELEMS).
+    /// Eighty ternary SNPs over 64 rows and nothing else, with its inputs
+    /// and row-alternating labels: every budget poll of a count pass falls
+    /// between blocks (64 × 80 > SCAN_CHECK_ELEMS).
+    fn eighty_block_pool() -> (EncodedPool, Vec<usize>, Vec<u32>) {
         let n_rows = 64usize;
         let mut b = DatasetBuilder::new();
         for j in 0..80 {
@@ -1244,18 +1349,42 @@ mod tests {
         let data = b.build();
         let all: Vec<usize> = (0..data.n_features()).collect();
         let pool = PoolSpec::fit(&data, &all, true).encode(&data);
+        let ys = (0..n_rows).map(|i| (i % 2) as u32).collect();
+        (pool, all, ys)
+    }
+
+    #[test]
+    fn block_pass_trips_expired_budget() {
+        // Every block pass polls: the classification count, the subtraction
+        // that derives a larger child's tables, and the regression search.
+        let (pool, all, ys) = eighty_block_pool();
         let view = pool.view(&all);
         assert_eq!(view.cat_blocks().map(|b| b.blocks().len()), Some(80));
-        let ys: Vec<u32> = (0..n_rows).map(|i| (i % 2) as u32).collect();
-        let samples: Vec<usize> = (0..n_rows).collect();
+        let samples: Vec<usize> = (0..ys.len()).collect();
         let budget =
             crate::budget::RunBudget::with_deadline(std::time::Duration::ZERO).start_target();
         let mut s = SplitScratch::new(2);
-        let class =
-            best_classification_split(&samples, &view, &|r| ys[r], 2, 1, 1e-12, &mut s, &budget);
-        assert_eq!(class, Err(TrainError::DeadlineExceeded));
+        let mut tables = Vec::new();
+        let counted = count_tables(&samples, &view, &|r| ys[r], 2, &mut s, &mut tables, &budget);
+        assert_eq!(counted, Err(TrainError::DeadlineExceeded));
+        let full = vec![1u32; 80 * 4 * 2];
+        let derived = subtract_tables(&mut full.clone(), &full, &budget);
+        assert_eq!(derived, Err(TrainError::DeadlineExceeded));
         let reg =
             best_regression_split(&samples, &view, &|r| ys[r] as f64, 1, 1e-12, &mut s, &budget);
         assert_eq!(reg, Err(TrainError::DeadlineExceeded));
+    }
+
+    #[test]
+    fn tree_trainers_trip_expired_budget_on_block_views() {
+        let (pool, all, ys) = eighty_block_pool();
+        let view = pool.view(&all);
+        let budget =
+            crate::budget::RunBudget::with_deadline(std::time::Duration::ZERO).start_target();
+        let class = ClassificationTreeTrainer::default().fit(&view, &ys, 2, None, &budget);
+        assert_eq!(class.err(), Some(TrainError::DeadlineExceeded));
+        let targets: Vec<f64> = ys.iter().map(|&y| y as f64).collect();
+        let reg = RegressionTreeTrainer::default().fit(&view, &targets, None, &budget);
+        assert_eq!(reg.err(), Some(TrainError::DeadlineExceeded));
     }
 }

@@ -37,7 +37,7 @@ cargo test -q --workspace
 # kill a worker at exactly its record count. The debug build rarely gets
 # there.
 cargo test --release -q -p frac-core --test shard_supervision
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # frac-core and frac-learn deny unwrap/expect in non-test code via
 # crate-root cfg_attr (flags passed here would leak into dependency
 # builds); this run enforces those lints.
@@ -63,6 +63,14 @@ FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-dataset --test kernel_equivalenc
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test solver_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-core --test pool_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test gram_equivalence
+
+# The counter gate's exact values live in tier1.pins, one `name<TAB>value`
+# a line; `pin NAME` prints one, and an assignment from it stops the gate
+# when the name is missing.
+pin() {
+  awk -F'\t' -v name="$1" '$1 == name { print $2; found = 1 } END { exit !found }' tier1.pins \
+    || { echo "tier1.pins: no pin '$1'" >&2; return 1; }
+}
 
 # Deadline smoke: a 2s wall-clock budget on the SNP surrogate must exit 0
 # within the budget plus slack, save a scored model, print a health
@@ -133,18 +141,20 @@ cmp "$smoke_dir/score-fcb.tsv" "$smoke_dir/score-tsv.tsv"
 cmp "$smoke_dir/autism-fcb.frac" "$smoke_dir/autism-tsv.frac"
 # Split pin: trees use no kernel tier, so the TSV-trained model is the same
 # file on every host. Its last four bytes are the v5 CRC-32 trailer. A
-# change that moves a chosen split updates this checksum and says why in
-# CHANGES.md.
+# change that moves a chosen split updates this checksum in tier1.pins and
+# says why in CHANGES.md.
 model_crc="$(tail -c 4 "$smoke_dir/autism-tsv.frac" | od -An -tx1 | tr -d ' \n')"
-if [ "$model_crc" != "e4c6fa92" ]; then
-  echo "split pin: autism --snp model's crc trailer reads '$model_crc', want 'e4c6fa92'"; exit 1
+want="$(pin autism_snp.crc)"
+if [ "$model_crc" != "$want" ]; then
+  echo "split pin: autism --snp model's crc trailer reads '$model_crc', want '$want'"; exit 1
 fi
 # Exact counter gate, tree slice: the same fit's tree nodes and encoded
 # cells. Trees use no kernel tier, so these hold on every host; the trace
 # above must not have moved a bit of the model (the cmp and split pin).
 ./target/release/frac inspect-telemetry --file "$smoke_dir/autism-tsv.trace.tsv" \
   > "$smoke_dir/autism-inspect.log"
-for want in "tree_nodes	49824" "encoded_cells	94500"; do
+for counter in tree_nodes encoded_cells; do
+  want="$counter	$(pin "autism_snp.$counter")"
   if ! grep -qxF "$want" "$smoke_dir/autism-inspect.log"; then
     echo "counter gate: autism --snp $(grep "^${want%%	*}	" "$smoke_dir/autism-inspect.log"), want $want"; exit 1
   fi
@@ -168,23 +178,26 @@ fi
 # under the portable tier, so no host SIMD feature changes a bit. The
 # model file and the fit's work counters are the same at any thread
 # count, so they are pinned exactly. A change that moves one updates its
-# pin and says why in CHANGES.md; wall clocks stay report-only.
+# pin in tier1.pins and says why in CHANGES.md; wall clocks stay
+# report-only.
 FRAC_KERNEL_TIER=unrolled ./target/release/frac train \
   --train "$smoke_dir/breast.basal.train.tsv" --out "$smoke_dir/breast.frac" \
   --telemetry "$smoke_dir/breast.trace.tsv" 2> "$smoke_dir/breast-train.log"
 breast_model="$(tail -c 4 "$smoke_dir/breast.frac" | od -An -tx1 | tr -d ' \n') $(wc -c < "$smoke_dir/breast.frac" | tr -d ' ')"
-if [ "$breast_model" != "6966fc4e 2978592" ]; then
-  echo "counter gate: breast.basal model reads crc and bytes '$breast_model', want '6966fc4e 2978592'"; exit 1
+want="$(pin breast_basal.crc_bytes)"
+if [ "$breast_model" != "$want" ]; then
+  echo "counter gate: breast.basal model reads crc and bytes '$breast_model', want '$want'"; exit 1
 fi
 ./target/release/frac inspect-telemetry --file "$smoke_dir/breast.trace.tsv" \
   > "$smoke_dir/breast-inspect.log"
 # gram_builds counts one Gram matrix per fit scope (DESIGN.md §13).
-breast_solver="solver	solves=1920 epochs=23766 visits=753839 dense_slots=756379 gram_solves=1920 gram_builds=320 pack_reuses=0"
-if ! grep -qxF "$breast_solver" "$smoke_dir/breast-inspect.log"; then
-  echo "counter gate: breast.basal $(grep '^solver	' "$smoke_dir/breast-inspect.log"), want $breast_solver"; exit 1
+want="solver	$(pin breast_basal.solver)"
+if ! grep -qxF "$want" "$smoke_dir/breast-inspect.log"; then
+  echo "counter gate: breast.basal $(grep '^solver	' "$smoke_dir/breast-inspect.log"), want $want"; exit 1
 fi
-if ! grep -qF "(320 feature models, 0.281 Gflop training)" "$smoke_dir/breast-train.log"; then
-  echo "counter gate: breast.basal $(grep '^saved' "$smoke_dir/breast-train.log"), want 0.281 Gflop"; exit 1
+want="$(pin breast_basal.gflop)"
+if ! grep -qF "(320 feature models, $want Gflop training)" "$smoke_dir/breast-train.log"; then
+  echo "counter gate: breast.basal $(grep '^saved' "$smoke_dir/breast-train.log"), want $want Gflop"; exit 1
 fi
 # A deadline never changes a model: every fit takes the one budgeted
 # training path, so the same fit under a one-hour deadline, journaled and
@@ -197,9 +210,9 @@ FRAC_KERNEL_TIER=unrolled ./target/release/frac train \
 cmp "$smoke_dir/breast-deadline.frac" "$smoke_dir/breast.frac"
 ./target/release/frac inspect-telemetry --file "$smoke_dir/breast-deadline.trace.tsv" \
   > "$smoke_dir/breast-deadline-inspect.log"
-breast_journal="journal_bytes	2991680"
-if ! grep -qxF "$breast_journal" "$smoke_dir/breast-deadline-inspect.log"; then
-  echo "counter gate: breast.basal $(grep '^journal_bytes	' "$smoke_dir/breast-deadline-inspect.log"), want $breast_journal"; exit 1
+want="journal_bytes	$(pin breast_basal.journal_bytes)"
+if ! grep -qxF "$want" "$smoke_dir/breast-deadline-inspect.log"; then
+  echo "counter gate: breast.basal $(grep '^journal_bytes	' "$smoke_dir/breast-deadline-inspect.log"), want $want"; exit 1
 fi
 # NS pin: the daemon's replies print each score at full precision (the
 # shortest string that re-parses to the same bits), so these pin NS bits
@@ -210,13 +223,15 @@ fi
   --schema "$smoke_dir/breast.basal.train.tsv" \
   < "$smoke_dir/breast.basal.test.tsv" > "$smoke_dir/breast-ns.out" 2> /dev/null
 breast_ns="$(grep -c '^ns ' "$smoke_dir/breast-ns.out" || true) $(cksum < "$smoke_dir/breast-ns.out")"
-if [ "$breast_ns" != "38 1824340706 901" ]; then
-  echo "NS pin: breast.basal test file's serve replies read ns lines and cksum '$breast_ns', want '38 1824340706 901'"; exit 1
+want="$(pin breast_basal.ns_file)"
+if [ "$breast_ns" != "$want" ]; then
+  echo "NS pin: breast.basal test file's serve replies read ns lines and cksum '$breast_ns', want '$want'"; exit 1
 fi
 breast_ns1="$(head -2 "$smoke_dir/breast.basal.test.tsv" | ./target/release/frac serve \
   --model "$smoke_dir/breast.frac" --schema "$smoke_dir/breast.basal.train.tsv" 2> /dev/null)"
-if [ "$breast_ns1" != "ns 2 861.684827125795" ]; then
-  echo "NS pin: breast.basal's first test record reads '$breast_ns1', want 'ns 2 861.684827125795'"; exit 1
+want="$(pin breast_basal.ns_first)"
+if [ "$breast_ns1" != "$want" ]; then
+  echo "NS pin: breast.basal's first test record reads '$breast_ns1', want '$want'"; exit 1
 fi
 
 # The telemetry-off build must compile every probe away and still pass
