@@ -532,8 +532,10 @@ fn fit_predictor(
 
             let (model, fit_cost, error, strength, cv_cost, duals) =
                 (match &config.cat_model {
+                    // One tree trainer per target problem: its CV folds and
+                    // final fit share one count of the root's tables.
                     CatModel::Tree(cfg) => run_cat(
-                        &ClassificationTreeTrainer::new(*cfg),
+                        &ClassificationTreeTrainer::new(*cfg).for_problem(&x, &y, *arity),
                         CatPredictor::Tree,
                         &x,
                         &y,

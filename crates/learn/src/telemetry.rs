@@ -169,10 +169,14 @@ pub enum Counter {
     /// Admitted requests whose deadline expired before scoring (answered
     /// with a timeout error, never scored).
     ServeTimeouts,
+    /// Row × block cells that classification-tree count passes added up:
+    /// full and directly counted roots, rows left out of a derived root,
+    /// and counted smaller children.
+    TreeCountCells,
 }
 
 /// Number of [`Counter`] variants (report array size).
-pub const N_COUNTERS: usize = 11;
+pub const N_COUNTERS: usize = 12;
 
 impl Counter {
     /// Every counter, in declaration order.
@@ -188,6 +192,7 @@ impl Counter {
         Counter::ServeShed,
         Counter::ServeQuarantined,
         Counter::ServeTimeouts,
+        Counter::TreeCountCells,
     ];
 
     /// Stable serialization name.
@@ -204,6 +209,7 @@ impl Counter {
             Counter::ServeShed => "serve_shed",
             Counter::ServeQuarantined => "serve_quarantined",
             Counter::ServeTimeouts => "serve_timeouts",
+            Counter::TreeCountCells => "tree_count_cells",
         }
     }
 
@@ -225,6 +231,7 @@ impl Counter {
             Counter::ServeShed => 8,
             Counter::ServeQuarantined => 9,
             Counter::ServeTimeouts => 10,
+            Counter::TreeCountCells => 11,
         }
     }
 
@@ -987,7 +994,7 @@ mod tests {
                     dur_ns: 100,
                 },
             ],
-            counters: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+            counters: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
             solver: SolverStats {
                 solves: 9,
                 epochs: 8,

@@ -18,7 +18,7 @@ mod classification;
 mod regression;
 mod splitter;
 
-pub use classification::{ClassificationTree, ClassificationTreeTrainer};
+pub use classification::{ClassificationTree, ClassificationTreeTrainer, ProblemTreeTrainer};
 pub use regression::{RegressionTree, RegressionTreeTrainer};
 
 /// How many node expansions a tree grower performs between cooperative

@@ -9,9 +9,13 @@
 //!   from the block's `(arity + 1) × classes` count table, whose last row
 //!   counts missing codes. The search itself counts nothing: it reads the
 //!   node's tables, which [`count_tables`] fills for every block in one
-//!   buffer after resolving the samples to storage rows once. The grower
-//!   counts the root, then at each split counts only the smaller child and
-//!   derives the larger one as parent − smaller ([`subtract_tables`]).
+//!   buffer after resolving the samples to storage rows once
+//!   ([`count_rows`] counts given storage rows). The grower searches only
+//!   impure nodes. It takes the root's tables from its caller: the
+//!   per-problem trainer derives a CV fold's root as its target's full
+//!   root minus the rows the fold leaves out. At each split it counts the
+//!   smaller child when a child will be searched, and derives the larger
+//!   one as parent − smaller ([`subtract_tables`]) when that one will be.
 //!   Regression trees make one pass per block inside the search, counting
 //!   codes and accumulating each indicator's `code ≠ c` target sums.
 //! * **Gather scan** for every other column: real inputs, and every column
@@ -43,9 +47,14 @@
 //! is skipped, and indicators are scored in column order, so [`beats`] sees
 //! every candidate in the scan's order.
 //!
-//! Entropy terms −(c/m)·ln(c/m) are read from a per-thread memo filled with
-//! that same expression for node sizes up to [`ENTROPY_MEMO_CAP`]; larger
-//! nodes compute each term inline.
+//! Entropy terms −(c/m)·ln(c/m), with 0·ln 0 = 0, are read from a
+//! per-thread memo filled with that same expression for node sizes up to
+//! [`ENTROPY_MEMO_CAP`]; larger nodes compute each term inline. Every
+//! candidate's gain goes through one [`entropy_gain`], which adds each
+//! class's left and right term from the two sides' memo rows with no
+//! branch on zero counts. Its gains carry the bits of sums over the nonzero
+//! counts only (see [`entropy_gain`] for why the sign of a zero cannot leak
+//! into a gain).
 //!
 //! For **classification** the unstable sort is result-identical to the
 //! previous stable sort: the statistics inspected at distinct-value
@@ -101,10 +110,14 @@ pub(crate) struct SplitChoice {
     pub n_left: usize,
 }
 
-/// −(c/m)·ln(c/m): the one expression every entropy term is computed with,
-/// memoized or not.
+/// −(c/m)·ln(c/m), with 0·ln 0 = 0: the one expression every entropy term
+/// is computed with, memoized or not. A zero count adds `+0.0`, so entropy
+/// sums run over every class without a branch.
 #[inline]
 fn entropy_term(c: usize, total: usize) -> f64 {
+    if c == 0 {
+        return 0.0;
+    }
     let p = c as f64 / total as f64;
     -p * p.ln()
 }
@@ -131,13 +144,21 @@ impl EntropyMemo {
         }
     }
 
+    /// The terms `c = 0..=total` of `total`, when the memo holds them.
+    #[inline]
+    fn row(&self, total: usize) -> Option<&[f64]> {
+        (total < self.rows).then(|| {
+            let start = total * (total + 1) / 2;
+            &self.terms[start..start + total + 1]
+        })
+    }
+
     /// [`entropy_term`]`(c, total)`, from the memo when it holds `total`.
     #[inline]
     fn term(&self, c: usize, total: usize) -> f64 {
-        if total < self.rows {
-            self.terms[total * (total + 1) / 2 + c]
-        } else {
-            entropy_term(c, total)
+        match self.row(total) {
+            Some(row) => row[c],
+            None => entropy_term(c, total),
         }
     }
 }
@@ -146,49 +167,61 @@ thread_local! {
     static ENTROPY_MEMO: RefCell<EntropyMemo> = RefCell::new(EntropyMemo::default());
 }
 
-/// Shannon entropy (nats) of a count vector.
+/// Shannon entropy (nats) of a count vector, summed in class order.
 #[inline]
 fn counts_entropy(counts: &[usize], total: usize, memo: &EntropyMemo) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
-    counts.iter().filter(|&&c| c > 0).map(|&c| memo.term(c, total)).sum()
+    counts.iter().map(|&c| memo.term(c, total)).sum()
 }
 
-/// Shannon entropy (nats) of the complement counts `node - left`, computed
-/// in class order without materializing the complement vector. Term order
-/// matches [`counts_entropy`] exactly, so the f64 sum is bit-identical to
-/// the old collect-then-fold path.
-#[inline]
-fn residual_entropy(left: &[usize], node: &[usize], total: usize, memo: &EntropyMemo) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
-    let mut h = 0.0;
-    for (&l, &t) in left.iter().zip(node) {
-        let c = t - l;
-        if c > 0 {
-            h += memo.term(c, total);
-        }
-    }
-    h
-}
-
-/// Information gain of sending `n_left` of the node's `n` samples, with
-/// class counts `left`, to the left child.
+/// Information gain of sending `n_left` of the node's `n` samples to the
+/// left child. `counts` yields each class's `(left, right)` counts in class
+/// order; each side's entropy adds its terms in that order, zero counts
+/// included, from the memo rows of `n_left` and `n - n_left` (a side past
+/// [`ENTROPY_MEMO_CAP`] computes its terms inline).
+///
+/// On every node the search scores, the gain has the bits of sums over the
+/// nonzero counts only. Adding `+0.0` for a zero count keeps every nonzero
+/// partial sum, and the terms are positive or `-0.0`, so a side's entropy
+/// can only turn from `-0.0` into `+0.0`, on a pure side. `n_left·h_left +
+/// n_right·h_right` keeps its bits while either product is nonzero; when
+/// both are zero the gain is `parent_entropy − (±0) = parent_entropy`, which
+/// is positive on any searched node.
 #[inline]
 fn entropy_gain(
     parent_entropy: f64,
-    left: &[usize],
-    node: &[usize],
+    counts: impl Iterator<Item = (usize, usize)>,
     n_left: usize,
     n: usize,
     memo: &EntropyMemo,
 ) -> f64 {
-    let h_left = counts_entropy(left, n_left, memo);
-    let h_right = residual_entropy(left, node, n - n_left, memo);
-    let weighted = (n_left as f64 * h_left + (n - n_left) as f64 * h_right) / n as f64;
+    let n_right = n - n_left;
+    let (mut h_left, mut h_right) = (0.0f64, 0.0f64);
+    match (memo.row(n_left), memo.row(n_right)) {
+        (Some(left), Some(right)) => {
+            for (l, r) in counts {
+                h_left += left[l];
+                h_right += right[r];
+            }
+        }
+        _ => {
+            for (l, r) in counts {
+                h_left += memo.term(l, n_left);
+                h_right += memo.term(r, n_right);
+            }
+        }
+    }
+    let weighted = (n_left as f64 * h_left + n_right as f64 * h_right) / n as f64;
     parent_entropy - weighted
+}
+
+/// Each class's `(left, right)` counts, from the left side's and the
+/// node's.
+#[inline]
+fn left_side<'a>(
+    left: &'a [usize],
+    node: &'a [usize],
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    left.iter().zip(node).map(|(&l, &t)| (l, t - l))
 }
 
 /// Sum of squared deviations from the mean, from raw moments.
@@ -329,13 +362,8 @@ fn indicator_splits(n_right: usize, n: usize, min_leaf: usize) -> bool {
 }
 
 /// Fill `tables` with the node's count table of every categorical block of
-/// `x`, block after block: block `b` takes `(b.arity + 1) × classes`
-/// counts, row `c` holding the class counts of `code == c` and the last row
-/// those of missing codes. A view without blocks leaves `tables` empty.
-/// Polls `budget` every [`SCAN_CHECK_ELEMS`] counted elements.
-///
-/// Counts are `u32`: a node of 2³² samples or more could wrap one, so it is
-/// refused as [`TrainError::AllocOverflow`].
+/// `x` ([`count_rows`] over the samples' storage rows) and return the row ×
+/// block cells counted. A view without blocks leaves `tables` empty.
 pub(crate) fn count_tables(
     samples: &[usize],
     x: &dyn DesignView,
@@ -344,20 +372,39 @@ pub(crate) fn count_tables(
     scratch: &mut SplitScratch,
     tables: &mut Vec<u32>,
     budget: &TargetBudget,
-) -> Result<(), TrainError> {
-    tables.clear();
-    if u32::try_from(samples.len()).is_err() {
-        return Err(TrainError::AllocOverflow { rows: samples.len(), cols: x.n_cols() });
-    }
+) -> Result<u64, TrainError> {
     let SplitScratch { labels, rows, .. } = scratch;
     let blocks = node_blocks(x, samples, rows);
-    if blocks.is_empty() {
-        return Ok(());
-    }
     labels.clear();
     labels.extend(samples.iter().map(|&s| label(s)));
+    count_rows(blocks, rows, labels, classes, tables, budget)
+}
+
+/// Fill `tables` with the count table of every block over the storage
+/// `rows`, labelled `labels`, block after block: block `b` takes
+/// `(b.arity + 1) × classes` counts, row `c` holding the class counts of
+/// `code == c` and the last row those of missing codes. Returns the row ×
+/// block cells counted. Polls `budget` every [`SCAN_CHECK_ELEMS`] counted
+/// elements.
+///
+/// Counts are `u32`: 2³² rows or more could wrap one, so they are refused
+/// as [`TrainError::AllocOverflow`] (its `cols` are the blocks' indicator
+/// columns).
+pub(crate) fn count_rows(
+    blocks: &[CatBlock<'_>],
+    rows: &[usize],
+    labels: &[u32],
+    classes: usize,
+    tables: &mut Vec<u32>,
+    budget: &TargetBudget,
+) -> Result<u64, TrainError> {
+    tables.clear();
+    let n = rows.len();
+    if u32::try_from(n).is_err() {
+        let cols = blocks.iter().map(|b| b.arity).sum();
+        return Err(TrainError::AllocOverflow { rows: n, cols });
+    }
     tables.resize(blocks.iter().map(|b| (b.arity + 1) * classes).sum(), 0);
-    let n = samples.len();
     let (mut offset, mut since_check) = (0usize, 0usize);
     for block in blocks {
         since_check += n;
@@ -368,12 +415,12 @@ pub(crate) fn count_tables(
         let width = block.arity;
         let table = &mut tables[offset..offset + (width + 1) * classes];
         offset += table.len();
-        for (&r, &l) in rows.iter().zip(labels.iter()) {
+        for (&r, &l) in rows.iter().zip(labels) {
             let code = (block.codes[r] as usize).min(width);
             table[code * classes + l as usize] += 1;
         }
     }
-    Ok(())
+    Ok((n * blocks.len()) as u64)
 }
 
 /// Turn a split node's count tables into its larger child's, in place:
@@ -442,6 +489,9 @@ fn classification_search(
     memo: &EntropyMemo,
 ) -> Result<Option<SplitChoice>, TrainError> {
     let n = samples.len();
+    let blocks = x.cat_blocks().map_or(&[][..], |b| b.blocks());
+    // The grower searches impure nodes only, and gives each its tables.
+    assert!(blocks.is_empty() || !tables.is_empty(), "searched a node without its count tables");
     let SplitScratch { cpairs, left_counts, node_counts, labels, .. } = scratch;
     labels.clear();
     labels.extend(samples.iter().map(|&s| label(s)));
@@ -454,7 +504,6 @@ fn classification_search(
         return Ok(None); // pure node
     }
 
-    let blocks = x.cat_blocks().map_or(&[][..], |b| b.blocks());
     let mut best: Option<SplitChoice> = None;
     let (mut offset, mut since_check) = (0usize, 0usize);
     for unit in units(x.n_cols(), blocks) {
@@ -476,13 +525,10 @@ fn classification_search(
                     if !indicator_splits(n_right, n, min_leaf) {
                         continue;
                     }
-                    for ((lc, &t), &rc) in left_counts.iter_mut().zip(node_counts.iter()).zip(right)
-                    {
-                        *lc = t - rc as usize;
-                    }
                     let n_left = n - n_right;
-                    let gain =
-                        entropy_gain(parent_entropy, left_counts, node_counts, n_left, n, memo);
+                    let counts =
+                        node_counts.iter().zip(right).map(|(&t, &r)| (t - r as usize, r as usize));
+                    let gain = entropy_gain(parent_entropy, counts, n_left, n, memo);
                     let (feature, threshold) = (block.first + c, INDICATOR_THRESHOLD);
                     offer(&mut best, SplitChoice { feature, threshold, gain, n_left }, min_gain);
                 }
@@ -523,7 +569,8 @@ fn classification_search(
         }
         if n_min + n_max == n {
             if n_min >= min_leaf && n - n_min >= min_leaf {
-                let gain = entropy_gain(parent_entropy, left_counts, node_counts, n_min, n, memo);
+                let counts = left_side(left_counts, node_counts);
+                let gain = entropy_gain(parent_entropy, counts, n_min, n, memo);
                 let (threshold, n_left) = (0.5 * (vmin + vmax), n_min);
                 offer(&mut best, SplitChoice { feature: f, threshold, gain, n_left }, min_gain);
             }
@@ -544,7 +591,8 @@ fn classification_search(
             if n_left < min_leaf || n - n_left < min_leaf {
                 continue;
             }
-            let gain = entropy_gain(parent_entropy, left_counts, node_counts, n_left, n, memo);
+            let counts = left_side(left_counts, node_counts);
+            let gain = entropy_gain(parent_entropy, counts, n_left, n, memo);
             let threshold = 0.5 * (v + v_next);
             offer(&mut best, SplitChoice { feature: f, threshold, gain, n_left }, min_gain);
         }
@@ -687,9 +735,21 @@ pub(crate) fn best_regression_split(
     Ok(best)
 }
 
+/// Shannon entropy (nats) of a count vector the way the searches summed it
+/// before 0·ln 0 = 0: over the nonzero counts only, each term computed
+/// inline. Test-only: the arithmetic [`entropy_gain`] is checked against.
+#[cfg(test)]
+fn filtered_entropy(counts: &[usize], total: usize) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    counts.iter().filter(|&&c| c > 0).map(|&c| entropy_term(c, total)).sum()
+}
+
 /// Pre-SIMD-tier classification search: per-row probing with a stable sort
-/// and a per-threshold complement-count allocation. Test-only: the oracle
-/// the gathered and two-valued scans are checked against.
+/// and a per-threshold complement-count allocation, over
+/// [`filtered_entropy`]. Test-only: the oracle the gathered and two-valued
+/// scans are checked against.
 #[cfg(test)]
 fn legacy_classification_split(
     samples: &[usize],
@@ -708,9 +768,7 @@ fn legacy_classification_split(
     for &s in samples {
         scratch.node_counts[label(s) as usize] += 1;
     }
-    // An empty memo: every term is computed inline.
-    let memo = EntropyMemo::default();
-    let parent_entropy = counts_entropy(&scratch.node_counts, n, &memo);
+    let parent_entropy = filtered_entropy(&scratch.node_counts, n);
     if parent_entropy <= 0.0 {
         return None; // pure node
     }
@@ -734,14 +792,14 @@ fn legacy_classification_split(
             if n_left < min_leaf || n - n_left < min_leaf {
                 continue;
             }
-            let h_left = counts_entropy(&scratch.left_counts, n_left, &memo);
+            let h_left = filtered_entropy(&scratch.left_counts, n_left);
             let right_counts: Vec<usize> = scratch
                 .left_counts
                 .iter()
                 .zip(&scratch.node_counts)
                 .map(|(&l, &t)| t - l)
                 .collect();
-            let h_right = counts_entropy(&right_counts, n - n_left, &memo);
+            let h_right = filtered_entropy(&right_counts, n - n_left);
             let weighted =
                 (n_left as f64 * h_left + (n - n_left) as f64 * h_right) / n as f64;
             let gain = parent_entropy - weighted;
@@ -816,9 +874,12 @@ fn legacy_regression_split(
 mod tests {
     use super::*;
     use crate::traits::{ClassifierTrainer, RegressorTrainer};
-    use crate::tree::{ClassificationTreeTrainer, Node, RegressionTreeTrainer, TreeConfig};
+    use crate::tree::{
+        ClassificationTree, ClassificationTreeTrainer, Node, RegressionTreeTrainer, TreeConfig,
+    };
     use frac_dataset::dataset::{DatasetBuilder, MISSING_CODE};
     use frac_dataset::design::DesignSpec;
+    use frac_dataset::split::k_fold;
     use frac_dataset::{Column, Dataset, DesignMatrix, EncodedPool, PoolSpec, RowSubset};
     use proptest::prelude::*;
 
@@ -885,18 +946,57 @@ mod tests {
         assert!((counts_entropy(&[2, 2], 4, &memo) - 2.0f64.ln()).abs() < 1e-12);
     }
 
-    #[test]
-    fn residual_entropy_matches_materialized_complement() {
-        let node = [7usize, 3, 5, 0];
-        let left = [2usize, 3, 1, 0];
-        let right: Vec<usize> = node.iter().zip(&left).map(|(&t, &l)| t - l).collect();
-        let total: usize = right.iter().sum();
-        let mut memo = EntropyMemo::default();
-        for filled in [0, total] {
-            memo.ensure(filled);
-            assert_eq!(
-                residual_entropy(&left, &node, total, &memo).to_bits(),
-                counts_entropy(&right, total, &memo).to_bits()
+    /// [`entropy_gain`] the old way: each side's [`filtered_entropy`], the
+    /// right side's counts materialized.
+    fn filtered_entropy_gain(parent: f64, left: &[usize], node: &[usize], n_left: usize) -> f64 {
+        let n: usize = node.iter().sum();
+        let right: Vec<usize> = node.iter().zip(left).map(|(&t, &l)| t - l).collect();
+        let weighted = (n_left as f64 * filtered_entropy(left, n_left)
+            + (n - n_left) as f64 * filtered_entropy(&right, n - n_left))
+            / n as f64;
+        parent - weighted
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Branch-free gains carry the bits of the filtered sums: 2–6
+        /// classes, zero counts, pure sides and both sides of the memo cap.
+        #[test]
+        fn entropy_gain_matches_filtered_sums(
+            node in prop::collection::vec(
+                prop_oneof![Just(0usize), 1usize..6, 1usize..400], 2..7),
+            cuts in prop::collection::vec(0u32..5, 6),
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed;
+            let n: usize = node.iter().sum();
+            let parent = filtered_entropy(&node, n);
+            // The search scores impure nodes only.
+            prop_assume!(parent > 0.0);
+            // Each class sends none, all, or a random share of its count
+            // left, so pure and empty sides come up often.
+            let left: Vec<usize> = node
+                .iter()
+                .zip(&cuts)
+                .map(|(&t, &cut)| match cut {
+                    0 => 0,
+                    1 => t,
+                    _ => below(&mut state, t + 1),
+                })
+                .collect();
+            let n_left: usize = left.iter().sum();
+            prop_assume!(n_left > 0 && n_left < n);
+            let mut memo = EntropyMemo::default();
+            memo.ensure(n);
+            let new = entropy_gain(parent, left_side(&left, &node), n_left, n, &memo);
+            let old = filtered_entropy_gain(parent, &left, &node, n_left);
+            prop_assert_eq!(new.to_bits(), old.to_bits(), "left {:?} of {:?}", left, node);
+            prop_assert_eq!(
+                counts_entropy(&node, n, &memo).to_bits(),
+                parent.to_bits(),
+                "parent of {:?}",
+                node
             );
         }
     }
@@ -1143,16 +1243,15 @@ mod tests {
         let mut memo = EntropyMemo::default();
         memo.ensure(ENTROPY_MEMO_CAP + 50);
         assert_eq!(memo.rows, ENTROPY_MEMO_CAP + 1, "the memo stops at its cap");
-        for n in 1..=ENTROPY_MEMO_CAP {
+        for n in 0..=ENTROPY_MEMO_CAP {
             for c in 0..=n {
-                let p = c as f64 / n as f64;
-                let direct = -p * p.ln();
                 let memoized = memo.term(c, n);
                 if c == 0 {
-                    // 0·ln 0 is NaN either way; the entropy sums never
-                    // look up a zero count.
-                    assert!(memoized.is_nan() && direct.is_nan());
+                    // 0·ln 0 = 0, so a zero count adds nothing to a sum.
+                    assert_eq!(memoized.to_bits(), 0.0f64.to_bits(), "n={n}");
                 } else {
+                    let p = c as f64 / n as f64;
+                    let direct = -p * p.ln();
                     assert_eq!(memoized.to_bits(), direct.to_bits(), "c={c} n={n}");
                 }
             }
@@ -1254,7 +1353,9 @@ mod tests {
 
         /// Single searches, and whole trees grown with count tables carried
         /// from parent to children (the larger child derived by
-        /// subtraction), against the gather scan on owned matrices.
+        /// subtraction), against the gather scan on owned matrices; then a
+        /// problem trainer's fits, fold roots derived from its full root,
+        /// and the views it must count directly.
         #[test]
         fn count_tables_match_the_gather_scan(
             n_cat in 1usize..7,
@@ -1324,14 +1425,62 @@ mod tests {
                     min_samples_leaf: min_leaf,
                     ..TreeConfig::default()
                 });
-                let grown = trainer.train(tables, &labels, classes as u32);
-                let scanned = trainer.train(scan, &labels, classes as u32);
-                prop_assert_eq!(
-                    arena_bits(grown.model.nodes()),
-                    arena_bits(scanned.model.nodes()),
-                    "level {}: whole tree",
-                    level
-                );
+                let arity = classes as u32;
+                let fitted = |trainer: &dyn ClassifierTrainer<Model = ClassificationTree>,
+                              x: &dyn DesignView,
+                              y: &[u32]| {
+                    arena_bits(trainer.train(x, y, arity).model.nodes())
+                };
+                let grown = fitted(&trainer, tables, &labels);
+                let scanned = fitted(&trainer, scan, &labels);
+                prop_assert_eq!(&grown, &scanned, "level {}: whole tree", level);
+
+                // One problem's fits: its whole view, first or last, and
+                // (views stack two row subsets at most) a k-fold plan's
+                // training folds, each root derived from the full one.
+                let problem = trainer.for_problem(tables, &labels, arity);
+                let whole_first = below(&mut state, 2) == 0;
+                let whole = || fitted(&problem, tables, &labels);
+                if whole_first || level == 2 {
+                    prop_assert_eq!(&whole(), &grown, "level {}: problem", level);
+                }
+                if level == 2 {
+                    continue;
+                }
+                let folds = k_fold(n, 2 + below(&mut state, 5), mix(&mut state));
+                for (i, fold) in folds.iter().enumerate() {
+                    let rows = &fold.train;
+                    let y: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
+                    let view = RowSubset::new(tables, &rows[..]);
+                    let want = fitted(&trainer, &RowSubset::new(scan, &rows[..]), &y);
+                    let plain = fitted(&trainer, &view, &y);
+                    prop_assert_eq!(&plain, &want, "level {} fold {}: plain", level, i);
+                    let derived = fitted(&problem, &view, &y);
+                    prop_assert_eq!(&derived, &want, "level {} fold {}: derived", level, i);
+
+                    // Views the problem must count directly: a label that
+                    // disagrees with the problem's, a repeated row, and rows
+                    // outside the problem (a fold's problem fitted on the
+                    // whole view).
+                    let mut relabelled = y.clone();
+                    let at = below(&mut state, y.len());
+                    relabelled[at] = (relabelled[at] + 1) % arity;
+                    let want = fitted(&trainer, &RowSubset::new(scan, &rows[..]), &relabelled);
+                    let got = fitted(&problem, &view, &relabelled);
+                    prop_assert_eq!(&got, &want, "level {} fold {}: relabelled", level, i);
+                    let mut repeated = rows.clone();
+                    repeated.push(rows[below(&mut state, rows.len())]);
+                    let y_repeated: Vec<u32> = repeated.iter().map(|&r| labels[r]).collect();
+                    let want = fitted(&trainer, &RowSubset::new(scan, &repeated[..]), &y_repeated);
+                    let got = fitted(&problem, &RowSubset::new(tables, &repeated[..]), &y_repeated);
+                    prop_assert_eq!(&got, &want, "level {} fold {}: repeated row", level, i);
+                    let fold_problem = trainer.for_problem(&view, &y, arity);
+                    let got = fitted(&fold_problem, tables, &labels);
+                    prop_assert_eq!(&got, &grown, "level {} fold {}: outside", level, i);
+                }
+                if !whole_first {
+                    prop_assert_eq!(&whole(), &grown, "level {}: problem", level);
+                }
             }
         }
     }
@@ -1383,6 +1532,20 @@ mod tests {
             crate::budget::RunBudget::with_deadline(std::time::Duration::ZERO).start_target();
         let class = ClassificationTreeTrainer::default().fit(&view, &ys, 2, None, &budget);
         assert_eq!(class.err(), Some(TrainError::DeadlineExceeded));
+        // The problem trainer trips in its one-time full count, and in
+        // deriving a fold's root once that count exists.
+        let trainer = ClassificationTreeTrainer::default();
+        let problem = trainer.for_problem(&view, &ys, 2);
+        let fold: Vec<usize> = (8..ys.len()).collect();
+        let fold_view = RowSubset::new(&view, &fold);
+        let fold_ys: Vec<u32> = fold.iter().map(|&r| ys[r]).collect();
+        let tripped = problem.fit(&fold_view, &fold_ys, 2, None, &budget);
+        assert_eq!(tripped.err(), Some(TrainError::DeadlineExceeded));
+        let unlimited = TargetBudget::unlimited();
+        let whole = problem.fit(&view, &ys, 2, None, &unlimited);
+        whole.expect("an unlimited fit counts the full root");
+        let tripped = problem.fit(&fold_view, &fold_ys, 2, None, &budget);
+        assert_eq!(tripped.err(), Some(TrainError::DeadlineExceeded));
         let targets: Vec<f64> = ys.iter().map(|&y| y as f64).collect();
         let reg = RegressionTreeTrainer::default().fit(&view, &targets, None, &budget);
         assert_eq!(reg.err(), Some(TrainError::DeadlineExceeded));

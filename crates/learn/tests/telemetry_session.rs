@@ -5,7 +5,11 @@
 
 #![cfg(not(feature = "telemetry-off"))]
 
+use frac_dataset::dataset::DatasetBuilder;
+use frac_dataset::{DesignView, PoolSpec};
 use frac_learn::telemetry::{counter_add, span, target_guard, Counter, Stage, TelemetrySession};
+use frac_learn::tree::ClassificationTreeTrainer;
+use frac_learn::ClassifierTrainer;
 use std::sync::Mutex;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -115,4 +119,32 @@ fn cross_thread_spans_get_distinct_ids() {
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), 4, "span ids must be unique across threads");
+}
+
+#[test]
+fn pure_children_get_no_count_tables() {
+    // The label is `code == 0` of the first of four ternary SNPs, so the
+    // root splits on that indicator into two pure children: leaves that no
+    // search reads, so only the root's tables are counted.
+    let n_rows = 24usize;
+    let mut b = DatasetBuilder::new();
+    for j in 0..4 {
+        let codes = (0..n_rows).map(|i| ((i * (j + 1) + j) % 3) as u32).collect();
+        b = b.categorical(format!("snp{j}"), 3, codes);
+    }
+    let data = b.build();
+    let all: Vec<usize> = (0..data.n_features()).collect();
+    let pool = PoolSpec::fit(&data, &all, true).encode(&data);
+    let view = pool.view(&all);
+    let blocks = view.cat_blocks().map_or(0, |b| b.blocks().len());
+    assert_eq!(blocks, 4);
+    let ys: Vec<u32> = (0..n_rows).map(|i| u32::from(i % 3 == 0)).collect();
+
+    let _l = locked();
+    let session = TelemetrySession::start().unwrap();
+    let tree = ClassificationTreeTrainer::default().train(&view, &ys, 2);
+    let report = session.finish();
+    assert_eq!(tree.model.n_nodes(), 3, "one split, two leaves");
+    assert_eq!(report.counter(Counter::TreeNodes), 3);
+    assert_eq!(report.counter(Counter::TreeCountCells), (n_rows * blocks) as u64);
 }

@@ -148,12 +148,13 @@ want="$(pin autism_snp.crc)"
 if [ "$model_crc" != "$want" ]; then
   echo "split pin: autism --snp model's crc trailer reads '$model_crc', want '$want'"; exit 1
 fi
-# Exact counter gate, tree slice: the same fit's tree nodes and encoded
-# cells. Trees use no kernel tier, so these hold on every host; the trace
-# above must not have moved a bit of the model (the cmp and split pin).
+# Exact counter gate, tree slice: the same fit's tree nodes, encoded cells
+# and the row x block cells its classification count passes added up. Trees
+# use no kernel tier, so these hold on every host; the trace above must not
+# have moved a bit of the model (the cmp and split pin).
 ./target/release/frac inspect-telemetry --file "$smoke_dir/autism-tsv.trace.tsv" \
   > "$smoke_dir/autism-inspect.log"
-for counter in tree_nodes encoded_cells; do
+for counter in tree_nodes encoded_cells tree_count_cells; do
   want="$counter	$(pin "autism_snp.$counter")"
   if ! grep -qxF "$want" "$smoke_dir/autism-inspect.log"; then
     echo "counter gate: autism --snp $(grep "^${want%%	*}	" "$smoke_dir/autism-inspect.log"), want $want"; exit 1
