@@ -12,38 +12,48 @@
 //!
 //! # File format
 //!
-//! A text header, then zero or more framed records:
+//! A text header, the run's encoder table, then zero or more framed
+//! records:
 //!
 //! ```text
-//! fracjournal 2
+//! fracjournal 3
 //! config <hex u64>            FNV-1a of the FracConfig (Debug rendering)
 //! dataset <hex u64>           Dataset::fingerprint() of the training set
 //! plan <hex u64>              TrainingPlan::content_hash()
 //! planned <n>                 number of targets the plan asked for
 //! endheader
+//! table <body_len> <crc32 hex>
+//! <body_len bytes: the encoder table>
 //! rec <body_len> <crc32 hex>
 //! <body_len bytes of record body>
 //! rec ...
 //! ```
 //!
-//! A v2 record body is little-endian binary ([`frac_dataset::binio`],
-//! FORMATS.md §4): the target, a fitted/dropped status byte, four `u64`
-//! cost counters, the health events (a tag byte, the event's fields, and
-//! a length-prefixed UTF-8 detail where the event has one), then — for a
-//! fitted target — the feature section, byte-identical to the one in model
-//! v5 ([`crate::persist`]), so a model assembled from journal records
-//! round-trips bit-exactly. SVM warm-start duals are *not* journaled — they
-//! only affect solve trajectories, never (in strict mode) results.
+//! The table is the run's pool — the encoders of every feature the plan
+//! reads — written once, when the journal is created ([`PoolSpec`]'s
+//! table codec, FORMATS.md §3). A v3 record body is little-endian binary
+//! ([`frac_dataset::binio`], FORMATS.md §4): the target, a fitted/dropped
+//! status byte, four `u64` cost counters, the health events (a tag byte,
+//! the event's fields, and a length-prefixed UTF-8 detail where the event
+//! has one), then — for a fitted target — the feature section over the
+//! journal's table, coded as in model v6 ([`crate::persist`]), so a model
+//! assembled from journal records round-trips bit-exactly. SVM warm-start
+//! duals are *not* journaled — they only affect solve trajectories, never
+//! (in strict mode) results.
 //!
-//! Version 1 journals carried line-oriented text bodies. They are still
-//! scanned and resumed; opening one for append first rewrites it as v2, so
-//! a file never mixes body encodings.
+//! Version 1 journals carried line-oriented text bodies, and version 2
+//! binary bodies whose feature sections stored each predictor's own copy
+//! of its inputs' encoders. Both are still scanned and resumed, their
+//! copies folded into one table; opening one for append first rewrites it
+//! as v3, so a file never mixes body encodings.
 //!
 //! # Integrity rules
 //!
 //! * A valid header whose hashes differ from the current run's is an
 //!   **error** ([`JournalError::Mismatch`]) — resuming someone else's run
-//!   silently would corrupt results.
+//!   silently would corrupt results. So is a table that differs from the
+//!   run's pool: the hashes pin the config, the data and the plan, but not
+//!   the code that fits encoders.
 //! * A torn header (file killed mid-header-write) makes the journal
 //!   **fresh**: it is truncated and rewritten. A file whose first line is
 //!   not the journal magic is an error, never truncated — it is probably
@@ -53,15 +63,21 @@
 //!   that offset. A record whose checksum passes but whose body does not
 //!   decode is an error ([`JournalError::Corrupt`]): those bytes are what
 //!   a writer committed, so the cause is format skew, not a torn write.
+//! * A valid region that ends before the table gets the table written
+//!   before any record is appended; a record ahead of the table is an
+//!   error.
 
 use crate::health::{FallbackKind, TargetHealth, TargetOutcome};
-use crate::model::FeatureModel;
-use crate::persist::{parse_feature, parse_section, write_section};
+use crate::model::{FeatureModel, Inputs};
+use crate::persist::{
+    parse_feature, parse_section, parse_section_v5, write_section, LegacyFold, SectionReader,
+};
 use frac_dataset::binio::{ByteError, ByteReader, ByteWriter};
+use frac_dataset::design::PoolSpec;
 use frac_dataset::crc::crc32;
 use frac_dataset::textio::TextReader;
 use frac_dataset::QuarantineReason;
-use std::io::Write as _;
+use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -73,7 +89,10 @@ use std::sync::Mutex;
 const SYNC_INTERVAL: std::time::Duration = std::time::Duration::from_millis(50);
 
 const JOURNAL_MAGIC: &str = "fracjournal";
-const JOURNAL_VERSION: u32 = 2;
+const JOURNAL_VERSION: u32 = 3;
+/// Frame words of the encoder table and of a target record.
+const TABLE_FRAME: &str = "table";
+const RECORD_FRAME: &str = "rec";
 
 /// Compatibility header of a run journal: a resumed run must match every
 /// fingerprint or the journal's records are meaningless for it.
@@ -172,13 +191,38 @@ pub struct JournalScan {
     pub header: Option<JournalHeader>,
     /// Byte offset just past the header.
     pub header_end: u64,
+    /// The encoder table the records' inputs refer to: the stored table
+    /// of a v3 journal (`None` when the valid region ends before it), or
+    /// the fold of the encoders an older journal's records carry.
+    pub table: Option<PoolSpec>,
+    /// Byte offset just past the table record (the header's end when the
+    /// journal has none stored).
+    pub table_end: u64,
     /// Byte offset just past each valid record, in file order.
     pub record_ends: Vec<u64>,
     /// Length of the valid prefix (header + intact records); any bytes
     /// beyond this are a torn tail.
     pub valid_len: u64,
-    /// The reloaded records themselves.
+    /// The reloaded records themselves; each predictor's inputs are an
+    /// explicit feature list.
     pub records: Vec<TargetRecord>,
+    /// The journal's format version.
+    version: u32,
+}
+
+impl JournalScan {
+    fn empty() -> JournalScan {
+        JournalScan {
+            header: None,
+            header_end: 0,
+            table: None,
+            table_end: 0,
+            record_ends: Vec::new(),
+            valid_len: 0,
+            records: Vec::new(),
+            version: JOURNAL_VERSION,
+        }
+    }
 }
 
 /// An open, appendable run journal.
@@ -198,25 +242,34 @@ pub struct RunJournal {
     file: Mutex<std::fs::File>,
     path: PathBuf,
     broken: AtomicBool,
+    /// The table the records' feature sections are coded over.
+    table: PoolSpec,
 }
 
 impl RunJournal {
     /// Create a fresh journal at `path` (truncating any existing file),
-    /// write and fsync the header.
-    pub fn create(path: impl AsRef<Path>, header: &JournalHeader) -> Result<RunJournal, JournalError> {
+    /// write and fsync the header and the run's encoder `table`.
+    pub fn create(
+        path: impl AsRef<Path>,
+        header: &JournalHeader,
+        table: &PoolSpec,
+    ) -> Result<RunJournal, JournalError> {
         let path = path.as_ref().to_path_buf();
         let mut file = std::fs::File::create(&path)?;
-        file.write_all(header_text(header).as_bytes())?;
+        let mut bytes = header_text(header).into_bytes();
+        bytes.extend(table_frame(table));
+        file.write_all(&bytes)?;
         file.sync_data()?;
         sync_parent_dir(&path);
-        Ok(Self::from_file(file, path))
+        Ok(Self::from_file(file, path, table))
     }
 
-    fn from_file(file: std::fs::File, path: PathBuf) -> RunJournal {
+    fn from_file(file: std::fs::File, path: PathBuf, table: &PoolSpec) -> RunJournal {
         RunJournal {
             file: Mutex::new(file),
             path,
             broken: AtomicBool::new(false),
+            table: table.clone(),
         }
     }
 
@@ -226,10 +279,12 @@ impl RunJournal {
     ///
     /// A missing or empty file — or one whose header write was itself torn
     /// — becomes a fresh journal. A valid header that does not match
-    /// `expected` is a [`JournalError::Mismatch`].
+    /// `expected`, or a table that differs from the run's `table`, is a
+    /// [`JournalError::Mismatch`].
     pub fn open_or_create(
         path: impl AsRef<Path>,
         expected: &JournalHeader,
+        table: &PoolSpec,
     ) -> Result<(RunJournal, Vec<TargetRecord>), JournalError> {
         let path = path.as_ref().to_path_buf();
         let bytes = match std::fs::read(&path) {
@@ -238,25 +293,36 @@ impl RunJournal {
             Err(e) => return Err(e.into()),
         };
         if bytes.is_empty() {
-            return Ok((Self::create(&path, expected)?, Vec::new()));
+            return Ok((Self::create(&path, expected, table)?, Vec::new()));
         }
-        let (scan, version) = scan_versioned(&bytes)?;
+        let scan = scan_bytes(&bytes)?;
         let header = match scan.header {
             None => {
                 // Torn header: the only thing ever written was a partial
                 // header, so nothing of value is lost by starting over.
-                return Ok((Self::create(&path, expected)?, Vec::new()));
+                return Ok((Self::create(&path, expected, table)?, Vec::new()));
             }
             Some(h) => h,
         };
         if header != *expected {
             return Err(JournalError::Mismatch(mismatch_detail(&header, expected)));
         }
-        if version < JOURNAL_VERSION {
+        if let Some(detail) = table_mismatch(&scan, table) {
+            return Err(JournalError::Mismatch(detail));
+        }
+        if scan.version < JOURNAL_VERSION {
             // An older journal's intact records are rewritten in the
             // current encoding before anything is appended (its torn tail
             // goes with it).
-            rewrite_current(&path, &header, &scan.records)?;
+            rewrite_current(&path, &header, table, &scan.records)?;
+        } else if scan.table.is_none() {
+            // The valid region ends before the table: the header is all
+            // there is, and the table goes in before any record.
+            let mut f = std::fs::OpenOptions::new().write(true).open(&path)?;
+            f.set_len(scan.header_end)?;
+            f.seek(std::io::SeekFrom::End(0))?;
+            f.write_all(&table_frame(table))?;
+            f.sync_data()?;
         } else if (scan.valid_len as usize) < bytes.len() {
             // Torn tail from a mid-append kill: drop it so the next append
             // starts at a record boundary.
@@ -265,7 +331,7 @@ impl RunJournal {
             f.sync_data()?;
         }
         let file = std::fs::OpenOptions::new().append(true).open(&path)?;
-        Ok((Self::from_file(file, path), scan.records))
+        Ok((Self::from_file(file, path, table), scan.records))
     }
 
     /// Scan a journal file without opening it for writing — the crash
@@ -274,13 +340,7 @@ impl RunJournal {
     pub fn scan(path: impl AsRef<Path>) -> Result<JournalScan, JournalError> {
         let bytes = std::fs::read(path.as_ref())?;
         if bytes.is_empty() {
-            return Ok(JournalScan {
-                header: None,
-                header_end: 0,
-                record_ends: Vec::new(),
-                valid_len: 0,
-                records: Vec::new(),
-            });
+            return Ok(JournalScan::empty());
         }
         scan_bytes(&bytes)
     }
@@ -295,7 +355,7 @@ impl RunJournal {
     /// [`RunJournal::append`] over borrowed parts — the fit loop's form,
     /// which avoids cloning a freshly fitted feature model just to log it.
     pub(crate) fn append_parts(&self, rec: &RecordParts<'_>) -> Result<(), JournalError> {
-        self.append_bodies(std::iter::once(record_body(rec)))
+        self.append_bodies(std::iter::once(record_body(rec, &self.table)))
     }
 
     /// Frame, checksum, and write a batch of pre-serialized record bodies,
@@ -431,32 +491,51 @@ fn sync_parent_dir(path: &Path) {
     }
 }
 
-/// Frame record bodies as `rec <len> <crc32 hex>\n<body>` into one buffer;
-/// returns the buffer and the number of records in it.
+/// Append `body` framed as `<word> <len> <crc32 hex>\n<body>` to `buf`.
+fn push_frame(buf: &mut Vec<u8>, word: &str, body: &[u8]) {
+    buf.extend_from_slice(format!("{word} {} {:08x}\n", body.len(), crc32(body)).as_bytes());
+    buf.extend_from_slice(body);
+}
+
+/// Frame record bodies into one buffer; returns the buffer and the number
+/// of records in it.
 fn frame(bodies: impl Iterator<Item = Vec<u8>>) -> (Vec<u8>, usize) {
     let mut buf = Vec::new();
     let mut n_records = 0usize;
     for body in bodies {
-        buf.extend_from_slice(format!("rec {} {:08x}\n", body.len(), crc32(&body)).as_bytes());
-        buf.extend_from_slice(&body);
+        push_frame(&mut buf, RECORD_FRAME, &body);
         n_records += 1;
     }
     (buf, n_records)
 }
 
+/// The framed table record of a journal whose records are coded over
+/// `table`. Its body counts as journal bytes, like a record's.
+fn table_frame(table: &PoolSpec) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    table.write_bin(&mut w);
+    let body = w.finish();
+    frac_learn::telemetry::counter_add(frac_learn::telemetry::Counter::JournalBytes, body.len() as u64);
+    let mut buf = Vec::new();
+    push_frame(&mut buf, TABLE_FRAME, &body);
+    buf
+}
+
 /// Replace the journal at `path` with a current-version journal holding
-/// `records`: written beside it, fsynced, then renamed over it, so a crash
+/// `table` and `records`: written beside it, fsynced, then renamed over it, so a crash
 /// mid-rewrite leaves the old file intact.
 fn rewrite_current(
     path: &Path,
     header: &JournalHeader,
+    table: &PoolSpec,
     records: &[TargetRecord],
 ) -> Result<(), JournalError> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     let mut bytes = header_text(header).into_bytes();
-    bytes.extend(frame(records.iter().map(|r| record_body(&r.as_parts()))).0);
+    bytes.extend(table_frame(table));
+    bytes.extend(frame(records.iter().map(|r| record_body(&r.as_parts(), table))).0);
     {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(&bytes)?;
@@ -509,6 +588,23 @@ pub(crate) fn mismatch_detail(found: &JournalHeader, expected: &JournalHeader) -
          delete it or point --journal elsewhere to start fresh",
         parts.join("; ")
     )
+}
+
+/// Why a scanned journal's table cannot serve a run whose pool is `pool`:
+/// a stored table (v3) must be `pool` exactly; a table folded from an
+/// older journal's records must agree with `pool` on every feature it
+/// covers. `None` when it can.
+pub(crate) fn table_mismatch(scan: &JournalScan, pool: &PoolSpec) -> Option<String> {
+    let table = scan.table.as_ref()?;
+    let differs = if scan.version < JOURNAL_VERSION {
+        table.first_difference(&pool.restricted(|j| table.covers(j)))
+    } else {
+        table.first_difference(pool)
+    }?;
+    Some(format!(
+        "journal was written by a different run (its encoder table differs from this run's \
+         at feature {differs}); delete it or point --journal elsewhere to start fresh"
+    ))
 }
 
 /// Read one `\n`-terminated line starting at `pos`. `None` when no full
@@ -593,75 +689,111 @@ fn parse_header(bytes: &[u8]) -> Result<Option<ParsedHeader>, JournalError> {
     }
 }
 
-fn scan_bytes(bytes: &[u8]) -> Result<JournalScan, JournalError> {
-    scan_versioned(bytes).map(|(scan, _)| scan)
+/// The frame at `pos` — its word, its body and the offset just past it —
+/// when the frame line is spelled exactly as a writer spells it and the
+/// body's checksum passes; `None` for anything else (a torn or damaged
+/// tail).
+fn read_frame(bytes: &[u8], pos: usize) -> Option<(&str, &[u8], usize)> {
+    let (line, body_start) = read_line(bytes, pos)?;
+    let mut fields = line.split_whitespace();
+    let word = fields.next()?;
+    let len = fields.next()?.parse::<usize>().ok()?;
+    let crc = u32::from_str_radix(fields.next()?, 16).ok()?;
+    // One spelling per frame: a line the writer would not produce (hex
+    // case, leading zeros, extra fields) is damage like any other.
+    if line != format!("{word} {len} {crc:08x}") {
+        return None;
+    }
+    // The length comes from the file: a frame claiming more bytes than
+    // remain (or than an address can hold) is a torn or damaged tail.
+    let end = body_start.checked_add(len)?;
+    let body = bytes.get(body_start..end)?;
+    (crc32(body) == crc).then_some((word, body, end))
 }
 
-/// Scan a journal's bytes; also returns its format version (the current
-/// one for a torn header, which is rewritten fresh).
-fn scan_versioned(bytes: &[u8]) -> Result<(JournalScan, u32), JournalError> {
+/// Scan a journal's bytes (a torn header scans as the current version, and
+/// is rewritten fresh on open).
+fn scan_bytes(bytes: &[u8]) -> Result<JournalScan, JournalError> {
     let Some((header, version, header_end)) = parse_header(bytes)? else {
-        let scan = JournalScan {
-            header: None,
-            header_end: 0,
-            record_ends: Vec::new(),
-            valid_len: 0,
-            records: Vec::new(),
-        };
-        return Ok((scan, JOURNAL_VERSION));
+        return Ok(JournalScan::empty());
     };
+    let corrupt = |what: &str, e: ByteError| JournalError::Corrupt(format!("{what} {e}"));
     let mut pos = header_end;
+    let mut table = None;
+    if version >= 3 {
+        match read_frame(bytes, pos) {
+            Some((TABLE_FRAME, body, end)) => {
+                let mut r = ByteReader::new(body);
+                let t = PoolSpec::parse_bin(&mut r).map_err(|e| corrupt("encoder table", e))?;
+                r.finish("encoder table").map_err(|e| corrupt("encoder table", e))?;
+                table = Some(t);
+                pos = end;
+            }
+            Some((RECORD_FRAME, ..)) => {
+                return Err(JournalError::Corrupt(
+                    "a target record comes before the encoder table".into(),
+                ))
+            }
+            // Torn or damaged: the valid region ends at the header.
+            _ => {}
+        }
+    }
+    let table_end = pos;
     let mut record_ends = Vec::new();
     let mut records = Vec::new();
-    while pos < bytes.len() {
-        let Some((line, body_start)) = read_line(bytes, pos) else { break };
-        let mut fields = line.split_whitespace();
-        if fields.next() != Some("rec") {
-            break;
-        }
-        let (Some(len), Some(crc)) = (
-            fields.next().and_then(|v| v.parse::<usize>().ok()),
-            fields.next().and_then(|v| u32::from_str_radix(v, 16).ok()),
-        ) else {
-            break;
-        };
-        // One spelling per frame: a line the writer would not produce (hex
-        // case, leading zeros, extra fields) is damage like any other.
-        if line != format!("rec {len} {crc:08x}") {
-            break;
-        }
-        // The length comes from the file: a frame claiming more bytes than
-        // remain (or than an address can hold) is a torn or damaged tail.
-        let Some(end) = body_start.checked_add(len) else { break };
-        let Some(body) = bytes.get(body_start..end) else { break };
-        if crc32(body) != crc {
-            break;
-        }
+    let mut fold = LegacyFold::default();
+    let mut sections = table.as_ref().map(SectionReader::new);
+    while let Some((RECORD_FRAME, body, end)) = read_frame(bytes, pos) {
         // The frame checksum passed, so these are exactly the bytes a
         // writer committed: a parse failure here is format skew, not a
         // torn write, and silently truncating would discard good work.
         let rec = if version == 1 {
             let text = std::str::from_utf8(body)
                 .map_err(|_| JournalError::Corrupt("record body is not UTF-8".into()))?;
-            parse_record_text(text)?
+            parse_record_text(text, &mut fold)?
+        } else if version == 2 {
+            parse_record_body(body, |r| parse_section_v5(r, &mut fold))
+                .map_err(|e| corrupt("record body", e))?
+        } else if let (Some(sections), Some(table)) = (sections.as_mut(), table.as_ref()) {
+            let mut rec = parse_record_body(body, |r| parse_section(r, sections))
+                .map_err(|e| corrupt("record body", e))?;
+            if let Some(fm) = rec.feature.as_mut() {
+                expand_inputs(fm, table);
+            }
+            rec
         } else {
-            parse_record_body(body).map_err(|e| JournalError::Corrupt(format!("record body {e}")))?
+            // A v3 journal without its table has no decodable records.
+            break;
         };
         records.push(rec);
         pos = end;
         record_ends.push(pos as u64);
     }
-    let scan = JournalScan {
+    let table = if version < 3 { Some(fold.finish()) } else { table };
+    Ok(JournalScan {
         header: Some(header),
         header_end: header_end as u64,
+        table,
+        table_end: table_end as u64,
         record_ends,
         valid_len: pos as u64,
         records,
-    };
-    Ok((scan, version))
+        version,
+    })
 }
 
-/// Binary event tags of a v2 record (FORMATS.md §4).
+/// Rewrite every predictor of `fm` to list its inputs explicitly: records
+/// leave the journal with inputs that mean the same over any table.
+fn expand_inputs(fm: &mut FeatureModel, table: &PoolSpec) {
+    for fp in &mut fm.predictors {
+        if fp.inputs == Inputs::AllButTarget {
+            fp.inputs =
+                Inputs::List(fp.inputs.features(table, fm.target).map(|j| j as u32).collect());
+        }
+    }
+}
+
+/// Binary event tags of a v2/v3 record (FORMATS.md §4).
 const EV_SANITIZED: u8 = 0;
 const EV_ALL_MISSING: u8 = 1;
 const EV_ZERO_VARIANCE: u8 = 2;
@@ -752,8 +884,8 @@ fn read_event(r: &mut ByteReader<'_>) -> Result<TargetOutcome, ByteError> {
     })
 }
 
-/// Serialize a v2 record body.
-pub(crate) fn record_body(rec: &RecordParts<'_>) -> Vec<u8> {
+/// Serialize a v3 record body, its feature section coded over `table`.
+pub(crate) fn record_body(rec: &RecordParts<'_>, table: &PoolSpec) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.len32(rec.target);
     w.u8(if rec.feature.is_some() { STATUS_FITTED } else { STATUS_DROPPED });
@@ -766,14 +898,18 @@ pub(crate) fn record_body(rec: &RecordParts<'_>) -> Vec<u8> {
         write_event(&mut w, outcome);
     }
     if let Some(fm) = rec.feature {
-        write_section(&mut w, fm);
+        write_section(&mut w, fm, table);
     }
     w.finish()
 }
 
-/// Parse a v2 record body: every field, every event, the feature section
-/// of a fitted target, and nothing after it.
-fn parse_record_body(body: &[u8]) -> Result<TargetRecord, ByteError> {
+/// Parse a binary (v2 or v3) record body: every field, every event, the
+/// feature section of a fitted target (decoded by `section`), and nothing
+/// after it.
+fn parse_record_body(
+    body: &[u8],
+    section: impl FnOnce(&mut ByteReader<'_>) -> Result<FeatureModel, ByteError>,
+) -> Result<TargetRecord, ByteError> {
     let mut r = ByteReader::new(body);
     let target = r.index("record target")?;
     let at = r.offset();
@@ -793,7 +929,7 @@ fn parse_record_body(body: &[u8]) -> Result<TargetRecord, ByteError> {
     }
     let feature = if fitted {
         let at = r.offset();
-        let fm = parse_section(&mut r)?;
+        let fm = section(&mut r)?;
         if fm.target != target {
             return Err(ByteError::new(
                 at,
@@ -852,8 +988,8 @@ fn parse_event(fields: &[&str]) -> Result<TargetOutcome, JournalError> {
     }
 }
 
-/// Parse a v1 (text) record body.
-fn parse_record_text(text: &str) -> Result<TargetRecord, JournalError> {
+/// Parse a v1 (text) record body, folding its encoders into `fold`.
+fn parse_record_text(text: &str, fold: &mut LegacyFold) -> Result<TargetRecord, JournalError> {
     let corrupt = |e: frac_dataset::textio::TextError| JournalError::Corrupt(e.to_string());
     let mut r = TextReader::new(text);
     let target: usize = r.parse_one("target").map_err(corrupt)?;
@@ -879,7 +1015,7 @@ fn parse_record_text(text: &str) -> Result<TargetRecord, JournalError> {
         health.push(parse_event(&fields)?);
     }
     let feature = if fitted {
-        let fm = parse_feature(&mut r).map_err(corrupt)?;
+        let fm = parse_feature(&mut r, fold).map_err(corrupt)?;
         if fm.target != target {
             return Err(JournalError::Corrupt(format!(
                 "record for target {target} carries a model for target {}",
@@ -915,6 +1051,11 @@ mod tests {
         }
     }
 
+    /// The encoder table of a run whose plan reads no feature.
+    fn table() -> PoolSpec {
+        frac_dataset::SpecFold::new().finish()
+    }
+
     fn dropped_record(target: usize) -> TargetRecord {
         TargetRecord {
             target,
@@ -937,7 +1078,7 @@ mod tests {
     fn create_append_scan_roundtrip() {
         let path = tmp_path("roundtrip.fjr");
         std::fs::remove_file(&path).ok();
-        let j = RunJournal::create(&path, &header()).unwrap();
+        let j = RunJournal::create(&path, &header(), &table()).unwrap();
         j.append(&dropped_record(0)).unwrap();
         j.append(&dropped_record(2)).unwrap();
         assert!(!j.is_broken());
@@ -962,7 +1103,7 @@ mod tests {
     fn torn_tail_is_truncated_on_open() {
         let path = tmp_path("torn.fjr");
         std::fs::remove_file(&path).ok();
-        let j = RunJournal::create(&path, &header()).unwrap();
+        let j = RunJournal::create(&path, &header(), &table()).unwrap();
         j.append(&dropped_record(0)).unwrap();
         drop(j);
         let intact = std::fs::metadata(&path).unwrap().len();
@@ -971,7 +1112,7 @@ mod tests {
         f.write_all(b"rec 999 0123ab").unwrap();
         drop(f);
 
-        let (j, records) = RunJournal::open_or_create(&path, &header()).unwrap();
+        let (j, records) = RunJournal::open_or_create(&path, &header(), &table()).unwrap();
         assert_eq!(records.len(), 1);
         drop(j);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
@@ -981,11 +1122,11 @@ mod tests {
     fn header_mismatch_is_an_error_not_a_truncation() {
         let path = tmp_path("mismatch.fjr");
         std::fs::remove_file(&path).ok();
-        let j = RunJournal::create(&path, &header()).unwrap();
+        let j = RunJournal::create(&path, &header(), &table()).unwrap();
         j.append(&dropped_record(1)).unwrap();
         drop(j);
         let other = JournalHeader { config_hash: 0x99, ..header() };
-        match RunJournal::open_or_create(&path, &other) {
+        match RunJournal::open_or_create(&path, &other, &table()) {
             Err(JournalError::Mismatch(m)) => {
                 // The message names the differing hash with both values and
                 // stays silent about the parts that agree.
@@ -1006,7 +1147,7 @@ mod tests {
     fn torn_header_starts_fresh_but_foreign_file_errors() {
         let path = tmp_path("tornheader.fjr");
         std::fs::write(&path, "fracjournal 1\nconfig 00000000000000ab\n").unwrap();
-        let (j, records) = RunJournal::open_or_create(&path, &header()).unwrap();
+        let (j, records) = RunJournal::open_or_create(&path, &header(), &table()).unwrap();
         assert!(records.is_empty());
         drop(j);
         assert_eq!(RunJournal::scan(&path).unwrap().header, Some(header()));
@@ -1014,7 +1155,7 @@ mod tests {
         let foreign = tmp_path("foreign.txt");
         std::fs::write(&foreign, "definitely not a journal\n").unwrap();
         assert!(matches!(
-            RunJournal::open_or_create(&foreign, &header()),
+            RunJournal::open_or_create(&foreign, &header(), &table()),
             Err(JournalError::Corrupt(_))
         ));
         std::fs::remove_file(&path).ok();
@@ -1053,8 +1194,13 @@ mod tests {
             model_bytes: 3,
             n_models: 4,
         };
-        let body = record_body(&rec.as_parts());
-        let back = parse_record_body(&body).unwrap();
+        let parse = |body: &[u8]| {
+            let table = table();
+            let mut sections = SectionReader::new(&table);
+            parse_record_body(body, |r| parse_section(r, &mut sections))
+        };
+        let body = record_body(&rec.as_parts(), &table());
+        let back = parse(&body).unwrap();
         assert_eq!(back.target, 5);
         // Every event survives as written, multi-line details included.
         assert_eq!(back.health, rec.health);
@@ -1062,22 +1208,22 @@ mod tests {
             (back.flops, back.transient, back.model_bytes, back.n_models),
             (1, 2, 3, 4)
         );
-        assert_eq!(record_body(&back.as_parts()), body, "one byte image per record");
+        assert_eq!(record_body(&back.as_parts(), &table()), body, "one byte image per record");
         // A trailing byte, an unknown event tag and a bad status are
         // refused, each at its offset.
         let mut trailing = body.clone();
         trailing.push(0);
-        let err = parse_record_body(&trailing).err().unwrap();
+        let err = parse(&trailing).err().unwrap();
         assert!(err.to_string().contains("trailing byte"), "{err}");
         let first_event = 4 + 1 + 4 * 8 + 4;
         let mut unknown = body.clone();
         unknown[first_event] = 99;
-        let err = parse_record_body(&unknown).err().unwrap();
+        let err = parse(&unknown).err().unwrap();
         assert_eq!(err.offset, first_event, "{err}");
         assert!(err.to_string().contains("unknown event tag 99"), "{err}");
         let mut status = body;
         status[4] = 7;
-        let err = parse_record_body(&status).err().unwrap();
+        let err = parse(&status).err().unwrap();
         assert!(err.to_string().contains("bad record status 7"), "{err}");
     }
 
@@ -1085,7 +1231,7 @@ mod tests {
     fn a_frame_claiming_more_bytes_than_an_address_holds_ends_the_valid_region() {
         let path = tmp_path("hugeframe.fjr");
         std::fs::remove_file(&path).ok();
-        let j = RunJournal::create(&path, &header()).unwrap();
+        let j = RunJournal::create(&path, &header(), &table()).unwrap();
         j.append(&dropped_record(0)).unwrap();
         drop(j);
         let intact = std::fs::metadata(&path).unwrap().len();
@@ -1099,29 +1245,37 @@ mod tests {
     }
 
     /// A v1 journal (text bodies) as the v1 writer left it scans through
-    /// the text reader; opening it for append rewrites it as v2 with the
-    /// same records, so appends never mix encodings.
+    /// the text reader, its records' encoders folded into one table;
+    /// opening it for append rewrites it as v3 with the same records, so
+    /// appends never mix encodings.
     #[test]
-    fn v1_journals_scan_and_are_rewritten_as_v2_on_open() {
+    fn v1_journals_scan_and_are_rewritten_as_v3_on_open() {
         let v1 = include_bytes!("../tests/fixtures/mixed-a.v1.frj");
         let scan = scan_bytes(v1).unwrap();
         let header = scan.header.unwrap();
         assert_eq!(scan.records.len(), 7);
         assert_eq!(scan.valid_len as usize, v1.len());
+        let folded = scan.table.clone().expect("a v1 journal's records fold into a table");
         let path = tmp_path("upgrade.fjr");
         std::fs::write(&path, v1).unwrap();
-        let (j, records) = RunJournal::open_or_create(&path, &header).unwrap();
+        let (j, records) = RunJournal::open_or_create(&path, &header, &folded).unwrap();
         assert_eq!(records.len(), 7);
         j.append(&dropped_record(42)).unwrap();
         drop(j);
         let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(b"fracjournal 2\n"));
+        assert!(bytes.starts_with(b"fracjournal 3\n"));
         let rescan = RunJournal::scan(&path).unwrap();
         assert_eq!(rescan.records.len(), 8);
+        assert_eq!(rescan.table.unwrap().first_difference(&folded), None);
         for (a, b) in scan.records.iter().zip(&rescan.records) {
             assert_eq!(a.target, b.target);
             assert_eq!(a.health, b.health);
             assert_eq!(a.feature.is_some(), b.feature.is_some());
+            // Inputs come back as the same explicit lists.
+            let inputs = |r: &TargetRecord| {
+                r.feature.iter().flat_map(|f| f.predictors.iter().map(|p| p.inputs.clone())).collect::<Vec<_>>()
+            };
+            assert_eq!(inputs(a), inputs(b));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1130,7 +1284,7 @@ mod tests {
     fn bit_flip_in_record_invalidates_only_the_tail() {
         let path = tmp_path("bitflip.fjr");
         std::fs::remove_file(&path).ok();
-        let j = RunJournal::create(&path, &header()).unwrap();
+        let j = RunJournal::create(&path, &header(), &table()).unwrap();
         j.append(&dropped_record(0)).unwrap();
         j.append(&dropped_record(1)).unwrap();
         drop(j);

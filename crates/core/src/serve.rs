@@ -54,7 +54,7 @@
 //! round-trip `Display`, so re-parsing reproduces the exact bits),
 //! `err <seq> <reason>`, `busy <seq>`, or `ok <seq> <detail>` for commands.
 
-use crate::model::{FracModel, PredictorModel};
+use crate::model::{FracModel, Inputs, PredictorModel};
 use frac_dataset::io as dio;
 use frac_dataset::{Dataset, FeatureKind, Schema};
 use frac_learn::telemetry::{self, Counter, Stage};
@@ -359,8 +359,9 @@ impl ReplySink {
 
 /// Check that `model` can score records of `schema` without panicking in the
 /// encode pool: every target index in range, every predictor's kind matching
-/// the schema's kind at that index, and every design spec's input widths
-/// consistent with the schema. Errors name the first mismatch. This is the
+/// the schema's kind at that index and every one of its inputs in the
+/// model's encoder table, then the table consistent with the schema
+/// (checked once). Errors name the first mismatch. This is the
 /// compatibility gate run before a model is served or swapped in, and
 /// before `frac score --model` scores a test file.
 pub fn validate_model(model: &FracModel, schema: &Schema) -> Result<(), String> {
@@ -389,12 +390,17 @@ pub fn validate_model(model: &FracModel, schema: &Schema) -> Result<(), String> 
                     "target {t} (`{name}`): model predicts {have} feature but the schema says `{kind}`"
                 ));
             }
-            fp.spec
-                .validate_against(schema)
-                .map_err(|e| format!("target {t} (`{name}`): {e}"))?;
+            // A marker's inputs are table features by definition.
+            if let Inputs::List(list) = &fp.inputs {
+                if let Some(j) = list.iter().find(|&&j| !model.table.covers(j as usize)) {
+                    return Err(format!(
+                        "target {t} (`{name}`): input feature {j} is not in the model's encoder table"
+                    ));
+                }
+            }
         }
     }
-    Ok(())
+    model.table.validate_against(schema)
 }
 
 /// A scoring daemon, constructed once and then driven by

@@ -654,6 +654,10 @@ fn finish_and_merge(
         }
     }
 
+    // The merge's encoder table: a shard journal's table must be its
+    // shard's slice of it, or its records were fitted under other
+    // encoders.
+    let run = FracModel::prepare(train, plan, config);
     let mut journal_health = RunHealth::default();
     let mut records: Vec<TargetRecord> = Vec::new();
     for (k, sub) in subs.iter().enumerate() {
@@ -685,6 +689,15 @@ fn finish_and_merge(
                 });
             }
         }
+        let reads = crate::model::plan_features(sub, train.n_features());
+        let shard_pool = run.table().restricted(|j| reads.binary_search(&j).is_ok());
+        if let Some(detail) = journal::table_mismatch(&scan, &shard_pool) {
+            return Err(ShardError::Journal {
+                shard: k,
+                path,
+                source: JournalError::Mismatch(detail),
+            });
+        }
         let mut health = RunHealth {
             targets_planned: sub.n_targets(),
             ..RunHealth::default()
@@ -700,7 +713,7 @@ fn finish_and_merge(
     }
 
     let (mut model, report) =
-        FracModel::fit_pooled(train, plan, config, None, None, budget, None, records);
+        FracModel::fit_prepared(&run, plan, config, None, None, budget, None, records);
     model.shard_restarts = stats.iter().map(|s| s.restarts).collect();
     Ok(ShardRun { model, report, stats, journal_health })
 }

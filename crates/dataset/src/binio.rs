@@ -1,5 +1,5 @@
 //! Little-endian binary (de)serialization substrate: the byte codec behind
-//! model v5 files and v2 run-journal records (FORMATS.md §3–4).
+//! binary model files and run-journal records (FORMATS.md §3–4).
 //!
 //! [`ByteWriter`] appends fixed-width little-endian fields to a growing
 //! buffer; [`ByteReader`] reads them back with a bounds check on every

@@ -35,16 +35,81 @@ enum FeatureEncoder {
     },
 }
 
-/// Binary encoder tags (FORMATS.md §3).
+/// Binary encoder tags (FORMATS.md §3), and the table tag of a feature
+/// without an encoder.
 const ENC_REAL: u8 = 0;
 const ENC_RAW: u8 = 1;
 const ENC_ONEHOT: u8 = 2;
+const ENC_ABSENT: u8 = 0xFF;
 
 impl FeatureEncoder {
     fn width(&self) -> usize {
         match self {
             FeatureEncoder::Real { .. } | FeatureEncoder::RealRaw { .. } => 1,
             FeatureEncoder::OneHot { arity } => *arity as usize,
+        }
+    }
+
+    /// Whether `other` is the same encoder with the same parameter bits.
+    fn same_bits(&self, other: &FeatureEncoder) -> bool {
+        match (self, other) {
+            (
+                FeatureEncoder::Real { mean: m1, inv_std: s1 },
+                FeatureEncoder::Real { mean: m2, inv_std: s2 },
+            ) => m1.to_bits() == m2.to_bits() && s1.to_bits() == s2.to_bits(),
+            (FeatureEncoder::RealRaw { mean: m1 }, FeatureEncoder::RealRaw { mean: m2 }) => {
+                m1.to_bits() == m2.to_bits()
+            }
+            (FeatureEncoder::OneHot { arity: a1 }, FeatureEncoder::OneHot { arity: a2 }) => a1 == a2,
+            _ => false,
+        }
+    }
+
+    /// The encoder's tag, then its fields.
+    fn write_bin(&self, w: &mut crate::binio::ByteWriter) {
+        match self {
+            FeatureEncoder::Real { mean, inv_std } => {
+                w.u8(ENC_REAL);
+                w.f64(*mean);
+                w.f64(*inv_std);
+            }
+            FeatureEncoder::RealRaw { mean } => {
+                w.u8(ENC_RAW);
+                w.f64(*mean);
+            }
+            FeatureEncoder::OneHot { arity } => {
+                w.u8(ENC_ONEHOT);
+                w.u32(*arity);
+            }
+        }
+    }
+
+    /// The fields of an encoder whose tag, read at byte `at`, was `tag`.
+    fn parse_bin(
+        tag: u8,
+        at: usize,
+        r: &mut crate::binio::ByteReader<'_>,
+    ) -> Result<FeatureEncoder, crate::binio::ByteError> {
+        Ok(match tag {
+            ENC_REAL => FeatureEncoder::Real {
+                mean: r.f64("encoder mean")?,
+                inv_std: r.f64("encoder inv_std")?,
+            },
+            ENC_RAW => FeatureEncoder::RealRaw { mean: r.f64("encoder mean")? },
+            ENC_ONEHOT => FeatureEncoder::OneHot { arity: r.u32("encoder arity")? },
+            tag => {
+                return Err(crate::binio::ByteError::new(at, format!("unknown encoder tag {tag}")))
+            }
+        })
+    }
+
+    /// Whether this encoder can encode a column of `kind`: a real encoder
+    /// a real column, a one-hot of arity `k` a `k`-ary categorical.
+    fn fits_kind(&self, kind: FeatureKind) -> bool {
+        match (self, kind) {
+            (FeatureEncoder::Real { .. } | FeatureEncoder::RealRaw { .. }, FeatureKind::Real) => true,
+            (FeatureEncoder::OneHot { arity }, FeatureKind::Categorical { arity: a }) => *arity == a,
+            _ => false,
         }
     }
 }
@@ -95,63 +160,9 @@ impl DesignSpec {
         &self.input_features
     }
 
-    /// Check that this spec can encode datasets of `schema`: every input
-    /// index in range, and every encoder's width matching the feature's
-    /// one-hot width (a real encoder on a real feature, a k-wide one-hot
-    /// on a k-ary categorical). Used to vet a reloaded model against a
-    /// serving schema before it is allowed anywhere near the score path —
-    /// a mismatch would otherwise surface as an out-of-bounds panic deep
-    /// in the encode pool.
-    pub fn validate_against(&self, schema: &crate::schema::Schema) -> Result<(), String> {
-        for (&j, enc) in self.input_features.iter().zip(&self.encoders) {
-            if j >= schema.len() {
-                return Err(format!(
-                    "input feature {j} out of range for a schema of {} features",
-                    schema.len()
-                ));
-            }
-            let want = schema.kind(j).one_hot_width();
-            if enc.width() != want {
-                return Err(format!(
-                    "feature {j} (`{}`): encoded width {} does not match schema kind `{}`",
-                    schema.feature(j).name,
-                    enc.width(),
-                    schema.kind(j)
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Serialize this spec into a [`crate::binio::ByteWriter`] (model v5
-    /// and journal v2 feature sections): the input count, the input
-    /// feature indices, then one tagged encoder per input.
-    pub fn write_bin(&self, w: &mut crate::binio::ByteWriter) {
-        w.len32(self.input_features.len());
-        for &j in &self.input_features {
-            w.len32(j);
-        }
-        for enc in &self.encoders {
-            match enc {
-                FeatureEncoder::Real { mean, inv_std } => {
-                    w.u8(ENC_REAL);
-                    w.f64(*mean);
-                    w.f64(*inv_std);
-                }
-                FeatureEncoder::RealRaw { mean } => {
-                    w.u8(ENC_RAW);
-                    w.f64(*mean);
-                }
-                FeatureEncoder::OneHot { arity } => {
-                    w.u8(ENC_ONEHOT);
-                    w.u32(*arity);
-                }
-            }
-        }
-    }
-
-    /// Parse a spec previously produced by [`DesignSpec::write_bin`].
-    /// Rejects unknown encoder tags.
+    /// Parse a spec as model v5 files and journal v2 records store one
+    /// per predictor: the input count, the input feature indices, then one
+    /// tagged encoder per input. Rejects unknown encoder tags.
     pub fn parse_bin(
         r: &mut crate::binio::ByteReader<'_>,
     ) -> Result<Self, crate::binio::ByteError> {
@@ -165,17 +176,7 @@ impl DesignSpec {
         let mut n_cols = 0usize;
         for _ in 0..n {
             let at = r.offset();
-            let enc = match r.u8("encoder tag")? {
-                ENC_REAL => FeatureEncoder::Real {
-                    mean: r.f64("encoder mean")?,
-                    inv_std: r.f64("encoder inv_std")?,
-                },
-                ENC_RAW => FeatureEncoder::RealRaw { mean: r.f64("encoder mean")? },
-                ENC_ONEHOT => FeatureEncoder::OneHot { arity: r.u32("encoder arity")? },
-                tag => {
-                    return Err(crate::binio::ByteError::new(at, format!("unknown encoder tag {tag}")))
-                }
-            };
+            let enc = FeatureEncoder::parse_bin(r.u8("encoder tag")?, at, r)?;
             n_cols = n_cols
                 .checked_add(enc.width())
                 .ok_or_else(|| crate::binio::ByteError::new(at, "design width overflows"))?;
@@ -300,10 +301,13 @@ impl FeatureEncoder {
 /// statistics are computed a single time, and any per-target [`DesignSpec`]
 /// is assembled from the pooled encoders by [`PoolSpec::spec_for`] with
 /// bit-identical parameters (same code path fits both).
+///
+/// A fitted model keeps one as its encoder table (model v6, FORMATS.md
+/// §3): the encoders of exactly the features its predictors read, stored
+/// once and shared by every predictor.
 #[derive(Debug, Clone)]
 pub struct PoolSpec {
-    /// Encoder per schema feature; `None` for features left out of the pool
-    /// (e.g. when rebuilt from a persisted model that only used a subset).
+    /// Encoder per schema feature; `None` for features left out of the pool.
     encoders: Vec<Option<FeatureEncoder>>,
     /// `col_offsets[j]` is the first pool column of feature `j`;
     /// `col_offsets[n_features]` == total pool width. Absent features have
@@ -320,22 +324,6 @@ impl PoolSpec {
         for &j in features {
             if encoders[j].is_none() {
                 encoders[j] = Some(FeatureEncoder::fit(train, j, standardize));
-            }
-        }
-        PoolSpec::from_encoders(encoders)
-    }
-
-    /// Rebuild a (possibly sparse) pool spec from per-target specs — the
-    /// scoring path after loading a persisted model, where only the stored
-    /// [`DesignSpec`]s survive. Overlapping features must agree; the first
-    /// occurrence wins (they are identical for any one trained model).
-    pub fn from_specs<'a>(n_features: usize, specs: impl IntoIterator<Item = &'a DesignSpec>) -> Self {
-        let mut encoders: Vec<Option<FeatureEncoder>> = vec![None; n_features];
-        for spec in specs {
-            for (&j, enc) in spec.input_features.iter().zip(&spec.encoders) {
-                if encoders[j].is_none() {
-                    encoders[j] = Some(enc.clone());
-                }
             }
         }
         PoolSpec::from_encoders(encoders)
@@ -367,11 +355,19 @@ impl PoolSpec {
     /// True when feature `j` has a fitted encoder in the pool.
     #[inline]
     pub fn covers(&self, j: usize) -> bool {
-        self.encoders[j].is_some()
+        self.encoders.get(j).is_some_and(Option::is_some)
+    }
+
+    /// The covered features, ascending.
+    pub fn covered(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.encoders.len()).filter(|&j| self.encoders[j].is_some())
     }
 
     /// The pool columns holding feature `j`'s encoded block (empty when the
     /// pool does not cover `j`).
+    ///
+    /// # Panics
+    /// Panics if `j` is at or past [`PoolSpec::n_features`].
     #[inline]
     pub fn col_range(&self, j: usize) -> std::ops::Range<usize> {
         self.col_offsets[j]..self.col_offsets[j + 1]
@@ -387,14 +383,115 @@ impl PoolSpec {
         let mut encoders = Vec::with_capacity(inputs.len());
         let mut n_cols = 0usize;
         for &j in inputs {
-            let enc = self.encoders[j]
-                .as_ref()
+            let enc = self
+                .encoders
+                .get(j)
+                .and_then(Option::as_ref)
                 .unwrap_or_else(|| panic!("feature {j} not covered by the pool"))
                 .clone();
             n_cols += enc.width();
             encoders.push(enc);
         }
         DesignSpec { input_features: inputs.to_vec(), encoders, n_cols }
+    }
+
+    /// The pool with only the covered features `keep` accepts, and no
+    /// absent entry after the last one kept.
+    pub fn restricted(&self, keep: impl Fn(usize) -> bool) -> PoolSpec {
+        let mut encoders: Vec<Option<FeatureEncoder>> = self
+            .encoders
+            .iter()
+            .enumerate()
+            .map(|(j, enc)| enc.clone().filter(|_| keep(j)))
+            .collect();
+        while encoders.last().is_some_and(Option::is_none) {
+            encoders.pop();
+        }
+        PoolSpec::from_encoders(encoders)
+    }
+
+    /// The first feature that one pool covers and the other does not, or
+    /// whose encoders differ in any bit; `None` when the pools are the same
+    /// table. Absent entries past either pool's end count as absent.
+    pub fn first_difference(&self, other: &PoolSpec) -> Option<usize> {
+        let n = self.encoders.len().max(other.encoders.len());
+        fn at(pool: &PoolSpec, j: usize) -> Option<&FeatureEncoder> {
+            pool.encoders.get(j).and_then(Option::as_ref)
+        }
+        (0..n).find(|&j| match (at(self, j), at(other, j)) {
+            (None, None) => false,
+            (Some(a), Some(b)) => !a.same_bits(b),
+            _ => true,
+        })
+    }
+
+    /// Check that this pool can encode datasets of `schema`: every covered
+    /// feature in range, with an encoder of its kind (a real encoder on a
+    /// real feature, a `k`-wide one-hot on a `k`-ary categorical). Used to
+    /// vet a reloaded model's encoder table against a serving schema before
+    /// it is allowed anywhere near the score path — a mismatch would
+    /// otherwise surface as a panic deep in the encoder.
+    pub fn validate_against(&self, schema: &crate::schema::Schema) -> Result<(), String> {
+        for (j, enc) in self.encoders.iter().enumerate() {
+            let Some(enc) = enc else { continue };
+            if j >= schema.len() {
+                return Err(format!(
+                    "input feature {j} out of range for a schema of {} features",
+                    schema.len()
+                ));
+            }
+            if !enc.fits_kind(schema.kind(j)) {
+                return Err(format!(
+                    "feature {j} (`{}`): encoded width {} does not match schema kind `{}`",
+                    schema.feature(j).name,
+                    enc.width(),
+                    schema.kind(j)
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Serialize the pool as an encoder table (model v6 and journal v3,
+    /// FORMATS.md §3): a `u32` length through the last covered feature,
+    /// then per feature a tag byte — absent, or an encoder tag followed by
+    /// the encoder's fields.
+    pub fn write_bin(&self, w: &mut crate::binio::ByteWriter) {
+        let len = self.encoders.iter().rposition(Option::is_some).map_or(0, |j| j + 1);
+        w.len32(len);
+        for enc in &self.encoders[..len] {
+            match enc {
+                Some(enc) => enc.write_bin(w),
+                None => w.u8(ENC_ABSENT),
+            }
+        }
+    }
+
+    /// Parse an encoder table written by [`PoolSpec::write_bin`]. Rejects
+    /// unknown tags and a table whose last entry is absent, so a table has
+    /// one byte image.
+    pub fn parse_bin(
+        r: &mut crate::binio::ByteReader<'_>,
+    ) -> Result<Self, crate::binio::ByteError> {
+        let n = r.count("table features", 1)?;
+        let mut encoders = Vec::with_capacity(n);
+        let mut width = 0usize;
+        let mut last = 0;
+        for _ in 0..n {
+            last = r.offset();
+            let enc = match r.u8("table tag")? {
+                ENC_ABSENT => None,
+                tag => Some(FeatureEncoder::parse_bin(tag, last, r)?),
+            };
+            width = width
+                .checked_add(enc.as_ref().map_or(0, FeatureEncoder::width))
+                .ok_or_else(|| crate::binio::ByteError::new(last, "table width overflows"))?;
+            encoders.push(enc);
+        }
+        if encoders.last().is_some_and(Option::is_none) {
+            return Err(crate::binio::ByteError::new(last, "the table ends in an absent entry"));
+        }
+        Ok(PoolSpec::from_encoders(encoders))
     }
 
     /// Encode every covered feature of `data` once, producing the shared
@@ -438,6 +535,47 @@ impl PoolSpec {
     }
 }
 
+/// The checked fold of per-predictor [`DesignSpec`]s into one [`PoolSpec`]:
+/// how a model or journal record written before encoder tables (model
+/// v1–v5, journal v1–v2), which stores every predictor's own copy of its
+/// inputs' encoders, gets its table.
+#[derive(Debug, Default)]
+pub struct SpecFold {
+    encoders: Vec<Option<FeatureEncoder>>,
+}
+
+impl SpecFold {
+    /// An empty fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fold in `spec`'s encoders. A feature seen before must carry the same
+    /// encoder, bit for bit; `Err(j)` names the first input feature `j`
+    /// whose encoder differs from the copy already folded. The table is
+    /// dense up to the highest feature folded in, so a caller bounds
+    /// indices read from a file before folding them.
+    pub fn add(&mut self, spec: &DesignSpec) -> Result<(), usize> {
+        for (&j, enc) in spec.input_features.iter().zip(&spec.encoders) {
+            if j >= self.encoders.len() {
+                self.encoders.resize(j + 1, None);
+            }
+            match &self.encoders[j] {
+                None => self.encoders[j] = Some(enc.clone()),
+                Some(seen) if seen.same_bits(enc) => {}
+                Some(_) => return Err(j),
+            }
+        }
+        Ok(())
+    }
+
+    /// The folded table: the encoders of exactly the features some folded
+    /// spec reads.
+    pub fn finish(self) -> PoolSpec {
+        PoolSpec::from_encoders(self.encoders)
+    }
+}
+
 /// Every covered feature of a data set, encoded once into one row-major
 /// block. Per-target design matrices are served as [`PoolView`]s that
 /// borrow this storage — encoding work and resident bytes are paid once
@@ -464,12 +602,6 @@ impl EncodedPool {
     #[inline]
     pub fn n_cols(&self) -> usize {
         self.n_cols
-    }
-
-    /// The spec this pool was encoded with.
-    #[inline]
-    pub fn spec(&self) -> &PoolSpec {
-        &self.spec
     }
 
     /// Resident bytes of the shared backing store — charged once per run
@@ -1240,33 +1372,101 @@ mod tests {
         assert_eq!(s.row(2), &[1.0, 2.0, 3.0]);
     }
 
-    fn spec_bytes(spec: &DesignSpec) -> Vec<u8> {
+    /// `spec` as a model v5 file stores it per predictor.
+    fn v5_spec_bytes(spec: &DesignSpec) -> Vec<u8> {
         let mut w = crate::binio::ByteWriter::new();
-        spec.write_bin(&mut w);
+        w.len32(spec.input_features.len());
+        for &j in &spec.input_features {
+            w.len32(j);
+        }
+        for enc in &spec.encoders {
+            enc.write_bin(&mut w);
+        }
         w.finish()
     }
 
     #[test]
-    fn spec_bin_roundtrip() {
+    fn v5_spec_bin_parses() {
         let d = mixed();
         for standardize in [true, false] {
             let spec = DesignSpec::fit(&d, &[0, 2, 1], standardize);
-            let bytes = spec_bytes(&spec);
+            let bytes = v5_spec_bytes(&spec);
             let mut r = crate::binio::ByteReader::new(&bytes);
             let back = DesignSpec::parse_bin(&mut r).unwrap();
             assert!(r.finish("spec").is_ok());
             assert_eq!(back.input_features(), spec.input_features());
             assert_eq!(back.n_cols(), spec.n_cols());
-            // Encodings agree exactly on data, and re-encode to the same bytes.
+            // Encodings agree exactly on data.
             assert_eq!(back.encode(&d), spec.encode(&d));
-            assert_eq!(spec_bytes(&back), bytes);
+            assert_eq!(v5_spec_bytes(&back), bytes);
         }
         // An unknown encoder tag is refused at its offset.
-        let mut bytes = spec_bytes(&DesignSpec::fit(&d, &[0], true));
+        let mut bytes = v5_spec_bytes(&DesignSpec::fit(&d, &[0], true));
         bytes[8] = 9;
         let err = DesignSpec::parse_bin(&mut crate::binio::ByteReader::new(&bytes)).unwrap_err();
         assert_eq!(err.offset, 8, "{err}");
         assert!(err.to_string().contains("unknown encoder tag 9"), "{err}");
+    }
+
+    fn table_bytes(pool: &PoolSpec) -> Vec<u8> {
+        let mut w = crate::binio::ByteWriter::new();
+        pool.write_bin(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn table_bin_roundtrips_to_one_byte_image() {
+        let d = mixed();
+        for standardize in [true, false] {
+            // A gap at feature 1 and an absent trailing feature 2, which the
+            // table leaves out.
+            let pool = PoolSpec::fit(&d, &[0], standardize).restricted(|_| true);
+            let with_gap = PoolSpec::fit(&d, &[0, 2], standardize);
+            for spec in [pool, with_gap, PoolSpec::fit(&d, &[0, 1, 2], standardize)] {
+                let bytes = table_bytes(&spec);
+                let mut r = crate::binio::ByteReader::new(&bytes);
+                let back = PoolSpec::parse_bin(&mut r).unwrap();
+                assert!(r.finish("table").is_ok());
+                assert_eq!(back.first_difference(&spec), None);
+                assert_eq!(back.n_cols(), spec.n_cols());
+                assert_eq!(table_bytes(&back), bytes);
+                assert_eq!(back.encode_rows(&d), spec.encode_rows(&d));
+            }
+        }
+        // Length 3: feature 0, an absent 1, and 2 (a ternary one-hot).
+        let bytes = table_bytes(&PoolSpec::fit(&d, &[0, 2], true));
+        assert_eq!(bytes[..4], 3u32.to_le_bytes());
+        assert_eq!((bytes[4], bytes[4 + 17], bytes[4 + 18]), (ENC_REAL, ENC_ABSENT, ENC_ONEHOT));
+        // An absent last entry and an unknown tag are refused.
+        let parse = |b: &[u8]| PoolSpec::parse_bin(&mut crate::binio::ByteReader::new(b));
+        let mut trailing = bytes.clone();
+        trailing[..4].copy_from_slice(&4u32.to_le_bytes());
+        trailing.push(ENC_ABSENT);
+        let err = parse(&trailing).unwrap_err();
+        assert!(err.to_string().contains("ends in an absent entry"), "{err}");
+        let mut unknown = bytes.clone();
+        unknown[4 + 17] = 7;
+        let err = parse(&unknown).unwrap_err();
+        assert_eq!(err.offset, 4 + 17, "{err}");
+        assert!(err.to_string().contains("unknown encoder tag 7"), "{err}");
+    }
+
+    #[test]
+    fn table_validates_kinds_against_a_schema() {
+        let d = mixed();
+        let pool = PoolSpec::fit(&d, &[0, 2], true);
+        assert!(pool.validate_against(d.schema()).is_ok());
+        // The same table against a schema whose feature 2 is real.
+        let other = DatasetBuilder::new()
+            .real("e1", vec![1.0])
+            .real("e2", vec![1.0])
+            .real("x", vec![1.0])
+            .build();
+        let err = pool.validate_against(other.schema()).unwrap_err();
+        assert!(err.contains("feature 2 (`x`)"), "{err}");
+        let short = DatasetBuilder::new().real("e1", vec![1.0]).build();
+        let err = pool.validate_against(short.schema()).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]
@@ -1345,23 +1545,43 @@ mod tests {
         assert_eq!(assembled.input_features(), fresh.input_features());
         assert_eq!(assembled.n_cols(), fresh.n_cols());
         assert_eq!(assembled.encode(&d), fresh.encode(&d));
-        // Persisted form is identical too (format compatibility).
-        assert_eq!(spec_bytes(&assembled), spec_bytes(&fresh));
+        // The v5 form is identical too, so an old file folds to the table
+        // a fit of today would store.
+        assert_eq!(v5_spec_bytes(&assembled), v5_spec_bytes(&fresh));
     }
 
     #[test]
-    fn pool_from_specs_rebuilds_sparse_pool() {
+    fn spec_fold_builds_the_sparse_table_and_refuses_disagreeing_copies() {
         let d = mixed();
         let s01 = DesignSpec::fit(&d, &[0, 1], true);
         let s10 = DesignSpec::fit(&d, &[1, 0], true);
-        let pool_spec = PoolSpec::from_specs(3, [&s01, &s10]);
+        let mut fold = SpecFold::new();
+        fold.add(&s01).unwrap();
+        fold.add(&s10).unwrap();
+        let pool_spec = fold.finish();
         assert!(pool_spec.covers(0));
         assert!(pool_spec.covers(1));
         assert!(!pool_spec.covers(2));
+        assert_eq!(pool_spec.n_features(), 2, "the fold ends at the last feature read");
+        assert_eq!(pool_spec.first_difference(&PoolSpec::fit(&d, &[0, 1], true)), None);
         let pool = pool_spec.encode(&d);
         assert_eq!(pool.n_cols(), 2);
-        let owned = s01.encode(&d);
-        assert_view_matches(&pool.view(&[0, 1]), &owned);
+        assert_view_matches(&pool.view(&[0, 1]), &s01.encode(&d));
+
+        // A second copy of feature 1's encoder that differs in one bit of
+        // its mean is refused, naming feature 1 ...
+        let mut skewed = s10.clone();
+        let FeatureEncoder::Real { mean, .. } = &mut skewed.encoders[0] else {
+            panic!("e2 is a real feature")
+        };
+        *mean = f64::from_bits(mean.to_bits() ^ 1);
+        let mut fold = SpecFold::new();
+        fold.add(&s01).unwrap();
+        assert_eq!(fold.add(&skewed), Err(1));
+        // ... and so is a raw encoder where the first copy standardizes.
+        let mut fold = SpecFold::new();
+        fold.add(&s01).unwrap();
+        assert_eq!(fold.add(&DesignSpec::fit(&d, &[0], false)), Err(0));
     }
 
     #[test]
@@ -1391,7 +1611,8 @@ mod tests {
     #[test]
     fn pool_views_expose_categorical_blocks_through_row_subsets() {
         let d = mixed();
-        let pool = PoolSpec::fit(&d, &[0, 1, 2], true).encode(&d);
+        let pool_spec = PoolSpec::fit(&d, &[0, 1, 2], true);
+        let pool = pool_spec.encode(&d);
         // Real `e1` is view column 0; the ternary `snp` block follows.
         let view = pool.view(&[0, 2]);
         let blocks = view.cat_blocks().expect("the view has a categorical input");
@@ -1413,7 +1634,7 @@ mod tests {
         // Real-only views, owned matrices and scoring rows have no blocks.
         assert!(pool.view(&[0, 1]).cat_blocks().is_none());
         assert!(DesignSpec::fit(&d, &[2], true).encode(&d).cat_blocks().is_none());
-        assert!(pool.spec().encode_rows(&d).cat_blocks().is_none());
+        assert!(pool_spec.encode_rows(&d).cat_blocks().is_none());
     }
 
     #[test]

@@ -101,9 +101,39 @@ impl GaussianKde {
 
     /// Resubstitution differential-entropy estimate
     /// `Ĥ = −(1/n) Σ_i log f̂(x_i)` (in nats).
+    ///
+    /// Each pair's kernel is computed once and added to both points' sums,
+    /// visiting the pairs row by row, so every point's sum still adds its
+    /// terms in support order. The result has the bits of the per-point
+    /// [`GaussianKde::log_density`] fold: `x_j − x_i = −(x_i − x_j)`
+    /// exactly, so a pair's kernel is the same either way round, and a
+    /// finite point's own term `−0.0` is its largest, which makes the
+    /// log-sum-exp shift exact. Non-finite points take the per-point fold.
     pub fn resubstitution_entropy(&self) -> f64 {
         let n = self.points.len() as f64;
-        let s: f64 = self.points.iter().map(|&x| self.log_density(x)).sum();
+        if !self.points.iter().all(|x| x.is_finite()) {
+            let s: f64 = self.points.iter().map(|&x| self.log_density(x)).sum();
+            return -s / n;
+        }
+        let h = self.bandwidth;
+        let log_norm = (n * h * (2.0 * std::f64::consts::PI).sqrt()).ln();
+        // Sums start where `Iterator::sum` does; every term is positive or
+        // +0.0, so the sign of that start cannot show.
+        let mut sums = vec![-0.0f64; self.points.len()];
+        let mut s = -0.0f64;
+        for (i, &xi) in self.points.iter().enumerate() {
+            // The point's own term: exp(−0.0).
+            sums[i] += 1.0;
+            let (own, later) = sums[i..].split_first_mut().expect("i < n");
+            for (sum, &xj) in later.iter_mut().zip(&self.points[i + 1..]) {
+                let z = (xi - xj) / h;
+                let k = (-0.5 * z * z).exp();
+                *own += k;
+                *sum += k;
+            }
+            // Every term of point i is in: rows after i add to later points only.
+            s += own.ln() - log_norm;
+        }
         -s / n
     }
 }
@@ -184,6 +214,39 @@ mod tests {
     fn constant_feature_has_very_low_entropy() {
         let kde = GaussianKde::fit(&[5.0; 40]);
         assert!(kde.resubstitution_entropy() < -1.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The pairwise fold has the bits of the per-point `log_density`
+        /// fold, on samples with duplicates, constant samples and single
+        /// points, under the fitted and explicit bandwidths.
+        #[test]
+        fn pairwise_entropy_matches_the_per_point_fold(
+            n in 1usize..200,
+            distinct in 1usize..40,
+            scale in 1e-6f64..1e6,
+            seed in 0u64..u64::MAX,
+            bandwidth in 1e-4f64..10.0,
+        ) {
+            // `distinct` values drawn with repetition: duplicates whenever
+            // n > distinct, a constant sample at distinct = 1.
+            let values = gaussian_sample(distinct, 0.5, scale, seed);
+            let pts: Vec<f64> = (0..n).map(|i| values[(i * 7 + i / 3) % distinct]).collect();
+            for kde in [GaussianKde::fit(&pts), GaussianKde::with_bandwidth(&pts, bandwidth)] {
+                let per_point: f64 = pts.iter().map(|&x| kde.log_density(x)).sum();
+                let want = -per_point / pts.len() as f64;
+                proptest::prop_assert_eq!(kde.resubstitution_entropy().to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_points_take_the_per_point_fold() {
+        let kde = GaussianKde::with_bandwidth(&[0.0, f64::INFINITY, 1.0], 0.5);
+        let per_point: f64 = [0.0, f64::INFINITY, 1.0].iter().map(|&x| kde.log_density(x)).sum();
+        assert_eq!(kde.resubstitution_entropy().to_bits(), (-per_point / 3.0).to_bits());
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   chunked bounded-memory encode); see `FORMATS.md` for the byte layout.
 //! * [`mmap`] — the read-only memory-map wrapper FCB files and models load
 //!   through.
-//! * [`binio`] — the little-endian byte codec of model files (v5) and
-//!   run-journal records (v2); [`textio`] reads the text versions before
+//! * [`binio`] — the little-endian byte codec of model files (v5–v6)
+//!   and run-journal records (v2–v3); [`textio`] reads the text versions before
 //!   them.
 //! * [`quarantine`] — degenerate-input screening (NaN/Inf cells,
 //!   zero-variance columns, single-class categoricals, all-missing targets)
@@ -61,7 +61,7 @@ pub use fcb::{FcbError, FcbFile, FcbInfo, FcbWriter};
 pub use mmap::MmapFile;
 pub use design::{
     CatBlock, CatBlocks, ColRef, DesignMatrix, DesignView, EncodedPool, PackedDesign, PoolSpec,
-    PoolView, RowSubset,
+    PoolView, RowSubset, SpecFold,
 };
 pub use kde::GaussianKde;
 pub use quarantine::{FeatureScreen, QuarantineReason, ScreenReport};

@@ -2,8 +2,8 @@
 //!
 //! Model files up to v4 and v1 run-journal records were plain text: one
 //! record per line, `tag value value …`, with floats in their shortest
-//! round-trip representation. Those formats are read-only now (model v5
-//! and journal v2 are binary, see [`crate::binio`]), but every file
+//! round-trip representation. Those formats are read-only now (model v6
+//! and journal v3 are binary, see [`crate::binio`]), but every file
 //! already on disk stays loadable through this reader, bit-exactly.
 
 /// Reader side: consume tagged lines with typed field extraction.

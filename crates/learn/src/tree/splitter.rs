@@ -6,8 +6,8 @@
 //! * **Count tables** for the one-hot block of every categorical input whose
 //!   codes the view exposes ([`DesignView::cat_blocks`]: pool views and row
 //!   subsets of them). Classification scores every indicator of a block
-//!   from the block's `(arity + 1) × classes` count table, whose last row
-//!   counts missing codes. The search itself counts nothing: it reads the
+//!   from the block's `arity × classes` count table; a missing code is in
+//!   no row, as it sets no indicator. The search itself counts nothing: it reads the
 //!   node's tables, which [`count_tables`] fills for every block in one
 //!   buffer after resolving the samples to storage rows once
 //!   ([`count_rows`] counts given storage rows). The grower searches only
@@ -382,10 +382,11 @@ pub(crate) fn count_tables(
 
 /// Fill `tables` with the count table of every block over the storage
 /// `rows`, labelled `labels`, block after block: block `b` takes
-/// `(b.arity + 1) × classes` counts, row `c` holding the class counts of
-/// `code == c` and the last row those of missing codes. Returns the row ×
-/// block cells counted. Polls `budget` every [`SCAN_CHECK_ELEMS`] counted
-/// elements.
+/// `b.arity × classes` counts, row `c` holding the class counts of
+/// `code == c`. A missing code is counted in no row: the search reads
+/// only rows `0..arity`. Returns the row × block cells counted (rows with
+/// missing codes included). Polls `budget` every [`SCAN_CHECK_ELEMS`]
+/// counted elements.
 ///
 /// Counts are `u32`: 2³² rows or more could wrap one, so they are refused
 /// as [`TrainError::AllocOverflow`] (its `cols` are the blocks' indicator
@@ -404,7 +405,7 @@ pub(crate) fn count_rows(
         let cols = blocks.iter().map(|b| b.arity).sum();
         return Err(TrainError::AllocOverflow { rows: n, cols });
     }
-    tables.resize(blocks.iter().map(|b| (b.arity + 1) * classes).sum(), 0);
+    tables.resize(blocks.iter().map(|b| b.arity * classes).sum(), 0);
     let (mut offset, mut since_check) = (0usize, 0usize);
     for block in blocks {
         since_check += n;
@@ -412,12 +413,14 @@ pub(crate) fn count_rows(
             budget.check()?;
             since_check = 0;
         }
-        let width = block.arity;
-        let table = &mut tables[offset..offset + (width + 1) * classes];
+        let table = &mut tables[offset..offset + block.arity * classes];
         offset += table.len();
         for (&r, &l) in rows.iter().zip(labels) {
-            let code = (block.codes[r] as usize).min(width);
-            table[code * classes + l as usize] += 1;
+            // A missing code (`MISSING_CODE`) lands past the table's end;
+            // labels are below `classes`, so only missing codes do.
+            if let Some(cell) = table.get_mut(block.codes[r] as usize * classes + l as usize) {
+                *cell += 1;
+            }
         }
     }
     Ok((n * blocks.len()) as u64)
@@ -517,10 +520,9 @@ fn classification_search(
             Unit::Block(block) => {
                 // Row `c` of the block's table holds the class counts of
                 // `code == c` — the indicator's right side.
-                let width = block.arity;
-                let table = &tables[offset..offset + (width + 1) * arity];
+                let table = &tables[offset..offset + block.arity * arity];
                 offset += table.len();
-                for (c, right) in table.chunks_exact(arity).take(width).enumerate() {
+                for (c, right) in table.chunks_exact(arity).enumerate() {
                     let n_right: usize = right.iter().map(|&k| k as usize).sum();
                     if !indicator_splits(n_right, n, min_leaf) {
                         continue;
@@ -1516,7 +1518,7 @@ mod tests {
         let mut tables = Vec::new();
         let counted = count_tables(&samples, &view, &|r| ys[r], 2, &mut s, &mut tables, &budget);
         assert_eq!(counted, Err(TrainError::DeadlineExceeded));
-        let full = vec![1u32; 80 * 4 * 2];
+        let full = vec![1u32; 80 * 3 * 2];
         let derived = subtract_tables(&mut full.clone(), &full, &budget);
         assert_eq!(derived, Err(TrainError::DeadlineExceeded));
         let reg =

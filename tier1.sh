@@ -137,16 +137,22 @@ timeout 120 ./target/release/frac train \
   --test "$smoke_dir/autism.test.tsv" \
   > "$smoke_dir/score-tsv.tsv" 2> /dev/null
 cmp "$smoke_dir/score-fcb.tsv" "$smoke_dir/score-tsv.tsv"
-# A model has one byte image (model v5), so the two files are identical too.
+# A model has one byte image (model v6), so the two files are identical too.
 cmp "$smoke_dir/autism-fcb.frac" "$smoke_dir/autism-tsv.frac"
 # Split pin: trees use no kernel tier, so the TSV-trained model is the same
-# file on every host. Its last four bytes are the v5 CRC-32 trailer. A
+# file on every host. Its last four bytes are the v6 CRC-32 trailer. A
 # change that moves a chosen split updates this checksum in tier1.pins and
-# says why in CHANGES.md.
+# says why in CHANGES.md. The file's size is pinned beside it, so a change
+# of layout shows as bytes, not only as a checksum.
 model_crc="$(tail -c 4 "$smoke_dir/autism-tsv.frac" | od -An -tx1 | tr -d ' \n')"
 want="$(pin autism_snp.crc)"
 if [ "$model_crc" != "$want" ]; then
   echo "split pin: autism --snp model's crc trailer reads '$model_crc', want '$want'"; exit 1
+fi
+model_bytes="$(wc -c < "$smoke_dir/autism-tsv.frac" | tr -d ' ')"
+want="$(pin autism_snp.model_bytes)"
+if [ "$model_bytes" != "$want" ]; then
+  echo "size pin: autism --snp model reads $model_bytes bytes, want $want"; exit 1
 fi
 # Exact counter gate, tree slice: the same fit's tree nodes, encoded cells
 # and the row x block cells its classification count passes added up. Trees
