@@ -1,6 +1,13 @@
-//! Hand-rolled argument parsing (no CLI dependency).
+//! Argument parsing for `frac`, with no CLI dependency. Each subcommand
+//! lists the flags it accepts; one scanner reads argv against that list,
+//! and typed getters check each value. The serve and shard knobs start
+//! from frac-core's [`ServeConfig`] and [`ShardOptions`] defaults.
 
-use std::path::PathBuf;
+use frac_core::{FaultPlan, FracConfig, ServeConfig, ShardOptions};
+use frac_synth::registry::{lookup, PAPER_DATASETS};
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Full usage text.
@@ -176,21 +183,42 @@ pub enum Command {
     Help,
 }
 
-/// Arguments of `frac train`.
+/// The fit flags `train`, `resume` and `score` share.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrainArgs {
-    /// Reference-cohort TSV.
+pub struct FitArgs {
+    /// Reference-cohort data set.
     pub train: PathBuf,
-    /// Output model path.
-    pub out: PathBuf,
-    /// Variant name (full | filter | entropy).
+    /// Variant name, one the subcommand accepts.
     pub variant: String,
-    /// Keep fraction for filtering variants.
+    /// Keep fraction / inclusion probability, in (0, 1].
     pub p: f64,
     /// Tree models everywhere (SNP data)?
     pub snp: bool,
     /// Master seed.
     pub seed: u64,
+}
+
+impl Default for FitArgs {
+    fn default() -> Self {
+        FitArgs { train: PathBuf::new(), variant: "full".into(), p: 0.05, snp: false, seed: 42 }
+    }
+}
+
+impl FitArgs {
+    /// The fit configuration these flags select.
+    pub fn config(&self) -> FracConfig {
+        let config = if self.snp { FracConfig::snp() } else { FracConfig::default() };
+        config.with_seed(self.seed)
+    }
+}
+
+/// Arguments of `frac train` and `frac resume`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct TrainArgs {
+    /// What to fit.
+    pub fit: FitArgs,
+    /// Output model path.
+    pub out: PathBuf,
     /// Write-ahead journal paths (checkpoint every finished target).
     /// `train` takes at most one; `resume` accepts several (one per shard
     /// of a `--shards` run) or a directory containing them.
@@ -203,38 +231,13 @@ pub struct TrainArgs {
     /// re-invokes the binary with this flag; not part of the public UI).
     pub shard_worker: Option<(usize, usize)>,
     /// Hidden fault injection for the supervisor's process-level fault
-    /// harness, e.g. `crashloop:1` or `abort-after:0:3` (comma-separated).
-    pub shard_fault: Option<String>,
-    /// Worker restarts per shard before in-process reclaim.
-    pub shard_retries: Option<usize>,
-    /// Heartbeat timeout: kill a worker whose journal stops growing.
-    pub shard_heartbeat: Option<Duration>,
-    /// Base restart backoff (doubles per restart).
-    pub shard_backoff: Option<Duration>,
+    /// harness, from `--shard-fault` (e.g. `crashloop:1,abort-after:0:3`).
+    pub shard_faults: FaultPlan,
+    /// Supervisor knobs: `--shard-retries`, `--shard-heartbeat` and
+    /// `--shard-backoff` over [`ShardOptions::default`].
+    pub shard_options: ShardOptions,
     /// Telemetry trace output path (TSV, or JSON for a `.json` extension).
     pub telemetry: Option<PathBuf>,
-}
-
-impl Default for TrainArgs {
-    fn default() -> Self {
-        TrainArgs {
-            train: PathBuf::new(),
-            out: PathBuf::new(),
-            variant: "full".into(),
-            p: 0.05,
-            snp: false,
-            seed: 42,
-            journals: Vec::new(),
-            deadline: None,
-            shards: None,
-            shard_worker: None,
-            shard_fault: None,
-            shard_retries: None,
-            shard_heartbeat: None,
-            shard_backoff: None,
-            telemetry: None,
-        }
-    }
 }
 
 impl TrainArgs {
@@ -248,15 +251,11 @@ impl TrainArgs {
 /// Arguments of `frac score`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreArgs {
-    pub train: PathBuf,
+    pub fit: FitArgs,
     pub model: Option<PathBuf>,
     pub test: PathBuf,
-    pub variant: String,
-    pub p: f64,
     pub members: usize,
     pub dim: usize,
-    pub snp: bool,
-    pub seed: u64,
     pub labels: Option<PathBuf>,
     pub top_features: usize,
 }
@@ -264,15 +263,11 @@ pub struct ScoreArgs {
 impl Default for ScoreArgs {
     fn default() -> Self {
         ScoreArgs {
-            train: PathBuf::new(),
+            fit: FitArgs { variant: "filter-ens".into(), ..FitArgs::default() },
             model: None,
             test: PathBuf::new(),
-            variant: "filter-ens".into(),
-            p: 0.05,
             members: 10,
             dim: 64,
-            snp: false,
-            seed: 42,
             labels: None,
             top_features: 0,
         }
@@ -280,7 +275,7 @@ impl Default for ScoreArgs {
 }
 
 /// Arguments of `frac serve`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServeArgs {
     /// Saved model to serve (CRC-verified at startup and on reload).
     pub model: PathBuf,
@@ -288,45 +283,11 @@ pub struct ServeArgs {
     pub schema: PathBuf,
     /// TCP listen address; `None` = stdin/stdout pipe mode.
     pub listen: Option<String>,
-    /// Most records scored per batch.
-    pub batch_max: usize,
-    /// Admission queue bound (full queue sheds with `busy`).
-    pub queue_cap: usize,
-    /// Per-request deadline while queued.
-    pub request_timeout: Duration,
-    /// Bound on the shutdown drain.
-    pub drain_timeout: Duration,
-    /// Longest accepted request line, in bytes.
-    pub max_line_bytes: usize,
+    /// Daemon knobs: `--batch-max`, `--queue-cap`, `--request-timeout`,
+    /// `--drain-timeout` and `--max-line-bytes` over [`ServeConfig::default`].
+    pub config: ServeConfig,
     /// Where to write the serve telemetry trace on exit, if anywhere.
     pub telemetry: Option<PathBuf>,
-}
-
-impl Default for ServeArgs {
-    fn default() -> Self {
-        ServeArgs {
-            model: PathBuf::new(),
-            schema: PathBuf::new(),
-            listen: None,
-            batch_max: 64,
-            queue_cap: 1024,
-            request_timeout: Duration::from_secs(5),
-            drain_timeout: Duration::from_secs(5),
-            max_line_bytes: 1 << 20,
-            telemetry: None,
-        }
-    }
-}
-
-fn take_value<'a>(
-    argv: &'a [String],
-    i: &mut usize,
-    flag: &str,
-) -> Result<&'a str, String> {
-    *i += 1;
-    argv.get(*i)
-        .map(String::as_str)
-        .ok_or_else(|| format!("{flag} requires a value"))
 }
 
 /// Parse a human duration: `500ms`, `2s`, `5m`, `1h`, or a bare number of
@@ -349,86 +310,184 @@ pub fn parse_duration(s: &str) -> Result<Duration, String> {
     if !(value.is_finite() && value > 0.0) {
         return Err(format!("duration `{s}` must be positive and finite"));
     }
-    Duration::try_from_secs_f64(value * scale)
-        .map_err(|_| format!("duration `{s}` is too long"))
+    match Duration::try_from_secs_f64(value * scale) {
+        // Under half a nanosecond rounds to zero, which no knob accepts.
+        Ok(d) if d.is_zero() => Err(format!("duration `{s}` is shorter than 1ns")),
+        Ok(d) => Ok(d),
+        Err(_) => Err(format!("duration `{s}` is too long")),
+    }
 }
 
-/// Parse the shared flag set of `train` and `resume`.
-fn parse_train_args(argv: &[String], sub: &str) -> Result<TrainArgs, String> {
-    let mut a = TrainArgs::default();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--train" => a.train = take_value(argv, &mut i, "--train")?.into(),
-            "--out" => a.out = take_value(argv, &mut i, "--out")?.into(),
-            "--variant" => a.variant = take_value(argv, &mut i, "--variant")?.into(),
-            "--p" => {
-                a.p = take_value(argv, &mut i, "--p")?
-                    .parse()
-                    .map_err(|_| "--p expects a float".to_string())?
+/// Every flag takes the next argument as its value, except these.
+const SWITCHES: [&str; 1] = ["--snp"];
+
+const FIT_FLAGS: &str = "--train --variant --p --snp --seed";
+const TRAIN_FLAGS: &str = "--out --journal --deadline --shards --shard-worker --shard-fault \
+                           --shard-retries --shard-heartbeat --shard-backoff --telemetry";
+const SERVE_FLAGS: &str = "--model --schema --listen --batch-max --queue-cap --request-timeout \
+                           --drain-timeout --max-line-bytes --telemetry";
+
+const TRAIN_VARIANTS: &[&str] = &["full", "filter", "entropy"];
+const SCORE_VARIANTS: &[&str] = &["full", "filter", "filter-ens", "entropy", "diverse", "jl"];
+
+/// A subcommand: its name, the flags it accepts (in whitespace-separated
+/// groups), and how its command is built from the flags given.
+type Subcommand = (&'static str, &'static [&'static str], fn(&Flags) -> Result<Command, String>);
+
+const SUBCOMMANDS: [Subcommand; 9] = [
+    ("train", &[FIT_FLAGS, TRAIN_FLAGS], train),
+    ("resume", &[FIT_FLAGS, TRAIN_FLAGS], resume),
+    ("score", &[FIT_FLAGS, "--model --test --members --dim --labels --top-features"], score),
+    ("entropy", &["--data --top"], entropy),
+    ("inspect-telemetry", &["--file --top"], inspect_telemetry),
+    ("serve", &[SERVE_FLAGS], serve),
+    ("pack", &["--data --out --chunk-rows"], pack),
+    ("info", &["--data"], info),
+    ("generate", &["--dataset --out --seed"], generate),
+];
+
+/// Parse an argv (without the program name).
+pub fn parse(argv: &[String]) -> Result<Command, String> {
+    let sub = argv.first().map(String::as_str).unwrap_or("help");
+    if matches!(sub, "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let (_, accepted, build) = SUBCOMMANDS
+        .iter()
+        .find(|(name, ..)| *name == sub)
+        .ok_or_else(|| format!("unknown subcommand `{sub}`"))?;
+    build(&Flags::scan(sub, &argv[1..], accepted)?)
+}
+
+/// The flags given to one subcommand, in argv order.
+struct Flags<'a> {
+    sub: &'a str,
+    given: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Read `args` (the argv after subcommand `sub`) against the flags it
+    /// accepts. A switch's value is empty; any other flag takes the next
+    /// argument as its value, whatever it looks like.
+    fn scan(sub: &'a str, args: &'a [String], accepted: &[&str]) -> Result<Self, String> {
+        let mut given = Vec::new();
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(flag) = rest.next() {
+            if !accepted.iter().any(|flags| flags.split_whitespace().any(|a| a == flag)) {
+                return Err(format!("unknown flag `{flag}` for {sub}"));
             }
-            "--snp" => a.snp = true,
-            "--seed" => {
-                a.seed = take_value(argv, &mut i, "--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?
-            }
-            "--journal" => a.journals.push(take_value(argv, &mut i, "--journal")?.into()),
-            "--deadline" => {
-                a.deadline = Some(parse_duration(take_value(argv, &mut i, "--deadline")?)?)
-            }
-            "--shards" => {
-                a.shards = Some(
-                    take_value(argv, &mut i, "--shards")?
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n >= 1)
-                        .ok_or_else(|| "--shards expects an integer >= 1".to_string())?,
-                )
-            }
-            "--shard-worker" => {
-                let spec = take_value(argv, &mut i, "--shard-worker")?;
-                let parsed = spec.split_once('/').and_then(|(k, n)| {
-                    let k: usize = k.parse().ok()?;
-                    let n: usize = n.parse().ok()?;
-                    (k < n).then_some((k, n))
-                });
-                a.shard_worker = Some(parsed.ok_or_else(|| {
-                    format!("--shard-worker expects K/N with K < N, got `{spec}`")
-                })?);
-            }
-            "--shard-fault" => {
-                a.shard_fault = Some(take_value(argv, &mut i, "--shard-fault")?.to_string())
-            }
-            "--shard-retries" => {
-                a.shard_retries = Some(
-                    take_value(argv, &mut i, "--shard-retries")?
-                        .parse()
-                        .map_err(|_| "--shard-retries expects an integer".to_string())?,
-                )
-            }
-            "--shard-heartbeat" => {
-                a.shard_heartbeat =
-                    Some(parse_duration(take_value(argv, &mut i, "--shard-heartbeat")?)?)
-            }
-            "--shard-backoff" => {
-                a.shard_backoff =
-                    Some(parse_duration(take_value(argv, &mut i, "--shard-backoff")?)?)
-            }
-            "--telemetry" => {
-                a.telemetry = Some(take_value(argv, &mut i, "--telemetry")?.into())
-            }
-            other => return Err(format!("unknown flag `{other}` for {sub}")),
+            let value = if SWITCHES.contains(&flag) {
+                ""
+            } else {
+                rest.next().ok_or_else(|| format!("{flag} requires a value"))?
+            };
+            given.push((flag, value));
         }
-        i += 1;
+        Ok(Flags { sub, given })
     }
-    if a.train.as_os_str().is_empty() || a.out.as_os_str().is_empty() {
-        return Err(format!("{sub} requires --train and --out"));
+
+    /// Every value given for `flag`, in order.
+    fn values<'f>(&'f self, flag: &'f str) -> impl Iterator<Item = &'a str> + 'f {
+        self.given.iter().filter(move |(g, _)| *g == flag).map(|&(_, v)| v)
     }
+
+    /// The value that counts for a single-value flag: the last one given.
+    fn last(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).last()
+    }
+
+    /// Refuse a command that misses one of `flags`, or gives it empty.
+    fn require(&self, flags: &[&str]) -> Result<(), String> {
+        if flags.iter().all(|flag| self.last(flag).is_some_and(|v| !v.is_empty())) {
+            Ok(())
+        } else {
+            Err(format!("{} requires {}", self.sub, flags.join(" and ")))
+        }
+    }
+
+    /// The last value of `flag`, read by `read`. Every value given is read,
+    /// so a bad one is refused even when a later one is good.
+    fn get<T>(
+        &self,
+        flag: &str,
+        read: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.values(flag).try_fold(None, |_, v| read(v).map(Some))
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.last(flag).map(PathBuf::from)
+    }
+
+    fn float(&self, flag: &str) -> Result<Option<f64>, String> {
+        self.get(flag, |v| v.parse().map_err(|_| format!("{flag} expects a float")))
+    }
+
+    fn integer<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.get(flag, |v| v.parse().map_err(|_| format!("{flag} expects an integer")))
+    }
+
+    /// An integer >= 1: a size, or a number of things that must not be none.
+    fn count(&self, flag: &str) -> Result<Option<usize>, String> {
+        self.get(flag, |v| {
+            v.parse()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| format!("{flag} expects an integer >= 1"))
+        })
+    }
+
+    fn duration(&self, flag: &str) -> Result<Option<Duration>, String> {
+        self.get(flag, parse_duration)
+    }
+}
+
+/// The fit flags over `d`'s defaults; `--variant` must name one of
+/// `variants`.
+fn fit_args(f: &Flags, d: FitArgs, variants: &[&str]) -> Result<FitArgs, String> {
+    let variant = f.get("--variant", |v| {
+        if variants.contains(&v) {
+            Ok(v.to_string())
+        } else {
+            Err(format!("unknown {} variant `{v}` ({})", f.sub, variants.join(" | ")))
+        }
+    })?;
+    let a = FitArgs {
+        train: f.path("--train").unwrap_or(d.train),
+        variant: variant.unwrap_or(d.variant),
+        p: f.float("--p")?.unwrap_or(d.p),
+        snp: f.last("--snp").is_some(),
+        seed: f.integer("--seed")?.unwrap_or(d.seed),
+    };
     if !(a.p > 0.0 && a.p <= 1.0) {
         return Err("--p must be in (0, 1]".into());
     }
-    if sub == "train" && a.journals.len() > 1 {
+    Ok(a)
+}
+
+/// The flags of `train` and `resume`.
+fn train_args(f: &Flags) -> Result<TrainArgs, String> {
+    f.require(&["--train", "--out"])?;
+    let d = TrainArgs::default();
+    let a = TrainArgs {
+        fit: fit_args(f, d.fit, TRAIN_VARIANTS)?,
+        out: f.path("--out").unwrap_or_default(),
+        journals: f.values("--journal").map(PathBuf::from).collect(),
+        deadline: f.duration("--deadline")?,
+        shards: f.count("--shards")?,
+        shard_worker: f.get("--shard-worker", parse_shard_worker)?,
+        shard_faults: f.get("--shard-fault", parse_shard_faults)?.unwrap_or_default(),
+        shard_options: ShardOptions {
+            retry_budget: f.integer("--shard-retries")?.unwrap_or(d.shard_options.retry_budget),
+            heartbeat_timeout: f
+                .duration("--shard-heartbeat")?
+                .unwrap_or(d.shard_options.heartbeat_timeout),
+            backoff_base: f.duration("--shard-backoff")?.unwrap_or(d.shard_options.backoff_base),
+            ..d.shard_options
+        },
+        telemetry: f.path("--telemetry"),
+    };
+    if f.sub == "train" && a.journals.len() > 1 {
         return Err("train takes at most one --journal (resume accepts several)".into());
     }
     if a.shards.is_some() && a.shard_worker.is_some() {
@@ -440,247 +499,151 @@ fn parse_train_args(argv: &[String], sub: &str) -> Result<TrainArgs, String> {
     Ok(a)
 }
 
-/// Parse an argv (without the program name).
-pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let sub = argv.first().map(String::as_str).unwrap_or("help");
-    match sub {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "train" => Ok(Command::Train(parse_train_args(argv, "train")?)),
-        "resume" => {
-            let a = parse_train_args(argv, "resume")?;
-            if a.journals.is_empty() {
-                return Err("resume requires --journal".into());
-            }
-            Ok(Command::Resume(a))
-        }
-        "score" => {
-            let mut a = ScoreArgs::default();
-            let mut i = 1;
-            while i < argv.len() {
-                match argv[i].as_str() {
-                    "--train" => a.train = take_value(argv, &mut i, "--train")?.into(),
-                    "--model" => a.model = Some(take_value(argv, &mut i, "--model")?.into()),
-                    "--test" => a.test = take_value(argv, &mut i, "--test")?.into(),
-                    "--variant" => a.variant = take_value(argv, &mut i, "--variant")?.into(),
-                    "--p" => {
-                        a.p = take_value(argv, &mut i, "--p")?
-                            .parse()
-                            .map_err(|_| "--p expects a float".to_string())?
-                    }
-                    "--members" => {
-                        a.members = take_value(argv, &mut i, "--members")?
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n >= 1)
-                            .ok_or_else(|| "--members expects an integer >= 1".to_string())?
-                    }
-                    "--dim" => {
-                        a.dim = take_value(argv, &mut i, "--dim")?
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n >= 1)
-                            .ok_or_else(|| "--dim expects an integer >= 1".to_string())?
-                    }
-                    "--snp" => a.snp = true,
-                    "--seed" => {
-                        a.seed = take_value(argv, &mut i, "--seed")?
-                            .parse()
-                            .map_err(|_| "--seed expects an integer".to_string())?
-                    }
-                    "--labels" => a.labels = Some(take_value(argv, &mut i, "--labels")?.into()),
-                    "--top-features" => {
-                        a.top_features = take_value(argv, &mut i, "--top-features")?
-                            .parse()
-                            .map_err(|_| "--top-features expects an integer".to_string())?
-                    }
-                    other => return Err(format!("unknown flag `{other}` for score")),
-                }
-                i += 1;
-            }
-            if a.test.as_os_str().is_empty()
-                || (a.train.as_os_str().is_empty() && a.model.is_none())
-            {
-                return Err("score requires --test and one of --train / --model".into());
-            }
-            if !(a.p > 0.0 && a.p <= 1.0) {
-                return Err("--p must be in (0, 1]".into());
-            }
-            Ok(Command::Score(a))
-        }
-        "entropy" => {
-            let mut data = PathBuf::new();
-            let mut top = 20usize;
-            let mut i = 1;
-            while i < argv.len() {
-                match argv[i].as_str() {
-                    "--data" => data = take_value(argv, &mut i, "--data")?.into(),
-                    "--top" => {
-                        top = take_value(argv, &mut i, "--top")?
-                            .parse()
-                            .map_err(|_| "--top expects an integer".to_string())?
-                    }
-                    other => return Err(format!("unknown flag `{other}` for entropy")),
-                }
-                i += 1;
-            }
-            if data.as_os_str().is_empty() {
-                return Err("entropy requires --data".into());
-            }
-            Ok(Command::Entropy { data, top })
-        }
-        "inspect-telemetry" => {
-            let mut file = PathBuf::new();
-            let mut top = 10usize;
-            let mut i = 1;
-            while i < argv.len() {
-                match argv[i].as_str() {
-                    "--file" => file = take_value(argv, &mut i, "--file")?.into(),
-                    "--top" => {
-                        top = take_value(argv, &mut i, "--top")?
-                            .parse()
-                            .map_err(|_| "--top expects an integer".to_string())?
-                    }
-                    other => {
-                        return Err(format!("unknown flag `{other}` for inspect-telemetry"))
-                    }
-                }
-                i += 1;
-            }
-            if file.as_os_str().is_empty() {
-                return Err("inspect-telemetry requires --file".into());
-            }
-            Ok(Command::InspectTelemetry { file, top })
-        }
-        "serve" => {
-            let mut a = ServeArgs::default();
-            let mut i = 1;
-            while i < argv.len() {
-                match argv[i].as_str() {
-                    "--model" => a.model = take_value(argv, &mut i, "--model")?.into(),
-                    "--schema" => a.schema = take_value(argv, &mut i, "--schema")?.into(),
-                    "--listen" => {
-                        a.listen = Some(take_value(argv, &mut i, "--listen")?.to_string())
-                    }
-                    "--batch-max" => {
-                        a.batch_max = take_value(argv, &mut i, "--batch-max")?
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n >= 1)
-                            .ok_or_else(|| "--batch-max expects an integer >= 1".to_string())?
-                    }
-                    "--queue-cap" => {
-                        a.queue_cap = take_value(argv, &mut i, "--queue-cap")?
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n >= 1)
-                            .ok_or_else(|| "--queue-cap expects an integer >= 1".to_string())?
-                    }
-                    "--request-timeout" => {
-                        a.request_timeout =
-                            parse_duration(take_value(argv, &mut i, "--request-timeout")?)?
-                    }
-                    "--drain-timeout" => {
-                        a.drain_timeout =
-                            parse_duration(take_value(argv, &mut i, "--drain-timeout")?)?
-                    }
-                    "--max-line-bytes" => {
-                        a.max_line_bytes = take_value(argv, &mut i, "--max-line-bytes")?
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n >= 1)
-                            .ok_or_else(|| {
-                                "--max-line-bytes expects an integer >= 1".to_string()
-                            })?
-                    }
-                    "--telemetry" => {
-                        a.telemetry = Some(take_value(argv, &mut i, "--telemetry")?.into())
-                    }
-                    other => return Err(format!("unknown flag `{other}` for serve")),
-                }
-                i += 1;
-            }
-            if a.model.as_os_str().is_empty() || a.schema.as_os_str().is_empty() {
-                return Err("serve requires --model and --schema".into());
-            }
-            Ok(Command::Serve(a))
-        }
-        "pack" => {
-            let mut data = PathBuf::new();
-            let mut out = PathBuf::new();
-            let mut chunk_rows = 8192usize;
-            let mut i = 1;
-            while i < argv.len() {
-                match argv[i].as_str() {
-                    "--data" => data = take_value(argv, &mut i, "--data")?.into(),
-                    "--out" => out = take_value(argv, &mut i, "--out")?.into(),
-                    "--chunk-rows" => {
-                        chunk_rows = take_value(argv, &mut i, "--chunk-rows")?
-                            .parse()
-                            .ok()
-                            .filter(|&n: &usize| n >= 1)
-                            .ok_or_else(|| "--chunk-rows expects an integer >= 1".to_string())?
-                    }
-                    other => return Err(format!("unknown flag `{other}` for pack")),
-                }
-                i += 1;
-            }
-            if data.as_os_str().is_empty() || out.as_os_str().is_empty() {
-                return Err("pack requires --data and --out".into());
-            }
-            Ok(Command::Pack { data, out, chunk_rows })
-        }
-        "info" => {
-            let mut data = PathBuf::new();
-            let mut i = 1;
-            while i < argv.len() {
-                match argv[i].as_str() {
-                    "--data" => data = take_value(argv, &mut i, "--data")?.into(),
-                    other => return Err(format!("unknown flag `{other}` for info")),
-                }
-                i += 1;
-            }
-            if data.as_os_str().is_empty() {
-                return Err("info requires --data".into());
-            }
-            Ok(Command::Info { data })
-        }
-        "generate" => {
-            let mut dataset = String::new();
-            let mut out = PathBuf::new();
-            let mut seed = 0u64;
-            let mut seed_given = false;
-            let mut i = 1;
-            while i < argv.len() {
-                match argv[i].as_str() {
-                    "--dataset" => dataset = take_value(argv, &mut i, "--dataset")?.into(),
-                    "--out" => out = take_value(argv, &mut i, "--out")?.into(),
-                    "--seed" => {
-                        seed = take_value(argv, &mut i, "--seed")?
-                            .parse()
-                            .map_err(|_| "--seed expects an integer".to_string())?;
-                        seed_given = true;
-                    }
-                    other => return Err(format!("unknown flag `{other}` for generate")),
-                }
-                i += 1;
-            }
-            if dataset.is_empty() || out.as_os_str().is_empty() {
-                return Err("generate requires --dataset and --out".into());
-            }
-            if !seed_given {
-                seed = frac_synth::registry::lookup(&dataset)
-                    .ok_or_else(|| {
-                        format!(
-                            "unknown dataset `{dataset}`; valid names: {:?}",
-                            frac_synth::registry::PAPER_DATASETS
-                        )
-                    })?
-                    .default_seed;
-            }
-            Ok(Command::Generate { dataset, out, seed })
-        }
-        other => Err(format!("unknown subcommand `{other}`")),
+fn train(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Train(train_args(f)?))
+}
+
+fn resume(f: &Flags) -> Result<Command, String> {
+    let a = train_args(f)?;
+    if a.journals.is_empty() {
+        return Err("resume requires --journal".into());
     }
+    Ok(Command::Resume(a))
+}
+
+/// `--shard-worker K/N`, with K < N.
+fn parse_shard_worker(spec: &str) -> Result<(usize, usize), String> {
+    let parsed = spec.split_once('/').and_then(|(k, n)| Some((k.parse().ok()?, n.parse().ok()?)));
+    match parsed {
+        Some((k, n)) if k < n => Ok((k, n)),
+        _ => Err(format!("--shard-worker expects K/N with K < N, got `{spec}`")),
+    }
+}
+
+/// Parse the hidden `--shard-fault` spec (comma-separated `crashloop:K` /
+/// `abort-after:K:N`) into a process-level [`FaultPlan`].
+fn parse_shard_faults(spec: &str) -> Result<FaultPlan, String> {
+    let bad = |part: &str| format!("bad --shard-fault `{part}` (crashloop:K | abort-after:K:N)");
+    let mut plan = FaultPlan::none();
+    for part in spec.split(',') {
+        let fields: Vec<&str> = part.split(':').collect();
+        plan = match fields.as_slice() {
+            ["crashloop", k] => plan.with_crashloop_at([k.parse().map_err(|_| bad(part))?]),
+            ["abort-after", k, n] => plan.with_abort_after(
+                k.parse().map_err(|_| bad(part))?,
+                n.parse().map_err(|_| bad(part))?,
+            ),
+            _ => return Err(bad(part)),
+        };
+    }
+    Ok(plan)
+}
+
+/// The argv (after the program name) that runs shard `k` of `n` of the
+/// `train` run `a` as a worker journaling under `base`, with `remaining`
+/// of the run's deadline. [`parse`] reads it back to the same fit.
+pub fn worker_argv(
+    a: &TrainArgs,
+    base: &Path,
+    k: usize,
+    n: usize,
+    remaining: Option<Duration>,
+) -> Vec<OsString> {
+    let fit = &a.fit;
+    let mut argv = vec![OsString::from("train")];
+    for (flag, value) in [
+        ("--train", fit.train.as_os_str()),
+        ("--out", a.out.as_os_str()),
+        ("--variant", fit.variant.as_ref()),
+        ("--p", fit.p.to_string().as_ref()),
+        ("--seed", fit.seed.to_string().as_ref()),
+        ("--journal", base.as_os_str()),
+        ("--shard-worker", format!("{k}/{n}").as_ref()),
+    ] {
+        argv.extend([flag.into(), value.into()]);
+    }
+    if fit.snp {
+        argv.push("--snp".into());
+    }
+    if let Some(d) = remaining {
+        // Deadlines don't cross process boundaries as instants; a
+        // duration re-anchored at worker startup does.
+        argv.extend(["--deadline".into(), format!("{}ms", d.as_millis().max(1)).into()]);
+    }
+    argv
+}
+
+fn score(f: &Flags) -> Result<Command, String> {
+    let d = ScoreArgs::default();
+    let a = ScoreArgs {
+        fit: fit_args(f, d.fit, SCORE_VARIANTS)?,
+        model: f.path("--model"),
+        test: f.path("--test").unwrap_or_default(),
+        members: f.count("--members")?.unwrap_or(d.members),
+        dim: f.count("--dim")?.unwrap_or(d.dim),
+        labels: f.path("--labels"),
+        top_features: f.integer("--top-features")?.unwrap_or(d.top_features),
+    };
+    if a.test.as_os_str().is_empty() || (a.fit.train.as_os_str().is_empty() && a.model.is_none()) {
+        return Err("score requires --test and one of --train / --model".into());
+    }
+    Ok(Command::Score(a))
+}
+
+fn serve(f: &Flags) -> Result<Command, String> {
+    f.require(&["--model", "--schema"])?;
+    let d = ServeConfig::default();
+    Ok(Command::Serve(ServeArgs {
+        model: f.path("--model").unwrap_or_default(),
+        schema: f.path("--schema").unwrap_or_default(),
+        listen: f.last("--listen").map(str::to_string),
+        config: ServeConfig {
+            batch_max: f.count("--batch-max")?.unwrap_or(d.batch_max),
+            queue_cap: f.count("--queue-cap")?.unwrap_or(d.queue_cap),
+            request_timeout: f.duration("--request-timeout")?.unwrap_or(d.request_timeout),
+            drain_timeout: f.duration("--drain-timeout")?.unwrap_or(d.drain_timeout),
+            max_line_bytes: f.count("--max-line-bytes")?.unwrap_or(d.max_line_bytes),
+            ..d
+        },
+        telemetry: f.path("--telemetry"),
+    }))
+}
+
+fn entropy(f: &Flags) -> Result<Command, String> {
+    f.require(&["--data"])?;
+    let top = f.integer("--top")?.unwrap_or(20);
+    Ok(Command::Entropy { data: f.path("--data").unwrap_or_default(), top })
+}
+
+fn inspect_telemetry(f: &Flags) -> Result<Command, String> {
+    f.require(&["--file"])?;
+    let top = f.integer("--top")?.unwrap_or(10);
+    Ok(Command::InspectTelemetry { file: f.path("--file").unwrap_or_default(), top })
+}
+
+fn pack(f: &Flags) -> Result<Command, String> {
+    f.require(&["--data", "--out"])?;
+    Ok(Command::Pack {
+        data: f.path("--data").unwrap_or_default(),
+        out: f.path("--out").unwrap_or_default(),
+        chunk_rows: f.count("--chunk-rows")?.unwrap_or(8192),
+    })
+}
+
+fn info(f: &Flags) -> Result<Command, String> {
+    f.require(&["--data"])?;
+    Ok(Command::Info { data: f.path("--data").unwrap_or_default() })
+}
+
+fn generate(f: &Flags) -> Result<Command, String> {
+    f.require(&["--dataset", "--out"])?;
+    let dataset = f.last("--dataset").unwrap_or_default().to_string();
+    let unknown = || format!("unknown dataset `{dataset}`; valid names: {PAPER_DATASETS:?}");
+    let seed = match f.integer("--seed")? {
+        Some(seed) => seed,
+        None => lookup(&dataset).ok_or_else(unknown)?.default_seed,
+    };
+    Ok(Command::Generate { dataset, out: f.path("--out").unwrap_or_default(), seed })
 }
 
 #[cfg(test)]
@@ -696,8 +659,8 @@ mod tests {
         let cmd = parse(&argv("score --train a.tsv --test b.tsv")).unwrap();
         match cmd {
             Command::Score(a) => {
-                assert_eq!(a.train, PathBuf::from("a.tsv"));
-                assert_eq!(a.variant, "filter-ens");
+                assert_eq!(a.fit.train, PathBuf::from("a.tsv"));
+                assert_eq!(a.fit.variant, "filter-ens");
                 assert_eq!(a.members, 10);
             }
             _ => panic!(),
@@ -713,12 +676,12 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Score(a) => {
-                assert_eq!(a.variant, "jl");
+                assert_eq!(a.fit.variant, "jl");
                 assert_eq!(a.dim, 32);
-                assert_eq!(a.p, 0.1);
+                assert_eq!(a.fit.p, 0.1);
                 assert_eq!(a.members, 4);
-                assert!(a.snp);
-                assert_eq!(a.seed, 7);
+                assert!(a.fit.snp);
+                assert_eq!(a.fit.seed, 7);
                 assert_eq!(a.labels, Some(PathBuf::from("l.txt")));
                 assert_eq!(a.top_features, 5);
             }
@@ -771,6 +734,22 @@ mod tests {
     fn unknown_flags_and_subcommands_rejected() {
         assert!(parse(&argv("score --train a --test b --bogus 1")).is_err());
         assert!(parse(&argv("frobnicate")).is_err());
+    }
+
+    #[test]
+    fn unknown_variants_are_refused_naming_the_accepted_ones() {
+        assert_eq!(
+            parse(&argv("train --train a --out m --variant jl")).unwrap_err(),
+            "unknown train variant `jl` (full | filter | entropy)"
+        );
+        assert_eq!(
+            parse(&argv("score --train a --test b --variant bogus")).unwrap_err(),
+            "unknown score variant `bogus` (full | filter | filter-ens | entropy | diverse | jl)"
+        );
+        for name in ["full", "filter", "entropy"] {
+            let cmd = format!("resume --train a --out m --journal j --variant {name}");
+            assert!(parse(&argv(&cmd)).is_ok(), "{name}");
+        }
     }
 
     #[test]
@@ -830,6 +809,10 @@ mod tests {
         assert!(parse_duration("1e300h").is_err());
         let just_below = Duration::from_secs(10_000_000_000_000_000_000);
         assert_eq!(parse_duration("1e19s").unwrap(), just_below);
+        // Under half a nanosecond rounds to zero, which is refused like `0s`.
+        let err = parse_duration("1e-10s").unwrap_err();
+        assert!(err.contains("`1e-10s`"), "{err}");
+        assert_eq!(parse_duration("1e-9s").unwrap(), Duration::from_nanos(1));
     }
 
     #[test]
@@ -839,11 +822,11 @@ mod tests {
                 assert_eq!(a.model, PathBuf::from("m.frac"));
                 assert_eq!(a.schema, PathBuf::from("train.tsv"));
                 assert_eq!(a.listen, None);
-                assert_eq!(a.batch_max, 64);
-                assert_eq!(a.queue_cap, 1024);
-                assert_eq!(a.request_timeout, Duration::from_secs(5));
-                assert_eq!(a.drain_timeout, Duration::from_secs(5));
-                assert_eq!(a.max_line_bytes, 1 << 20);
+                assert_eq!(a.config.batch_max, 64);
+                assert_eq!(a.config.queue_cap, 1024);
+                assert_eq!(a.config.request_timeout, Duration::from_secs(5));
+                assert_eq!(a.config.drain_timeout, Duration::from_secs(5));
+                assert_eq!(a.config.max_line_bytes, 1 << 20);
                 assert_eq!(a.telemetry, None);
             }
             _ => panic!(),
@@ -857,11 +840,11 @@ mod tests {
         {
             Command::Serve(a) => {
                 assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
-                assert_eq!(a.batch_max, 8);
-                assert_eq!(a.queue_cap, 2);
-                assert_eq!(a.request_timeout, Duration::from_millis(250));
-                assert_eq!(a.drain_timeout, Duration::from_secs(3600));
-                assert_eq!(a.max_line_bytes, 4096);
+                assert_eq!(a.config.batch_max, 8);
+                assert_eq!(a.config.queue_cap, 2);
+                assert_eq!(a.config.request_timeout, Duration::from_millis(250));
+                assert_eq!(a.config.drain_timeout, Duration::from_secs(3600));
+                assert_eq!(a.config.max_line_bytes, 4096);
                 assert_eq!(a.telemetry, Some(PathBuf::from("t.tsv")));
             }
             _ => panic!(),
@@ -903,9 +886,9 @@ mod tests {
         match cmd {
             Command::Train(a) => {
                 assert_eq!(a.shards, Some(4));
-                assert_eq!(a.shard_retries, Some(2));
-                assert_eq!(a.shard_heartbeat, Some(Duration::from_secs(10)));
-                assert_eq!(a.shard_backoff, Some(Duration::from_millis(100)));
+                assert_eq!(a.shard_options.retry_budget, 2);
+                assert_eq!(a.shard_options.heartbeat_timeout, Duration::from_secs(10));
+                assert_eq!(a.shard_options.backoff_base, Duration::from_millis(100));
             }
             _ => panic!(),
         }
@@ -938,6 +921,61 @@ mod tests {
             "train --train a --out m --journal j1 --journal j2"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn shard_fault_specs_parse_and_reject() {
+        let plan = parse_shard_faults("crashloop:1,abort-after:0:3").unwrap();
+        assert!(plan.crashloop_shards.contains(&1));
+        assert_eq!(plan.abort_after_records.get(&0), Some(&3));
+        for bad in ["crashloop", "crashloop:x", "abort-after:1", "nonsense:2"] {
+            assert!(parse_shard_faults(bad).is_err(), "{bad}");
+        }
+        // A bad spec is a usage error, before any input is read.
+        let err = parse(&argv("train --train a --out m --journal j --shards 2 --shard-fault x:1"))
+            .unwrap_err();
+        assert_eq!(err, "bad --shard-fault `x:1` (crashloop:K | abort-after:K:N)");
+    }
+
+    /// The supervisor's worker argv reads back to the same fit, journal
+    /// base, shard and deadline, so a worker never refuses its arguments.
+    #[test]
+    fn worker_argv_parses_back_to_the_same_fit() {
+        let runs = [
+            FitArgs { train: "a.tsv".into(), ..FitArgs::default() },
+            FitArgs {
+                train: "dir/b.fcb".into(),
+                variant: "entropy".into(),
+                p: 0.1 + 0.2,
+                snp: true,
+                seed: 7,
+            },
+        ];
+        for fit in runs {
+            let a = TrainArgs {
+                fit,
+                out: "m.frac".into(),
+                journals: vec!["run.frj".into()],
+                shards: Some(3),
+                ..TrainArgs::default()
+            };
+            for remaining in [None, Some(Duration::from_millis(1500))] {
+                let worker: Vec<String> = worker_argv(&a, Path::new("run.frj"), 2, 3, remaining)
+                    .into_iter()
+                    .map(|s| s.into_string().unwrap())
+                    .collect();
+                match parse(&worker).unwrap() {
+                    Command::Train(w) => {
+                        assert_eq!(w.fit, a.fit);
+                        assert_eq!(w.fit.p.to_bits(), a.fit.p.to_bits());
+                        assert_eq!(w.journals, a.journals);
+                        assert_eq!(w.shard_worker, Some((2, 3)));
+                        assert_eq!(w.deadline, remaining);
+                    }
+                    other => panic!("{other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -986,6 +1024,38 @@ mod tests {
         match cmd {
             Command::Resume(a) => assert_eq!(a.journals.len(), 2),
             _ => panic!(),
+        }
+    }
+
+    /// Flags the supervisor passes to its workers, left out of `USAGE`.
+    const HIDDEN: [&str; 2] = ["--shard-worker", "--shard-fault"];
+
+    #[test]
+    fn usage_and_parser_agree() {
+        let accepted: Vec<&str> = SUBCOMMANDS
+            .iter()
+            .flat_map(|(_, groups, _)| groups.iter().flat_map(|g| g.split_whitespace()))
+            .collect();
+        for flag in &accepted {
+            let documented = USAGE.match_indices(flag).any(|(i, _)| {
+                !USAGE[i + flag.len()..].starts_with(|c: char| c == '-' || c.is_alphanumeric())
+            });
+            assert_eq!(documented, !HIDDEN.contains(flag), "{flag}");
+        }
+        let in_usage = USAGE.match_indices("--").map(|(i, _)| {
+            let end = USAGE[i + 2..]
+                .find(|c: char| c != '-' && !c.is_alphanumeric())
+                .map_or(USAGE.len(), |j| i + 2 + j);
+            &USAGE[i..end]
+        });
+        for flag in in_usage {
+            assert!(accepted.contains(&flag), "USAGE names {flag}, which no subcommand accepts");
+        }
+        let examples: Vec<&str> =
+            USAGE.lines().filter_map(|l| l.strip_prefix("        frac ")).collect();
+        assert_eq!(examples.len(), 3, "{examples:?}");
+        for example in examples {
+            assert!(parse(&argv(example)).is_ok(), "{example}");
         }
     }
 }

@@ -1,15 +1,14 @@
 //! Command implementations.
 
-use crate::args::{Command, ScoreArgs, ServeArgs, TrainArgs, USAGE};
+use crate::args::{worker_argv, Command, ScoreArgs, ServeArgs, TrainArgs, USAGE};
 use frac_core::shard::{
     apply_worker_faults_from_env, expand_journal_paths, resume_shards, shard_journal_path,
     shard_set, train_sharded,
 };
 use frac_core::telemetry::{Counter, TelemetryReport, TelemetrySession};
 use frac_core::{
-    run_variant, ContributionMatrix, FaultPlan, FeatureSelector, FracConfig, FracModel,
-    JournaledFit, RunBudget, validate_model, ServeConfig, Server, ShardOptions, ShardStat,
-    TrainingPlan, Variant,
+    run_variant, ContributionMatrix, FeatureSelector, FracModel, JournaledFit, RunBudget,
+    validate_model, Server, ShardStat, TrainingPlan, Variant,
 };
 use std::time::Duration;
 use frac_dataset::io::{read_tsv, write_tsv};
@@ -143,15 +142,7 @@ fn serve(args: ServeArgs) -> Result<(), Error> {
     // `FracModel::load` errors already name the path.
     let model = FracModel::load(&args.model).map_err(|e| e.to_string())?;
     let n_targets = model.n_targets();
-    let cfg = ServeConfig {
-        batch_max: args.batch_max,
-        queue_cap: args.queue_cap,
-        request_timeout: args.request_timeout,
-        drain_timeout: args.drain_timeout,
-        max_line_bytes: args.max_line_bytes,
-        score_delay: None,
-    };
-    let server = Server::new(model, args.model.clone(), schema, cfg)
+    let server = Server::new(model, args.model.clone(), schema, args.config)
         .map_err(|e| format!("{}: {e}", args.model.display()))?;
     let handle = server.handle();
     let session = if args.telemetry.is_some() { TelemetrySession::start() } else { None };
@@ -239,47 +230,36 @@ fn write_trace(
 }
 
 /// Build the requested variant from CLI flags.
-fn variant_from(args: &ScoreArgs) -> Result<Variant, Error> {
-    Ok(match args.variant.as_str() {
+fn variant_from(args: &ScoreArgs) -> Variant {
+    let p = args.fit.p;
+    match args.fit.variant.as_str() {
         "full" => Variant::Full,
-        "filter" => Variant::FullFilter { selector: FeatureSelector::Random, p: args.p },
+        "filter" => Variant::FullFilter { selector: FeatureSelector::Random, p },
         "filter-ens" => Variant::Ensemble {
-            base: Box::new(Variant::FullFilter {
-                selector: FeatureSelector::Random,
-                p: args.p,
-            }),
+            base: Box::new(Variant::FullFilter { selector: FeatureSelector::Random, p }),
             members: args.members,
         },
-        "entropy" => Variant::FullFilter { selector: FeatureSelector::Entropy, p: args.p },
-        "diverse" => Variant::Diverse { p: args.p.max(0.01), models_per_feature: 1 },
+        "entropy" => Variant::FullFilter { selector: FeatureSelector::Entropy, p },
+        "diverse" => Variant::Diverse { p: p.max(0.01), models_per_feature: 1 },
         "jl" => Variant::JlProject { dim: args.dim, kind: JlMatrixKind::Gaussian },
-        other => return Err(format!("unknown variant `{other}`").into()),
-    })
+        other => unreachable!("the parser refuses score variant `{other}`"),
+    }
 }
 
 fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
-    let train = read_data_at(&args.train)?;
-    let config = if args.snp {
-        FracConfig::snp().with_seed(args.seed)
-    } else {
-        FracConfig::default().with_seed(args.seed)
-    };
-    let plan = match args.variant.as_str() {
+    let train = read_data_at(&args.fit.train)?;
+    let config = args.fit.config();
+    let plan = match args.fit.variant.as_str() {
         "full" => TrainingPlan::full(train.n_features()),
         "filter" => {
-            let selected = FeatureSelector::Random.select(&train, args.p, args.seed);
+            let selected = FeatureSelector::Random.select(&train, args.fit.p, args.fit.seed);
             TrainingPlan::full_filtered(&selected)
         }
         "entropy" => {
-            let selected = FeatureSelector::Entropy.select(&train, args.p, args.seed);
+            let selected = FeatureSelector::Entropy.select(&train, args.fit.p, args.fit.seed);
             TrainingPlan::full_filtered(&selected)
         }
-        other => {
-            return Err(format!(
-                "unknown train variant `{other}` (full | filter | entropy)"
-            )
-            .into())
-        }
+        other => unreachable!("the parser refuses train variant `{other}`"),
     };
     let budget = match args.deadline {
         Some(d) => RunBudget::with_deadline(d),
@@ -301,7 +281,7 @@ fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
     eprintln!(
         "{} {} on {} samples × {} features ({} targets{})…",
         if resuming { "resuming" } else { "fitting" },
-        args.variant,
+        args.fit.variant,
         train.n_rows(),
         train.n_features(),
         plan.n_targets(),
@@ -320,39 +300,12 @@ fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
         // binary, each journaling its own shard; merge is bit-identical to
         // a single-process run.
         let base = args.journal().ok_or("--shards requires --journal")?.clone();
-        let opts = shard_options_from(&args);
-        let faults = match &args.shard_fault {
-            Some(spec) => parse_shard_faults(spec)?,
-            None => FaultPlan::none(),
-        };
         let exe = std::env::current_exe()
             .map_err(|e| format!("cannot locate own binary to spawn workers: {e}"))?;
         let mut spawn = |k: usize, remaining: Option<Duration>| {
             let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("train")
-                .arg("--train")
-                .arg(&args.train)
-                .arg("--out")
-                .arg(&args.out)
-                .arg("--variant")
-                .arg(&args.variant)
-                .arg("--p")
-                .arg(args.p.to_string())
-                .arg("--seed")
-                .arg(args.seed.to_string())
-                .arg("--journal")
-                .arg(&base)
-                .arg("--shard-worker")
-                .arg(format!("{k}/{n_shards}"));
-            if args.snp {
-                cmd.arg("--snp");
-            }
-            if let Some(d) = remaining {
-                // Deadlines don't cross process boundaries as instants; a
-                // duration re-anchored at worker startup does.
-                cmd.arg("--deadline").arg(format!("{}ms", d.as_millis().max(1)));
-            }
-            for (key, value) in faults.worker_env(k) {
+            cmd.args(worker_argv(&args, &base, k, n_shards, remaining));
+            for (key, value) in args.shard_faults.worker_env(k) {
                 cmd.env(key, value);
             }
             cmd.stdout(std::process::Stdio::null()).stderr(std::process::Stdio::null());
@@ -365,7 +318,7 @@ fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
             &budget,
             &base,
             n_shards,
-            &opts,
+            &args.shard_options,
             &mut spawn,
             &mut |e| eprintln!("{e}"),
         )?;
@@ -472,44 +425,6 @@ fn report_journal_fit(fit: &JournaledFit, jpath: &std::path::Path, n_targets: us
     }
 }
 
-/// Supervisor knobs from the CLI flags, defaulting per [`ShardOptions`].
-fn shard_options_from(args: &TrainArgs) -> ShardOptions {
-    let mut opts = ShardOptions::default();
-    if let Some(r) = args.shard_retries {
-        opts.retry_budget = r;
-    }
-    if let Some(h) = args.shard_heartbeat {
-        opts.heartbeat_timeout = h;
-    }
-    if let Some(b) = args.shard_backoff {
-        opts.backoff_base = b;
-    }
-    opts
-}
-
-/// Parse the hidden `--shard-fault` spec (comma-separated `crashloop:K` /
-/// `abort-after:K:N`) into a process-level [`FaultPlan`].
-fn parse_shard_faults(spec: &str) -> Result<FaultPlan, Error> {
-    let bad = |part: &str| -> Error {
-        format!("bad --shard-fault `{part}` (crashloop:K | abort-after:K:N)").into()
-    };
-    let mut plan = FaultPlan::none();
-    for part in spec.split(',') {
-        let fields: Vec<&str> = part.split(':').collect();
-        plan = match fields.as_slice() {
-            ["crashloop", k] => {
-                plan.with_crashloop_at([k.parse().map_err(|_| bad(part))?])
-            }
-            ["abort-after", k, n] => plan.with_abort_after(
-                k.parse().map_err(|_| bad(part))?,
-                n.parse().map_err(|_| bad(part))?,
-            ),
-            _ => return Err(bad(part)),
-        };
-    }
-    Ok(plan)
-}
-
 /// `--top-features K`: one line per scored row naming its `k` largest NS
 /// contributions, largest first (none when `k` is 0).
 fn top_feature_lines(contributions: &ContributionMatrix, schema: &Schema, k: usize) -> Vec<String> {
@@ -567,17 +482,27 @@ fn score_with_model(args: &ScoreArgs, path: &std::path::Path) -> Result<(), Erro
         );
     }
     let contributions = model.contributions(&test);
-    let ns = contributions.ns_scores();
+    print_scores(args, &contributions.ns_scores(), &contributions, test.schema())
+}
+
+/// Print `frac score`'s output: the NS table, then the `--top-features`
+/// lines and the AUC against `--labels` when asked for.
+fn print_scores(
+    args: &ScoreArgs,
+    ns: &[f64],
+    contributions: &ContributionMatrix,
+    schema: &Schema,
+) -> Result<(), Error> {
     println!("sample\tns_score");
     for (r, v) in ns.iter().enumerate() {
         println!("{r}\t{v:.6}");
     }
-    for line in top_feature_lines(&contributions, test.schema(), args.top_features) {
+    for line in top_feature_lines(contributions, schema, args.top_features) {
         eprintln!("{line}");
     }
-    if let Some(lpath) = &args.labels {
-        let labels = read_labels(lpath, ns.len())?;
-        eprintln!("AUC = {:.4}", auc_from_scores(&ns, &labels));
+    if let Some(path) = &args.labels {
+        let labels = read_labels(path, ns.len())?;
+        eprintln!("AUC = {:.4}", auc_from_scores(ns, &labels));
     }
     Ok(())
 }
@@ -586,38 +511,19 @@ fn score(args: ScoreArgs) -> Result<(), Error> {
     if let Some(path) = args.model.clone() {
         return score_with_model(&args, &path);
     }
-    let train = read_data_at(&args.train)?;
+    let train = read_data_at(&args.fit.train)?;
     let test = read_data_at(&args.test)?;
     if train.schema() != test.schema() {
         return Err("train and test schemas differ".into());
     }
-    let variant = variant_from(&args)?;
-    let config = if args.snp {
-        FracConfig::snp().with_seed(args.seed)
-    } else {
-        FracConfig::default().with_seed(args.seed)
-    };
+    let variant = variant_from(&args);
     eprintln!(
         "training {variant} on {} samples × {} features…",
         train.n_rows(),
         train.n_features()
     );
-    let out = run_variant(&train, &test, &variant, &config);
-
-    println!("sample\tns_score");
-    for (r, ns) in out.ns.iter().enumerate() {
-        println!("{r}\t{ns:.6}");
-    }
-
-    for line in top_feature_lines(&out.contributions, test.schema(), args.top_features) {
-        eprintln!("{line}");
-    }
-
-    if let Some(path) = &args.labels {
-        let labels = read_labels(path, out.ns.len())?;
-        eprintln!("AUC = {:.4}", auc_from_scores(&out.ns, &labels));
-    }
-
+    let out = run_variant(&train, &test, &variant, &args.fit.config());
+    print_scores(&args, &out.ns, &out.contributions, test.schema())?;
     eprintln!(
         "resources: {} models, {:.3} Gflop, peak ≈ {:.1} MiB, {:?}",
         out.resources.models_trained,
@@ -740,6 +646,8 @@ fn generate(name: &str, out: &std::path::Path, seed: u64) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::FitArgs;
+    use frac_core::ShardOptions;
 
     #[test]
     fn variant_construction() {
@@ -750,11 +658,9 @@ mod tests {
             ("entropy", "Entropy-filter(p=0.05)"),
             ("jl", "jl(d=64,Gaussian)"),
         ] {
-            a.variant = name.into();
-            assert_eq!(variant_from(&a).unwrap().to_string(), expect_display);
+            a.fit.variant = name.into();
+            assert_eq!(variant_from(&a).to_string(), expect_display);
         }
-        a.variant = "bogus".into();
-        assert!(variant_from(&a).is_err());
     }
 
     #[test]
@@ -770,10 +676,13 @@ mod tests {
         assert_eq!(labels.split_whitespace().count(), test.n_rows());
         // Score with the cheapest variant to exercise the whole path.
         let args = ScoreArgs {
-            train: dir.join("breast.basal.train.tsv"),
+            fit: FitArgs {
+                train: dir.join("breast.basal.train.tsv"),
+                variant: "filter".into(),
+                p: 0.03,
+                ..FitArgs::default()
+            },
             test: dir.join("breast.basal.test.tsv"),
-            variant: "filter".into(),
-            p: 0.03,
             labels: Some(dir.join("breast.basal.labels.txt")),
             top_features: 2,
             ..ScoreArgs::default()
@@ -788,10 +697,13 @@ mod tests {
         generate("breast.basal", &dir, 5).unwrap();
         let model_path = dir.join("model.frac");
         train(TrainArgs {
-            train: dir.join("breast.basal.train.tsv"),
+            fit: FitArgs {
+                train: dir.join("breast.basal.train.tsv"),
+                variant: "filter".into(),
+                p: 0.04,
+                ..FitArgs::default()
+            },
             out: model_path.clone(),
-            variant: "filter".into(),
-            p: 0.04,
             ..TrainArgs::default()
         }, false)
         .unwrap();
@@ -813,20 +725,17 @@ mod tests {
         generate("breast.basal", &dir, 5).unwrap();
         let model_path = dir.join("model.frac");
         let args = ScoreArgs {
-            train: dir.join("breast.basal.train.tsv"),
+            fit: FitArgs {
+                train: dir.join("breast.basal.train.tsv"),
+                variant: "full".into(),
+                ..FitArgs::default()
+            },
             test: dir.join("breast.basal.test.tsv"),
-            variant: "full".into(),
             top_features: 3,
             ..ScoreArgs::default()
         };
         train(
-            TrainArgs {
-                train: args.train.clone(),
-                out: model_path.clone(),
-                variant: "full".into(),
-                seed: args.seed,
-                ..TrainArgs::default()
-            },
+            TrainArgs { fit: args.fit.clone(), out: model_path.clone(), ..TrainArgs::default() },
             false,
         )
         .unwrap();
@@ -834,8 +743,9 @@ mod tests {
         let test = read_data_at(&args.test).unwrap();
         let model = FracModel::load(&model_path).unwrap();
         let saved = top_feature_lines(&model.contributions(&test), test.schema(), 3);
-        let config = FracConfig::default().with_seed(args.seed);
-        let fitted = run_variant(&read_data_at(&args.train).unwrap(), &test, &Variant::Full, &config);
+        let config = args.fit.config();
+        let fitted =
+            run_variant(&read_data_at(&args.fit.train).unwrap(), &test, &Variant::Full, &config);
         let in_process = top_feature_lines(&fitted.contributions, test.schema(), 3);
         assert_eq!(saved.len(), test.n_rows());
         assert!(saved[0].starts_with("sample 0 top features: "), "{}", saved[0]);
@@ -863,10 +773,13 @@ mod tests {
         for (data, out) in [(&tsv_path, "m-tsv.frac"), (&fcb_path, "m-fcb.frac")] {
             train(
                 TrainArgs {
-                    train: data.clone(),
+                    fit: FitArgs {
+                        train: data.clone(),
+                        variant: "filter".into(),
+                        p: 0.04,
+                        ..FitArgs::default()
+                    },
                     out: dir.join(out),
-                    variant: "filter".into(),
-                    p: 0.04,
                     ..TrainArgs::default()
                 },
                 false,
@@ -891,11 +804,14 @@ mod tests {
         let model = dir.join("autism.frac");
         train(
             TrainArgs {
-                train: dir.join("autism.train.tsv"),
+                fit: FitArgs {
+                    train: dir.join("autism.train.tsv"),
+                    snp: true,
+                    variant: "filter".into(),
+                    p: 0.04,
+                    ..FitArgs::default()
+                },
                 out: model.clone(),
-                snp: true,
-                variant: "filter".into(),
-                p: 0.04,
                 ..TrainArgs::default()
             },
             false,
@@ -922,33 +838,19 @@ mod tests {
     }
 
     #[test]
-    fn train_rejects_unknown_variant() {
-        let dir = std::env::temp_dir().join("frac-cli-test-model2");
-        std::fs::create_dir_all(&dir).unwrap();
-        generate("breast.basal", &dir, 5).unwrap();
-        assert!(train(
-            TrainArgs {
-                train: dir.join("breast.basal.train.tsv"),
-                out: dir.join("m.frac"),
-                variant: "jl".into(),
-                ..TrainArgs::default()
-            },
-            false
-        )
-        .is_err());
-    }
-
-    #[test]
     fn journaled_train_then_resume_and_deadline_run() {
         let dir = std::env::temp_dir().join("frac-cli-test-journal");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         generate("breast.basal", &dir, 5).unwrap();
         let base = TrainArgs {
-            train: dir.join("breast.basal.train.tsv"),
+            fit: FitArgs {
+                train: dir.join("breast.basal.train.tsv"),
+                variant: "filter".into(),
+                p: 0.04,
+                ..FitArgs::default()
+            },
             out: dir.join("m.frac"),
-            variant: "filter".into(),
-            p: 0.04,
             journals: vec![dir.join("run.frj")],
             ..TrainArgs::default()
         };
@@ -960,7 +862,8 @@ mod tests {
         let second = std::fs::read(dir.join("m2.frac")).unwrap();
         assert_eq!(first, second);
         // Resuming under a different seed must refuse the journal.
-        let err = train(TrainArgs { seed: 7, ..base.clone() }, true).unwrap_err();
+        let foreign = TrainArgs { fit: FitArgs { seed: 7, ..base.fit.clone() }, ..base.clone() };
+        let err = train(foreign, true).unwrap_err();
         assert!(err.to_string().contains("journal"), "{err}");
         // A resume without any journal on disk is an error, not a fresh run.
         let err = train(
@@ -994,18 +897,24 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         generate("breast.basal", &dir, 5).unwrap();
         let base = TrainArgs {
-            train: dir.join("breast.basal.train.tsv"),
+            fit: FitArgs {
+                train: dir.join("breast.basal.train.tsv"),
+                variant: "filter".into(),
+                p: 0.04,
+                ..FitArgs::default()
+            },
             out: dir.join("m.frac"),
-            variant: "filter".into(),
-            p: 0.04,
             ..TrainArgs::default()
         };
         train(
             TrainArgs {
                 journals: vec![dir.join("run.frj")],
                 shards: Some(2),
-                shard_retries: Some(0),
-                shard_backoff: Some(std::time::Duration::from_millis(1)),
+                shard_options: ShardOptions {
+                    retry_budget: 0,
+                    backoff_base: std::time::Duration::from_millis(1),
+                    ..ShardOptions::default()
+                },
                 ..base.clone()
             },
             false,
@@ -1035,14 +944,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         generate("breast.basal", &dir, 5).unwrap();
         let base = TrainArgs {
-            train: dir.join("breast.basal.train.tsv"),
+            fit: FitArgs {
+                train: dir.join("breast.basal.train.tsv"),
+                variant: "filter".into(),
+                p: 0.04,
+                ..FitArgs::default()
+            },
             out: dir.join("m.frac"),
-            variant: "filter".into(),
-            p: 0.04,
             journals: vec![dir.join("run.frj")],
             shards: Some(2),
-            shard_retries: Some(0),
-            shard_backoff: Some(std::time::Duration::from_millis(1)),
+            shard_options: ShardOptions {
+                retry_budget: 0,
+                backoff_base: std::time::Duration::from_millis(1),
+                ..ShardOptions::default()
+            },
             ..TrainArgs::default()
         };
         train(base.clone(), false).unwrap();
@@ -1065,9 +980,9 @@ mod tests {
         // config hash that differed.
         let err = train(
             TrainArgs {
+                fit: FitArgs { seed: 7, ..base.fit.clone() },
                 journals: vec![dir.clone()],
                 shards: None,
-                seed: 7,
                 ..base
             },
             true,
@@ -1077,26 +992,19 @@ mod tests {
     }
 
     #[test]
-    fn shard_fault_specs_parse_and_reject() {
-        let plan = parse_shard_faults("crashloop:1,abort-after:0:3").unwrap();
-        assert!(plan.crashloop_shards.contains(&1));
-        assert_eq!(plan.abort_after_records.get(&0), Some(&3));
-        for bad in ["crashloop", "crashloop:x", "abort-after:1", "nonsense:2"] {
-            assert!(parse_shard_faults(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
     fn train_with_telemetry_writes_an_inspectable_trace() {
         let dir = std::env::temp_dir().join("frac-cli-test-telemetry");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         generate("breast.basal", &dir, 5).unwrap();
         let base = TrainArgs {
-            train: dir.join("breast.basal.train.tsv"),
+            fit: FitArgs {
+                train: dir.join("breast.basal.train.tsv"),
+                variant: "filter".into(),
+                p: 0.04,
+                ..FitArgs::default()
+            },
             out: dir.join("m.frac"),
-            variant: "filter".into(),
-            p: 0.04,
             ..TrainArgs::default()
         };
         let tpath = dir.join("trace.tsv");
@@ -1140,10 +1048,13 @@ mod tests {
         generate("breast.basal", &dir, 5).unwrap();
         let model_path = dir.join("model.frac");
         train(TrainArgs {
-            train: dir.join("breast.basal.train.tsv"),
+            fit: FitArgs {
+                train: dir.join("breast.basal.train.tsv"),
+                variant: "filter".into(),
+                p: 0.04,
+                ..FitArgs::default()
+            },
             out: model_path.clone(),
-            variant: "filter".into(),
-            p: 0.04,
             ..TrainArgs::default()
         }, false)
         .unwrap();
@@ -1174,9 +1085,12 @@ mod tests {
         generate("breast.basal", &dir, 5).unwrap();
         generate("autism", &dir, 5).unwrap();
         let args = ScoreArgs {
-            train: dir.join("breast.basal.train.tsv"),
+            fit: FitArgs {
+                train: dir.join("breast.basal.train.tsv"),
+                variant: "filter".into(),
+                ..FitArgs::default()
+            },
             test: dir.join("autism.test.tsv"),
-            variant: "filter".into(),
             ..ScoreArgs::default()
         };
         assert!(score(args).is_err());

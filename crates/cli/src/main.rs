@@ -1,14 +1,8 @@
-//! `frac` — command-line FRaC anomaly detection.
-//!
-//! ```text
-//! frac score    --train ref.tsv --test new.tsv [options]   score a cohort
-//! frac entropy  --data x.tsv [--top K]                     rank feature entropies
-//! frac generate --dataset breast.basal --out DIR           write a paper surrogate
-//! frac help                                                this text
-//! ```
-//!
-//! See `frac help` for the full option list. Files use the TSV interchange
-//! format documented in `frac_dataset::io`.
+//! `frac` — command-line FRaC anomaly detection. Its subcommands are
+//! `train`, `resume`, `score`, `serve`, `entropy`, `inspect-telemetry`,
+//! `pack`, `info`, `generate` and `help`; `frac help` lists their flags.
+//! Data sets are read as TSV (the interchange format of `frac_dataset::io`)
+//! or, for files ending in `.fcb`, as memory-mapped, verified FCB files.
 
 mod args;
 mod commands;

@@ -77,7 +77,7 @@ const POLL: Duration = Duration::from_millis(20);
 const LATENCY_CAP: usize = 65_536;
 
 /// Tuning knobs for one serving daemon.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Most records scored in one batch (one encode pool + NS pass).
     pub batch_max: usize,

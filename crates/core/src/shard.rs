@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 /// Supervisor tuning knobs. The defaults suit real worker processes; tests
 /// shrink every interval to keep fault scenarios fast.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardOptions {
     /// Restarts allowed per shard before its remaining targets are
     /// reclaimed in-process.

@@ -27,8 +27,7 @@
 //!   the solver loops, so a stuck target degrades instead of hanging a run.
 //! * [`telemetry`] — hierarchical span tracing and counters for run
 //!   forensics: where each target's fit spent its time, drained into a
-//!   [`telemetry::TelemetryReport`] (compile out with the `telemetry-off`
-//!   feature).
+//!   [`telemetry::TelemetryReport`].
 //!
 //! Every trainer returns the fitted model together with a [`TrainingCost`]
 //! so the evaluation harness can reproduce the paper's time/memory columns

@@ -36,22 +36,12 @@
 //! the disabled fast path... unless they overlap a traced run, in which
 //! case their spans are attributed to the traced session; trace one run
 //! at a time.
-//!
-//! ## Compile-time escape hatch
-//!
-//! Building with the `telemetry-off` cargo feature collapses every probe
-//! to a true no-op (no atomic load, nothing linked); sessions still
-//! resolve but their reports carry only the wall clock and solver-stats
-//! delta. `tier1.sh` builds the CLI both ways.
 
 use crate::solver::stats::{self, SolverStats};
 use std::fmt;
 
-#[cfg(not(feature = "telemetry-off"))]
 use std::cell::RefCell;
-#[cfg(not(feature = "telemetry-off"))]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(not(feature = "telemetry-off"))]
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -555,10 +545,9 @@ fn json_escape(s: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Recorder (compiled out under `telemetry-off`)
+// Recorder
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "telemetry-off"))]
 mod recorder {
     use super::*;
 
@@ -686,14 +675,7 @@ mod recorder {
 
 /// Whether a telemetry session is currently active.
 pub fn enabled() -> bool {
-    #[cfg(not(feature = "telemetry-off"))]
-    {
-        recorder::ENABLED.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(feature = "telemetry-off")]
-    {
-        false
-    }
+    recorder::ENABLED.load(Ordering::Relaxed)
 }
 
 /// An open span; closing (dropping) it records the [`SpanRecord`]. Inert
@@ -701,11 +683,9 @@ pub fn enabled() -> bool {
 /// it (automatic for lexically scoped guards).
 #[must_use = "a span measures the scope it lives in; bind it to a variable"]
 pub struct SpanGuard {
-    #[cfg(not(feature = "telemetry-off"))]
     open: Option<OpenSpan>,
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 struct OpenSpan {
     session: u64,
     id: u64,
@@ -720,43 +700,34 @@ struct OpenSpan {
 /// the thread's innermost open span and inherits the current
 /// [`target_guard`] target.
 pub fn span(stage: Stage) -> SpanGuard {
-    #[cfg(feature = "telemetry-off")]
-    {
-        let _ = stage;
-        SpanGuard {}
+    if !enabled() {
+        return SpanGuard { open: None };
     }
-    #[cfg(not(feature = "telemetry-off"))]
-    {
-        if !enabled() {
+    recorder::REC.with(|rec| {
+        let mut rec = rec.borrow_mut();
+        if !recorder::refresh(&mut rec) {
             return SpanGuard { open: None };
         }
-        recorder::REC.with(|rec| {
-            let mut rec = rec.borrow_mut();
-            if !recorder::refresh(&mut rec) {
-                return SpanGuard { open: None };
-            }
-            rec.seq += 1;
-            let id = ((rec.thread as u64) << 40) | rec.seq;
-            let parent = rec.stack.last().copied().unwrap_or(0);
-            rec.stack.push(id);
-            let start = Instant::now();
-            let base = rec.base.unwrap_or(start);
-            SpanGuard {
-                open: Some(OpenSpan {
-                    session: rec.session,
-                    id,
-                    parent,
-                    stage,
-                    target: rec.target,
-                    start,
-                    start_ns: start.duration_since(base).as_nanos() as u64,
-                }),
-            }
-        })
-    }
+        rec.seq += 1;
+        let id = ((rec.thread as u64) << 40) | rec.seq;
+        let parent = rec.stack.last().copied().unwrap_or(0);
+        rec.stack.push(id);
+        let start = Instant::now();
+        let base = rec.base.unwrap_or(start);
+        SpanGuard {
+            open: Some(OpenSpan {
+                session: rec.session,
+                id,
+                parent,
+                stage,
+                target: rec.target,
+                start,
+                start_ns: start.duration_since(base).as_nanos() as u64,
+            }),
+        }
+    })
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(open) = self.open.take() else { return };
@@ -794,35 +765,25 @@ impl Drop for SpanGuard {
 /// previous target on drop).
 #[must_use = "target attribution lasts while the guard lives"]
 pub struct TargetGuard {
-    #[cfg(not(feature = "telemetry-off"))]
     prev: Option<(u64, i64)>,
 }
 
 /// Attribute subsequent spans on this thread to `target`.
 pub fn target_guard(target: usize) -> TargetGuard {
-    #[cfg(feature = "telemetry-off")]
-    {
-        let _ = target;
-        TargetGuard {}
+    if !enabled() {
+        return TargetGuard { prev: None };
     }
-    #[cfg(not(feature = "telemetry-off"))]
-    {
-        if !enabled() {
+    recorder::REC.with(|rec| {
+        let mut rec = rec.borrow_mut();
+        if !recorder::refresh(&mut rec) {
             return TargetGuard { prev: None };
         }
-        recorder::REC.with(|rec| {
-            let mut rec = rec.borrow_mut();
-            if !recorder::refresh(&mut rec) {
-                return TargetGuard { prev: None };
-            }
-            let prev = rec.target;
-            rec.target = target as i64;
-            TargetGuard { prev: Some((rec.session, prev)) }
-        })
-    }
+        let prev = rec.target;
+        rec.target = target as i64;
+        TargetGuard { prev: Some((rec.session, prev)) }
+    })
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 impl Drop for TargetGuard {
     fn drop(&mut self) {
         let Some((session, prev)) = self.prev.take() else { return };
@@ -838,29 +799,22 @@ impl Drop for TargetGuard {
 /// Add `n` to a counter. A thread-local array add when a session is
 /// active; one relaxed load otherwise.
 pub fn counter_add(counter: Counter, n: u64) {
-    #[cfg(feature = "telemetry-off")]
-    {
-        let _ = (counter, n);
+    if !enabled() || n == 0 {
+        return;
     }
-    #[cfg(not(feature = "telemetry-off"))]
-    {
-        if !enabled() || n == 0 {
-            return;
-        }
-        recorder::REC.with(|rec| {
-            let mut rec = rec.borrow_mut();
-            if recorder::refresh(&mut rec) {
-                let i = counter.index();
-                rec.counters[i] = counter.merge(rec.counters[i], n);
-                // A counter bumped outside any span (e.g. encode cells on
-                // the pool thread) must not strand in the thread-local
-                // array if no span ever flushes it.
-                if rec.stack.is_empty() {
-                    recorder::flush(&mut rec);
-                }
+    recorder::REC.with(|rec| {
+        let mut rec = rec.borrow_mut();
+        if recorder::refresh(&mut rec) {
+            let i = counter.index();
+            rec.counters[i] = counter.merge(rec.counters[i], n);
+            // A counter bumped outside any span (e.g. encode cells on
+            // the pool thread) must not strand in the thread-local
+            // array if no span ever flushes it.
+            if rec.stack.is_empty() {
+                recorder::flush(&mut rec);
             }
-        });
-    }
+        }
+    });
 }
 
 /// An active telemetry session. Obtain with [`TelemetrySession::start`],
@@ -876,30 +830,17 @@ impl TelemetrySession {
     /// Start recording. Returns `None` if another session is already
     /// active in this process.
     pub fn start() -> Option<TelemetrySession> {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            if recorder::ENABLED.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                return None;
-            }
-            let base = Instant::now();
-            let session =
-                recorder::SESSION.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
-            *recorder::lock_global() =
-                Some(recorder::Global { session, base, sinks: Vec::new() });
-            Some(TelemetrySession {
-                start_instant: base,
-                solver_start: stats::snapshot(),
-                finished: false,
-            })
+        if recorder::ENABLED.swap(true, Ordering::SeqCst) {
+            return None;
         }
-        #[cfg(feature = "telemetry-off")]
-        {
-            Some(TelemetrySession {
-                start_instant: Instant::now(),
-                solver_start: stats::snapshot(),
-                finished: false,
-            })
-        }
+        let base = Instant::now();
+        let session = recorder::SESSION.fetch_add(1, Ordering::SeqCst) + 1;
+        *recorder::lock_global() = Some(recorder::Global { session, base, sinks: Vec::new() });
+        Some(TelemetrySession {
+            start_instant: base,
+            solver_start: stats::snapshot(),
+            finished: false,
+        })
     }
 
     /// Stop recording and drain everything into a [`TelemetryReport`].
@@ -916,29 +857,21 @@ impl TelemetrySession {
             gram_builds: after.gram_builds.wrapping_sub(self.solver_start.gram_builds),
             pack_reuses: after.pack_reuses.wrapping_sub(self.solver_start.pack_reuses),
         };
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            recorder::ENABLED.store(false, std::sync::atomic::Ordering::SeqCst);
-            let drained = recorder::lock_global().take();
-            let mut spans = Vec::new();
-            let mut counters = [0u64; N_COUNTERS];
-            if let Some(g) = drained {
-                for sink in g.sinks {
-                    let mut s = sink.lock().unwrap_or_else(|p| p.into_inner());
-                    spans.append(&mut s.spans);
-                    for (c, (acc, sc)) in
-                        Counter::ALL.iter().zip(counters.iter_mut().zip(&s.counters))
-                    {
-                        *acc = c.merge(*acc, *sc);
-                    }
+        recorder::ENABLED.store(false, Ordering::SeqCst);
+        let drained = recorder::lock_global().take();
+        let mut spans = Vec::new();
+        let mut counters = [0u64; N_COUNTERS];
+        if let Some(g) = drained {
+            for sink in g.sinks {
+                let mut s = sink.lock().unwrap_or_else(|p| p.into_inner());
+                spans.append(&mut s.spans);
+                for (c, (acc, sc)) in Counter::ALL.iter().zip(counters.iter_mut().zip(&s.counters))
+                {
+                    *acc = c.merge(*acc, *sc);
                 }
             }
-            TelemetryReport { spans, counters, solver, wall_ns, notes: Vec::new() }
         }
-        #[cfg(feature = "telemetry-off")]
-        {
-            TelemetryReport { solver, wall_ns, ..TelemetryReport::default() }
-        }
+        TelemetryReport { spans, counters, solver, wall_ns, notes: Vec::new() }
     }
 }
 
@@ -947,11 +880,8 @@ impl Drop for TelemetrySession {
         if self.finished {
             return;
         }
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            recorder::ENABLED.store(false, std::sync::atomic::Ordering::SeqCst);
-            recorder::lock_global().take();
-        }
+        recorder::ENABLED.store(false, Ordering::SeqCst);
+        recorder::lock_global().take();
     }
 }
 

@@ -3,8 +3,6 @@
 //! run in their own test binary: no other test here emits spans. One
 //! session per process, so the tests serialize on a lock.
 
-#![cfg(not(feature = "telemetry-off"))]
-
 use frac_dataset::dataset::DatasetBuilder;
 use frac_dataset::{DesignView, PoolSpec};
 use frac_learn::telemetry::{counter_add, span, target_guard, Counter, Stage, TelemetrySession};

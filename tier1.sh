@@ -108,6 +108,13 @@ timeout 120 ./target/release/frac train \
   2> "$smoke_dir/shard.log"
 test -f "$smoke_dir/autism-sharded.frac"
 grep -q "shards merged" "$smoke_dir/shard.log"
+# The healthy worker must parse the argv the supervisor builds for it and
+# finish its own shard: a worker that refused its flags would exit 2, be
+# restarted and reclaimed in-process, and the merged model would still
+# score. Only the crash-looper (exit 101) is restarted.
+grep -qF "restarts per shard [0, 1]" "$smoke_dir/shard.log"
+grep -qxF "shard 0: worker finished (exit 0)" "$smoke_dir/shard.log"
+grep -qxF "shard 1: worker exited incomplete (exit 101)" "$smoke_dir/shard.log"
 ./target/release/frac score \
   --model "$smoke_dir/autism-sharded.frac" \
   --test "$smoke_dir/autism.test.tsv" \
@@ -241,20 +248,12 @@ if [ "$breast_ns1" != "$want" ]; then
   echo "NS pin: breast.basal's first test record reads '$breast_ns1', want '$want'"; exit 1
 fi
 
-# The telemetry-off build must compile every probe away and still pass
-# the same smoke (its trace degenerates to wall clock + solver delta).
-cargo build --release -p frac-cli --features telemetry-off
-rm -rf "$smoke_dir"/*
-run_smoke
-# Leave the default binary in place for anything run after the gate.
-cargo build --release -p frac-cli
-
 # Serve smoke: a release daemon on a loopback socket must score a piped
 # TSV record, quarantine a malformed line without dropping the
 # connection, hot-reload on SIGHUP, reject a corrupt reload candidate
 # and keep serving the old model, and exit 0 on SIGTERM with its
 # counters accounting for both reload outcomes. Uses the model the
-# telemetry-off smoke just trained (the default binary serves it).
+# deadline smoke trained.
 ./target/release/frac serve \
   --model "$smoke_dir/autism.frac" \
   --schema "$smoke_dir/autism.train.tsv" \
