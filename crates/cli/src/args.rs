@@ -56,9 +56,11 @@ USAGE:
       shard journal is verified separately.
 
   frac score --train FILE --test FILE [OPTIONS]
-  frac score --model FILE --test FILE [OPTIONS]
+  frac score --model FILE --test FILE [--labels FILE] [--top-features K]
       Score test samples against an all-normal training cohort, or against
-      a previously saved model (train once, screen forever).
+      a previously saved model (train once, screen forever). A saved model
+      scores as it was fitted, so --model refuses the fit flags below
+      (--train, --variant, --p, --members, --dim, --snp, --seed).
         --variant NAME     full | filter | filter-ens | entropy | diverse | jl
                            (default: filter-ens, the paper's recommendation)
         --p FLOAT          keep fraction / inclusion probability (default 0.05)
@@ -322,6 +324,8 @@ pub fn parse_duration(s: &str) -> Result<Duration, String> {
 const SWITCHES: [&str; 1] = ["--snp"];
 
 const FIT_FLAGS: &str = "--train --variant --p --snp --seed";
+/// The fit flags only `score` takes: its ensembles and projections.
+const SCORE_FIT_FLAGS: &str = "--members --dim";
 const TRAIN_FLAGS: &str = "--out --journal --deadline --shards --shard-worker --shard-fault \
                            --shard-retries --shard-heartbeat --shard-backoff --telemetry";
 const SERVE_FLAGS: &str = "--model --schema --listen --batch-max --queue-cap --request-timeout \
@@ -337,7 +341,7 @@ type Subcommand = (&'static str, &'static [&'static str], fn(&Flags) -> Result<C
 const SUBCOMMANDS: [Subcommand; 9] = [
     ("train", &[FIT_FLAGS, TRAIN_FLAGS], train),
     ("resume", &[FIT_FLAGS, TRAIN_FLAGS], resume),
-    ("score", &[FIT_FLAGS, "--model --test --members --dim --labels --top-features"], score),
+    ("score", &[FIT_FLAGS, SCORE_FIT_FLAGS, "--model --test --labels --top-features"], score),
     ("entropy", &["--data --top"], entropy),
     ("inspect-telemetry", &["--file --top"], inspect_telemetry),
     ("serve", &[SERVE_FLAGS], serve),
@@ -574,6 +578,16 @@ pub fn worker_argv(
 }
 
 fn score(f: &Flags) -> Result<Command, String> {
+    if f.last("--model").is_some() {
+        let mut fit_flags = [FIT_FLAGS, SCORE_FIT_FLAGS]
+            .into_iter()
+            .flat_map(str::split_whitespace);
+        if let Some(flag) = fit_flags.find(|flag| f.last(flag).is_some()) {
+            return Err(format!(
+                "score --model takes no {flag}: a saved model scores as it was fitted"
+            ));
+        }
+    }
     let d = ScoreArgs::default();
     let a = ScoreArgs {
         fit: fit_args(f, d.fit, SCORE_VARIANTS)?,
@@ -711,7 +725,20 @@ mod tests {
             parse(&argv("score --train a --test b --variant jl --dim 0")).unwrap_err(),
             "--dim expects an integer >= 1"
         );
-        assert!(parse(&argv("score --model m --test b --members 1 --dim 1")).is_ok());
+    }
+
+    #[test]
+    fn score_with_a_saved_model_refuses_every_fit_flag() {
+        let outputs = "score --model m --test b --labels l --top-features 3";
+        assert!(parse(&argv(outputs)).is_ok());
+        for flag in ["--train", "--variant", "--p", "--snp", "--seed", "--members", "--dim"] {
+            let value = if flag == "--snp" { "" } else { " 1" };
+            let err = parse(&argv(&format!("score --model m --test b {flag}{value}"))).unwrap_err();
+            assert_eq!(
+                err,
+                format!("score --model takes no {flag}: a saved model scores as it was fitted")
+            );
+        }
     }
 
     #[test]

@@ -51,6 +51,26 @@ fn usage_errors_exit_2_with_the_usage_text() {
 }
 
 #[test]
+fn score_with_a_saved_model_refuses_fit_flags_before_reading_input() {
+    // Neither file exists: the refusal comes from the flags alone.
+    let run = frac(&[
+        "score",
+        "--model",
+        "/nonexistent/m.frac",
+        "--test",
+        "/nonexistent/b.tsv",
+        "--snp",
+    ]);
+    assert_eq!(run.status.code(), Some(2));
+    let stderr = text(&run.stderr);
+    assert!(
+        stderr.starts_with("error: score --model takes no --snp"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+#[test]
 fn run_errors_exit_1_naming_the_input() {
     let run = frac(&["train", "--train", "/nonexistent/a.tsv", "--out", "x"]);
     assert_eq!(run.status.code(), Some(1));

@@ -35,7 +35,7 @@
 //! order.
 
 use crate::model::{
-    CatPredictor, ErrorModel, FeatureModel, FeaturePredictor, PredictorModel, RealPredictor,
+    CatPredictor, ErrorModel, FeatureModel, FeaturePredictor, Inputs, PredictorModel, RealPredictor,
 };
 use frac_dataset::dataset::MISSING_CODE;
 use frac_dataset::design::{DesignMatrix, PoolSpec};
@@ -77,9 +77,9 @@ const TREE_LEVEL_WORK: u64 = 8;
 /// expression records, at that break-even.
 pub const PARALLEL_WORK_THRESHOLD: u64 = 250_000;
 
-/// A maximal run of pool columns a linear predictor reads, in the order of
-/// its design columns.
-#[derive(Debug, Clone, Copy)]
+/// A maximal run of pool columns a predictor reads, in the order of its
+/// design columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Segment {
     start: u32,
     width: u32,
@@ -176,10 +176,7 @@ impl ScoringPlan {
             tables: Vec::new(),
             work_per_row: 0,
         };
-        let mut scratch = Scratch {
-            col_map: Vec::with_capacity(table.n_cols()),
-            depth: Vec::new(),
-        };
+        let mut scratch = Scratch::default();
         for fm in features {
             plan.feature_start.push(plan.predictors.len() as u32);
             for fp in &fm.predictors {
@@ -417,16 +414,19 @@ impl ScoringPlan {
         scratch: &mut Scratch,
     ) -> Result<CompiledPredictor, String> {
         // Segments go in first; a predictor that turns out not to be
-        // linear truncates them again.
+        // linear maps its tree's split columns through them and truncates
+        // them again.
         let first_seg = self.segments.len();
-        let inputs = fp.inputs.features(table, fm.target);
-        push_segments(table, inputs, &mut self.segments)?;
-        let col_map = &mut scratch.col_map;
-        col_map.clear();
-        for s in &self.segments[first_seg..] {
-            col_map.extend(s.start..s.start + s.width);
+        match &fp.inputs {
+            Inputs::AllButTarget => push_all_but(table, fm.target, &mut self.segments),
+            Inputs::List(list) => {
+                push_segments(table, list.iter().map(|&j| j as usize), &mut self.segments)?
+            }
         }
-        let n_cols = col_map.len();
+        let n_cols: usize = self.segments[first_seg..]
+            .iter()
+            .map(|s| s.width as usize)
+            .sum();
         let check_len = |what: &str, len: usize| {
             if len == n_cols {
                 Ok(())
@@ -456,15 +456,21 @@ impl ScoringPlan {
                 )
             }
             other => {
-                self.segments.truncate(first_seg);
                 let first = self.nodes.len();
+                let cols = ColumnMap::new(&self.segments[first_seg..], &mut scratch.ends);
                 let (layout, depth, max_class) = match other {
                     PredictorModel::Real(RealPredictor::Tree(t)) => {
-                        let depth = flatten(t.nodes(), scratch, &mut self.nodes, |v| (v, 0))?;
+                        let depth =
+                            flatten(t.nodes(), &cols, &mut scratch.depth, &mut self.nodes, |v| {
+                                (v, 0)
+                            })?;
                         (Layout::Tree, depth, None)
                     }
                     PredictorModel::Cat(CatPredictor::Tree(t)) => {
-                        let depth = flatten(t.nodes(), scratch, &mut self.nodes, |c| (0.0, c))?;
+                        let depth =
+                            flatten(t.nodes(), &cols, &mut scratch.depth, &mut self.nodes, |c| {
+                                (0.0, c)
+                            })?;
                         let top = self.nodes[first..]
                             .iter()
                             .filter(|n| n.col == LEAF)
@@ -477,6 +483,7 @@ impl ScoringPlan {
                     }
                     _ => (Layout::Constant, 0, None),
                 };
+                self.segments.truncate(first_seg);
                 let parts = (first as u32, (self.nodes.len() - first) as u32);
                 let work = if layout == Layout::Tree {
                     (depth + 1) * TREE_LEVEL_WORK
@@ -515,12 +522,48 @@ impl ScoringPlan {
     }
 }
 
-/// Reusable compile-time buffers, sized once per plan.
+/// Reusable compile-time buffers, grown to the largest predictor of a plan.
+#[derive(Default)]
 struct Scratch {
-    /// Design column → pool column for the predictor being compiled.
-    col_map: Vec<u32>,
+    /// The end of each segment in design columns, for [`ColumnMap`].
+    ends: Vec<u32>,
     /// Depth per node of the tree being flattened.
     depth: Vec<u64>,
+}
+
+/// A predictor's design columns → pool columns, through its segments: a
+/// design column lies in the segment whose design range holds it, at the
+/// same offset.
+struct ColumnMap<'a> {
+    segments: &'a [Segment],
+    /// `ends[k]`: one past the last design column of `segments[k]`.
+    ends: &'a [u32],
+}
+
+impl<'a> ColumnMap<'a> {
+    fn new(segments: &'a [Segment], ends: &'a mut Vec<u32>) -> Self {
+        ends.clear();
+        let mut end = 0u32;
+        ends.extend(segments.iter().map(|s| {
+            end += s.width;
+            end
+        }));
+        ColumnMap { segments, ends }
+    }
+
+    /// The design's width.
+    fn n_cols(&self) -> usize {
+        self.ends.last().map_or(0, |&e| e as usize)
+    }
+
+    /// The pool column of design column `d`, if the design has one.
+    fn pool_col(&self, d: usize) -> Option<u32> {
+        let k = self.ends.partition_point(|&e| e as usize <= d);
+        let s = self.segments.get(k)?;
+        // `d` lies in segment `k`, which starts at design column
+        // `ends[k] − width`; both fit in u32 (checked by `compile`).
+        Some(s.start + (d as u32 - (self.ends[k] - s.width)))
+    }
 }
 
 /// The dot products of up to [`LANES`] consecutive SVR predictors, from plan
@@ -747,9 +790,9 @@ fn walk<'a>(nodes: &'a [FlatNode], x: &[f64]) -> &'a FlatNode {
     }
 }
 
-/// Append the pool columns `inputs` occupy to `out`, as maximal ascending
-/// runs in input order (adjacent features merge into one segment). Fails
-/// on an input the pool does not cover.
+/// Append the pool columns `inputs` occupy to `out`, as maximal non-empty
+/// ascending runs in input order (adjacent features merge into one
+/// segment). Fails on an input the pool does not cover.
 fn push_segments(
     pool: &PoolSpec,
     inputs: impl Iterator<Item = usize>,
@@ -762,29 +805,54 @@ fn push_segments(
         }
         let cols = pool.col_range(j);
         // The pool is at most u32::MAX wide (checked by `compile`).
-        let (start, width) = (cols.start as u32, cols.len() as u32);
-        match out[first..].last_mut() {
-            Some(s) if s.start + s.width == start => s.width += width,
-            _ => out.push(Segment { start, width }),
-        }
+        push_run(out, first, cols.start as u32, cols.len() as u32);
     }
     Ok(())
 }
 
-/// Append a node arena, remapped through `scratch.col_map`, to `out`;
-/// returns the tree's depth. `leaf` splits a leaf payload into
-/// `(value, class)`.
+/// Append the segments of every table feature but `target` to `out`: what
+/// [`push_segments`] gives for [`Inputs::AllButTarget`], without walking
+/// the features. Absent features have no columns, so the covered features
+/// before the target fill `[0, start(target))` and those after it fill
+/// `[end(target), n_cols)`; the two runs merge when the target has none.
+fn push_all_but(pool: &PoolSpec, target: usize, out: &mut Vec<Segment>) {
+    let n_cols = pool.n_cols();
+    let gap = if target < pool.n_features() {
+        pool.col_range(target)
+    } else {
+        n_cols..n_cols
+    };
+    let first = out.len();
+    // The pool is at most u32::MAX wide (checked by `compile`).
+    push_run(out, first, 0, gap.start as u32);
+    push_run(out, first, gap.end as u32, (n_cols - gap.end) as u32);
+}
+
+/// Append `width` pool columns from `start` to the segments `out[first..]`:
+/// onto the last one when they continue it, and not at all when empty.
+fn push_run(out: &mut Vec<Segment>, first: usize, start: u32, width: u32) {
+    if width == 0 {
+        return;
+    }
+    match out[first..].last_mut() {
+        Some(s) if s.start + s.width == start => s.width += width,
+        _ => out.push(Segment { start, width }),
+    }
+}
+
+/// Append a node arena, its split columns mapped to pool columns through
+/// `cols`, to `out`; returns the tree's depth, tracking each node's in
+/// `depth`. `leaf` splits a leaf payload into `(value, class)`.
 fn flatten<L: Copy>(
     nodes: &[Node<L>],
-    scratch: &mut Scratch,
+    cols: &ColumnMap,
+    depth: &mut Vec<u64>,
     out: &mut Vec<FlatNode>,
     leaf: impl Fn(L) -> (f64, u32),
 ) -> Result<u64, String> {
     if nodes.is_empty() || u32::try_from(nodes.len()).is_err() {
         return Err(format!("tree of {} nodes cannot be compiled", nodes.len()));
     }
-    let col_map = &scratch.col_map;
-    let depth = &mut scratch.depth;
     depth.clear();
     depth.resize(nodes.len(), 0);
     let mut max_depth = 0u64;
@@ -805,10 +873,10 @@ fn flatten<L: Copy>(
                 left,
                 right,
             } => {
-                let col = *col_map.get(*feature).ok_or_else(|| {
+                let col = cols.pool_col(*feature).ok_or_else(|| {
                     format!(
                         "tree splits on column {feature} of a {}-column design",
-                        col_map.len()
+                        cols.n_cols()
                     )
                 })?;
                 for &child in [left, right] {
@@ -832,12 +900,13 @@ fn flatten<L: Copy>(
 
 #[cfg(test)]
 mod tests {
-    use super::{dots, lane_row, Segment, LANES};
-    use crate::model::{CatPredictor, PredictorModel, RealPredictor};
+    use super::{dots, lane_row, push_all_but, push_segments, ColumnMap, Segment, LANES};
+    use crate::model::{CatPredictor, Inputs, PredictorModel, RealPredictor};
     use crate::{FracConfig, FracModel, TrainingPlan};
-    use frac_dataset::binio::ByteWriter;
+    use frac_dataset::binio::{ByteReader, ByteWriter};
     use frac_dataset::crc::crc32;
     use frac_dataset::dataset::DatasetBuilder;
+    use frac_dataset::design::PoolSpec;
     use proptest::prelude::*;
 
     /// SplitMix64 step.
@@ -909,6 +978,88 @@ mod tests {
                 prop_assert_eq!(folded[l].to_bits(), alone.to_bits(), "lane {} of {}", l, n_lanes);
             }
         }
+    }
+
+    /// A random encoder table of `n` features: absent entries, real
+    /// encoders and one-hot blocks 0 to 4 wide, ending in a covered one
+    /// (a table's one byte image).
+    fn random_table(state: &mut u64, n: usize) -> PoolSpec {
+        let mut w = ByteWriter::new();
+        w.len32(n);
+        for j in 0..n {
+            match below(state, 4) {
+                0 if j + 1 < n => w.u8(0xFF),
+                1 => {
+                    w.u8(0);
+                    w.f64(0.5);
+                    w.f64(2.0);
+                }
+                _ => {
+                    w.u8(2);
+                    w.u32(below(state, 5) as u32);
+                }
+            }
+        }
+        PoolSpec::parse_bin(&mut ByteReader::new(w.as_bytes())).expect("a well-formed table")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The plan compiles `AllButTarget` inputs straight from the table
+        /// and maps split columns through segments. Both must agree with
+        /// the walk over every input and the per-column map they replace,
+        /// for every target, including ones past the table's end, and for
+        /// `List` inputs in any order.
+        #[test]
+        fn direct_segments_and_split_columns_match_the_walk(
+            n in 0usize..12,
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed;
+            let table = random_table(&mut state, n);
+            let covered: Vec<usize> = table.covered().collect();
+            for target in 0..n + 2 {
+                let mut walked = Vec::new();
+                let all = Inputs::AllButTarget.features(&table, target);
+                push_segments(&table, all, &mut walked).expect("covered inputs");
+                let mut direct = Vec::new();
+                push_all_but(&table, target, &mut direct);
+                prop_assert_eq!(&direct, &walked, "target {} of {:?}", target, table);
+
+                let mut list: Vec<usize> = covered
+                    .iter()
+                    .copied()
+                    .filter(|_| below(&mut state, 3) > 0)
+                    .collect();
+                for i in (1..list.len()).rev() {
+                    list.swap(i, below(&mut state, i + 1));
+                }
+                let mut listed = Vec::new();
+                push_segments(&table, list.iter().copied(), &mut listed).expect("covered inputs");
+                for segs in [&direct, &listed] {
+                    let col_map: Vec<u32> =
+                        segs.iter().flat_map(|s| s.start..s.start + s.width).collect();
+                    let mut ends = Vec::new();
+                    let cols = ColumnMap::new(segs, &mut ends);
+                    prop_assert_eq!(cols.n_cols(), col_map.len());
+                    for d in 0..col_map.len() + 2 {
+                        prop_assert_eq!(cols.pool_col(d), col_map.get(d).copied(), "column {}", d);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_list_input_outside_the_table_is_refused() {
+        let mut state = 7;
+        let table = random_table(&mut state, 6);
+        let outside = (0..8)
+            .find(|&j| !table.covers(j))
+            .expect("a feature the table lacks");
+        let err = push_segments(&table, [outside].into_iter(), &mut Vec::new()).unwrap_err();
+        assert!(err.contains("not in the encoder table"), "{err}");
     }
 
     /// `model`'s v6 file with the first occurrence of `from` replaced by

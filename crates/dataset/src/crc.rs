@@ -8,9 +8,16 @@
 //! fingerprints for header compatibility checks (config hash, dataset
 //! fingerprint). Both are implemented here from the published algorithms so
 //! no external dependency is needed, and both are stable across platforms
-//! and releases — they are part of the on-disk format. CRC-32 folds eight
-//! bytes per step (slice-by-8): model loads and FCB opens checksum whole
-//! files, where the bytewise loop cost several times more.
+//! and releases — they are part of the on-disk format.
+//!
+//! Model loads and FCB opens checksum whole files, so the CRC-32 fold runs
+//! near memory speed: on x86_64 with PCLMULQDQ, carry-less multiplies fold
+//! 64 B per step ([`CrcFold::Clmul`], in [`crate::kernels`], the crate's
+//! SIMD module); slice-by-8 tables, eight bytes per step, take the rest
+//! and every input on other CPUs ([`CrcFold::SliceBy8`]). Both give the
+//! same value, resolved once per process by [`kernels::active_crc_fold`].
+
+use crate::kernels::{self, CrcFold};
 
 /// The reflected IEEE CRC-32 polynomial (as used by zlib, PNG, gzip).
 const CRC32_POLY: u32 = 0xEDB8_8320;
@@ -47,8 +54,15 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// Fold `bytes` into a raw (pre-inversion) CRC state, eight bytes per step.
-fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+/// Fold `bytes` into a raw (pre-inversion) CRC state through `fold`: its
+/// head by the carry-less fold when `fold` takes one, the rest slice-by-8.
+fn crc32_update(fold: CrcFold, c: u32, bytes: &[u8]) -> u32 {
+    let (c, tail) = kernels::crc32_head(fold, c, bytes);
+    slice_by_8(c, tail)
+}
+
+/// Fold `bytes` into a raw CRC state, eight bytes per step.
+fn slice_by_8(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &TABLES;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
@@ -72,7 +86,16 @@ fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
 /// CRC-32 (IEEE) of `bytes`: standard init `0xFFFF_FFFF`, final inversion.
 /// Matches zlib's `crc32(0, bytes)`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(0xFFFF_FFFF, bytes)
+    crc32_for_fold(kernels::active_crc_fold(), bytes)
+}
+
+/// [`crc32`] through an explicit fold, whichever the process resolved
+/// (equivalence tests hold every fold to the same values).
+///
+/// # Panics
+/// Panics if `fold` is not [supported](CrcFold::supported) on this CPU.
+pub fn crc32_for_fold(fold: CrcFold, bytes: &[u8]) -> u32 {
+    !crc32_update(fold, 0xFFFF_FFFF, bytes)
 }
 
 /// Incremental CRC-32 (IEEE) for streaming writers that cannot hold a whole
@@ -97,7 +120,7 @@ impl Crc32 {
 
     /// Fold `bytes` into the running CRC.
     pub fn write(&mut self, bytes: &[u8]) {
-        self.state = crc32_update(self.state, bytes);
+        self.state = crc32_update(kernels::active_crc_fold(), self.state, bytes);
     }
 
     /// The CRC of everything written so far (final inversion applied;
@@ -200,41 +223,6 @@ mod tests {
         c.write(b"56789");
         assert_eq!(c.finish(), crc32(b"123456789"));
         assert_eq!(Crc32::new().finish(), crc32(b""));
-    }
-
-    /// The textbook bitwise CRC-32, one input bit per step: the reference
-    /// the slice-by-8 tables must agree with.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            c ^= b as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { (c >> 1) ^ CRC32_POLY } else { c >> 1 };
-            }
-        }
-        !c
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-
-        /// Slice-by-8 equals the bitwise reference at every length and
-        /// alignment, one-shot and streamed in two arbitrary pieces.
-        #[test]
-        fn slice_by_8_matches_the_bitwise_reference(
-            words in proptest::collection::vec(0u32..256, 0..80),
-            skip in 0usize..8,
-            split_frac in 0.0f64..1.0,
-        ) {
-            let bytes: Vec<u8> = words.iter().map(|&w| w as u8).collect();
-            let data = &bytes[skip.min(bytes.len())..];
-            proptest::prop_assert_eq!(crc32(data), crc32_bitwise(data));
-            let split = (data.len() as f64 * split_frac) as usize;
-            let mut c = Crc32::new();
-            c.write(&data[..split]);
-            c.write(&data[split..]);
-            proptest::prop_assert_eq!(c.finish(), crc32_bitwise(data));
-        }
     }
 
     #[test]

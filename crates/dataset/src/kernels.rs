@@ -1,4 +1,4 @@
-//! Vectorized inner-loop kernels for the solver fast path.
+//! Vectorized inner-loop kernels: the solver fast path's and the CRC-32's.
 //!
 //! The SVM coordinate-descent sweeps spend almost all their time in three
 //! row-wise primitives: `dot`, `axpy`, and squared norm. Two implementation
@@ -34,10 +34,26 @@
 //! mid-process). Forcing `avx2` on hardware without AVX2+FMA silently falls
 //! back to the portable tier — the table never holds kernels the CPU cannot
 //! execute.
+//!
+//! The module also holds the CRC-32 fold behind [`crate::crc::crc32`],
+//! which checks every model, journal frame and FCB file. Its two folds,
+//! [`CrcFold`], compute the same value by definition, so the choice moves
+//! no bit; it is resolved once per process on its own, without resolving
+//! the FP table:
+//!
+//! * [`CrcFold::Clmul`] — PCLMULQDQ carry-less multiplies folding four
+//!   128-bit lanes, 64 B per step, then a Barrett reduction (Intel's "Fast
+//!   CRC Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+//!   Gopal et al., 2009; the reflected IEEE constants zlib and Linux use).
+//!   Taken on x86_64 when `pclmulqdq` and `sse4.1` are detected, for the
+//!   longest 16-byte multiple of an input of at least 64 B.
+//! * [`CrcFold::SliceBy8`] — eight table lookups per 8 bytes, in
+//!   [`crate::crc`]: every input on other CPUs, short inputs, and the
+//!   carry-less fold's tail. `FRAC_KERNEL_TIER=unrolled` selects it alone.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
 
 /// An implementation tier of the blocked kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,14 +175,18 @@ fn install(t: &'static KernelTable) -> &'static KernelTable {
     t
 }
 
+/// The tier `FRAC_KERNEL_TIER` names, if it is set to a parseable name.
+fn requested_tier() -> Option<KernelTier> {
+    std::env::var("FRAC_KERNEL_TIER")
+        .ok()
+        .and_then(|v| KernelTier::parse(&v))
+}
+
 /// First-use resolution: honor `FRAC_KERNEL_TIER` if set (unparseable
 /// values fall through to auto-detection), else pick the best supported
 /// tier.
 fn resolve() -> &'static KernelTable {
-    let requested = std::env::var("FRAC_KERNEL_TIER")
-        .ok()
-        .and_then(|v| KernelTier::parse(&v));
-    install(select(requested))
+    install(select(requested_tier()))
 }
 
 fn select(requested: Option<KernelTier>) -> &'static KernelTable {
@@ -278,6 +298,89 @@ fn table_for(tier: KernelTier) -> &'static KernelTable {
             None => panic!("kernel tier avx2+fma is not supported on this CPU"),
         },
     }
+}
+
+/// An implementation of the CRC-32 fold (see the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrcFold {
+    /// Slice-by-8 table lookups (every platform).
+    SliceBy8,
+    /// PCLMULQDQ carry-less multiplies, 64 B per step (x86_64 with
+    /// `pclmulqdq` and `sse4.1` detected).
+    Clmul,
+}
+
+impl CrcFold {
+    /// Whether this fold can execute on the current CPU.
+    pub fn supported(self) -> bool {
+        match self {
+            CrcFold::SliceBy8 => true,
+            CrcFold::Clmul => clmul_fold().is_some(),
+        }
+    }
+}
+
+/// The resolved CRC fold: 0 until first use, then 1 (slice-by-8) or 2
+/// (carry-less). Relaxed: the value publishes no other data, and racing
+/// first uses resolve it to the same fold.
+static CRC_FOLD: AtomicU8 = AtomicU8::new(0);
+
+/// The CRC fold this process uses, resolved on first call: the carry-less
+/// fold where the CPU has it, unless `FRAC_KERNEL_TIER` asks for the
+/// portable tier. Resolving it leaves the FP kernel table alone.
+pub fn active_crc_fold() -> CrcFold {
+    match CRC_FOLD.load(Ordering::Relaxed) {
+        1 => CrcFold::SliceBy8,
+        2 => CrcFold::Clmul,
+        _ => {
+            let portable = requested_tier() == Some(KernelTier::Unrolled);
+            let (fold, code) = if !portable && clmul_fold().is_some() {
+                (CrcFold::Clmul, 2)
+            } else {
+                (CrcFold::SliceBy8, 1)
+            };
+            CRC_FOLD.store(code, Ordering::Relaxed);
+            fold
+        }
+    }
+}
+
+/// Fold the head of `bytes` into the raw (pre-inversion) CRC-32 state
+/// `crc` through `fold`, and return the new state with the bytes it left
+/// for the slice-by-8 fold. The carry-less fold takes the longest 16-byte
+/// multiple of an input of at least 64 B; otherwise every byte is left.
+///
+/// # Panics
+/// Panics if `fold` is not [supported](CrcFold::supported) on this CPU.
+pub(crate) fn crc32_head(fold: CrcFold, crc: u32, bytes: &[u8]) -> (u32, &[u8]) {
+    match fold {
+        CrcFold::SliceBy8 => (crc, bytes),
+        CrcFold::Clmul if bytes.len() < 64 => (crc, bytes),
+        CrcFold::Clmul => match clmul_fold() {
+            Some(fold) => {
+                let (head, tail) = bytes.split_at(bytes.len() & !15);
+                (fold(crc, head), tail)
+            }
+            None => panic!("CRC fold pclmulqdq is not supported on this CPU"),
+        },
+    }
+}
+
+/// The carry-less fold, if this CPU can run it.
+#[cfg(target_arch = "x86_64")]
+fn clmul_fold() -> Option<fn(u32, &[u8]) -> u32> {
+    if std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        Some(clmul::fold)
+    } else {
+        None
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn clmul_fold() -> Option<fn(u32, &[u8]) -> u32> {
+    None
 }
 
 /// Portable fallback tier: 4-wide unrolled with independent accumulators.
@@ -490,6 +593,114 @@ mod avx2 {
             i += 1;
         }
         acc
+    }
+}
+
+/// The carry-less CRC-32 fold. Its safe entry point is sound only when the
+/// CPU has PCLMULQDQ and SSE4.1 — it is reachable exclusively through
+/// `clmul_fold`, which checks both at runtime.
+///
+/// The constants are Gopal et al.'s for the reflected IEEE polynomial
+/// `P = 0x1_DB71_0641` (bit-reflected, with the `x³²` term): each `k` is
+/// `x^e mod P` for the fold distance `e`, reflected and shifted one bit.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Fold one lane 512 bits forward: `x^(4·128+32)` and `x^(4·128−32)`.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    /// Fold one lane 128 bits forward: `x^(128+32)` and `x^(128−32)`.
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0xCCAA_009E;
+    /// Fold 96 bits to 64: `x^64`.
+    const K5: i64 = 0x1_63CD_6124;
+    /// Barrett reduction: `P` itself and `μ = ⌊x⁶⁴ / P⌋`.
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Fold `bytes` — at least 64 of them, a multiple of 16 — into the raw
+    /// CRC state `crc`. Any other length is a caller bug; it would leave
+    /// bytes out of the checksum.
+    pub(super) fn fold(crc: u32, bytes: &[u8]) -> u32 {
+        assert!(
+            bytes.len() >= 64 && bytes.len().is_multiple_of(16),
+            "carry-less fold of {} B",
+            bytes.len()
+        );
+        // SAFETY: reachable only via `clmul_fold`, after runtime detection
+        // of pclmulqdq and sse4.1 (see module docs).
+        unsafe { fold_impl(crc, bytes) }
+    }
+
+    /// One 16-byte lane of `b` at byte `at`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    fn lane(b: &[u8], at: usize) -> __m128i {
+        let b = &b[at..at + 16];
+        // SAFETY: `b` holds exactly the 16 bytes read; the load is
+        // unaligned.
+        unsafe { _mm_loadu_si128(b.as_ptr().cast()) }
+    }
+
+    /// `x` carried 128·k bits forward by the constant pair `k`, plus `y`:
+    /// its low half times `k`'s low, its high half times `k`'s high.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    fn fold_into(x: __m128i, k: __m128i, y: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), y)
+    }
+
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    fn fold_impl(crc: u32, bytes: &[u8]) -> u32 {
+        let mut blocks = bytes.chunks_exact(64);
+        let Some(first) = blocks.next() else {
+            return crc;
+        };
+        // Four lanes in flight hide the multiplier's latency; the state
+        // enters as the first lane's low 32 bits.
+        let mut x = [
+            _mm_xor_si128(lane(first, 0), _mm_cvtsi32_si128(crc as i32)),
+            lane(first, 16),
+            lane(first, 32),
+            lane(first, 48),
+        ];
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for block in &mut blocks {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi = fold_into(*xi, k1k2, lane(block, 16 * i));
+            }
+        }
+        // The four lanes into one, then the 16-byte blocks left over.
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold_into(x[0], k3k4, x[1]);
+        acc = fold_into(acc, k3k4, x[2]);
+        acc = fold_into(acc, k3k4, x[3]);
+        let rest = blocks.remainder();
+        for at in (0..rest.len()).step_by(16) {
+            acc = fold_into(acc, k3k4, lane(rest, at));
+        }
+        // 128 bits to 96 (the low half times x^(128−32)), then 96 to 64.
+        let low32 = _mm_setr_epi32(-1, 0, -1, 0);
+        acc = _mm_xor_si128(
+            _mm_srli_si128::<8>(acc),
+            _mm_clmulepi64_si128::<0x10>(acc, k3k4),
+        );
+        let k5 = _mm_set_epi64x(0, K5);
+        acc = _mm_xor_si128(
+            _mm_srli_si128::<4>(acc),
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), k5),
+        );
+        // Barrett: q = ⌊acc · μ⌋ on the low 32 bits, acc − q · P.
+        let pmu = _mm_set_epi64x(MU, P);
+        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), pmu);
+        let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), pmu);
+        _mm_extract_epi32::<1>(_mm_xor_si128(acc, qp)) as u32
     }
 }
 

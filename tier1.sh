@@ -42,10 +42,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # crate-root cfg_attr (flags passed here would leak into dependency
 # builds); this run enforces those lints.
 cargo clippy -p frac-core -p frac-learn --lib
-# The workspace's only unsafe code is the SIMD kernel module
-# (#![deny(unsafe_op_in_unsafe_fn)] at its root) and the serve daemon's
-# signal hookup in frac-cli; keep the hosting crates lint-clean on their
-# own, independent of workspace-wide runs.
+# The workspace's only unsafe code is in frac-dataset — the SIMD kernel
+# module (kernels.rs: the AVX2 kernels and the PCLMULQDQ CRC-32 fold) and
+# the read-only file mapping (mmap.rs), each under
+# #![deny(unsafe_op_in_unsafe_fn)] — and in the serve daemon's signal
+# hookup in frac-cli; keep the hosting crates lint-clean on their own,
+# independent of workspace-wide runs.
 cargo clippy -p frac-dataset --lib -- -D warnings
 cargo clippy -p frac-cli -- -D warnings
 # The documented surface is part of the gate: every public item has docs
@@ -58,8 +60,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
 # SIMD-tier guarantee: the fast/strict and Gram/primal equivalence suites
 # must also pass with vectorization force-disabled — the portable unrolled
 # tier is a first-class execution path, not just a fallback (DESIGN.md
-# §12–13).
+# §12–13). Under it the CRC-32 suite streams through slice-by-8 alone.
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-dataset --test kernel_equivalence
+FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-dataset --test crc_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test solver_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-core --test pool_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test gram_equivalence
@@ -79,22 +82,19 @@ pin() {
 smoke_dir="$(mktemp -d)"
 # Also reaps the serve-smoke daemon if a later assertion aborts the gate.
 trap '[ -z "${serve_pid:-}" ] || kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
-run_smoke() {
-  ./target/release/frac generate --dataset autism --out "$smoke_dir"
-  timeout 60 ./target/release/frac train \
-    --train "$smoke_dir/autism.train.tsv" \
-    --out "$smoke_dir/autism.frac" \
-    --snp --deadline 2s --journal "$smoke_dir/autism.frj" \
-    --telemetry "$smoke_dir/autism.trace.tsv" \
-    2> "$smoke_dir/train.log"
-  test -f "$smoke_dir/autism.frac"
-  grep -q "health: " "$smoke_dir/train.log"
-  test -f "$smoke_dir/autism.trace.tsv"
-  ./target/release/frac inspect-telemetry \
-    --file "$smoke_dir/autism.trace.tsv" > "$smoke_dir/inspect.log"
-  grep -q "^wall" "$smoke_dir/inspect.log"
-}
-run_smoke
+./target/release/frac generate --dataset autism --out "$smoke_dir"
+timeout 60 ./target/release/frac train \
+  --train "$smoke_dir/autism.train.tsv" \
+  --out "$smoke_dir/autism.frac" \
+  --snp --deadline 2s --journal "$smoke_dir/autism.frj" \
+  --telemetry "$smoke_dir/autism.trace.tsv" \
+  2> "$smoke_dir/train.log"
+test -f "$smoke_dir/autism.frac"
+grep -q "health: " "$smoke_dir/train.log"
+test -f "$smoke_dir/autism.trace.tsv"
+./target/release/frac inspect-telemetry \
+  --file "$smoke_dir/autism.trace.tsv" > "$smoke_dir/inspect.log"
+grep -q "^wall" "$smoke_dir/inspect.log"
 
 # Shard smoke: a 2-shard run whose second worker crash-loops must still
 # exit 0 — the supervisor burns the retry budget, reclaims the dead
