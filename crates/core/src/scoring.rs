@@ -64,18 +64,18 @@ const TREE_LEVEL_WORK: u64 = 8;
 
 /// Below this much estimated work (records × [`ScoringPlan::work_per_row`])
 /// a call scores on the calling thread instead of fanning features out
-/// over worker threads. The workspace's rayon spawns scoped OS threads per
-/// parallel call, tens of µs of overhead. Measured at
-/// `available_parallelism() = 2` on the 400-feature ledger surrogates
-/// (medians of 1,500 alternating calls each way, 75 for 64 records, on
-/// three seeds): one expression record (~160 k units) takes 94–140 µs
-/// inline and 118–155 µs fanned out; two records break even (159–238 µs
-/// inline, 152–229 µs fanned out); three gain (276–310 µs against
-/// 256–274 µs), and 64 take 2.4–2.6 ms on two threads against 3.6–3.7 ms
-/// inline. One to three SNP records (~21 k units each) take 21–39 µs
-/// inline and 67–97 µs fanned out. The threshold sits between one and two
-/// expression records, at that break-even.
-pub const PARALLEL_WORK_THRESHOLD: u64 = 250_000;
+/// over the workspace rayon's resident workers. Fanning out wakes a parked
+/// worker (13–16 µs) while the caller starts on the first feature group;
+/// DESIGN.md §6 "Fan-out threshold" has the break-even table. At
+/// `available_parallelism() = 2` on the 400-feature ledger surrogates, one
+/// expression record (~160 k units) scores faster on both cores, and one
+/// to four SNP records (~21 k units each) do not.
+pub const PARALLEL_WORK_THRESHOLD: u64 = 100_000;
+
+/// Feature groups a fanned-out call is cut into, per thread. More groups
+/// than threads let a worker that wakes late take whatever groups are
+/// left instead of a fixed share.
+const GROUPS_PER_THREAD: usize = 8;
 
 /// A maximal run of pool columns a predictor reads, in the order of its
 /// design columns.
@@ -222,9 +222,9 @@ impl ScoringPlan {
             self.score_range(features, 0..n_features, &rows, test, &mut out);
             return out;
         }
-        // Contiguous feature groups, one per thread; each fills its own
-        // slab and the slabs concatenate in feature order.
-        let per = n_features.div_ceil(threads);
+        // Contiguous feature groups, claimed one at a time; each fills its
+        // own slab and the slabs concatenate in feature order.
+        let per = n_features.div_ceil(threads * GROUPS_PER_THREAD);
         let groups: Vec<Range<usize>> = (0..n_features)
             .step_by(per)
             .map(|s| s..(s + per).min(n_features))

@@ -16,7 +16,8 @@
 //!   (`contributions_unpooled`: one owned encode per predictor, each
 //!   model's own `predict`) to the NS bit, for every predictor kind and
 //!   plan shape, on dirty test rows, for single records and batches on
-//!   both sides of the fan-out threshold, at 1 and 4 threads.
+//!   both sides of the fan-out threshold, at 1 and 4 threads, and for a
+//!   single record that fans out, at 1, 2 and 4 threads.
 //! * Tree split search from per-code count tables (pool views) must grow
 //!   the trees the gather scan grows over owned matrices
 //!   (`fit_unpooled`): identical saved models and NS bits on a mixed
@@ -365,6 +366,45 @@ fn plan_matches_oracle_with_a_dropped_target() {
     assert_eq!(model.n_targets(), train.n_features() - 1);
     assert_ne!(model.ns_renorm_factor(), 1.0);
     check_plan_matches_oracle(&model, &dirty(&test), "dropped target");
+}
+
+#[test]
+fn a_fanned_out_single_record_matches_the_oracle_and_one_thread() {
+    // 330 SVRs over 329 inputs each: one record alone is past the fan-out
+    // threshold, so at 2 and 4 threads its feature groups are claimed by
+    // the pool's workers and its SVRs still fold in lanes within a group.
+    let (data, _) = ExpressionGenerator::new(ExpressionConfig {
+        n_features: 330,
+        n_modules: 8,
+        relevant_fraction: 0.8,
+        noise_sd: 0.6,
+        structure_seed: 91,
+        ..ExpressionConfig::default()
+    })
+    .generate(20, 2, 5);
+    let train = data.select_rows(&(0..16).collect::<Vec<_>>());
+    let test = dirty(&data.select_rows(&(16..22).collect::<Vec<_>>()));
+    let model = fit_full(&train, &FracConfig::expression());
+    let work = model.scoring_plan().unwrap().work_per_row();
+    assert!(work >= PARALLEL_WORK_THRESHOLD, "one record fans out ({work} units)");
+    let records: Vec<Dataset> = (0..test.n_rows()).map(|r| test.select_rows(&[r])).collect();
+    let one_thread: Vec<Vec<f64>> = pool(1).install(|| records.iter().map(|d| model.score(d)).collect());
+    for threads in [1, 2, 4] {
+        pool(threads).install(|| {
+            for (r, (record, want)) in records.iter().zip(&one_thread).enumerate() {
+                let at = format!("record {r}, {threads} threads");
+                let plan = model.contributions(record);
+                let oracle = model.contributions_unpooled(record);
+                assert_eq!(plan.feature_ids, oracle.feature_ids, "{at}");
+                for (c, (a, b)) in plan.values.iter().zip(&oracle.values).enumerate() {
+                    assert_bits_eq(a, b, &format!("{at}, feature column {c}"));
+                }
+                let ns = model.score(record);
+                assert_bits_eq(&ns, &oracle.ns_scores(), &format!("{at}, NS vs oracle"));
+                assert_bits_eq(&ns, want, &format!("{at}, NS vs 1 thread"));
+            }
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------

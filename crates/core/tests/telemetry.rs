@@ -8,12 +8,13 @@
 //! bit-identical with and without a live session.
 
 use frac_core::fault::INJECTED_PANIC;
-use frac_core::telemetry::{Stage, TelemetryReport, TelemetrySession};
+use frac_core::scoring::PARALLEL_WORK_THRESHOLD;
+use frac_core::telemetry::{self, Stage, TelemetryReport, TelemetrySession};
 use frac_core::{FaultPlan, FracConfig, FracModel, TrainingPlan};
 use frac_dataset::Dataset;
 use frac_synth::{ExpressionConfig, ExpressionGenerator};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Mutex, Once};
 
 /// One live session per process: tests that start a session serialize on
@@ -179,4 +180,86 @@ fn recording_never_perturbs_the_model() {
     // Every planned target shows up in the per-target attribution.
     assert_eq!(trace.target_totals().len(), plan.n_targets());
     assert_well_nested(&trace);
+}
+
+/// Spans per stage: the shape of a session's trace, which no thread count
+/// changes.
+fn stage_counts(report: &TelemetryReport) -> BTreeMap<Stage, usize> {
+    let mut counts = BTreeMap::new();
+    for s in &report.spans {
+        *counts.entry(s.stage).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// Two traced fits in a row, then traced scoring calls that fan out, each
+/// under an open caller span (as the daemon's `serve_batch` is): three
+/// sessions at `threads` threads.
+fn traced_sessions(threads: usize) -> Vec<TelemetryReport> {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+    pool.install(|| {
+        let mut reports = Vec::new();
+        let mut last = None;
+        for seed in [3, 4] {
+            let train = expr_data(24, 10, seed);
+            let plan = TrainingPlan::full(train.n_features());
+            let session = TelemetrySession::start().expect("no other session is live");
+            let (model, _) = FracModel::fit(&train, &plan, &FracConfig::default());
+            reports.push(session.finish());
+            last = Some(model);
+        }
+        let model = last.expect("two fits ran");
+        let work = model.scoring_plan().unwrap().work_per_row();
+        let n = 4 * (PARALLEL_WORK_THRESHOLD / work + 1) as usize;
+        let source = expr_data(24, 10, 9);
+        let test = source.select_rows(&(0..n).map(|i| i % source.n_rows()).collect::<Vec<_>>());
+        let session = TelemetrySession::start().expect("no other session is live");
+        // Five calls: whether a worker wakes in time to take a group is up
+        // to the scheduler, and one of five calls is enough.
+        for _ in 0..5 {
+            let _batch = telemetry::span(Stage::ServeBatch);
+            model.score(&test);
+        }
+        reports.push(session.finish());
+        reports
+    })
+}
+
+#[test]
+fn resident_workers_keep_sessions_apart() {
+    let _serial = session_lock();
+    let reference = traced_sessions(1);
+    for threads in [2, 4] {
+        let reports = traced_sessions(threads);
+        let mut earlier_threads: HashSet<u32> = HashSet::new();
+        for (k, (report, want)) in reports.iter().zip(&reference).enumerate() {
+            let at = format!("session {k}, {threads} threads");
+            assert_well_nested(report);
+            // Thread ids are handed out per session and never reused, so
+            // a span carried over from an earlier session would show one
+            // of that session's threads.
+            let threads_here: HashSet<u32> = report.spans.iter().map(|s| s.thread).collect();
+            assert!(threads_here.is_disjoint(&earlier_threads), "{at}: an earlier session's span");
+            earlier_threads.extend(threads_here);
+            assert!(
+                report.spans.iter().all(|s| s.start_ns + s.dur_ns <= report.wall_ns),
+                "{at}: a span outside the session's wall clock"
+            );
+            assert_eq!(stage_counts(report), stage_counts(want), "{at}: spans per stage");
+            assert_eq!(report.counters, want.counters, "{at}: counters");
+        }
+        // The scoring calls fanned out: their features were scored on more
+        // than one thread, and the caller's nest under its open span.
+        let score = &reports[2];
+        let batches: Vec<_> = score.spans.iter().filter(|s| s.stage == Stage::ServeBatch).collect();
+        let scored: Vec<_> = score.spans.iter().filter(|s| s.stage == Stage::Score).collect();
+        let on: HashSet<u32> = scored.iter().map(|s| s.thread).collect();
+        assert!(on.len() > 1, "{threads} threads: the scoring calls stayed on one thread");
+        for s in scored.iter().filter(|s| s.thread == batches[0].thread) {
+            assert!(
+                batches.iter().any(|b| b.id == s.parent),
+                "a caller's score span nests under its open span"
+            );
+        }
+    }
 }

@@ -366,9 +366,18 @@ impl GramMatrix {
 /// (b, a) give the same bits, and every solve sees exactly the Q a
 /// from-scratch build of its own rows would give.
 ///
-/// Thread-local on purpose: the fit fleet runs one target per rayon
-/// thread, so entries never cross targets mid-problem, and `Rc` keeps the
-/// hot path free of atomics.
+/// Thread-local on purpose: the fit fleet runs one target per pool claim,
+/// and a thread finishes a claimed target before it claims the next, so
+/// entries never cross targets mid-problem, and `Rc` keeps the hot path
+/// free of atomics.
+///
+/// The pool's threads are resident, so this state outlives the fit that
+/// filled it, but no value can go stale: every entry and the scope Q
+/// belong to one scope key, which hashes a per-fit nonce, and
+/// [`pack_cache::begin_scope`] drops them all when the key changes, so a
+/// later fit on the same thread reuses nothing from an earlier one. Only
+/// the memory stays, at most 16 MiB per thread, until that thread's next
+/// scope change.
 pub mod pack_cache {
     use super::{stats, GramMatrix};
     use crate::fault::TrainError;

@@ -599,6 +599,15 @@ mod recorder {
     }
 
     thread_local! {
+        /// This thread's recorder. A resident pool thread keeps it across
+        /// parallel calls and sessions, which cannot carry a record into a
+        /// later session: [`refresh`] re-stamps it whenever the session
+        /// generation moved, dropping its buffer, span stack, counters and
+        /// target and registering a fresh sink, and a span that closes
+        /// after its session ended is discarded. Within a session a pool
+        /// item's spans open and close inside the item, and its caller
+        /// waits for every item, so a worker's stack is empty and its
+        /// buffer flushed between calls.
         pub static REC: RefCell<ThreadRec> = const {
             RefCell::new(ThreadRec {
                 session: 0,

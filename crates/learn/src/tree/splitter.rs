@@ -164,6 +164,11 @@ impl EntropyMemo {
 }
 
 thread_local! {
+    /// This thread's entropy terms. A resident pool thread keeps them from
+    /// one fit to the next, which cannot change a bit: each term is a pure
+    /// function of `(c, m)`, computed by [`entropy_term`] whether memoized
+    /// or not, so a later call reads exactly what it would compute. At
+    /// most 265,224 bytes a thread stay allocated.
     static ENTROPY_MEMO: RefCell<EntropyMemo> = RefCell::new(EntropyMemo::default());
 }
 

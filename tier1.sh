@@ -37,6 +37,9 @@ cargo test -q --workspace
 # kill a worker at exactly its record count. The debug build rarely gets
 # there.
 cargo test --release -q -p frac-core --test shard_supervision
+# The worker pool's tests in release too: claims race only when items are
+# fast, which the debug build rarely makes them.
+cargo test --release -q -p rayon
 cargo clippy --workspace --all-targets -- -D warnings
 # frac-core and frac-learn deny unwrap/expect in non-test code via
 # crate-root cfg_attr (flags passed here would leak into dependency
@@ -45,11 +48,14 @@ cargo clippy -p frac-core -p frac-learn --lib
 # The workspace's only unsafe code is in frac-dataset — the SIMD kernel
 # module (kernels.rs: the AVX2 kernels and the PCLMULQDQ CRC-32 fold) and
 # the read-only file mapping (mmap.rs), each under
-# #![deny(unsafe_op_in_unsafe_fn)] — and in the serve daemon's signal
-# hookup in frac-cli; keep the hosting crates lint-clean on their own,
-# independent of workspace-wide runs.
+# #![deny(unsafe_op_in_unsafe_fn)] — in the serve daemon's signal hookup
+# in frac-cli, and in vendor/rayon's worker pool (pool.rs: a posted job's
+# lifetime erased while its caller blocks, under the crate's
+# #![deny(unsafe_op_in_unsafe_fn)]); keep the hosting crates lint-clean on
+# their own, independent of workspace-wide runs.
 cargo clippy -p frac-dataset --lib -- -D warnings
 cargo clippy -p frac-cli -- -D warnings
+cargo clippy -p rayon -- -D warnings
 # The documented surface is part of the gate: every public item has docs
 # (frac-core/frac-learn deny missing_docs) and no doc link is broken.
 # Library crates only — the vendored stubs are workspace members but not
