@@ -59,6 +59,7 @@ use frac_dataset::io as dio;
 use frac_dataset::{Dataset, FeatureKind, Schema};
 use frac_learn::telemetry::{self, Counter, Stage};
 use frac_learn::RunBudget;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -340,6 +341,8 @@ struct Request {
 
 /// Serialized reply channel for one connection. Writes are best-effort: a
 /// client that disconnected mid-batch loses its replies, nothing else.
+/// Every write holds whole lines, so replies from the connection's own
+/// thread and the scorer never interleave mid-line.
 struct ReplySink {
     out: Mutex<Box<dyn Write + Send>>,
 }
@@ -349,11 +352,46 @@ impl ReplySink {
         ReplySink { out: Mutex::new(out) }
     }
 
+    /// Send one reply line and its newline in one write.
     fn send(&self, line: &str) {
+        self.send_lines(format!("{line}\n").as_bytes());
+    }
+
+    /// Send already newline-terminated lines in one write.
+    fn send_lines(&self, lines: &[u8]) {
         let mut out = lock(&self.out);
-        let _ = out.write_all(line.as_bytes());
-        let _ = out.write_all(b"\n");
+        let _ = out.write_all(lines);
         let _ = out.flush();
+    }
+}
+
+/// A batch's replies, one buffer per connection (grouped by sink identity,
+/// in the order connections first appear), each line appended in request
+/// order. [`Outbox::send`] writes each buffer once, so a pipelined
+/// connection pays one send per batch, not one per record.
+#[derive(Default)]
+struct Outbox {
+    buffers: Vec<(Arc<ReplySink>, String)>,
+}
+
+impl Outbox {
+    fn line(&mut self, sink: &Arc<ReplySink>, reply: std::fmt::Arguments<'_>) {
+        let i = match self.buffers.iter().rposition(|(s, _)| Arc::ptr_eq(s, sink)) {
+            Some(i) => i,
+            None => {
+                self.buffers.push((Arc::clone(sink), String::new()));
+                self.buffers.len() - 1
+            }
+        };
+        let buf = &mut self.buffers[i].1;
+        let _ = buf.write_fmt(reply);
+        buf.push('\n');
+    }
+
+    fn send(self) {
+        for (sink, buf) in self.buffers {
+            sink.send_lines(buf.as_bytes());
+        }
     }
 }
 
@@ -639,11 +677,16 @@ fn scorer_loop(shared: &Shared, rx: &Receiver<Request>) {
             break;
         }
         if drain.is_expired() {
-            for r in batch {
-                ServeHealth::bump(&shared.health.timed_out, 1);
-                telemetry::counter_add(Counter::ServeTimeouts, 1);
-                r.reply.send(&format!("err {} dropped at shutdown: drain timeout exceeded", r.seq));
+            ServeHealth::bump(&shared.health.timed_out, batch.len() as u64);
+            telemetry::counter_add(Counter::ServeTimeouts, batch.len() as u64);
+            let mut outbox = Outbox::default();
+            for r in &batch {
+                outbox.line(&r.reply, format_args!(
+                    "err {} dropped at shutdown: drain timeout exceeded",
+                    r.seq
+                ));
             }
+            outbox.send();
             continue;
         }
         score_batch(shared, batch, &mut batch_ds);
@@ -654,52 +697,65 @@ fn scorer_loop(shared: &Shared, rx: &Receiver<Request>) {
 /// deadline passed while queued are answered with a timeout error; the rest
 /// are scored in one pass. A panic inside scoring is confined to this batch.
 fn score_batch(shared: &Shared, batch: Vec<Request>, batch_ds: &mut Dataset) {
-    let mut live = Vec::with_capacity(batch.len());
-    for r in batch {
-        if r.budget.is_expired() {
-            ServeHealth::bump(&shared.health.timed_out, 1);
-            telemetry::counter_add(Counter::ServeTimeouts, 1);
-            r.reply.send(&format!("err {} request timed out in the admission queue", r.seq));
-        } else {
-            live.push(r);
-        }
-    }
-    if live.is_empty() {
+    let expired: Vec<bool> = batch.iter().map(|r| r.budget.is_expired()).collect();
+    let n_expired = expired.iter().filter(|&&e| e).count();
+    ServeHealth::bump(&shared.health.timed_out, n_expired as u64);
+    telemetry::counter_add(Counter::ServeTimeouts, n_expired as u64);
+    if n_expired == batch.len() {
+        batch_replies(&batch, &expired, None).send();
         return;
     }
+    let live = || batch.iter().zip(&expired).filter(|(_, &e)| !e).map(|(r, _)| r);
     if let Some(delay) = shared.cfg.score_delay {
         thread::sleep(delay);
     }
     let model = Arc::clone(&lock(&shared.model));
     batch_ds.clear_rows();
-    for r in &live {
+    for r in live() {
         batch_ds.push_row(&r.values);
     }
     let _span = telemetry::span(Stage::ServeBatch);
     match catch_unwind(AssertUnwindSafe(|| model.score(batch_ds))) {
         Ok(scores) => {
-            for (r, s) in live.iter().zip(&scores) {
-                // `{}` on f64 is the shortest string that re-parses to the
-                // exact bits — serve replies stay bit-identical to
-                // `frac score` output on the same record.
-                r.reply.send(&format!("ns {} {}", r.seq, s));
-            }
-            ServeHealth::bump(&shared.health.scored, live.len() as u64);
+            batch_replies(&batch, &expired, Some(&scores)).send();
+            ServeHealth::bump(&shared.health.scored, scores.len() as u64);
             let mut ring = lock(&shared.latencies);
-            for r in &live {
+            for r in live() {
                 ring.record(r.received.elapsed().as_micros() as u64);
             }
         }
         Err(_) => {
             ServeHealth::bump(&shared.health.score_panics, 1);
-            for r in &live {
-                r.reply.send(&format!(
-                    "err {} internal scoring error; batch isolated, daemon still serving",
-                    r.seq
-                ));
-            }
+            batch_replies(&batch, &expired, None).send();
         }
     }
+}
+
+/// A batch's replies, in request order: a timeout error for each expired
+/// request and, for the rest, their `scores` in turn, or an internal error
+/// when scoring panicked (`scores` is `None`).
+fn batch_replies(batch: &[Request], expired: &[bool], scores: Option<&[f64]>) -> Outbox {
+    let mut outbox = Outbox::default();
+    let mut scores = scores.unwrap_or_default().iter();
+    for (r, &e) in batch.iter().zip(expired) {
+        if e {
+            outbox.line(&r.reply, format_args!(
+                "err {} request timed out in the admission queue",
+                r.seq
+            ));
+        } else if let Some(s) = scores.next() {
+            // `{}` on f64 is the shortest string that re-parses to the
+            // exact bits — serve replies stay bit-identical to
+            // `frac score` output on the same record.
+            outbox.line(&r.reply, format_args!("ns {} {}", r.seq, s));
+        } else {
+            outbox.line(&r.reply, format_args!(
+                "err {} internal scoring error; batch isolated, daemon still serving",
+                r.seq
+            ));
+        }
+    }
+    outbox
 }
 
 /// Read lines from one connection, parse, and admit or quarantine each.

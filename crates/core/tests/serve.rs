@@ -519,3 +519,98 @@ fn pipe_mode_scores_batches_and_drains_on_eof() {
         assert_eq!(*bits, fix.expected[i].to_bits(), "pipe row {i} diverged");
     }
 }
+
+/// Read `n` replies in arrival order, checking each is one whole `ns`
+/// line: `ns <seq> <score>` and nothing else. Returns `(seq, bits)`.
+fn recv_ns_in_order(c: &mut Client, n: usize) -> Vec<(u64, u64)> {
+    (0..n)
+        .map(|_| {
+            let line = c.recv();
+            let parts: Vec<&str> = line.split(' ').collect();
+            assert!(
+                parts.len() == 3 && parts[0] == "ns",
+                "expected one whole `ns <seq> <score>` line, got: {line:?}"
+            );
+            let seq = parts[1].parse().unwrap_or_else(|_| panic!("bad seq: {line:?}"));
+            (seq, ns_bits(&line))
+        })
+        .collect()
+}
+
+#[test]
+fn a_pipelined_burst_is_answered_in_seq_order() {
+    let fix = fixture();
+    let (addr, join) = start_server(ServeConfig::default());
+    let mut c = Client::connect(addr);
+    // Three passes over the test rows in one burst: the scorer batches
+    // them however they arrive, and the replies must still come back in
+    // the order the records were sent.
+    let rows: Vec<usize> = (0..3).flat_map(|_| 0..fix.test.n_rows()).collect();
+    let mut burst = String::new();
+    for &r in &rows {
+        burst.push_str(&tsv_line(&fix.test, r));
+        burst.push('\n');
+    }
+    c.writer.write_all(burst.as_bytes()).unwrap();
+    let got = recv_ns_in_order(&mut c, rows.len());
+    for (k, (&r, &(seq, bits))) in rows.iter().zip(&got).enumerate() {
+        assert_eq!(seq, k as u64 + 1, "reply {k} out of order: {got:?}");
+        assert_eq!(bits, fix.expected[r].to_bits(), "reply {k} (row {r}) diverged");
+    }
+    c.send("cmd stop");
+    c.recv();
+    let summary = join.join().unwrap();
+    assert_eq!(summary.counts.scored, rows.len() as u64);
+}
+
+#[test]
+fn connections_sharing_a_batch_each_get_their_own_whole_lines() {
+    let fix = fixture();
+    let cfg = ServeConfig { score_delay: Some(Duration::from_millis(300)), ..ServeConfig::default() };
+    let (addr, join) = start_server(cfg);
+    let mut a = Client::connect(addr);
+    let mut b = Client::connect(addr);
+    // A first record holds the scorer in its delay; both bursts queue
+    // behind it and are taken as one batch, so the scorer formats replies
+    // for two connections at once. `b` sends the rows in reverse, so a
+    // reply delivered to the wrong connection carries the wrong bits. The
+    // pause lets the scorer take the first record before the bursts
+    // arrive; the checks below hold however the records are batched.
+    a.send(&tsv_line(&fix.test, 0));
+    thread::sleep(Duration::from_millis(100));
+    let n = fix.test.n_rows();
+    let rows_a: Vec<usize> = (0..n).collect();
+    let rows_b: Vec<usize> = (0..n).rev().collect();
+    let burst = |rows: &[usize]| {
+        rows.iter().map(|&r| tsv_line(&fix.test, r) + "\n").collect::<String>()
+    };
+    a.writer.write_all(burst(&rows_a).as_bytes()).unwrap();
+    b.writer.write_all(burst(&rows_b).as_bytes()).unwrap();
+
+    let got_a = recv_ns_in_order(&mut a, n + 1);
+    let got_b = recv_ns_in_order(&mut b, n);
+    let want_a: Vec<(u64, u64)> = std::iter::once(0)
+        .chain(rows_a)
+        .enumerate()
+        .map(|(k, r)| (k as u64 + 1, fix.expected[r].to_bits()))
+        .collect();
+    let want_b: Vec<(u64, u64)> = rows_b
+        .iter()
+        .enumerate()
+        .map(|(k, &r)| (k as u64 + 1, fix.expected[r].to_bits()))
+        .collect();
+    assert_eq!(got_a, want_a, "connection a's replies");
+    assert_eq!(got_b, want_b, "connection b's replies");
+
+    // Nothing else is pending on either connection: the next reply to
+    // each is its own ping.
+    a.send("cmd ping");
+    assert_eq!(a.recv(), format!("ok {} pong", n + 2));
+    b.send("cmd ping");
+    assert_eq!(b.recv(), format!("ok {} pong", n + 1));
+    a.send("cmd stop");
+    a.recv();
+    let summary = join.join().unwrap();
+    assert_eq!(summary.counts.scored, 2 * n as u64 + 1);
+    assert_eq!(summary.counts.connections, 2);
+}

@@ -134,7 +134,10 @@ pub fn schema_from_header(header: &str) -> Result<Schema, ParseError> {
     Ok(Schema::new(features))
 }
 
-/// Parse one cell of a TSV row against its schema kind.
+/// Decode one cell against its schema kind. `?` is missing; a one-byte
+/// code `0`–`9` is read directly and longer codes go through `u32`'s
+/// `FromStr`; reals go through `f64`'s, so every accepted form and its
+/// bits are the standard library's.
 fn parse_cell(
     kind: FeatureKind,
     cell: &str,
@@ -142,18 +145,19 @@ fn parse_cell(
     column: usize,
 ) -> Result<Value, ParseError> {
     let cell_err = |message: String| ParseError::Cell { line, column, message };
-    if cell == "?" {
-        return Ok(Value::Missing);
-    }
-    match kind {
-        FeatureKind::Real => cell
+    match (kind, cell.as_bytes()) {
+        (_, b"?") => Ok(Value::Missing),
+        (FeatureKind::Real, _) => cell
             .parse::<f64>()
             .map(Value::Real)
             .map_err(|_| cell_err(format!("bad real `{cell}`"))),
-        FeatureKind::Categorical { arity } => {
-            let c: u32 = cell
-                .parse()
-                .map_err(|_| cell_err(format!("bad code `{cell}`")))?;
+        (FeatureKind::Categorical { arity }, bytes) => {
+            let c = match *bytes {
+                [d @ b'0'..=b'9'] => u32::from(d - b'0'),
+                _ => cell
+                    .parse()
+                    .map_err(|_| cell_err(format!("bad code `{cell}`")))?,
+            };
             if c >= arity {
                 return Err(cell_err(format!("code {c} out of range for arity {arity}")));
             }
@@ -168,25 +172,46 @@ fn parse_cell(
 /// values are exactly what [`from_tsv`] would have stored for the same
 /// row, so records decoded one at a time score identically to records
 /// parsed from a whole file.
+///
+/// One pass over the row: each cell is cut at its tab and decoded straight
+/// into the output. A row of the wrong width is a [`ParseError::RowWidth`]
+/// carrying its full cell count, even when an earlier cell is bad, so past
+/// the first bad cell (or the schema's last column) cells are only counted.
 pub fn parse_record(
     schema: &Schema,
     row: &str,
     line: usize,
 ) -> Result<Vec<Value>, ParseError> {
     let row = row.trim_end_matches(['\r', '\n']);
-    let cells: Vec<&str> = row.split('\t').collect();
-    if cells.len() != schema.len() {
-        return Err(ParseError::RowWidth {
-            line,
-            found: cells.len(),
-            expected: schema.len(),
-        });
+    let expected = schema.len();
+    let mut values = Vec::with_capacity(expected);
+    let mut kinds = schema.iter().map(|f| f.kind);
+    let mut bad = None;
+    let mut found = 0;
+    let mut start = 0;
+    // Each cell ends at a tab or at the end of the row.
+    let bytes = row.as_bytes();
+    let ends = bytes.iter().enumerate().filter(|&(_, &b)| b == b'\t').map(|(i, _)| i);
+    for end in ends.chain([bytes.len()]) {
+        if bad.is_none() {
+            if let Some(kind) = kinds.next() {
+                // `\t` is ASCII, so both ends are char boundaries.
+                match parse_cell(kind, &row[start..end], line, found) {
+                    Ok(v) => values.push(v),
+                    Err(e) => bad = Some(e),
+                }
+            }
+        }
+        found += 1;
+        start = end + 1;
     }
-    cells
-        .iter()
-        .enumerate()
-        .map(|(j, cell)| parse_cell(schema.kind(j), cell, line, j))
-        .collect()
+    if found != expected {
+        return Err(ParseError::RowWidth { line, found, expected });
+    }
+    match bad {
+        Some(e) => Err(e),
+        None => Ok(values),
+    }
 }
 
 /// Incrementally decode one flat JSON object (`{"name": value, …}`)
@@ -551,6 +576,18 @@ mod tests {
             }
             e => panic!("{e}"),
         }
+        // A row of the wrong width reports its full width, even past a bad cell.
+        match parse_record(&schema, "x\t9\t1\t", 4).unwrap_err() {
+            ParseError::RowWidth { line: 4, found: 4, expected: 2 } => {}
+            e => panic!("{e}"),
+        }
+        // Codes: one digit is read directly, longer forms as `u32` reads them.
+        let v = parse_record(&schema, "?\t+1\r\n", 1).unwrap();
+        assert_eq!(v, vec![Value::Missing, Value::Categorical(1)]);
+        let err = parse_record(&schema, "1\t3", 2).unwrap_err().to_string();
+        assert_eq!(err, "line 2, column 1: code 3 out of range for arity 3");
+        let err = parse_record(&schema, "1\t 1", 2).unwrap_err().to_string();
+        assert_eq!(err, "line 2, column 1: bad code ` 1`");
     }
 
     #[test]
@@ -588,5 +625,11 @@ mod tests {
                 e => panic!("{bad}: {e}"),
             }
         }
+        let err = |text| parse_json_record(&schema, text, 4).unwrap_err().to_string();
+        assert_eq!(err(r#"{"nope": 1}"#), "line 4, column 0: unknown feature `nope`");
+        assert_eq!(
+            err(r#"{"rs1": 1, "rs1": 2}"#),
+            "line 4, column 1: duplicate feature `rs1`"
+        );
     }
 }

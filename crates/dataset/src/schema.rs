@@ -6,7 +6,9 @@
 //! the kind and name of every feature and is carried alongside the data so
 //! that models, error models and encoders can dispatch on feature type.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The kind of a single feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,31 +96,46 @@ impl Feature {
 }
 
 /// An ordered collection of [`Feature`]s describing a data set's columns.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, Default)]
 pub struct Schema {
     features: Vec<Feature>,
+    /// Name → index of the first feature with that name, built on the
+    /// first [`Schema::index_of`] and dropped by [`Schema::push`].
+    by_name: OnceLock<HashMap<String, usize>>,
+}
+
+impl PartialEq for Schema {
+    fn eq(&self, other: &Schema) -> bool {
+        self.features == other.features
+    }
+}
+
+impl Eq for Schema {}
+
+impl fmt::Debug for Schema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Schema").field("features", &self.features).finish()
+    }
 }
 
 impl Schema {
     /// Build a schema from a list of features.
     pub fn new(features: Vec<Feature>) -> Self {
-        Schema { features }
+        Schema { features, by_name: OnceLock::new() }
     }
 
     /// A schema of `n` anonymous real features named `x0..x{n-1}`.
     pub fn all_real(n: usize) -> Self {
-        Schema {
-            features: (0..n).map(|i| Feature::real(format!("x{i}"))).collect(),
-        }
+        Schema::new((0..n).map(|i| Feature::real(format!("x{i}"))).collect())
     }
 
     /// A schema of `n` anonymous k-ary categorical features named `c0..`.
     pub fn all_categorical(n: usize, arity: u32) -> Self {
-        Schema {
-            features: (0..n)
+        Schema::new(
+            (0..n)
                 .map(|i| Feature::categorical(format!("c{i}"), arity))
                 .collect(),
-        }
+        )
     }
 
     /// Number of features.
@@ -150,13 +167,23 @@ impl Schema {
         self.features.iter()
     }
 
-    /// Index of the feature with the given name, if any.
+    /// Index of the (first) feature with the given name, if any. The
+    /// name map is built once, on the first call, so a long-lived schema
+    /// (the scoring daemon's) resolves every later name in O(1).
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.features.iter().position(|f| f.name == name)
+        let by_name = self.by_name.get_or_init(|| {
+            let mut map = HashMap::with_capacity(self.features.len());
+            for (i, f) in self.features.iter().enumerate() {
+                map.entry(f.name.clone()).or_insert(i);
+            }
+            map
+        });
+        by_name.get(name).copied()
     }
 
     /// Append a feature, returning its index.
     pub fn push(&mut self, feature: Feature) -> usize {
+        self.by_name.take();
         self.features.push(feature);
         self.features.len() - 1
     }
@@ -166,9 +193,7 @@ impl Schema {
     /// # Panics
     /// Panics if any index is out of range.
     pub fn select(&self, indices: &[usize]) -> Schema {
-        Schema {
-            features: indices.iter().map(|&i| self.features[i].clone()).collect(),
-        }
+        Schema::new(indices.iter().map(|&i| self.features[i].clone()).collect())
     }
 
     /// Total width of the one-hot expansion of all features (Fig. 2):
@@ -241,6 +266,24 @@ mod tests {
         let schema = Schema::all_categorical(3, 3);
         assert_eq!(schema.index_of("c1"), Some(1));
         assert_eq!(schema.index_of("nope"), None);
+    }
+
+    #[test]
+    fn index_of_takes_the_first_duplicate_and_sees_pushes() {
+        let mut schema = Schema::new(vec![
+            Feature::real("a"),
+            Feature::real("b"),
+            Feature::categorical("a", 3),
+        ]);
+        assert_eq!(schema.index_of("a"), Some(0));
+        assert_eq!(schema.index_of("c"), None);
+        schema.push(Feature::real("c"));
+        assert_eq!(schema.index_of("c"), Some(3));
+        // The lazily built map is not part of a schema's identity.
+        let probed = Schema::all_real(1);
+        assert_eq!(probed.index_of("x0"), Some(0));
+        assert_eq!(probed, Schema::all_real(1));
+        assert_eq!(format!("{probed:?}"), format!("{:?}", Schema::all_real(1)));
     }
 
     #[test]

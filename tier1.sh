@@ -257,7 +257,8 @@ fi
 # Serve smoke: a release daemon on a loopback socket must score a piped
 # TSV record, quarantine a malformed line without dropping the
 # connection, hot-reload on SIGHUP, reject a corrupt reload candidate
-# and keep serving the old model, and exit 0 on SIGTERM with its
+# and keep serving the old model, answer a burst of the whole test file
+# in order with the pipe mode's scores, and exit 0 on SIGTERM with its
 # counters accounting for both reload outcomes. Uses the model the
 # deadline smoke trained.
 ./target/release/frac serve \
@@ -305,6 +306,24 @@ case "$reply" in "err 5 reload failed"*) ;; *) echo "serve smoke: corrupt reload
 sed -n '2p' "$smoke_dir/autism.test.tsv" >&3
 read -t 10 -r reply <&3
 case "$reply" in "ns 6 "*) ;; *) echo "serve smoke: daemon lost the model after rollback: $reply"; exit 1;; esac
+# Every data row of the test file in one burst: the daemon batches them
+# and writes each batch's replies to the socket at once. One `ns` reply
+# per row must come back, seqs ascending from 7, and each score must
+# equal the pipe mode's reply to the same row, line for line.
+burst_rows=$(( $(wc -l < "$smoke_dir/autism.test.tsv") - 1 ))
+tail -n +2 "$smoke_dir/autism.test.tsv" >&3
+for _ in $(seq "$burst_rows"); do
+  read -t 10 -r reply <&3 || { echo "serve smoke: a burst reply is missing" >&2; exit 1; }
+  printf '%s\n' "$reply"
+done > "$smoke_dir/burst.out"
+awk '$1 != "ns" || $2 != NR + 6 { print "serve smoke: burst reply " NR " out of order: " $0; bad = 1; exit } END { exit bad }' "$smoke_dir/burst.out"
+./target/release/frac serve --model "$smoke_dir/autism.frac" \
+  --schema "$smoke_dir/autism.train.tsv" \
+  < "$smoke_dir/autism.test.tsv" > "$smoke_dir/pipe.out" 2> /dev/null
+test "$(grep -c '^ns ' "$smoke_dir/pipe.out")" -eq "$burst_rows"
+if ! cmp <(cut -d' ' -f3 "$smoke_dir/burst.out") <(cut -d' ' -f3 "$smoke_dir/pipe.out"); then
+  echo "serve smoke: socket burst scores differ from pipe mode"; exit 1
+fi
 # SIGTERM drains and exits 0; the exit summary accounts for the one
 # successful reload and the one rejected candidate.
 kill -TERM "$serve_pid"
