@@ -4,7 +4,8 @@
 //! tracked across PRs. Further families measure sharded-run scaling —
 //! per-shard journals fitted concurrently then merged, at 1/2/4 shards
 //! (`BENCH_shard.json`) — the SIMD kernel tier — per-kernel
-//! throughput, and the expression fit wall and NS drift under the portable
+//! throughput (the solver's dot, axpy and sq_norm, and the scoring plan's
+//! eight-record dot8), and the expression fit wall and NS drift under the portable
 //! unrolled tier vs the dispatched tier (`BENCH_simd.json`) — and the
 //! Gram-matrix dual strategy against the primal fast path, with a d/n
 //! sweep locating the measured crossover (`BENCH_gram.json`) — and the
@@ -268,12 +269,14 @@ fn shard_family_json(
 }
 
 /// Per-kernel throughput for one tier, in GFLOP/s on a cache-resident
-/// slice (each element of dot/axpy/sq_norm is one multiply + one add).
+/// slice (each element of dot/axpy/sq_norm, and each record-weight pair of
+/// dot8, is one multiply + one add; dot8 folds 1024/8 weights against an
+/// eight-record block of 1024 cells, the same flops per call).
 /// Long enough to amortize the dispatch load, short enough to stay in L1.
 /// Each kernel's window is only tens of milliseconds, so on a
 /// shared single-vCPU host a single steal burst can halve one reading —
 /// take the best of three interleaved rounds per kernel.
-fn kernel_gflops(tier: KernelTier) -> [f64; 3] {
+fn kernel_gflops(tier: KernelTier) -> [f64; 4] {
     use std::hint::black_box;
     const LEN: usize = 1024;
     const ITERS: usize = 100_000;
@@ -282,7 +285,7 @@ fn kernel_gflops(tier: KernelTier) -> [f64; 3] {
     let x: Vec<f64> = (0..LEN).map(|i| (i as f64 * 0.37).sin()).collect();
     let w: Vec<f64> = (0..LEN).map(|i| (i as f64 * 0.11).cos()).collect();
 
-    let mut best = [0.0f64; 3];
+    let mut best = [0.0f64; 4];
     let mut wbuf = w.clone();
     for _ in 0..ROUNDS {
         let mut acc = 0.0f64;
@@ -308,6 +311,18 @@ fn kernel_gflops(tier: KernelTier) -> [f64; 3] {
             acc += kernels::sq_norm_for_tier(tier, black_box(&x), 0.0);
         }
         best[2] = best[2].max(flops / t0.elapsed().as_secs_f64());
+        black_box(acc);
+
+        // Each call starts its own sums, as each scored predictor does.
+        let w8 = &w[..LEN / kernels::BLOCK_RECORDS];
+        let mut acc = 0.0f64;
+        let t0 = Instant::now();
+        for _ in 0..ITERS {
+            let mut acc8 = [-0.0f64; kernels::BLOCK_RECORDS];
+            kernels::dot8_for_tier(tier, black_box(w8), black_box(&x), &mut acc8);
+            acc += black_box(acc8)[0];
+        }
+        best[3] = best[3].max(flops / t0.elapsed().as_secs_f64());
         black_box(acc);
     }
     best
@@ -814,7 +829,7 @@ fn main() {
             "simd bench: dispatched tier {}, avx2+fma supported: {avx2_ok}",
             kernels::active_tier()
         );
-        let kernel_names = ["dot", "axpy", "sq_norm"];
+        let kernel_names = ["dot", "axpy", "sq_norm", "dot8"];
         let unrolled = kernel_gflops(KernelTier::Unrolled);
         let vector = if avx2_ok { Some(kernel_gflops(KernelTier::Avx2Fma)) } else { None };
         let kernel_rows: Vec<String> = kernel_names

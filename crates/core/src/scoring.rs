@@ -27,34 +27,41 @@
 //! table) is the oracle this is tested against.
 //!
 //! **Independent chains overlap.** A dot product is one chain of dependent
-//! adds, so the plan runs several at once, each with its own accumulator:
-//! a batch of four or more records shares one pass over a linear
-//! predictor's weights between a block of four records, and a call with
-//! fewer records folds up to four consecutive SVR predictors of equal
-//! width together in one pass over each row. Neither changes any fold
-//! order.
+//! adds, so the plan runs several at once, each with its own accumulator.
+//! A call of three or more records (`BLOCKS_FROM`) on a plan with a
+//! linear predictor encodes the batch once into blocks of eight records
+//! interleaved by pool column, and every SVR and SVC hyperplane folds each
+//! block through [`kernels::dot8_blocked`], one SIMD lane per record. A
+//! smaller call folds up to four consecutive SVR predictors of equal width
+//! together in one pass over each row. Neither changes any fold order: a
+//! lane adds its record's rounded products in column order, exactly as the
+//! one-row fold does.
 
 use crate::model::{
     CatPredictor, ErrorModel, FeatureModel, FeaturePredictor, Inputs, PredictorModel, RealPredictor,
 };
 use frac_dataset::dataset::MISSING_CODE;
 use frac_dataset::design::{DesignMatrix, PoolSpec};
+use frac_dataset::kernels::{self, BLOCK_RECORDS};
 use frac_dataset::{Column, Dataset};
 use frac_learn::telemetry;
 use frac_learn::tree::Node;
-use frac_learn::{LinearSvc, LinearSvr};
+use frac_learn::LinearSvc;
 use rayon::prelude::*;
 use std::ops::Range;
+use std::sync::{Mutex, TryLockError};
 
-/// Records that share one pass over a linear predictor's weights. Each
-/// record keeps its own accumulator, so its fold order is exactly the
-/// single-record order; the block only lets independent chains overlap.
-const BLOCK: usize = 4;
+/// Records from which a call folds its linear predictors in blocks of
+/// [`BLOCK_RECORDS`] instead of lanes. A block costs about the same however
+/// many of its eight slots hold records, so it pays once a call has enough
+/// of them; DESIGN.md §6 "Blocks for batches" has the measurement.
+const BLOCKS_FROM: usize = 3;
 
 /// SVR predictors that share one pass over a record's pool row when a call
-/// scores fewer than [`BLOCK`] records. Each lane keeps its own accumulator
-/// and reads its own weights and segments, so its fold order is exactly the
-/// single-predictor order; the lanes only let independent chains overlap.
+/// scores fewer than [`BLOCKS_FROM`] records. Each lane keeps its own
+/// accumulator and reads its own weights and segments, so its fold order is
+/// exactly the single-predictor order; the lanes only let independent
+/// chains overlap.
 const LANES: usize = 4;
 const _: () = assert!(LANES == 4, "`lane_row` dispatches 1 to 4 lanes");
 
@@ -150,6 +157,15 @@ pub struct ScoringPlan {
     nodes: Vec<FlatNode>,
     tables: Vec<f64>,
     work_per_row: u64,
+    /// Whether any predictor is an SVR or SVC, which batches fold in
+    /// blocks, and whether any is a tree, which reads pool rows.
+    linear: bool,
+    trees: bool,
+    /// The blocked layout's storage, kept between calls so a serving
+    /// daemon's batches reuse one allocation. Every call rewrites all of
+    /// it, so no state carries over; a call that finds it taken encodes
+    /// into a buffer of its own.
+    blocks: Mutex<Vec<f64>>,
 }
 
 impl ScoringPlan {
@@ -175,6 +191,9 @@ impl ScoringPlan {
             nodes: Vec::new(),
             tables: Vec::new(),
             work_per_row: 0,
+            linear: false,
+            trees: false,
+            blocks: Mutex::new(Vec::new()),
         };
         let mut scratch = Scratch::default();
         for fm in features {
@@ -214,12 +233,33 @@ impl ScoringPlan {
         if n_rows == 0 || n_features == 0 {
             return Vec::new();
         }
-        let rows = table.encode_rows(test);
+        // Linear predictors of a batch read blocks; trees, and linear
+        // predictors of a smaller call, read row-major pool rows. Both
+        // layouts are built here, once, before any fan-out.
+        let blocked = self.linear && n_rows >= BLOCKS_FROM;
+        let rows = if self.trees || !blocked {
+            table.encode_rows(test)
+        } else {
+            DesignMatrix::empty(n_rows)
+        };
+        let mut held = match blocked.then(|| self.blocks.try_lock()) {
+            Some(Ok(buf)) => Some(buf),
+            // Every call rewrites the whole buffer, so a panic mid-call
+            // left nothing that needs repair.
+            Some(Err(TryLockError::Poisoned(p))) => Some(p.into_inner()),
+            Some(Err(TryLockError::WouldBlock)) | None => None,
+        };
+        let mut own = Vec::new();
+        let blocks = blocked.then(|| {
+            let buf = held.as_deref_mut().unwrap_or(&mut own);
+            table.encode_blocks(test, buf);
+            Blocks { values: buf, n_cols: table.n_cols(), n_rows }
+        });
         let threads = rayon::current_num_threads().min(n_features);
         let work = self.work_per_row.saturating_mul(n_rows as u64);
         if threads <= 1 || work < PARALLEL_WORK_THRESHOLD {
             let mut out = vec![0.0f64; n_features * n_rows];
-            self.score_range(features, 0..n_features, &rows, test, &mut out);
+            self.score_range(features, 0..n_features, &rows, blocks, test, &mut out);
             return out;
         }
         // Contiguous feature groups, claimed one at a time; each fills its
@@ -233,7 +273,7 @@ impl ScoringPlan {
             .par_iter()
             .map(|g| {
                 let mut slab = vec![0.0f64; g.len() * n_rows];
-                self.score_range(features, g.clone(), &rows, test, &mut slab);
+                self.score_range(features, g.clone(), &rows, blocks, test, &mut slab);
                 slab
             })
             .collect();
@@ -245,27 +285,31 @@ impl ScoringPlan {
         features: &[FeatureModel],
         range: Range<usize>,
         rows: &DesignMatrix,
+        blocks: Option<Blocks>,
         test: &Dataset,
         out: &mut [f64],
     ) {
         let n_rows = rows.n_rows();
-        // Too few records for a row block: SVR dot products fold in lanes.
-        let mut lanes = (n_rows < BLOCK).then(LaneGroup::default);
+        let mut linear = match blocks {
+            Some(blocks) => Linear::Blocks(blocks),
+            None => Linear::Lanes(LaneGroup::default()),
+        };
         // Lane groups stop at the end of this call's features.
         let features = &features[..range.end];
         for (i, col) in range.zip(out.chunks_exact_mut(n_rows)) {
-            self.score_feature(features, i, lanes.as_mut(), rows, test, col);
+            self.score_feature(features, i, &mut linear, rows, test, col);
         }
     }
 
-    /// Add feature `i`'s contributions to `col` (one slot per row). With
-    /// `lanes`, its SVRs take their dot products from a lane group, which
-    /// is folded anew over `features[i..]` when it does not hold them.
+    /// Add feature `i`'s contributions to `col` (one slot per row). Under
+    /// [`Linear::Lanes`], its SVRs take their dot products from the lane
+    /// group, which is folded anew over `features[i..]` when it does not
+    /// hold them.
     fn score_feature(
         &self,
         features: &[FeatureModel],
         i: usize,
-        mut lanes: Option<&mut LaneGroup>,
+        linear: &mut Linear,
         rows: &DesignMatrix,
         test: &Dataset,
         col: &mut [f64],
@@ -285,10 +329,17 @@ impl ScoringPlan {
                         col[r] += err.surprisal(truth[r], pred) - fm.entropy;
                     };
                     match (model, cp.layout) {
-                        (RealPredictor::Svr(m), Layout::Linear) => match lanes.as_deref_mut() {
+                        (RealPredictor::Svr(m), Layout::Linear) => match linear {
+                            Linear::Blocks(blocks) => {
+                                blocks.dots(m.weights(), &self.segments[parts], |r, dot| {
+                                    if !truth[r].is_nan() {
+                                        add(r, dot + m.bias());
+                                    }
+                                });
+                            }
                             // A group's pass runs in the span of its first
                             // feature.
-                            Some(group) => {
+                            Linear::Lanes(group) => {
                                 if !group.holds(p) {
                                     *group = self.fold_lanes(features, i, p, rows);
                                 }
@@ -296,12 +347,6 @@ impl ScoringPlan {
                                 for r in present {
                                     add(r, group.dots[r][lane] + m.bias());
                                 }
-                            }
-                            None => {
-                                let segs = &self.segments[parts];
-                                for_each_block(present, |rs| {
-                                    svr_predictions(m, segs, rows, rs, &mut add)
-                                });
                             }
                         },
                         (RealPredictor::Tree(_), Layout::Tree) => {
@@ -333,9 +378,18 @@ impl ScoringPlan {
                     match (model, cp.layout) {
                         (CatPredictor::Svc(m), Layout::Linear) => {
                             let segs = &self.segments[parts];
-                            for_each_block(present, |rs| {
-                                svc_predictions(m, segs, rows, rs, &mut add)
-                            });
+                            match linear {
+                                Linear::Blocks(blocks) => blocks.classes(m, segs, |r, class| {
+                                    if codes[r] != MISSING_CODE {
+                                        add(r, class);
+                                    }
+                                }),
+                                Linear::Lanes(_) => {
+                                    for r in present {
+                                        add(r, svc_class(m, segs, rows.row(r)));
+                                    }
+                                }
+                            }
                         }
                         (CatPredictor::Tree(_), Layout::Tree) => {
                             let nodes = &self.nodes[parts];
@@ -396,7 +450,7 @@ impl ScoringPlan {
         let mut group = LaneGroup {
             first: p,
             len,
-            dots: [[0.0; LANES]; BLOCK],
+            dots: [[0.0; LANES]; BLOCKS_FROM - 1],
         };
         for (r, dots) in group.dots.iter_mut().enumerate().take(rows.n_rows()) {
             *dots = lane_row(&ws[..len], &segs[..len], rows.row(r));
@@ -441,6 +495,7 @@ impl ScoringPlan {
         let (layout, (first, parts), work, max_class) = match &fp.model {
             PredictorModel::Real(RealPredictor::Svr(m)) => {
                 check_len("SVR", m.weights().len())?;
+                self.linear = true;
                 (Layout::Linear, linear(self), n_cols as u64, None)
             }
             PredictorModel::Cat(CatPredictor::Svc(m)) => {
@@ -448,6 +503,7 @@ impl ScoringPlan {
                     check_len("SVC hyperplane", m.hyperplane(k).0.len())?;
                 }
                 let top = m.n_classes().saturating_sub(1) as u32;
+                self.linear = true;
                 (
                     Layout::Linear,
                     linear(self),
@@ -484,6 +540,7 @@ impl ScoringPlan {
                     _ => (Layout::Constant, 0, None),
                 };
                 self.segments.truncate(first_seg);
+                self.trees |= layout == Layout::Tree;
                 let parts = (first as u32, (self.nodes.len() - first) as u32);
                 let work = if layout == Layout::Tree {
                     (depth + 1) * TREE_LEVEL_WORK
@@ -567,13 +624,14 @@ impl<'a> ColumnMap<'a> {
 }
 
 /// The dot products of up to [`LANES`] consecutive SVR predictors, from plan
-/// index `first`, on each row of a call with fewer than [`BLOCK`] rows.
+/// index `first`, on each row of a call with fewer than [`BLOCKS_FROM`]
+/// rows.
 #[derive(Debug, Default)]
 struct LaneGroup {
     first: usize,
     len: usize,
     /// `dots[row][lane]`: `Σ w·x` of predictor `first + lane` on `row`.
-    dots: [[f64; LANES]; BLOCK],
+    dots: [[f64; LANES]; BLOCKS_FROM - 1],
 }
 
 impl LaneGroup {
@@ -583,120 +641,126 @@ impl LaneGroup {
     }
 }
 
-/// Hand `rows` to `f` in full blocks of [`BLOCK`], then the remainder one
-/// row at a time.
-fn for_each_block(rows: impl Iterator<Item = usize>, mut f: impl FnMut(&[usize])) {
-    let mut block = [0usize; BLOCK];
-    let mut n = 0;
-    for r in rows {
-        block[n] = r;
-        n += 1;
-        if n == BLOCK {
-            f(&block);
-            n = 0;
-        }
-    }
-    for r in &block[..n] {
-        f(std::slice::from_ref(r));
-    }
+/// How a call's linear predictors read its records.
+enum Linear<'a> {
+    /// Fewer than [`BLOCKS_FROM`] records: SVRs fold in lane groups over
+    /// the pool rows, SVC hyperplanes one row at a time.
+    Lanes(LaneGroup),
+    /// Every SVR and SVC hyperplane folds each block.
+    Blocks(Blocks<'a>),
 }
 
-/// `Σ w·x` over `segs` for each row in `rs` (a full block, or one row),
-/// into `out[..rs.len()]`.
-fn linear_dots(
-    w: &[f64],
-    segs: &[Segment],
-    rows: &DesignMatrix,
-    rs: &[usize],
-    out: &mut [f64; BLOCK],
-) {
-    match <[usize; BLOCK]>::try_from(rs) {
-        Ok(block) => *out = dots(w, segs, block.map(|r| rows.row(r))),
-        Err(_) => {
-            for (o, &r) in out.iter_mut().zip(rs) {
-                *o = dots(w, segs, [rows.row(r)])[0];
+/// A call's records encoded by [`PoolSpec::encode_blocks`]: blocks of
+/// [`BLOCK_RECORDS`] records interleaved by pool column, the last one
+/// zero-padded.
+#[derive(Clone, Copy)]
+struct Blocks<'a> {
+    values: &'a [f64],
+    n_cols: usize,
+    n_rows: usize,
+}
+
+impl Blocks<'_> {
+    /// `Σ w·x` over `segs` for every record, one block at a time: lane `b`
+    /// of a block folds its record's products left to right over the
+    /// segments from `−0.0`, [`dot_row`]'s order, bit for bit. `emit` gets
+    /// each record and its sum; a padded slot's sum is dropped.
+    fn dots(&self, w: &[f64], segs: &[Segment], mut emit: impl FnMut(usize, f64)) {
+        for (first, slab) in self.slabs() {
+            let acc = block_dots(w, segs, slab);
+            for (b, &dot) in acc.iter().enumerate().take(self.n_rows - first) {
+                emit(first + b, dot);
             }
         }
     }
-}
 
-/// SVR prediction (`dot + bias`) for each row in `rs`.
-fn svr_predictions(
-    m: &LinearSvr,
-    segs: &[Segment],
-    rows: &DesignMatrix,
-    rs: &[usize],
-    mut emit: impl FnMut(usize, f64),
-) {
-    let mut d = [0.0f64; BLOCK];
-    linear_dots(m.weights(), segs, rows, rs, &mut d);
-    for (&r, dot) in rs.iter().zip(d) {
-        emit(r, dot + m.bias());
-    }
-}
-
-/// One-vs-rest SVC prediction for each row in `rs`: the first class with
-/// the strictly greatest decision value (`LinearSvc::predict`'s rule).
-fn svc_predictions(
-    m: &LinearSvc,
-    segs: &[Segment],
-    rows: &DesignMatrix,
-    rs: &[usize],
-    mut emit: impl FnMut(usize, u32),
-) {
-    let mut best = [0u32; BLOCK];
-    let mut best_v = [f64::NEG_INFINITY; BLOCK];
-    let mut d = [0.0f64; BLOCK];
-    for k in 0..m.n_classes() {
-        let (w, b) = m.hyperplane(k);
-        linear_dots(w, segs, rows, rs, &mut d);
-        for i in 0..rs.len() {
-            let v = d[i] + b;
-            if v > best_v[i] {
-                best_v[i] = v;
-                best[i] = k as u32;
+    /// One-vs-rest SVC prediction for every record: the first class with
+    /// the strictly greatest decision value (`LinearSvc::predict`'s rule).
+    fn classes(&self, m: &LinearSvc, segs: &[Segment], mut emit: impl FnMut(usize, u32)) {
+        for (first, slab) in self.slabs() {
+            let mut best = [0u32; BLOCK_RECORDS];
+            let mut best_v = [f64::NEG_INFINITY; BLOCK_RECORDS];
+            for k in 0..m.n_classes() {
+                let (w, bias) = m.hyperplane(k);
+                let acc = block_dots(w, segs, slab);
+                for b in 0..BLOCK_RECORDS {
+                    let v = acc[b] + bias;
+                    if v > best_v[b] {
+                        best_v[b] = v;
+                        best[b] = k as u32;
+                    }
+                }
+            }
+            for (b, &class) in best.iter().enumerate().take(self.n_rows - first) {
+                emit(first + b, class);
             }
         }
     }
-    for (&r, class) in rs.iter().zip(best) {
-        emit(r, class);
+
+    /// Each block's first record and its `8 · n_cols` values.
+    fn slabs(&self) -> impl Iterator<Item = (usize, &[f64])> {
+        let len = BLOCK_RECORDS * self.n_cols;
+        (0..self.n_rows.div_ceil(BLOCK_RECORDS))
+            .map(move |k| (k * BLOCK_RECORDS, &self.values[k * len..(k + 1) * len]))
     }
 }
 
-/// `Σ w·x` for `B` rows in one pass over `w`: per row, products are added
-/// left to right over the segments from `−0.0` — `LinearSvr::predict`'s
-/// `.sum::<f64>()` order, bit for bit.
-///
-/// The loop takes four weights per step (each row still folds them in
-/// order). With one row the sum is a single chain of dependent adds, and a
-/// one-weight loop body is small enough that its address decides its
-/// speed: the same machine code ran 26% slower when it straddled a cache
-/// line. Four adds per step keep it add-latency-bound wherever it lands.
-/// One row goes through here only for SVC hyperplanes and for the leftover
-/// rows of a batch of [`BLOCK`] or more; SVRs of smaller calls fold in
-/// [`lane_dots`].
-fn dots<const B: usize>(w: &[f64], segs: &[Segment], rows: [&[f64]; B]) -> [f64; B] {
-    let mut acc = [-0.0f64; B];
+/// `Σ w·x` over `segs` for the eight records of one block `slab`, one lane
+/// each, from `−0.0`, segment by segment.
+fn block_dots(w: &[f64], segs: &[Segment], slab: &[f64]) -> [f64; BLOCK_RECORDS] {
+    let mut acc = [-0.0f64; BLOCK_RECORDS];
     let mut wo = 0usize;
     for s in segs {
         let (start, width) = (s.start as usize, s.width as usize);
-        let ws = &w[wo..wo + width];
-        let xs: [&[f64]; B] = rows.map(|x| &x[start..start + width]);
-        let quads = width - width % 4;
-        for j in (0..quads).step_by(4) {
-            let w4 = &ws[j..j + 4];
-            for b in 0..B {
-                let x4 = &xs[b][j..j + 4];
-                acc[b] += w4[0] * x4[0];
-                acc[b] += w4[1] * x4[1];
-                acc[b] += w4[2] * x4[2];
-                acc[b] += w4[3] * x4[3];
-            }
+        let xs = &slab[start * BLOCK_RECORDS..(start + width) * BLOCK_RECORDS];
+        kernels::dot8_blocked(&w[wo..wo + width], xs, &mut acc);
+        wo += width;
+    }
+    acc
+}
+
+/// One-vs-rest SVC prediction for pool row `x` (see [`Blocks::classes`]).
+fn svc_class(m: &LinearSvc, segs: &[Segment], x: &[f64]) -> u32 {
+    let mut best = 0u32;
+    let mut best_v = f64::NEG_INFINITY;
+    for k in 0..m.n_classes() {
+        let (w, bias) = m.hyperplane(k);
+        let v = dot_row(w, segs, x) + bias;
+        if v > best_v {
+            best_v = v;
+            best = k as u32;
         }
-        for j in quads..width {
-            for b in 0..B {
-                acc[b] += ws[j] * xs[b][j];
-            }
+    }
+    best
+}
+
+/// `Σ w·x` over `segs` for one pool row `x`: products are added left to
+/// right over the segments from `−0.0` — `LinearSvr::predict`'s
+/// `.sum::<f64>()` order, bit for bit.
+///
+/// The loop takes four weights per step (still added in order). A one-row
+/// sum is a single chain of dependent adds, and a one-weight loop body is
+/// small enough that its address decides its speed: the same machine code
+/// ran 26% slower when it straddled a cache line. Four adds per step keep
+/// it add-latency-bound wherever it lands. Only SVC hyperplanes of calls
+/// under [`BLOCKS_FROM`] records fold here; SVRs of such calls fold in
+/// [`lane_dots`].
+fn dot_row(w: &[f64], segs: &[Segment], x: &[f64]) -> f64 {
+    let mut acc = -0.0f64;
+    let mut wo = 0usize;
+    for s in segs {
+        let (start, width) = (s.start as usize, s.width as usize);
+        let (ws, xs) = (&w[wo..wo + width], &x[start..start + width]);
+        let mut w4 = ws.chunks_exact(4);
+        let mut x4 = xs.chunks_exact(4);
+        for (w4, x4) in (&mut w4).zip(&mut x4) {
+            acc += w4[0] * x4[0];
+            acc += w4[1] * x4[1];
+            acc += w4[2] * x4[2];
+            acc += w4[3] * x4[3];
+        }
+        for (wv, xv) in w4.remainder().iter().zip(x4.remainder()) {
+            acc += wv * xv;
         }
         wo += width;
     }
@@ -900,7 +964,13 @@ fn flatten<L: Copy>(
 
 #[cfg(test)]
 mod tests {
-    use super::{dots, lane_row, push_all_but, push_segments, ColumnMap, Segment, LANES};
+    use super::{
+        dot_row, lane_row, push_all_but, push_segments, svc_class, Blocks, ColumnMap, Segment,
+        LANES,
+    };
+    use frac_dataset::kernels::BLOCK_RECORDS;
+    use frac_learn::traits::Classifier;
+    use frac_learn::LinearSvc;
     use crate::model::{CatPredictor, Inputs, PredictorModel, RealPredictor};
     use crate::{FracConfig, FracModel, TrainingPlan};
     use frac_dataset::binio::{ByteReader, ByteWriter};
@@ -974,10 +1044,41 @@ mod tests {
             let segs: Vec<&[Segment]> = lanes.iter().map(Vec::as_slice).collect();
             let folded = lane_row(&ws, &segs, &row);
             for l in 0..n_lanes {
-                let alone = dots(ws[l], segs[l], [&row[..]])[0];
+                let alone = dot_row(ws[l], segs[l], &row);
                 prop_assert_eq!(folded[l].to_bits(), alone.to_bits(), "lane {} of {}", l, n_lanes);
             }
         }
+    }
+
+    #[test]
+    fn the_svc_argmax_keeps_the_first_of_tied_classes_in_blocks_and_rows() {
+        // Classes 1 and 2 share a hyperplane and class 0 is the zero
+        // hyperplane: a record with a positive decision value ties 1 with 2,
+        // and a zero record ties every class. The strict `>` keeps the first.
+        let w = vec![0.5, -1.0, 2.0];
+        let m = LinearSvc::from_parts(vec![(vec![0.0; 3], 0.0), (w.clone(), 0.0), (w, 0.0)]);
+        let segs = [Segment { start: 1, width: 3 }];
+        let (n_rows, n_cols) = (11usize, 5usize);
+        let cell = |r: usize, c: usize| {
+            if r.is_multiple_of(4) { 0.0 } else { ((r * 7 + c * 3) % 5) as f64 - 2.0 }
+        };
+        let rows: Vec<Vec<f64>> =
+            (0..n_rows).map(|r| (0..n_cols).map(|c| cell(r, c)).collect()).collect();
+        let mut values = vec![0.0; n_rows.div_ceil(BLOCK_RECORDS) * BLOCK_RECORDS * n_cols];
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                let k = r / BLOCK_RECORDS;
+                values[(k * n_cols + c) * BLOCK_RECORDS + r % BLOCK_RECORDS] = v;
+            }
+        }
+        let blocks = Blocks { values: &values, n_cols, n_rows };
+        let mut got = vec![u32::MAX; n_rows];
+        blocks.classes(&m, &segs, |r, class| got[r] = class);
+        let want: Vec<u32> = rows.iter().map(|row| m.predict(&row[1..4])).collect();
+        assert_eq!(got, want);
+        let by_row: Vec<u32> = rows.iter().map(|row| svc_class(&m, &segs, row)).collect();
+        assert_eq!(by_row, want);
+        assert!(want.contains(&0) && want.contains(&1) && !want.contains(&2), "{want:?}");
     }
 
     /// A random encoder table of `n` features: absent entries, real

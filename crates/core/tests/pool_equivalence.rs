@@ -16,7 +16,8 @@
 //!   (`contributions_unpooled`: one owned encode per predictor, each
 //!   model's own `predict`) to the NS bit, for every predictor kind and
 //!   plan shape, on dirty test rows, for single records and batches on
-//!   both sides of the fan-out threshold, at 1 and 4 threads, and for a
+//!   both sides of the fan-out threshold (every fill of an eight-record
+//!   block, and truths missing mid-block), at 1 and 4 threads, and for a
 //!   single record that fans out, at 1, 2 and 4 threads.
 //! * Tree split search from per-code count tables (pool views) must grow
 //!   the trees the gather scan grows over owned matrices
@@ -274,29 +275,35 @@ fn dirty(test: &Dataset) -> Dataset {
     FaultPlan::seeded(5).with_poison(0.15).poison(test)
 }
 
-/// Score `test` through the plan and through the reference path, bit for
-/// bit: every contribution, the renormalization, and the NS scores. Batch
-/// sizes cover one to three records (inline; SVRs fold in lanes), one row
-/// block plus a leftover row, 64 records, and the smallest batch the plan
-/// fans out over worker threads.
+/// Score `batch` through the plan and through the reference path, bit for
+/// bit: every contribution, the renormalization, and the NS scores.
+fn check_batch(model: &FracModel, batch: &Dataset, at: &str) {
+    let plan = model.contributions(batch);
+    let oracle = model.contributions_unpooled(batch);
+    assert_eq!(plan.feature_ids, oracle.feature_ids, "{at}");
+    assert_eq!(plan.n_rows, batch.n_rows(), "{at}");
+    assert_eq!(plan.renorm.to_bits(), oracle.renorm.to_bits(), "{at}");
+    for (c, (a, b)) in plan.values.iter().zip(&oracle.values).enumerate() {
+        assert_bits_eq(a, b, &format!("{at}, feature column {c}"));
+    }
+    assert_bits_eq(&model.score(batch), &oracle.ns_scores(), &format!("{at}, NS"));
+}
+
+/// [`check_batch`] on batches cycled from `test`. Batch sizes cover one and
+/// two records (inline; SVRs fold in lanes); three to 17 records, which
+/// fold linear predictors in blocks of eight: one short block, one full
+/// block, a full block and one or seven records more, two full blocks and
+/// one more; 64 records; and the smallest batch the plan fans out over
+/// worker threads.
 fn check_plan_matches_oracle(model: &FracModel, test: &Dataset, what: &str) {
     let work = model.scoring_plan().unwrap().work_per_row();
     assert!(work > 0 && work < PARALLEL_WORK_THRESHOLD, "{what}: one record scores inline");
     let fan_out = (PARALLEL_WORK_THRESHOLD / work + 1) as usize;
     for threads in [1, 4] {
         pool(threads).install(|| {
-            for n in [1, 2, 3, 5, 64, fan_out] {
+            for n in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, fan_out] {
                 let batch = cycle_rows(test, n);
-                let at = format!("{what}: {n} rows, {threads} threads");
-                let plan = model.contributions(&batch);
-                let oracle = model.contributions_unpooled(&batch);
-                assert_eq!(plan.feature_ids, oracle.feature_ids, "{at}");
-                assert_eq!(plan.n_rows, n, "{at}");
-                assert_eq!(plan.renorm.to_bits(), oracle.renorm.to_bits(), "{at}");
-                for (c, (a, b)) in plan.values.iter().zip(&oracle.values).enumerate() {
-                    assert_bits_eq(a, b, &format!("{at}, feature column {c}"));
-                }
-                assert_bits_eq(&model.score(&batch), &oracle.ns_scores(), &format!("{at}, NS"));
+                check_batch(model, &batch, &format!("{what}: {n} rows, {threads} threads"));
             }
         });
     }
@@ -366,6 +373,46 @@ fn plan_matches_oracle_with_a_dropped_target() {
     assert_eq!(model.n_targets(), train.n_features() - 1);
     assert_ne!(model.ns_renorm_factor(), 1.0);
     check_plan_matches_oracle(&model, &dirty(&test), "dropped target");
+}
+
+/// `n` rows cycled from `test` whose truths go missing inside blocks of
+/// eight: feature `j` loses records 3 and 4 of every other block, from
+/// block `j % 2`, so a block scores some lanes and skips their neighbours.
+fn missing_mid_block(test: &Dataset, n: usize) -> Dataset {
+    let batch = cycle_rows(test, n);
+    let gone = |j: usize, r: usize| matches!(r % 8, 3 | 4) && (r / 8 + j).is_multiple_of(2);
+    let cols = (0..batch.n_features())
+        .map(|j| match batch.column(j) {
+            Column::Real(v) => Column::Real(
+                (0..n).map(|r| if gone(j, r) { f64::NAN } else { v[r] }).collect::<Vec<_>>().into(),
+            ),
+            Column::Categorical { arity, codes } => Column::Categorical {
+                arity: *arity,
+                codes: (0..n)
+                    .map(|r| if gone(j, r) { MISSING_CODE } else { codes[r] })
+                    .collect::<Vec<_>>()
+                    .into(),
+            },
+        })
+        .collect();
+    Dataset::new(batch.schema().clone(), cols)
+}
+
+#[test]
+fn plan_matches_oracle_when_truths_go_missing_mid_block() {
+    let (train, test) = expression_surrogate();
+    let svr = fit_full(&train, &FracConfig::expression());
+    let (train, test_snp) = snp_surrogate();
+    let svc = fit_full(
+        &train,
+        &FracConfig { cat_model: CatModel::Svc(SvcConfig::default()), ..FracConfig::snp() },
+    );
+    for (what, model, test) in [("svr", &svr, &test), ("svc", &svc, &test_snp)] {
+        for n in [5, 8, 13, 17] {
+            let batch = missing_mid_block(test, n);
+            check_batch(model, &batch, &format!("{what}: {n} rows, missing mid-block"));
+        }
+    }
 }
 
 #[test]

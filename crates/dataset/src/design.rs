@@ -14,6 +14,7 @@
 //! statistics leak into training.
 
 use crate::dataset::{ColStore, Column, Dataset};
+use crate::kernels::BLOCK_RECORDS;
 use crate::schema::FeatureKind;
 use crate::stats;
 
@@ -232,8 +233,9 @@ impl DesignSpec {
         let n_rows = data.n_rows();
         let mut values = vec![0.0f64; n_rows * self.n_cols];
         let mut col_base = 0usize;
+        let stride = self.n_cols;
         for (&j, enc) in self.input_features.iter().zip(&self.encoders) {
-            enc.encode_into(j, data, &mut values, self.n_cols, col_base);
+            enc.encode_into(j, data, &mut values, col_base, |r, c| r * stride + c);
             col_base += enc.width();
         }
         DesignMatrix { n_rows, n_cols: self.n_cols, values }
@@ -261,28 +263,36 @@ impl FeatureEncoder {
         }
     }
 
-    /// Write feature `j`'s encoded block into row-major `values` of row
-    /// width `stride`, starting at column `col_base`. Shared by owned and
-    /// pooled encodes so the produced bits cannot diverge.
-    fn encode_into(&self, j: usize, data: &Dataset, values: &mut [f64], stride: usize, col_base: usize) {
+    /// Write feature `j`'s encoded block into `values`, starting at column
+    /// `col_base`; cell `(r, c)` lives at `values[at(r, c)]` (row-major for
+    /// design matrices, interleaved for [`PoolSpec::encode_blocks`]).
+    /// Shared by every encode so the produced bits cannot diverge.
+    fn encode_into(
+        &self,
+        j: usize,
+        data: &Dataset,
+        values: &mut [f64],
+        col_base: usize,
+        at: impl Fn(usize, usize) -> usize,
+    ) {
         match (data.column(j), self) {
             (Column::Real(v), FeatureEncoder::Real { mean, inv_std }) => {
                 for (r, &x) in v.iter().enumerate() {
                     let z = if x.is_nan() { 0.0 } else { (x - mean) * inv_std };
-                    values[r * stride + col_base] = z;
+                    values[at(r, col_base)] = z;
                 }
             }
             (Column::Real(v), FeatureEncoder::RealRaw { mean }) => {
                 for (r, &x) in v.iter().enumerate() {
                     let z = if x.is_nan() { *mean } else { x };
-                    values[r * stride + col_base] = z;
+                    values[at(r, col_base)] = z;
                 }
             }
             (Column::Categorical { arity, codes }, FeatureEncoder::OneHot { arity: a }) => {
                 assert_eq!(arity, a, "arity mismatch between spec and data");
                 for (r, &c) in codes.iter().enumerate() {
                     if c != crate::dataset::MISSING_CODE {
-                        values[r * stride + col_base + c as usize] = 1.0;
+                        values[at(r, col_base + c as usize)] = 1.0;
                     }
                 }
             }
@@ -528,10 +538,35 @@ impl PoolSpec {
         let mut values = vec![0.0f64; n_rows * n_cols];
         for (j, enc) in self.encoders.iter().enumerate() {
             if let Some(enc) = enc {
-                enc.encode_into(j, data, &mut values, n_cols, self.col_offsets[j]);
+                enc.encode_into(j, data, &mut values, self.col_offsets[j], |r, c| r * n_cols + c);
             }
         }
         DesignMatrix { n_rows, n_cols, values }
+    }
+
+    /// Encode every covered feature of `data` into blocks of
+    /// [`BLOCK_RECORDS`] records interleaved by pool column, the layout
+    /// [`crate::kernels::dot8_blocked`] reads: block `k` holds records
+    /// `8k..8k + 8`, and record `8k + b`'s pool column `c` is
+    /// `out[(k · n_cols + c) · 8 + b]`. A short last block's missing
+    /// records are zeros. `out` is cleared and refilled, so a caller can
+    /// keep one buffer across batches. Each cell has the bits
+    /// [`PoolSpec::encode_rows`] gives it.
+    ///
+    /// # Panics
+    /// Panics if `data`'s schema is incompatible with the pooled encoders.
+    pub fn encode_blocks(&self, data: &Dataset, out: &mut Vec<f64>) {
+        const L: usize = BLOCK_RECORDS;
+        let n_cols = self.n_cols();
+        out.clear();
+        out.resize(data.n_rows().div_ceil(L) * L * n_cols, 0.0);
+        for (j, enc) in self.encoders.iter().enumerate() {
+            if let Some(enc) = enc {
+                enc.encode_into(j, data, out, self.col_offsets[j], |r, c| {
+                    (r / L * n_cols + c) * L + r % L
+                });
+            }
+        }
     }
 }
 
@@ -1531,6 +1566,32 @@ mod tests {
                     let mut buf = vec![0.0; owned.n_cols()];
                     view.copy_row_into(r, &mut buf);
                     assert_eq!(buf, owned.row(r));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_blocks_interleave_the_row_encode_bitwise() {
+        let d = mixed();
+        // A buffer left dirty by a wider batch: every cell is rewritten.
+        let mut out = vec![f64::NAN; 99];
+        for standardize in [true, false] {
+            let pool_spec = PoolSpec::fit(&d, &[0, 1, 2], standardize);
+            let n_cols = pool_spec.n_cols();
+            for n in [0, 1, 7, 8, 9, 17] {
+                let batch = d.select_rows(&(0..n).map(|r| r % d.n_rows()).collect::<Vec<_>>());
+                let rows = pool_spec.encode_rows(&batch);
+                pool_spec.encode_blocks(&batch, &mut out);
+                assert_eq!(out.len(), n.div_ceil(BLOCK_RECORDS) * BLOCK_RECORDS * n_cols);
+                for (k, block) in out.chunks_exact(BLOCK_RECORDS * n_cols).enumerate() {
+                    for (c, lanes) in block.chunks_exact(BLOCK_RECORDS).enumerate() {
+                        for (b, v) in lanes.iter().enumerate() {
+                            let r = k * BLOCK_RECORDS + b;
+                            let want = if r < n { rows.get(r, c) } else { 0.0 };
+                            assert_eq!(v.to_bits(), want.to_bits(), "{n} rows: row {r}, col {c}");
+                        }
+                    }
                 }
             }
         }

@@ -13,6 +13,7 @@
 
 use crate::dataset::{Column, Dataset, Value};
 use crate::schema::{Feature, FeatureKind, Schema};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -232,7 +233,7 @@ pub fn parse_json_record(
     let cell_err = |column: usize, message: String| ParseError::Cell { line, column, message };
     let mut values = vec![Value::Missing; schema.len()];
     let mut seen = vec![false; schema.len()];
-    let mut p = JsonCursor { bytes: text.as_bytes(), pos: 0 };
+    let mut p = JsonCursor { text, pos: 0 };
     p.skip_ws();
     p.expect(b'{').map_err(|m| cell_err(0, m))?;
     p.skip_ws();
@@ -263,7 +264,7 @@ pub fn parse_json_record(
                 }
                 _ => {
                     let s = p.number().map_err(|m| cell_err(j, m))?;
-                    parse_cell(schema.kind(j), &s, line, j)?
+                    parse_cell(schema.kind(j), s, line, j)?
                 }
             };
             p.skip_ws();
@@ -278,22 +279,23 @@ pub fn parse_json_record(
         }
     }
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(cell_err(0, "trailing bytes after JSON object".into()));
     }
     Ok(values)
 }
 
 /// Byte cursor for the minimal flat-JSON record parser (no dependency,
-/// no recursion — a record is one object of scalars).
+/// no recursion — a record is one object of scalars). Keys and values
+/// borrow the record's text; only a string with an escape is copied.
 struct JsonCursor<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl JsonCursor<'_> {
+impl<'a> JsonCursor<'a> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -312,7 +314,7 @@ impl JsonCursor<'_> {
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -321,16 +323,24 @@ impl JsonCursor<'_> {
     }
 
     /// A quoted string; `\"` `\\` `\/` and whitespace escapes only (feature
-    /// names and the `?` missing marker need nothing more).
-    fn string(&mut self) -> Result<String, String> {
+    /// names and the `?` missing marker need nothing more). Borrowed from
+    /// the record unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            // `"` is ASCII, so both ends are char boundaries.
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
         loop {
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -349,27 +359,25 @@ impl JsonCursor<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through byte-wise; the
-                    // source is a &str so the bytes are valid.
                     let start = self.pos;
-                    while self
-                        .peek()
-                        .is_some_and(|b| b != b'"' && b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?,
-                    );
+                    self.skip_plain();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
+    /// Step over string bytes up to the next `"` or `\\`. Both are ASCII,
+    /// so the stop is a char boundary and multi-byte UTF-8 passes whole.
+    fn skip_plain(&mut self) {
+        while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+            self.pos += 1;
+        }
+    }
+
     /// The raw text of a JSON number (validated downstream by the typed
     /// cell parser).
-    fn number(&mut self) -> Result<String, String> {
+    fn number(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         while self
             .peek()
@@ -380,8 +388,8 @@ impl JsonCursor<'_> {
         if self.pos == start {
             return Err("expected a value".into());
         }
-        String::from_utf8(self.bytes[start..self.pos].to_vec())
-            .map_err(|_| "invalid number".into())
+        // Every byte taken is ASCII.
+        Ok(&self.text[start..self.pos])
     }
 }
 

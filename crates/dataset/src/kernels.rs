@@ -1,9 +1,12 @@
 //! Vectorized inner-loop kernels: the solver fast path's and the CRC-32's.
 //!
 //! The SVM coordinate-descent sweeps spend almost all their time in three
-//! row-wise primitives: `dot`, `axpy`, and squared norm. Two implementation
-//! tiers exist, selected **once per process** into a kernel table of plain
-//! function pointers, so the dispatch decision never sits in an inner loop:
+//! row-wise primitives: `dot`, `axpy`, and squared norm. Batched scoring
+//! adds a fourth, `dot8`: one weight vector folded against
+//! [`BLOCK_RECORDS`] = 8 records at once, laid out interleaved by column.
+//! Two implementation tiers exist, selected **once per process** into a
+//! kernel table of plain function pointers, so the dispatch decision never
+//! sits in an inner loop:
 //!
 //! * [`KernelTier::Avx2Fma`] — explicit `std::arch` x86_64 AVX2/FMA
 //!   kernels, 16 lanes per iteration in four independent 256-bit
@@ -19,14 +22,20 @@
 //! results are not bit-identical to the sequential fold — they are used only
 //! by the fast solver path ([`crate::DesignView::row_dot_blocked`] and
 //! friends); the strict reference path keeps the exact sequential kernels.
-//! `axpy` is the exception: it has no cross-lane reduction, so **every tier
-//! is bit-identical** to the sequential loop (each lane performs the same
-//! multiply-then-add double rounding — the AVX2 tier deliberately avoids
-//! FMA there). Within one tier the grouping is a deterministic function of
-//! the slice length, so fast-path results are reproducible run to run and
-//! across thread counts on one machine; across machines the resolved tier
-//! may differ, which is why the selected tier is recorded in telemetry and
-//! the perf snapshots.
+//! `axpy` and `dot8` are the exceptions: neither has a cross-lane
+//! reduction, so **every tier is bit-identical** to the sequential loop
+//! (each lane performs the same multiply-then-add double rounding — the
+//! AVX2 tier deliberately avoids FMA there). `dot8`'s lanes are records,
+//! not stretches of one record: lane `b` folds record `b`'s terms in
+//! column order, so each lane's sum has the bits of that record's one-row
+//! fold, and the scoring plan's batches use it with no change to an NS
+//! bit. Its AVX2 tier keeps the eight sums in two 256-bit registers and
+//! broadcasts one weight per step; its portable tier is a plain 8-lane
+//! loop the compiler vectorizes to the baseline SSE2. Within one tier the
+//! grouping is a deterministic function of the slice length, so fast-path
+//! results are reproducible run to run and across thread counts on one
+//! machine; across machines the resolved tier may differ, which is why the
+//! selected tier is recorded in telemetry and the perf snapshots.
 //!
 //! The environment variable `FRAC_KERNEL_TIER` (`avx2` / `unrolled`, plus
 //! aliases below) overrides auto-detection at first use; [`force_tier`]
@@ -138,6 +147,7 @@ struct KernelTable {
     dot: fn(&[f64], &[f64], f64) -> f64,
     axpy: fn(f64, &[f64], &mut [f64]),
     sq_norm: fn(&[f64], f64) -> f64,
+    dot8: fn(&[f64], &[f64], &mut [f64; BLOCK_RECORDS]),
 }
 
 static UNROLLED_TABLE: KernelTable = KernelTable {
@@ -145,6 +155,7 @@ static UNROLLED_TABLE: KernelTable = KernelTable {
     dot: portable::dot,
     axpy: portable::axpy,
     sq_norm: portable::sq_norm,
+    dot8: portable::dot8,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -153,6 +164,7 @@ static AVX2_TABLE: KernelTable = KernelTable {
     dot: avx2::dot,
     axpy: avx2::axpy,
     sq_norm: avx2::sq_norm,
+    dot8: avx2::dot8,
 };
 
 /// The active table; null until first use. Only ever holds a pointer to
@@ -261,6 +273,25 @@ pub fn sq_norm_blocked(x: &[f64], acc: f64) -> f64 {
     (table().sq_norm)(x, acc)
 }
 
+/// Records one [`dot8_blocked`] call folds: one per lane.
+pub const BLOCK_RECORDS: usize = 8;
+
+/// `acc[b] = acc[b] + w[j] · x[j · 8 + b]` for each `j` in order, through
+/// the active tier: one weight vector folded against [`BLOCK_RECORDS`]
+/// records interleaved by column (record `b`'s column `j` at
+/// `x[j · 8 + b]`). Each product is rounded before its add, never fused,
+/// so lane `b` ends with the bits of the one-row fold
+/// `acc[b] + w[0]·x₀ + w[1]·x₁ + …` on every tier.
+///
+/// # Panics
+/// Panics if `x.len() != 8 · w.len()` — what keeps the AVX2 tier's raw
+/// loads in bounds (see [`dot_blocked`]).
+#[inline]
+pub fn dot8_blocked(w: &[f64], x: &[f64], acc: &mut [f64; BLOCK_RECORDS]) {
+    assert_eq!(x.len(), BLOCK_RECORDS * w.len());
+    (table().dot8)(w, x, acc);
+}
+
 /// Run one kernel under an explicit tier without touching the process-wide
 /// table (equivalence tests exercise both tiers in one process).
 ///
@@ -288,6 +319,16 @@ pub fn axpy_for_tier(tier: KernelTier, alpha: f64, x: &[f64], w: &mut [f64]) {
 /// Panics if the tier is not supported on this CPU.
 pub fn sq_norm_for_tier(tier: KernelTier, x: &[f64], acc: f64) -> f64 {
     (table_for(tier).sq_norm)(x, acc)
+}
+
+/// Per-tier variant of [`dot8_blocked`]; see [`dot_for_tier`].
+///
+/// # Panics
+/// Panics if the tier is not supported on this CPU, or if
+/// `x.len() != 8 · w.len()`.
+pub fn dot8_for_tier(tier: KernelTier, w: &[f64], x: &[f64], acc: &mut [f64; BLOCK_RECORDS]) {
+    assert_eq!(x.len(), BLOCK_RECORDS * w.len());
+    (table_for(tier).dot8)(w, x, acc);
 }
 
 fn table_for(tier: KernelTier) -> &'static KernelTable {
@@ -385,6 +426,8 @@ fn clmul_fold() -> Option<fn(u32, &[u8]) -> u32> {
 
 /// Portable fallback tier: 4-wide unrolled with independent accumulators.
 mod portable {
+    use super::BLOCK_RECORDS;
+
     pub(super) fn dot(x: &[f64], w: &[f64], init: f64) -> f64 {
         let mut xc = x.chunks_exact(4);
         let mut wc = w.chunks_exact(4);
@@ -431,6 +474,18 @@ mod portable {
         }
         acc
     }
+
+    /// One lane per record; the compiler vectorizes the inner loop, and
+    /// Rust never contracts the multiply and add into an FMA.
+    pub(super) fn dot8(w: &[f64], x: &[f64], acc: &mut [f64; BLOCK_RECORDS]) {
+        let mut a = *acc;
+        for (&wj, xj) in w.iter().zip(x.chunks_exact(BLOCK_RECORDS)) {
+            for (ab, &xb) in a.iter_mut().zip(xj) {
+                *ab += wj * xb;
+            }
+        }
+        *acc = a;
+    }
 }
 
 /// Explicit AVX2/FMA tier. The safe entry points here are sound only when
@@ -439,6 +494,7 @@ mod portable {
 /// `table_for`, which panics on unsupported tiers.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::BLOCK_RECORDS;
     use std::arch::x86_64::{
         __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd,
         _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
@@ -459,6 +515,11 @@ mod avx2 {
     pub(super) fn sq_norm(x: &[f64], acc: f64) -> f64 {
         // SAFETY: as for `dot`.
         unsafe { sq_norm_impl(x, acc) }
+    }
+
+    pub(super) fn dot8(w: &[f64], x: &[f64], acc: &mut [f64; BLOCK_RECORDS]) {
+        // SAFETY: as for `dot`.
+        unsafe { dot8_impl(w, x, acc) }
     }
 
     /// Horizontal sum of the four lanes, in a fixed (pairwise) order.
@@ -551,6 +612,39 @@ mod avx2 {
         while i < n {
             w[i] += alpha * x[i];
             i += 1;
+        }
+    }
+
+    /// The eight records' sums in two registers, one broadcast weight per
+    /// step; multiply *then* add (never FMA), so each lane rounds as the
+    /// one-row fold does.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn dot8_impl(w: &[f64], x: &[f64], acc: &mut [f64; BLOCK_RECORDS]) {
+        // `x.len() == 8 · w.len()` is hard-asserted at every public entry
+        // point; bounding by both slices anyway keeps this function
+        // memory-safe on its own.
+        let n = w.len().min(x.len() / BLOCK_RECORDS);
+        let xp = x.as_ptr();
+        let ap = acc.as_mut_ptr();
+        // SAFETY: `acc` holds eight f64, so both 4-lane loads are in
+        // bounds.
+        let (mut a0, mut a1) = unsafe { (_mm256_loadu_pd(ap), _mm256_loadu_pd(ap.add(4))) };
+        for (j, &wj) in w[..n].iter().enumerate() {
+            let wv = _mm256_set1_pd(wj);
+            // SAFETY: `j < n ≤ x.len() / 8`, so `8j + 8 ≤ x.len()` keeps
+            // both 4-lane loads in bounds.
+            unsafe {
+                let x0 = _mm256_loadu_pd(xp.add(BLOCK_RECORDS * j));
+                let x1 = _mm256_loadu_pd(xp.add(BLOCK_RECORDS * j + 4));
+                a0 = _mm256_add_pd(a0, _mm256_mul_pd(wv, x0));
+                a1 = _mm256_add_pd(a1, _mm256_mul_pd(wv, x1));
+            }
+        }
+        // SAFETY: as for the loads from `acc`; `acc` is borrowed mutably,
+        // so nothing else reads it.
+        unsafe {
+            _mm256_storeu_pd(ap, a0);
+            _mm256_storeu_pd(ap.add(4), a1);
         }
     }
 

@@ -3,15 +3,23 @@
 //!
 //! Every supported tier is exercised through its per-tier entry point on
 //! arbitrary lengths — including the remainder tails 1–7 that the 8-wide
-//! AVX2 loop hands to scalar code — against two contracts:
+//! AVX2 loop hands to scalar code — against three contracts:
 //!
 //! * `dot` / `sq_norm`: reassociated (and on AVX2, FMA-fused) reductions,
 //!   within 1e-10 relative tolerance of the sequential fold;
 //! * `axpy`: bit-identical on every tier (each lane performs the same
-//!   multiply-then-add double rounding as the scalar loop).
+//!   multiply-then-add double rounding as the scalar loop);
+//! * `dot8`: each of its eight lanes bit-identical to that record's
+//!   sequential fold on every tier — every block fill, widths 0–67,
+//!   unaligned slices, signed zeros, subnormals, infinities and NaN —
+//!   checked exhaustively rather than by proptest.
 
-use frac_dataset::kernels::{axpy_for_tier, dot_for_tier, sq_norm_for_tier, KernelTier};
+use frac_dataset::kernels::{
+    axpy_for_tier, dot8_blocked, dot8_for_tier, dot_for_tier, sq_norm_for_tier, KernelTier,
+    BLOCK_RECORDS,
+};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const MAX_LEN: usize = 160;
 
@@ -111,5 +119,100 @@ proptest! {
             }
         }
     }
+}
 
+/// Every fill of a block (1–8 records, the rest zero-padded as the scoring
+/// plan lays them out), every width 0–67, slice starts at every alignment
+/// mod 32 bytes, from a start accumulator of random cells: each lane must
+/// end with its record's sequential fold, on every tier.
+#[test]
+fn dot8_lanes_are_bit_identical_to_each_records_fold() {
+    let mut state = 0x5EED_D078;
+    for fill in 1..=BLOCK_RECORDS {
+        for width in 0..68 {
+            for offset in 0..4 {
+                for non_finite in [false, true] {
+                    check_dot8(&mut state, fill, width, offset, non_finite);
+                }
+            }
+        }
+    }
+}
+
+fn check_dot8(state: &mut u64, fill: usize, width: usize, offset: usize, non_finite: bool) {
+    let mut draw = || cell(state, non_finite);
+    let acc0: [f64; BLOCK_RECORDS] = std::array::from_fn(|_| draw());
+    // Each slice starts `offset` cells into a buffer of other cells.
+    let wbuf: Vec<f64> = (0..offset + width + 3).map(|_| draw()).collect();
+    let mut xbuf: Vec<f64> = (0..offset + BLOCK_RECORDS * width + 3).map(|_| draw()).collect();
+    let x = &mut xbuf[offset..offset + BLOCK_RECORDS * width];
+    for (i, v) in x.iter_mut().enumerate() {
+        if i % BLOCK_RECORDS >= fill {
+            *v = 0.0;
+        }
+    }
+    let (w, x) = (&wbuf[offset..offset + width], &*x);
+    let mut want = acc0;
+    for (j, &wj) in w.iter().enumerate() {
+        for (b, acc) in want.iter_mut().enumerate() {
+            *acc += wj * x[j * BLOCK_RECORDS + b];
+        }
+    }
+    for tier in supported_tiers() {
+        let mut got = acc0;
+        dot8_for_tier(tier, w, x, &mut got);
+        for (b, (g, r)) in got.iter().zip(&want).enumerate() {
+            // Rust leaves a NaN's sign and payload unspecified, so a NaN
+            // matches any NaN; every other value matches bit for bit.
+            assert!(
+                g.to_bits() == r.to_bits() || (g.is_nan() && r.is_nan()),
+                "{tier} dot8 fill={fill} width={width} offset={offset} lane {b}: {g:e} vs {r:e}"
+            );
+        }
+    }
+}
+
+/// SplitMix64 step.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A kernel input: mostly ordinary magnitudes, with signed zeros,
+/// subnormals and the smallest normal often enough that a fold which
+/// fused, reassociated or lost a `−0.0` would show in the bits; with
+/// `non_finite`, now and then ±inf or NaN.
+fn cell(state: &mut u64, non_finite: bool) -> f64 {
+    let sign = if mix(state) & 1 == 0 { 1.0 } else { -1.0 };
+    let pick = mix(state) % 32;
+    sign * match pick {
+        0..=2 => 0.0,
+        3..=5 => f64::from_bits(1 + mix(state) % (1 << 52)),
+        6 => f64::MIN_POSITIVE,
+        7 if non_finite => f64::INFINITY,
+        8 if non_finite => f64::NAN,
+        _ => (mix(state) >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0,
+    }
+}
+
+#[test]
+fn dot8_refuses_a_block_of_the_wrong_length() {
+    let w = [0.5; 5];
+    for len in [0, 39, 41, 5] {
+        let x = vec![1.0; len];
+        let mut acc = [0.0; BLOCK_RECORDS];
+        assert!(
+            catch_unwind(AssertUnwindSafe(|| dot8_blocked(&w, &x, &mut acc))).is_err(),
+            "dispatched, x of {len}"
+        );
+        for tier in supported_tiers() {
+            assert!(
+                catch_unwind(AssertUnwindSafe(|| dot8_for_tier(tier, &w, &x, &mut acc))).is_err(),
+                "{tier}, x of {len}"
+            );
+        }
+    }
 }

@@ -259,3 +259,33 @@ fn json_and_tsv_forms_of_a_wide_record_decode_alike() {
         assert_eq!(bits(&json), bits(&tsv), "record {record}");
     }
 }
+
+#[test]
+fn escaped_json_keys_resolve_to_the_same_feature() {
+    // Keys borrow the record's text unless they hold an escape; an escaped
+    // spelling must reach the same feature and the same error text.
+    let schema = Schema::new(vec![
+        Feature::real("path/gene"),
+        Feature::real("quote\"d"),
+        Feature::real("back\\slash"),
+        Feature::categorical("rs/1", 3),
+    ]);
+    let plain = r#"{"path/gene": 1.5, "quote\"d": -2, "back\\slash": 0.25, "rs/1": 2}"#;
+    let escaped = r#"{"path\/gene": 1.5, "quote\"d": -2, "back\\slash": 0.25, "rs\/1": "2"}"#;
+    let want = vec![
+        Value::Real(1.5),
+        Value::Real(-2.0),
+        Value::Real(0.25),
+        Value::Categorical(2),
+    ];
+    for text in [plain, escaped] {
+        assert_eq!(bits(&parse_json_record(&schema, text, 2).unwrap()), bits(&want), "{text}");
+    }
+    let err = |text: &str| parse_json_record(&schema, text, 4).unwrap_err().to_string();
+    assert_eq!(
+        err(r#"{"path/gene": 1, "path\/gene": 2}"#),
+        "line 4, column 0: duplicate feature `path/gene`"
+    );
+    assert_eq!(err(r#"{"no\/such": 1}"#), "line 4, column 0: unknown feature `no/such`");
+    assert_eq!(err(r#"{"rs\/1": "7"}"#), "line 4, column 3: code 7 out of range for arity 3");
+}

@@ -86,8 +86,8 @@ pin() {
 # summary that accounts for every planned target, and write an
 # inspectable telemetry trace.
 smoke_dir="$(mktemp -d)"
-# Also reaps the serve-smoke daemon if a later assertion aborts the gate.
-trap '[ -z "${serve_pid:-}" ] || kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
+# Also reaps the serve daemons if a later assertion aborts the gate.
+trap 'for pid in "${breast_pid:-}" "${serve_pid:-}"; do [ -z "$pid" ] || kill "$pid" 2>/dev/null || true; done; rm -rf "$smoke_dir"' EXIT
 ./target/release/frac generate --dataset autism --out "$smoke_dir"
 timeout 60 ./target/release/frac train \
   --train "$smoke_dir/autism.train.tsv" \
@@ -252,6 +252,42 @@ breast_ns1="$(head -2 "$smoke_dir/breast.basal.test.tsv" | ./target/release/frac
 want="$(pin breast_basal.ns_first)"
 if [ "$breast_ns1" != "$want" ]; then
   echo "NS pin: breast.basal's first test record reads '$breast_ns1', want '$want'"; exit 1
+fi
+# Batches of three or more records fold their SVRs eight records per SIMD
+# pass, each record's sum with the bits of its one-row fold on every tier
+# (DESIGN.md §6), so the same pin holds under the portable tier.
+FRAC_KERNEL_TIER=unrolled ./target/release/frac serve --model "$smoke_dir/breast.frac" \
+  --schema "$smoke_dir/breast.basal.train.tsv" \
+  < "$smoke_dir/breast.basal.test.tsv" > "$smoke_dir/breast-ns-unrolled.out" 2> /dev/null
+breast_ns="$(grep -c '^ns ' "$smoke_dir/breast-ns-unrolled.out" || true) $(cksum < "$smoke_dir/breast-ns-unrolled.out")"
+want="$(pin breast_basal.ns_file)"
+if [ "$breast_ns" != "$want" ]; then
+  echo "NS pin: breast.basal test file's serve replies under the unrolled tier read ns lines and cksum '$breast_ns', want '$want'"; exit 1
+fi
+# The test file down a socket in one burst, which the daemon scores in
+# batches: each score must equal the pinned pipe-mode reply, line for line.
+./target/release/frac serve --model "$smoke_dir/breast.frac" \
+  --schema "$smoke_dir/breast.basal.train.tsv" \
+  --listen 127.0.0.1:0 2> "$smoke_dir/breast-serve.log" &
+breast_pid=$!
+for _ in $(seq 50); do
+  grep -q "listening on" "$smoke_dir/breast-serve.log" && break
+  sleep 0.1
+done
+port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$smoke_dir/breast-serve.log")
+exec 4<>"/dev/tcp/127.0.0.1/$port"
+burst_rows=$(( $(wc -l < "$smoke_dir/breast.basal.test.tsv") - 1 ))
+tail -n +2 "$smoke_dir/breast.basal.test.tsv" >&4
+for _ in $(seq "$burst_rows"); do
+  read -t 10 -r reply <&4 || { echo "NS pin: a breast.basal burst reply is missing" >&2; exit 1; }
+  printf '%s\n' "$reply"
+done > "$smoke_dir/breast-burst.out"
+exec 4>&-
+kill -TERM "$breast_pid"
+wait "$breast_pid"
+breast_pid=
+if ! cmp <(cut -d' ' -f3 "$smoke_dir/breast-burst.out") <(cut -d' ' -f3 "$smoke_dir/breast-ns.out"); then
+  echo "NS pin: breast.basal socket burst scores differ from the pinned pipe-mode replies"; exit 1
 fi
 
 # Serve smoke: a release daemon on a loopback socket must score a piped
