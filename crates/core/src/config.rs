@@ -26,6 +26,11 @@ pub enum CatModel {
     Majority,
 }
 
+/// The tag [`FracConfig::content_hash`] appends to a fast SVM config's
+/// rendering: the fast path's arithmetic since its all-but-target solves
+/// downdate a shared Gram matrix (FORMATS.md §4).
+pub const FAST_GRAM_ARITHMETIC: &str = " arithmetic=shared-gram-downdate";
+
 /// Full configuration of a FRaC run.
 #[derive(Debug, Clone, Copy)]
 pub struct FracConfig {
@@ -84,8 +89,25 @@ impl FracConfig {
     /// bit-exactly, so two configs collide only if they are behaviourally
     /// identical. Not a stable cross-release format: a journal is a
     /// crash-recovery artifact, not an archive.
+    ///
+    /// A config with a fast SVM family also hashes [`FAST_GRAM_ARITHMETIC`]:
+    /// its all-but-target solves downdate one shared Gram matrix per fit,
+    /// so a journal written before that arithmetic is refused rather than
+    /// mixed with targets fitted under it. Strict and tree configs hash
+    /// their rendering alone, as before.
     pub fn content_hash(&self) -> u64 {
-        frac_dataset::crc::fnv64(format!("{self:?}").as_bytes())
+        let mut text = format!("{self:?}");
+        if self.has_fast_svm() {
+            text.push_str(FAST_GRAM_ARITHMETIC);
+        }
+        frac_dataset::crc::fnv64(text.as_bytes())
+    }
+
+    /// Whether the real or the categorical model is an SVM under
+    /// [`SolverMode::Fast`].
+    fn has_fast_svm(&self) -> bool {
+        matches!(self.real_model, RealModel::Svr(c) if c.mode == SolverMode::Fast)
+            || matches!(self.cat_model, CatModel::Svc(c) if c.mode == SolverMode::Fast)
     }
 
     /// Select the SVM solver path (builder style): [`SolverMode::Fast`]

@@ -45,7 +45,7 @@ use frac_learn::{
 };
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Process-wide fit counter: every [`FracModel::fit`]-family call takes a
@@ -66,6 +66,67 @@ fn pack_scope(fit_nonce: u64, target: usize, inputs: &[usize]) -> u64 {
         buf.extend_from_slice(&(i as u64).to_le_bytes());
     }
     frac_dataset::crc::fnv64(&buf)
+}
+
+/// The run's encoded pool, and the shared G its all-but-target SVM solves
+/// downdate when some SVM family runs fast.
+struct RunPool {
+    pool: Arc<EncodedPool>,
+    gram: Option<FitGram>,
+}
+
+/// A fit's shared G and the encoder table of G's columns: every feature of
+/// the data set, in pool column order.
+struct FitGram {
+    gram: Arc<frac_learn::solver::SharedGram>,
+    spec: PoolSpec,
+}
+
+impl RunPool {
+    fn new(
+        train: &Dataset,
+        plan: &TrainingPlan,
+        config: &FracConfig,
+        table: &PoolSpec,
+        pool: Arc<EncodedPool>,
+    ) -> RunPool {
+        use frac_learn::solver::{GramRows, SharedGram};
+        let fast = |mode| mode == frac_learn::SolverMode::Fast;
+        let fast_svm = matches!(config.real_model, RealModel::Svr(c) if fast(c.mode))
+            || matches!(config.cat_model, CatModel::Svc(c) if fast(c.mode));
+        let n = train.n_features();
+        let reads_all =
+            |tp: &TargetPlan| tp.input_sets.iter().any(|s| reads_all_but(s, tp.target, n));
+        let gram = (fast_svm && plan.targets.iter().any(reads_all)).then(|| {
+            let (rows, spec): (Arc<dyn GramRows>, PoolSpec) =
+                if (0..n).all(|j| table.covers(j)) {
+                    (pool.clone(), table.clone())
+                } else {
+                    // A plan whose one all-but-target target no other
+                    // target reads (a single-target shard) leaves that
+                    // target out of the pool. G still covers it, encoded
+                    // with its own encoder, so G has the bits a run of the
+                    // whole plan gives.
+                    let all: Vec<usize> = (0..n).collect();
+                    let spec = PoolSpec::fit(train, &all, config.standardize);
+                    let rows = spec.encode_rows(train);
+                    telemetry::counter_add(
+                        telemetry::Counter::EncodedCells,
+                        (rows.n_rows() * rows.n_cols()) as u64,
+                    );
+                    (Arc::new(rows), spec)
+                };
+            FitGram { gram: Arc::new(SharedGram::new(rows)), spec }
+        });
+        RunPool { pool, gram }
+    }
+}
+
+/// Whether `inputs` is every feature of an `n`-feature data set but
+/// `target`, ascending: the input set whose Q is the shared G downdated by
+/// the target's columns.
+fn reads_all_but(inputs: &[usize], target: usize, n: usize) -> bool {
+    inputs.len() + 1 == n && inputs.iter().copied().eq((0..n).filter(|&j| j != target))
 }
 
 /// A fitted real-target predictor: a closed enum (rather than a trait
@@ -440,22 +501,48 @@ fn fit_predictor(
     member_seed: u64,
     fit_nonce: u64,
     table: &PoolSpec,
-    pool: Option<&EncodedPool>,
+    pool: Option<&RunPool>,
     shared_folds: &[Fold],
     init_duals: Option<&PredictorDuals>,
     budget: &TargetBudget,
 ) -> Result<MemberFit, TrainError> {
+    // Train only on rows where the target is present.
+    let rows = 0..train.n_rows();
+    let (present, svm): (Vec<usize>, bool) = match train.column(target) {
+        Column::Real(values) => (
+            rows.filter(|&r| !values[r].is_nan()).collect(),
+            matches!(config.real_model, RealModel::Svr(_)),
+        ),
+        Column::Categorical { codes, .. } => (
+            rows.filter(|&r| codes[r] != frac_dataset::dataset::MISSING_CODE).collect(),
+            matches!(config.cat_model, CatModel::Svc(_)),
+        ),
+    };
+    // An SVM target that reads every other feature hands its scope the
+    // fit's shared G, its own columns in G and its present rows; the
+    // solver decides per solve whether to downdate G.
+    let downdate = pool
+        .and_then(|p| p.gram.as_ref())
+        .filter(|_| svm && reads_all_but(inputs, target, train.n_features()))
+        .map(|g| frac_learn::solver::pack_cache::Downdate {
+            gram: Arc::clone(&g.gram),
+            cols: g.spec.col_range(target),
+            present: present.clone(),
+        });
     // Scope the thread-local solver pack cache to this exact predictor
     // problem: the CV drivers and final fits below then declare their train
     // rows per slot, letting repeated gathers of the same (rows, columns)
-    // design be reused, and every Gram solve gather its Q from the scope's
-    // one Q. The scope closes when this function returns.
-    let _scope = frac_learn::solver::pack_cache::begin_scope(pack_scope(fit_nonce, target, inputs));
+    // design be reused, and every other Gram solve gather its Q from the
+    // scope's one Q. The scope closes when this function returns.
+    let _scope = frac_learn::solver::pack_cache::begin_scope(
+        pack_scope(fit_nonce, target, inputs),
+        downdate,
+    );
     let owned: DesignMatrix;
     let pooled: PoolView<'_>;
     let x_all: &dyn DesignView = match pool {
         Some(p) => {
-            pooled = p.view(inputs);
+            pooled = p.pool.view(inputs);
             &pooled
         }
         None => {
@@ -476,9 +563,6 @@ fn fit_predictor(
 
     match train.column(target) {
         Column::Real(values) => {
-            // Train only on rows where the target is present.
-            let present: Vec<usize> =
-                (0..train.n_rows()).filter(|&r| !values[r].is_nan()).collect();
             let x = RowSubset::new(x_all, &present);
             let y: Vec<f64> = present.iter().map(|&r| values[r]).collect();
             let folds = folds_for_present(
@@ -550,9 +634,6 @@ fn fit_predictor(
             ))
         }
         Column::Categorical { arity, codes } => {
-            let present: Vec<usize> = (0..train.n_rows())
-                .filter(|&r| codes[r] != frac_dataset::dataset::MISSING_CODE)
-                .collect();
             let x = RowSubset::new(x_all, &present);
             let y: Vec<u32> = present.iter().map(|&r| codes[r]).collect();
             let folds = folds_for_present(
@@ -778,7 +859,7 @@ fn guarded_attempt(
     member_seed: u64,
     fit_nonce: u64,
     table: &PoolSpec,
-    pool: Option<&EncodedPool>,
+    pool: Option<&RunPool>,
     shared_folds: &[Fold],
     init: Option<&PredictorDuals>,
     budget: &TargetBudget,
@@ -834,7 +915,7 @@ fn fit_member(
     member_seed: u64,
     fit_nonce: u64,
     table: &PoolSpec,
-    pool: Option<&EncodedPool>,
+    pool: Option<&RunPool>,
     shared_folds: &[Fold],
     init: Option<&PredictorDuals>,
     budget: &TargetBudget,
@@ -948,7 +1029,7 @@ fn fit_one_target(
     config: &FracConfig,
     fit_nonce: u64,
     table: &PoolSpec,
-    pool: Option<&EncodedPool>,
+    pool: Option<&RunPool>,
     cache_read: Option<&DualCache>,
     screen: &ScreenReport,
     faults: Option<&FaultPlan>,
@@ -1368,6 +1449,7 @@ impl FracModel {
         let encode_span = telemetry::span(telemetry::Stage::Encode);
         let pool = run.table.encode(train);
         telemetry::counter_add(telemetry::Counter::EncodedCells, pool.n_cells() as u64);
+        let pool = RunPool::new(train, plan, config, &run.table, Arc::new(pool));
         drop(encode_span);
         Self::fit_inner(
             train,
@@ -1418,7 +1500,7 @@ impl FracModel {
         plan: &TrainingPlan,
         config: &FracConfig,
         table: &PoolSpec,
-        pool: Option<&EncodedPool>,
+        pool: Option<&RunPool>,
         cache: Option<&mut DualCache>,
         screen: &ScreenReport,
         faults: Option<&FaultPlan>,
@@ -1524,7 +1606,11 @@ impl FracModel {
 
         let mut report = ResourceReport {
             dataset_bytes: train.approx_bytes() as u64,
-            pool_bytes: pool.map_or(0, |p| p.approx_bytes() as u64),
+            pool_bytes: pool.map_or(0, |p| p.pool.approx_bytes() as u64),
+            // The shared G is built once per fit, so its cost is the fit's,
+            // not a target's: a journaled target's counters then do not
+            // depend on which target happened to build it.
+            flops: pool.and_then(|p| p.gram.as_ref()).map_or(0, |g| g.gram.build_flops()),
             ..ResourceReport::default()
         };
         let mut health = RunHealth {

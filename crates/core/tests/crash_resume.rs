@@ -3,9 +3,9 @@
 //! The contract under test: a journaled fit that dies at *any* byte of its
 //! journal — a clean record boundary, a torn record, even a torn header —
 //! resumes to a model whose NS scores are bitwise identical to an
-//! uninterrupted run. [`SolverMode::Strict`] is pinned throughout because
-//! the bit-identity guarantee is defined against the reference solver
-//! (the fast path's warm starts are schedule-dependent by design).
+//! uninterrupted run. Most cases pin [`SolverMode::Strict`], the reference
+//! solver; one kill-and-resume case runs the fast path, whose per-target
+//! results also depend only on `(data, config)`.
 
 use frac_core::{
     FracConfig, FracModel, JournalError, RunBudget, RunJournal, SolverMode, TrainingPlan,
@@ -109,6 +109,64 @@ fn resume_after_crash_at_every_record_boundary_is_bitwise_identical() {
             "second resume of a completed journal",
         );
     }
+}
+
+/// The fast solver keeps the promise too: its all-but-target solves
+/// downdate one Gram matrix per fit, and a resumed process builds the same
+/// one, so a run killed at a record boundary resumes to the same bits.
+#[test]
+fn fast_resume_after_a_kill_at_a_record_boundary_is_bitwise_identical() {
+    let data = expr_data(30, 12, 5);
+    let train = data.select_rows(&(0..24).collect::<Vec<_>>());
+    let test = data.select_rows(&(24..30).collect::<Vec<_>>());
+    let plan = TrainingPlan::full(train.n_features());
+    let cfg = FracConfig::default().with_seed(11);
+    let dir = temp_dir("fast-boundary");
+    let full_journal = dir.join("full.frj");
+    let fit =
+        FracModel::fit_journaled(&train, &plan, &cfg, &RunBudget::unlimited(), &full_journal)
+            .unwrap();
+    let reference_ns = fit.model.score(&test);
+    let scan = RunJournal::scan(&full_journal).unwrap();
+    let cut = scan.record_ends[scan.record_ends.len() / 2] as usize;
+    let partial = dir.join("cut.frj");
+    truncate_copy(&full_journal, &partial, cut);
+    let resumed =
+        FracModel::resume(&train, &plan, &cfg, &RunBudget::unlimited(), &partial).unwrap();
+    assert!(resumed.resumed > 0 && resumed.resumed < plan.n_targets());
+    assert_bitwise_eq(&reference_ns, &resumed.model.score(&test), "fast resume");
+}
+
+/// A journal written by a fast fit before the shared Gram matrix carries
+/// the config's old hash, the FNV-1a of its `Debug` rendering alone; its
+/// targets were fitted under other arithmetic, so a resume refuses it.
+#[test]
+fn resume_refuses_a_fast_journal_from_before_the_shared_gram() {
+    let train = expr_data(18, 5, 4);
+    let plan = TrainingPlan::full(5);
+    let cfg = FracConfig::default().with_seed(11);
+    let dir = temp_dir("fast-old-hash");
+    let journal = dir.join("run.frj");
+    FracModel::fit_journaled(&train, &plan, &cfg, &RunBudget::unlimited(), &journal).unwrap();
+    let old = frac_dataset::crc::fnv64(format!("{cfg:?}").as_bytes());
+    assert_ne!(old, cfg.content_hash());
+    let bytes = std::fs::read(&journal).unwrap();
+    let new_line = format!("config {:016x}\n", cfg.content_hash());
+    let text = String::from_utf8_lossy(&bytes);
+    assert!(text.contains(&new_line), "header line {new_line:?}");
+    let at = text.find(&new_line).unwrap();
+    let mut patched = bytes[..at].to_vec();
+    patched.extend_from_slice(format!("config {old:016x}\n").as_bytes());
+    patched.extend_from_slice(&bytes[at + new_line.len()..]);
+    std::fs::write(&journal, patched).unwrap();
+    match FracModel::resume(&train, &plan, &cfg, &RunBudget::unlimited(), &journal) {
+        Err(JournalError::Mismatch(detail)) => assert!(detail.contains("config"), "{detail}"),
+        Err(e) => panic!("expected a header mismatch, got {e}"),
+        Ok(_) => panic!("expected a header mismatch, got a model"),
+    }
+    // Strict configs keep their hash.
+    let strict = strict_config();
+    assert_eq!(strict.content_hash(), frac_dataset::crc::fnv64(format!("{strict:?}").as_bytes()));
 }
 
 #[test]

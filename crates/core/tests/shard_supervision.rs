@@ -4,8 +4,8 @@
 //! at startup, SIGKILL-style aborts at record boundaries, torn shard-journal
 //! tails — still completes with a merged model whose NS scores are bitwise
 //! identical to an uninterrupted single-process run, with no target lost or
-//! double-counted. [`SolverMode::Strict`] is pinned because bit-identity is
-//! defined against the reference solver.
+//! double-counted. [`SolverMode::Strict`] is pinned except in the merge
+//! proptest, which also runs fast SVR across shard counts.
 //!
 //! Real worker processes are spawned by re-executing this test binary with
 //! `--exact shard_worker_entry`; the worker rebuilds its dataset from
@@ -392,8 +392,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Merging shard journals produced in any order, for any shard count,
-    /// is bitwise identical to the single-process Strict run — the merge
-    /// depends only on the records, never on who wrote them when.
+    /// is bitwise identical to the single-process run — the merge depends
+    /// only on the records, never on who wrote them when. Fast SVR too:
+    /// every shard builds the same shared Gram matrix, and at 7 shards each
+    /// worker fits one target whose own column its pool lacks, so G must
+    /// still cover that column for its Q to equal the full-plan downdate.
     #[test]
     fn merging_any_shard_count_in_any_order_is_bitwise_identical(
         n_shards in prop_oneof![Just(1usize), Just(2), Just(3), Just(7)],
@@ -401,35 +404,39 @@ proptest! {
     ) {
         let (train, test) = cohort(24, 6, 33);
         let plan = TrainingPlan::full(train.n_features());
-        let cfg = strict_config();
-        let dir = temp_dir(&format!("merge-{n_shards}-{perm_seed:x}"));
-        let base = dir.join("run.frj");
+        for (name, cfg) in [
+            ("strict", strict_config()),
+            ("fast", FracConfig::default().with_seed(11)),
+        ] {
+            let dir = temp_dir(&format!("merge-{n_shards}-{perm_seed:x}-{name}"));
+            let base = dir.join("run.frj");
 
-        let (reference, _) = FracModel::fit(&train, &plan, &cfg);
-        let reference_ns = reference.score(&test);
+            let (reference, _) = FracModel::fit(&train, &plan, &cfg);
+            let reference_ns = reference.score(&test);
 
-        // Produce the shard journals in a shuffled order.
-        let mut order: Vec<usize> = (0..n_shards).collect();
-        order.shuffle(&mut StdRng::seed_from_u64(perm_seed));
-        for k in order {
-            worker_run(&train, &plan, &cfg, &RunBudget::unlimited(), &base, k, n_shards)
-                .unwrap();
-        }
+            // Produce the shard journals in a shuffled order.
+            let mut order: Vec<usize> = (0..n_shards).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(perm_seed));
+            for k in order {
+                worker_run(&train, &plan, &cfg, &RunBudget::unlimited(), &base, k, n_shards)
+                    .unwrap();
+            }
 
-        let mut events: Vec<ShardEvent> = Vec::new();
-        let run = resume_shards(
-            &train, &plan, &cfg, &RunBudget::unlimited(), &base, n_shards,
-            &mut |e| events.push(e.clone()),
-        ).unwrap();
-        prop_assert!(events.is_empty(), "complete journals must not reclaim: {events:?}");
-        prop_assert!(run.report.health.is_clean());
-        prop_assert_eq!(
-            run.journal_health.targets_planned, plan.n_targets(),
-            "worker-phase health covers the whole plan"
-        );
-        let ns = run.model.score(&test);
-        for (x, y) in reference_ns.iter().zip(&ns) {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "{} shards", n_shards);
+            let mut events: Vec<ShardEvent> = Vec::new();
+            let run = resume_shards(
+                &train, &plan, &cfg, &RunBudget::unlimited(), &base, n_shards,
+                &mut |e| events.push(e.clone()),
+            ).unwrap();
+            prop_assert!(events.is_empty(), "complete journals must not reclaim: {events:?}");
+            prop_assert!(run.report.health.is_clean());
+            prop_assert_eq!(
+                run.journal_health.targets_planned, plan.n_targets(),
+                "worker-phase health covers the whole plan"
+            );
+            let ns = run.model.score(&test);
+            for (x, y) in reference_ns.iter().zip(&ns) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "{} shards, {}", n_shards, name);
+            }
         }
     }
 }

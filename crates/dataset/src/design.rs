@@ -660,6 +660,13 @@ impl EncodedPool {
         self.values.len()
     }
 
+    /// Pool row `r`: every covered feature's encoded block, at
+    /// [`PoolSpec::col_range`].
+    #[inline]
+    pub fn row(&self, r: usize) -> &[f64] {
+        &self.values[r * self.n_cols..(r + 1) * self.n_cols]
+    }
+
     /// Zero-copy design view over `inputs` (ascending schema order is the
     /// convention everywhere in the workspace; the view's column order is
     /// exactly the owned `DesignSpec::fit(inputs).encode(..)` column order).

@@ -24,10 +24,15 @@ pub struct MethodSpec {
 }
 
 /// The model configuration the paper used for this data set (§III-B):
-/// linear SVMs for expression, decision trees for SNPs.
+/// linear SVMs for expression, decision trees for SNPs. SVMs run the
+/// strict reference solver, the paper anchor (DESIGN.md §8): its cost
+/// follows the paper's d-dominated model, and its arithmetic is the one
+/// the archived `results/` runs used.
 pub fn config_for(spec: &DatasetSpec) -> FracConfig {
     match spec.model {
-        PaperModel::LinearSvm => FracConfig::expression(),
+        PaperModel::LinearSvm => {
+            FracConfig::expression().with_solver_mode(frac_core::SolverMode::Strict)
+        }
         PaperModel::DecisionTree => FracConfig::snp(),
     }
 }
@@ -170,7 +175,9 @@ mod tests {
     fn config_families_match_models() {
         use frac_core::config::{CatModel, RealModel};
         let expr = config_for(&spec("bild"));
-        assert!(matches!(expr.real_model, RealModel::Svr(_)));
+        assert!(
+            matches!(expr.real_model, RealModel::Svr(c) if c.mode == frac_core::SolverMode::Strict)
+        );
         let snp = config_for(&spec("autism"));
         assert!(matches!(snp.real_model, RealModel::Tree(_)));
         assert!(matches!(snp.cat_model, CatModel::Tree(_)));

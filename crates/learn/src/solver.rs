@@ -39,6 +39,7 @@
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::budget::TargetBudget;
 use crate::fault::TrainError;
@@ -299,7 +300,8 @@ pub fn gram_policy() -> GramPolicy {
 /// special-case it. Each entry is one dispatched SIMD dot of two packed
 /// rows (upper triangle mirrored). Outside a fit scope a solve builds it
 /// in O(n²d/2); inside one, it is gathered from the scope's Q, whose
-/// entries are computed once per fit scope (see [`pack_cache`]).
+/// entries are computed once per fit scope (see [`pack_cache`]), or, for
+/// an all-but-target problem, downdated from the fit's [`SharedGram`].
 #[derive(Debug)]
 pub struct GramMatrix {
     q: Vec<f64>,
@@ -308,18 +310,28 @@ pub struct GramMatrix {
 
 impl GramMatrix {
     /// Build from packed rows, polling `budget` once per Gram row.
-    pub(crate) fn build(
+    pub fn build(
         x: &PackedDesign,
         bias_sq: f64,
         budget: &TargetBudget,
     ) -> Result<GramMatrix, TrainError> {
-        let n = x.n_rows();
+        Self::from_rows(x.n_rows(), |r| x.row(r), bias_sq, budget)
+    }
+
+    /// Entry (i, j) is `dot_blocked(row(i), row(j), bias_sq)`, the lower
+    /// triangle computed and mirrored; `budget` is polled once per row.
+    fn from_rows<'r>(
+        n: usize,
+        row: impl Fn(usize) -> &'r [f64],
+        bias_sq: f64,
+        budget: &TargetBudget,
+    ) -> Result<GramMatrix, TrainError> {
         let mut q = vec![0.0f64; n * n];
         for i in 0..n {
             budget.check()?;
-            let ri = x.row(i);
+            let ri = row(i);
             for j in 0..=i {
-                let v = frac_dataset::kernels::dot_blocked(ri, x.row(j), bias_sq);
+                let v = frac_dataset::kernels::dot_blocked(ri, row(j), bias_sq);
                 q[i * n + j] = v;
                 q[j * n + i] = v;
             }
@@ -345,8 +357,162 @@ impl GramMatrix {
     }
 }
 
+/// Contiguous rows a [`SharedGram`] is built over: one per training row,
+/// each holding every encoded column of the data set in pool column order.
+pub trait GramRows: Send + Sync {
+    /// Number of rows.
+    fn n_rows(&self) -> usize;
+    /// Row `r`.
+    fn row(&self, r: usize) -> &[f64];
+}
+
+impl GramRows for frac_dataset::EncodedPool {
+    fn n_rows(&self) -> usize {
+        frac_dataset::EncodedPool::n_rows(self)
+    }
+
+    fn row(&self, r: usize) -> &[f64] {
+        frac_dataset::EncodedPool::row(self, r)
+    }
+}
+
+impl GramRows for frac_dataset::DesignMatrix {
+    fn n_rows(&self) -> usize {
+        frac_dataset::DesignMatrix::n_rows(self)
+    }
+
+    fn row(&self, r: usize) -> &[f64] {
+        frac_dataset::DesignMatrix::row(self, r)
+    }
+}
+
+/// One fit's `G = [X | bias]·[X | bias]ᵀ` over every training row and every
+/// encoded column, shared by the fit's threads and built on first use.
+///
+/// In full FRaC a target is predicted from every other column, so its Q is
+/// G restricted to the solve's rows minus the outer product of each of the
+/// target's encoded columns ([`SharedGram::downdate`]): one rank-1 term for
+/// a real target, one per indicator for a one-hot one. Each entry of G is
+/// one `kernels::dot_blocked` call over two whole rows, so its bits depend
+/// neither on the thread count nor on the thread that builds it, and every
+/// process that fits a target — a shard worker, a resume — computes the
+/// same G and the same downdated Q.
+pub struct SharedGram {
+    rows: Arc<dyn GramRows>,
+    /// Each G built so far with the bias² bits it folds in (an SVR and an
+    /// SVC family of one fit may differ in bias).
+    built: Mutex<Vec<(u64, Arc<GramMatrix>)>>,
+    build_dots: AtomicU64,
+}
+
+impl SharedGram {
+    /// A G over `rows`, not yet built.
+    pub fn new(rows: Arc<dyn GramRows>) -> Self {
+        SharedGram { rows, built: Mutex::new(Vec::new()), build_dots: AtomicU64::new(0) }
+    }
+
+    /// G with `bias_sq` folded in. The first caller builds it, polling
+    /// `budget` once per row, while later callers wait for it; a build cut
+    /// short by its budget stores nothing, so the next caller starts over.
+    /// `Ok(None)` when G would pass the per-thread byte cap a scope Q is
+    /// held to (see [`pack_cache`]): the caller keeps a per-target Q.
+    pub fn gram(
+        &self,
+        bias_sq: f64,
+        budget: &TargetBudget,
+    ) -> Result<Option<Arc<GramMatrix>>, TrainError> {
+        let n = self.rows.n_rows();
+        if n.saturating_mul(n).saturating_mul(std::mem::size_of::<f64>()) > pack_cache::MAX_BYTES {
+            return Ok(None);
+        }
+        let bits = bias_sq.to_bits();
+        // A panic elsewhere cannot leave a half-built G in the list: only
+        // finished ones are pushed.
+        let mut built = self.built.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, g)) = built.iter().find(|(b, _)| *b == bits) {
+            return Ok(Some(Arc::clone(g)));
+        }
+        stats::record_gram_build();
+        let g = Arc::new(GramMatrix::from_rows(n, |r| self.rows.row(r), bias_sq, budget)?);
+        self.build_dots.fetch_add((n * (n + 1) / 2) as u64, Ordering::Relaxed);
+        built.push((bits, Arc::clone(&g)));
+        Ok(Some(g))
+    }
+
+    /// Whether `cols` hold at most half of each of `rows`' squared norms
+    /// in G: `G_aa ≤ 2·Q_aa`, with `Q_aa` the downdated diagonal. Under it
+    /// a downdated entry's rounding error is within twice a direct
+    /// build's; where a target's own columns dominate a row (an unscaled
+    /// feature far larger than the rest), the subtraction would cancel
+    /// most of G's bits and the caller keeps a per-target Q.
+    pub fn admits(&self, g: &GramMatrix, cols: std::ops::Range<usize>, rows: &[usize]) -> bool {
+        rows.iter().all(|&a| {
+            let ra = &self.rows.row(a)[cols.clone()];
+            let gaa = g.diag(a);
+            gaa <= 2.0 * downdated(gaa, ra, ra)
+        })
+    }
+
+    /// Q over `rows` of G: entry (i, j) is `G[rows[i]][rows[j]]` less
+    /// `x_c[rows[i]]·x_c[rows[j]]` for each column `c` of `cols` in
+    /// order, each product rounded before its subtraction, so the entry
+    /// has the same bits on every kernel tier. Polls `budget` once per row.
+    pub fn downdate(
+        &self,
+        g: &GramMatrix,
+        cols: std::ops::Range<usize>,
+        rows: &[usize],
+        budget: &TargetBudget,
+    ) -> Result<GramMatrix, TrainError> {
+        let (n, k) = (rows.len(), cols.len());
+        let mut xt = Vec::with_capacity(n * k);
+        for &a in rows {
+            xt.extend_from_slice(&self.rows.row(a)[cols.clone()]);
+        }
+        let mut q = vec![0.0f64; n * n];
+        for (i, &a) in rows.iter().enumerate() {
+            budget.check()?;
+            let (ga, xa) = (g.row(a), &xt[i * k..(i + 1) * k]);
+            for (j, &b) in rows[..=i].iter().enumerate() {
+                let v = downdated(ga[b], xa, &xt[j * k..(j + 1) * k]);
+                q[i * n + j] = v;
+                q[j * n + i] = v;
+            }
+        }
+        Ok(GramMatrix { q, n })
+    }
+
+    /// Flops spent building G: two per encoded column of each entry, over
+    /// every build that finished.
+    pub fn build_flops(&self) -> u64 {
+        let d = if self.rows.n_rows() == 0 { 0 } else { self.rows.row(0).len() as u64 };
+        self.build_dots.load(Ordering::Relaxed) * d * 2
+    }
+}
+
+/// `g − Σ_c a[c]·b[c]`, subtracting in column order.
+#[inline]
+fn downdated(g: f64, a: &[f64], b: &[f64]) -> f64 {
+    let mut v = g;
+    for (x, y) in a.iter().zip(b) {
+        v -= x * y;
+    }
+    v
+}
+
 /// Per-thread cache of solve-scoped [`PackedDesign`] gathers and the fit
-/// scope's one [`GramMatrix`].
+/// scope's one [`GramMatrix`], and the scope's handle on its fit's
+/// [`SharedGram`].
+///
+/// An all-but-target problem (its inputs are every encoded column of the
+/// data set except its target's) is handed to its scope with a
+/// [`pack_cache::Downdate`]: the fit's shared G, the target's columns in G's rows, and
+/// the target's present rows. A fast Gram solve of such a scope takes its Q
+/// from G — restricted to the solve's rows, less the outer product of each
+/// target column — when the target passes [`SharedGram::admits`] over its
+/// present rows; it gathers no design and fills no scope Q, and its `w` is
+/// recovered through the solve's own view. Every other solve, and every
+/// target the guard rejects, takes the path below.
 ///
 /// The fit driver solves each fitted predictor problem several times —
 /// once per CV fold and once on the full data, each once per one-vs-rest
@@ -379,17 +545,19 @@ impl GramMatrix {
 /// the memory stays, at most 16 MiB per thread, until that thread's next
 /// scope change.
 pub mod pack_cache {
-    use super::{stats, GramMatrix};
+    use super::{stats, GramMatrix, SharedGram};
+    use crate::budget::TargetBudget;
     use crate::fault::TrainError;
     use frac_dataset::PackedDesign;
     use std::cell::RefCell;
     use std::marker::PhantomData;
     use std::rc::Rc;
+    use std::sync::Arc;
 
     /// Byte cap per thread across packed buffers and the scope Q; the
     /// oldest packs are evicted past it, and a scope Q that alone would
     /// pass it is never built.
-    const MAX_BYTES: usize = 16 << 20;
+    pub(crate) const MAX_BYTES: usize = 16 << 20;
 
     struct Entry {
         slot: u64,
@@ -438,6 +606,25 @@ pub mod pack_cache {
         }
     }
 
+    /// What the fit driver hands the scope of an all-but-target problem:
+    /// the fit's shared G, the target's encoded columns as a column range
+    /// of G's rows, and the target's present rows (`present[p]` is the G
+    /// row of the problem's row `p`, the index space `set_rows` declares).
+    pub struct Downdate {
+        /// The fit's shared G.
+        pub gram: Arc<SharedGram>,
+        /// The target's encoded columns in G's rows.
+        pub cols: std::ops::Range<usize>,
+        /// G row of each of the problem's rows.
+        pub present: Vec<usize>,
+    }
+
+    struct ScopeDowndate {
+        handed: Downdate,
+        /// The guard's verdict over the present rows, per bias² bits.
+        verdicts: Vec<(u64, bool)>,
+    }
+
     struct State {
         /// Whether a scope's guard is alive: `set_rows` is inert otherwise,
         /// so code paths shared with direct trainer users (the CV drivers)
@@ -448,6 +635,8 @@ pub mod pack_cache {
         active: Option<(u64, Vec<usize>)>,
         entries: Vec<Entry>,
         gram: Option<ScopeGram>,
+        /// The open scope's shared G, when it was handed one.
+        downdate: Option<ScopeDowndate>,
     }
 
     thread_local! {
@@ -458,6 +647,7 @@ pub mod pack_cache {
                 active: None,
                 entries: Vec::new(),
                 gram: None,
+                downdate: None,
             })
         };
     }
@@ -475,6 +665,8 @@ pub mod pack_cache {
                 let mut s = s.borrow_mut();
                 s.open = false;
                 s.active = None;
+                // The fit's G must not outlive its fit on a resident thread.
+                s.downdate = None;
             });
         }
     }
@@ -483,8 +675,11 @@ pub mod pack_cache {
     /// input set × fit) until the returned guard drops. A scope change
     /// drops every cached gather and the scope Q; the caller must pick
     /// keys that never collide across different designs (e.g. hash of a
-    /// per-fit nonce, target id, and input set).
-    pub fn begin_scope(scope: u64) -> Scope {
+    /// per-fit nonce, target id, and input set). `downdate` hands the scope
+    /// its fit's shared G; the caller passes one only when every solve of
+    /// the scope reads all of G's columns but `downdate.cols`, over the
+    /// rows `downdate.present` maps.
+    pub fn begin_scope(scope: u64, downdate: Option<Downdate>) -> Scope {
         STATE.with(|s| {
             let mut s = s.borrow_mut();
             if s.scope != scope {
@@ -494,6 +689,7 @@ pub mod pack_cache {
             }
             s.open = true;
             s.active = None;
+            s.downdate = downdate.map(|handed| ScopeDowndate { handed, verdicts: Vec::new() });
         });
         Scope { _thread_bound: PhantomData }
     }
@@ -602,6 +798,48 @@ pub mod pack_cache {
             let gram_bytes = ScopeGram::bytes(sg.dim);
             evict(entries, gram_bytes);
             Ok(Some((GramMatrix { q, n }, dots)))
+        })
+    }
+
+    /// The next solve's Q downdated from the scope's shared G, and the
+    /// flops the downdate cost (a multiply and a subtract per target
+    /// column of each entry computed). `Ok(None)` — the caller takes a
+    /// per-target Q — when the scope was handed no G, no rows of `n_rows`
+    /// are declared, G would pass the byte cap, or the target fails the
+    /// guard over its present rows. Building G polls `budget` once per G
+    /// row, the downdate once per Q row; either error is returned as is.
+    pub(crate) fn downdated_gram(
+        n_rows: usize,
+        bias_sq: f64,
+        budget: &TargetBudget,
+    ) -> Result<Option<(GramMatrix, u64)>, TrainError> {
+        STATE.with(|s| {
+            let mut s = s.borrow_mut();
+            let State { active, downdate, .. } = &mut *s;
+            let (Some((_, rows)), Some(dd)) = (active.as_ref(), downdate.as_mut()) else {
+                return Ok(None);
+            };
+            let present = &dd.handed.present;
+            if rows.len() != n_rows || rows.iter().any(|&r| r >= present.len()) {
+                return Ok(None);
+            }
+            let Some(g) = dd.handed.gram.gram(bias_sq, budget)? else { return Ok(None) };
+            let (bits, cols) = (bias_sq.to_bits(), dd.handed.cols.clone());
+            let admitted = match dd.verdicts.iter().find(|(b, _)| *b == bits) {
+                Some(&(_, ok)) => ok,
+                None => {
+                    let ok = dd.handed.gram.admits(&g, cols.clone(), present);
+                    dd.verdicts.push((bits, ok));
+                    ok
+                }
+            };
+            if !admitted {
+                return Ok(None);
+            }
+            let g_rows: Vec<usize> = rows.iter().map(|&r| present[r]).collect();
+            let q = dd.handed.gram.downdate(&g, cols.clone(), &g_rows, budget)?;
+            let entries = (n_rows * (n_rows + 1) / 2) as u64;
+            Ok(Some((q, entries * cols.len() as u64 * 2)))
         })
     }
 
@@ -735,21 +973,24 @@ impl<R: SolverRows + ?Sized> Margins for Primal<'_, R> {
 /// The Gram margin source: maintains the dual image `Σ_j Q_ij·coef_j`,
 /// which equals row i's margin because Q folds the bias into every entry.
 /// A margin is an O(1) read and an update one O(n) row-of-Q axpy; `w` is
-/// recovered once, from the nonzero duals.
-pub(crate) struct GramImage<'a> {
-    x: &'a PackedDesign,
+/// recovered once, from the nonzero duals, through its rows' axpy — packed
+/// rows, or the solve's own view. Axpy works element by element and has the
+/// same bits on every kernel and tier, so where the view's segments end
+/// cannot change `w`.
+pub(crate) struct GramImage<'a, R: SolverRows + ?Sized> {
+    x: &'a R,
     q: &'a GramMatrix,
     img: Vec<f64>,
     bias_sq: f64,
 }
 
-impl<'a> GramImage<'a> {
-    fn new(x: &'a PackedDesign, q: &'a GramMatrix, bias_sq: f64) -> Self {
+impl<'a, R: SolverRows + ?Sized> GramImage<'a, R> {
+    fn new(x: &'a R, q: &'a GramMatrix, bias_sq: f64) -> Self {
         GramImage { x, q, img: vec![0.0; q.n()], bias_sq }
     }
 }
 
-impl Margins for GramImage<'_> {
+impl<R: SolverRows + ?Sized> Margins for GramImage<'_, R> {
     fn n(&self) -> usize {
         self.q.n()
     }
@@ -782,7 +1023,7 @@ impl Margins for GramImage<'_> {
         for (i, &v) in dual.iter().enumerate() {
             if v != 0.0 {
                 let c = coef(i, v);
-                self.x.axpy_row_blocked(i, c, &mut w);
+                self.x.axpy(i, c, &mut w);
                 w_bias += c * self.bias_sq;
                 nnz += 1;
             }
@@ -932,7 +1173,10 @@ pub(crate) struct DualConfig {
 
 /// One trainer call's solve path, chosen once and shared by all its dual
 /// solves (one for SVR, one per one-vs-rest class for SVC — Q depends only
-/// on the design, so the classes share one gather and one Q).
+/// on the design, so the classes share one gather and one Q). A fast Gram
+/// solve takes its Q downdated from the fit's [`SharedGram`] when its
+/// scope was handed one and admits it (see [`pack_cache`]), and otherwise
+/// from a gather of its design.
 pub(crate) struct SolvePlan<'a> {
     x: &'a dyn DesignView,
     cfg: DualConfig,
@@ -947,29 +1191,42 @@ enum Path {
     /// is beyond the packing budget.
     Rows(Option<Rc<PackedDesign>>),
     Gram(Rc<PackedDesign>, GramMatrix),
+    /// Q downdated from the fit's shared G; `w` is recovered through the
+    /// view.
+    Downdated(GramMatrix),
 }
 
 impl<'a> SolvePlan<'a> {
-    /// Pick the path for `x`. The fast path gathers the design when it fits
-    /// the packing budget, and on the Gram path gathers or builds Q,
-    /// polling `budget` once per Q row.
+    /// Pick the path for `x`. A fast Gram solve first asks its scope for a
+    /// Q downdated from the shared G. Otherwise the fast path gathers the
+    /// design when it fits the packing budget, and on the Gram path gathers
+    /// or builds Q. Every Q build polls `budget` once per row.
     pub(crate) fn new(
         x: &'a dyn DesignView,
         cfg: DualConfig,
         budget: &TargetBudget,
     ) -> Result<Self, TrainError> {
         let (n, d) = (x.n_rows(), x.n_cols());
+        let b2 = bias_sq(cfg.bias);
+        let gram = cfg.strategy.takes_gram(n, d);
         let mut gram_flops = 0;
         let path = match cfg.mode {
             SolverMode::Strict => Path::Strict,
             SolverMode::Fast if n == 0 => Path::Rows(None),
-            SolverMode::Fast => match pack_for_solve(x) {
-                Some(p) if cfg.strategy.takes_gram(n, d) => {
-                    let (q, dots) = gram_for_solve(&p, bias_sq(cfg.bias), budget)?;
-                    gram_flops = dots * (d as u64) * 2;
-                    Path::Gram(p, q)
+            SolverMode::Fast => match gram.then(|| pack_cache::downdated_gram(n, b2, budget)) {
+                Some(Err(e)) => return Err(e),
+                Some(Ok(Some((q, flops)))) => {
+                    gram_flops = flops;
+                    Path::Downdated(q)
                 }
-                packed => Path::Rows(packed),
+                _ => match pack_for_solve(x) {
+                    Some(p) if gram => {
+                        let (q, dots) = gram_for_solve(&p, b2, budget)?;
+                        gram_flops = dots * (d as u64) * 2;
+                        Path::Gram(p, q)
+                    }
+                    packed => Path::Rows(packed),
+                },
             },
         };
         Ok(SolvePlan { x, cfg, path, gram_flops })
@@ -1000,7 +1257,12 @@ impl<'a> SolvePlan<'a> {
                 (sweep(rule, Primal::new(self.x, b2), &s, warm, budget)?, STRATEGY_PRIMAL_CODE)
             }
             Path::Gram(p, q) => {
-                let out = sweep(rule, GramImage::new(p, q, b2), &s, warm, budget)?;
+                let out = sweep(rule, GramImage::new(p.as_ref(), q, b2), &s, warm, budget)?;
+                stats::record_gram_solve();
+                (out, STRATEGY_GRAM_CODE)
+            }
+            Path::Downdated(q) => {
+                let out = sweep(rule, GramImage::new(self.x, q, b2), &s, warm, budget)?;
                 stats::record_gram_solve();
                 (out, STRATEGY_GRAM_CODE)
             }
@@ -1071,10 +1333,14 @@ pub mod stats {
         pub dense_slots: u64,
         /// Solves that ran the Gram-matrix dual loop.
         pub gram_solves: u64,
-        /// Gram matrices begun: one per fit scope whose solves take the
-        /// Gram loop (its folds and final fit gather from that one Q; a
-        /// bias change within a scope begins another), plus one per Gram
-        /// solve outside a scope. One-vs-rest classes share their solve's Q.
+        /// Gram matrices begun: one shared G per fit whose all-but-target
+        /// solves take the Gram loop (every such target downdates it; a
+        /// second bias begins a second G), one per other fit scope whose
+        /// solves take it — a target the downdate guard rejects, or an
+        /// explicit input list (the scope's folds and final fit gather
+        /// from that one Q; a bias change within a scope begins another)
+        /// — plus one per Gram solve outside a scope. One-vs-rest classes
+        /// share their solve's Q.
         pub gram_builds: u64,
         /// Solves that reused a cached [`frac_dataset::PackedDesign`]
         /// gather instead of re-gathering the design.
@@ -1106,8 +1372,8 @@ pub mod stats {
         GRAM_SOLVES.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one Gram matrix begun (a scope Q, or a Q built outside a
-    /// scope).
+    /// Record one Gram matrix begun (a fit's shared G, a scope Q, or a Q
+    /// built outside a scope).
     pub fn record_gram_build() {
         GRAM_BUILDS.fetch_add(1, Ordering::Relaxed);
     }
@@ -1233,7 +1499,7 @@ mod tests {
     #[test]
     fn pack_cache_reuses_gather_only_on_exact_row_match() {
         let x = DesignMatrix::from_raw(4, 2, vec![0.0; 8]);
-        let scope = pack_cache::begin_scope(0xDEAD);
+        let scope = pack_cache::begin_scope(0xDEAD, None);
         pack_cache::set_rows(7, &[0, 1, 2, 3]);
         let a = pack_for_solve(&x).unwrap();
         let b = pack_for_solve(&x).unwrap();
@@ -1244,7 +1510,7 @@ mod tests {
         assert!(!Rc::ptr_eq(&a, &c));
         drop(scope);
         // Scope change drops everything.
-        let scope = pack_cache::begin_scope(0xBEEF);
+        let scope = pack_cache::begin_scope(0xBEEF, None);
         pack_cache::set_rows(7, &[0, 1, 3, 2]);
         let d = pack_for_solve(&x).unwrap();
         assert!(!Rc::ptr_eq(&c, &d));
@@ -1303,7 +1569,7 @@ mod tests {
                 .map(|_| (mix(&mut state) >> 11) as f64 / (1u64 << 50) as f64 - 4.0)
                 .collect();
             let x = DesignMatrix::from_raw(n, d, values);
-            let _scope = pack_cache::begin_scope(seed);
+            let _scope = pack_cache::begin_scope(seed, None);
             let unlimited = TargetBudget::unlimited();
             let mut covered = HashSet::new();
             let mut last_bias = None;
@@ -1337,7 +1603,7 @@ mod tests {
     fn budget_tripped_mid_fill_leaves_the_scope_q_exact() {
         let x = DesignMatrix::from_raw(6, 3, (0..18).map(|v| (v as f64).sin()).collect());
         let rows = [4, 0, 5, 2, 1, 3];
-        let _scope = pack_cache::begin_scope(0xF111);
+        let _scope = pack_cache::begin_scope(0xF111, None);
         pack_cache::set_rows(1, &rows);
         let packed = pack_for_solve(&RowSubset::new(&x, &rows)).unwrap();
         // The budget trips on its third poll, after two of Q's six rows.
@@ -1361,6 +1627,24 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_gram_cut_short_by_its_budget_leaves_nothing_behind() {
+        let x = DesignMatrix::from_raw(6, 3, (0..18).map(|v| (v as f64).cos()).collect());
+        let shared = SharedGram::new(Arc::new(x.clone()));
+        let (run, cancel) = crate::RunBudget::unlimited().cancellable();
+        cancel.cancel();
+        assert_eq!(shared.gram(1.0, &run.start_target()).err(), Some(TrainError::DeadlineExceeded));
+        assert_eq!(shared.build_flops(), 0);
+        // The next caller builds G in full: the Q a direct build gives.
+        let g = shared.gram(1.0, &TargetBudget::unlimited()).unwrap().unwrap();
+        let all: Vec<usize> = (0..6).collect();
+        assert_eq!(bits(&g), own_q(&x, &all, 1.0));
+        assert_eq!(shared.build_flops(), 21 * 3 * 2);
+        // Later callers share it.
+        let again = shared.gram(1.0, &TargetBudget::unlimited()).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&g, &again));
+    }
+
+    #[test]
     fn scope_or_bias_change_never_serves_a_stale_entry() {
         // Two designs of one shape: an entry of one served to the other
         // would show as a wrong Q.
@@ -1373,7 +1657,7 @@ mod tests {
             let (q, dots) = gram_for_solve(&packed, bias_sq, &TargetBudget::unlimited()).unwrap();
             (bits(&q), dots)
         };
-        let scope = pack_cache::begin_scope(1);
+        let scope = pack_cache::begin_scope(1, None);
         assert_eq!(solve(&x1, 1.0), (own_q(&x1, &rows, 1.0), 10));
         // Same scope, rows and bias: every entry is served, none computed.
         assert_eq!(solve(&x1, 1.0), (own_q(&x1, &rows, 1.0), 0));
@@ -1381,7 +1665,7 @@ mod tests {
         assert_eq!(solve(&x1, 0.0), (own_q(&x1, &rows, 0.0), 10));
         drop(scope);
         // A scope change drops the gathers and the scope Q.
-        let _scope = pack_cache::begin_scope(2);
+        let _scope = pack_cache::begin_scope(2, None);
         assert_eq!(solve(&x2, 0.0), (own_q(&x2, &rows, 0.0), 10));
     }
 }

@@ -241,3 +241,148 @@ fn auto_strategy_is_deterministic() {
     let b = svr_objective_for(&x, &y, SolverStrategy::Auto, TIGHT, None);
     assert_eq!(a.to_bits(), b.to_bits());
 }
+
+/// A random pool of `n_real` standardized real features and `n_cat`
+/// ternary ones, `n` rows, and its encoder table.
+fn random_pool(
+    n: usize,
+    n_real: usize,
+    n_cat: usize,
+    seed: u64,
+    standardize: bool,
+) -> (frac_dataset::EncodedPool, frac_dataset::design::PoolSpec) {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut b = frac_dataset::dataset::DatasetBuilder::new();
+    for j in 0..n_real {
+        b = b.real(format!("r{j}"), (0..n).map(|_| next() * 4.0 - 2.0).collect());
+    }
+    for j in 0..n_cat {
+        b = b.categorical(format!("c{j}"), 3, (0..n).map(|_| (next() * 3.0) as u32).collect());
+    }
+    let data = b.build();
+    let all: Vec<usize> = (0..data.n_features()).collect();
+    let spec = frac_dataset::design::PoolSpec::fit(&data, &all, standardize);
+    (spec.encode(&data), spec)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A target's Q downdated from the shared G matches a direct build over
+    /// its all-but-target design and the same rows to within
+    /// 4·d·ε·√(Q_aa·Q_bb) per entry, for real and one-hot targets, both
+    /// bias values and random row subsets, whenever the guard admits it.
+    #[test]
+    fn downdated_q_matches_a_direct_build(
+        n in 2usize..20,
+        n_real in 4usize..9,
+        n_cat in 0usize..3,
+        target_pick in any::<usize>(),
+        keep in prop::collection::vec(any::<bool>(), 20),
+        bias in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use frac_dataset::{DesignView, PackedDesign, RowSubset};
+        use frac_learn::solver::{GramMatrix, SharedGram};
+        let (pool, spec) = random_pool(n, n_real, n_cat, seed, true);
+        let n_features = n_real + n_cat;
+        let target = target_pick % n_features;
+        let inputs: Vec<usize> = (0..n_features).filter(|&j| j != target).collect();
+        let rows: Vec<usize> = (0..n).filter(|&r| keep[r]).collect();
+        prop_assume!(!rows.is_empty());
+        let bias_sq = if bias { 1.0 } else { 0.0 };
+        let unlimited = TargetBudget::unlimited();
+        let pool = std::sync::Arc::new(pool);
+        let shared = SharedGram::new(pool.clone());
+        let g = shared.gram(bias_sq, &unlimited).unwrap().expect("a small G fits the cap");
+        let cols = spec.col_range(target);
+        prop_assume!(shared.admits(&g, cols.clone(), &rows));
+        let down = shared.downdate(&g, cols, &rows, &unlimited).unwrap();
+        let view = pool.view(&inputs);
+        let packed = PackedDesign::from_view(&RowSubset::new(&view, &rows)).unwrap();
+        let direct = GramMatrix::build(&packed, bias_sq, &unlimited).unwrap();
+        let d = view.n_cols() as f64;
+        for i in 0..rows.len() {
+            for j in 0..rows.len() {
+                let bound = 4.0 * d * f64::EPSILON * (direct.diag(i) * direct.diag(j)).sqrt();
+                let gap = (down.row(i)[j] - direct.row(i)[j]).abs();
+                prop_assert!(gap <= bound, "Q[{i},{j}]: {} vs {} (gap {gap:e}, bound {bound:e})",
+                    down.row(i)[j], direct.row(i)[j]);
+            }
+        }
+    }
+}
+
+/// An unscaled target 1e8 times larger than the rest of its row holds
+/// nearly all of the row's squared norm: subtracting it from G would
+/// cancel G's bits, so the guard refuses the downdate.
+#[test]
+fn the_guard_rejects_an_unscaled_dominant_target() {
+    use frac_learn::solver::SharedGram;
+    let n = 12;
+    let mut b = frac_dataset::dataset::DatasetBuilder::new();
+    b = b.real("big", (0..n).map(|r| 1e8 * (1.0 + r as f64)).collect());
+    for j in 0..5 {
+        b = b.real(format!("r{j}"), (0..n).map(|r| ((r * 7 + j * 3) % 5) as f64 - 2.0).collect());
+    }
+    let data = b.build();
+    let all: Vec<usize> = (0..data.n_features()).collect();
+    let spec = frac_dataset::design::PoolSpec::fit(&data, &all, false);
+    let shared = SharedGram::new(std::sync::Arc::new(spec.encode(&data)));
+    let unlimited = TargetBudget::unlimited();
+    let g = shared.gram(1.0, &unlimited).unwrap().unwrap();
+    let rows: Vec<usize> = (0..n).collect();
+    assert!(!shared.admits(&g, spec.col_range(0), &rows));
+    // Standardized, the same column holds a sixth of the norm or so.
+    let spec = frac_dataset::design::PoolSpec::fit(&data, &all, true);
+    let shared = SharedGram::new(std::sync::Arc::new(spec.encode(&data)));
+    let g = shared.gram(1.0, &unlimited).unwrap().unwrap();
+    assert!(shared.admits(&g, spec.col_range(0), &(0..n).filter(|&r| r % 3 == 1).collect::<Vec<_>>()));
+}
+
+/// A fit through the downdated Q recovers `w` through the solve's pool
+/// view, segment by segment; axpy works element by element, so that `w` is
+/// bit for bit the one a packed gather of the same rows recovers.
+#[test]
+fn w_recovered_through_the_view_equals_the_packed_recovery() {
+    use frac_dataset::{DesignView, PackedDesign, RowSubset};
+    use frac_learn::solver::{pack_cache, SharedGram};
+    let (pool, spec) = random_pool(30, 8, 2, 7, true);
+    let target = 3; // an interior column: the view has two segments
+    let inputs: Vec<usize> = (0..10).filter(|&j| j != target).collect();
+    let present: Vec<usize> = (0..30).filter(|r| r % 4 != 0).collect();
+    let pool = std::sync::Arc::new(pool);
+    let shared = std::sync::Arc::new(SharedGram::new(pool.clone()));
+    let view = pool.view(&inputs);
+    let x = RowSubset::new(&view, &present);
+    let y: Vec<f64> = present.iter().map(|&r| pool.row(r)[spec.col_range(target).start]).collect();
+    let _scope = pack_cache::begin_scope(
+        0x5EED,
+        Some(pack_cache::Downdate {
+            gram: shared.clone(),
+            cols: spec.col_range(target),
+            present: present.clone(),
+        }),
+    );
+    let all: Vec<usize> = (0..present.len()).collect();
+    pack_cache::set_rows(0, &all);
+    let cfg = svr_cfg(SolverStrategy::Gram, TIGHT);
+    let (trained, duals) = SvrTrainer::new(cfg).fit(&x, &y, None, &TargetBudget::unlimited()).unwrap();
+    pack_cache::clear_rows();
+    let duals = duals.unwrap();
+    let packed = PackedDesign::from_view(&x).unwrap();
+    let (mut w_packed, mut w_view) = (vec![0.0; x.n_cols()], vec![0.0; x.n_cols()]);
+    for (i, &b) in duals.iter().enumerate() {
+        if b != 0.0 {
+            packed.axpy_row_blocked(i, b, &mut w_packed);
+            x.axpy_row_blocked(i, b, &mut w_view);
+        }
+    }
+    let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(trained.model.weights()), bits(&w_packed));
+    assert_eq!(bits(&w_view), bits(&w_packed));
+}

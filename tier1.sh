@@ -210,7 +210,7 @@ if [ "$breast_model" != "$want" ]; then
 fi
 ./target/release/frac inspect-telemetry --file "$smoke_dir/breast.trace.tsv" \
   > "$smoke_dir/breast-inspect.log"
-# gram_builds counts one Gram matrix per fit scope (DESIGN.md §13).
+# gram_builds counts the fit's one shared Gram matrix (DESIGN.md §13).
 want="solver	$(pin breast_basal.solver)"
 if ! grep -qxF "$want" "$smoke_dir/breast-inspect.log"; then
   echo "counter gate: breast.basal $(grep '^solver	' "$smoke_dir/breast-inspect.log"), want $want"; exit 1
